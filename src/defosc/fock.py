@@ -1,12 +1,14 @@
-"""Truncated Fock-space matrix realizations.
+"""Truncated Fock-space realizations, stored entry by entry.
 
 Ladder operators act as a+ |n> = sqrt(Phi(n+1)) |n+1> and
 a- |n> = sqrt(Phi(n)) |n-1>; position and momentum are dressed ladder
-combinations X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-).
-Functions of the number operator are realized as diagonal matrices
-acting from the left, which reproduces F(N) a(+/-) = a(+/-) F(N +/- 1)
-automatically.  Truncation artifacts live in the top two levels only;
-the verification module restricts checks to the interior accordingly.
+combinations X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-).  Each
+is a function of N times ladder operators, so it lives on the offsets
+-1 and +1 only; those O(dim) entries are all that is stored.  A function
+of N scales the entries of the row it acts on, which reproduces
+F(N) a(+/-) = a(+/-) F(N +/- 1) automatically.  Truncation artifacts
+live in the top two levels only; the verification module restricts
+checks to the interior accordingly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NegativeStructureFunctionError
 from .qp import require_positive
-from .structure import StructureFunctionModel, sf_eval
+from .structure import StructureFunctionModel, sf_table
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -35,29 +37,56 @@ class CoefficientProfile:
     label: str = ""
 
 
+def _tridiagonal(offdiagonals: np.ndarray) -> np.ndarray:
+    below, above = offdiagonals
+    return (np.diag(below, -1) + np.diag(above, 1)).astype(complex)
+
+
 @dataclass(frozen=True)
 class FockRep:
-    """Truncated matrix realization of one deformed oscillator.
+    """Truncated realization of one deformed oscillator.
 
     phi holds Phi(0..dim), one entry beyond the truncation so the
     Hamiltonian diagonal (Phi(n+1) + Phi(n))/2 is exact at n = dim - 1.
-    x_op and p_op are populated by build_xp.
+    ladder holds <n+1|a+|n> = <n|a-|n+1> = sqrt(Phi(n+1)), n < dim - 1,
+    apart from phi so that a tampered phi table stays detectable.
+    build_xp fills x with the rows <n+1|X|n> and <n|X|n+1>, and p likewise
+    for P / i.  The properties build the dense complex matrices on demand;
+    x_op and p_op are None before build_xp.
     """
 
     dim: int
     phi: np.ndarray
-    a_plus: np.ndarray
-    a_minus: np.ndarray
-    n_op: np.ndarray
-    x_op: np.ndarray | None = None
-    p_op: np.ndarray | None = None
+    ladder: np.ndarray
+    x: np.ndarray | None = None
+    p: np.ndarray | None = None
+
+    @property
+    def a_plus(self) -> np.ndarray:
+        return np.diag(self.ladder, -1).astype(complex)
+
+    @property
+    def a_minus(self) -> np.ndarray:
+        return np.diag(self.ladder, 1).astype(complex)
+
+    @property
+    def n_op(self) -> np.ndarray:
+        return np.diag(np.arange(self.dim)).astype(complex)
+
+    @property
+    def x_op(self) -> np.ndarray | None:
+        return None if self.x is None else _tridiagonal(self.x)
+
+    @property
+    def p_op(self) -> np.ndarray | None:
+        return None if self.p is None else 1j * _tridiagonal(self.p)
 
 
 def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
-    """Build the dim-dimensional ladder matrices of a structure function."""
+    """Build the dim-dimensional ladder realization of a structure function."""
     if dim < 2:
         raise DomainError(f"dim must be >= 2, got {dim}")
-    phi = np.array([sf_eval(model, n) for n in range(dim + 1)], dtype=float)
+    phi = np.array(sf_table(model, dim), dtype=float)
     negative = np.nonzero(phi < 0)[0]
     if negative.size:
         level = int(negative[0])
@@ -65,11 +94,7 @@ def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
             f"Phi({level}) = {phi[level]} < 0 for {model.label or model.variant}; "
             "ladder entries need real square roots"
         )
-    roots = np.sqrt(phi[1:dim])
-    a_plus = np.diag(roots, -1).astype(complex)
-    a_minus = np.diag(roots, 1).astype(complex)
-    n_op = np.diag(np.arange(dim)).astype(complex)
-    return FockRep(dim=dim, phi=phi, a_plus=a_plus, a_minus=a_minus, n_op=n_op)
+    return FockRep(dim=dim, phi=phi, ladder=np.sqrt(phi[1:dim]))
 
 
 def _ratio_profile(ratio: float, label: str) -> CoefficientProfile:
@@ -101,20 +126,15 @@ def profile_two_sided(qb: float, pb: float) -> CoefficientProfile:
     return _ratio_profile(qb / pb, label=f"two-sided-profile(qb={qb},pb={pb})")
 
 
-def _diagonal_of(func: Callable[[int], float], dim: int) -> np.ndarray:
-    return np.diag([func(n) for n in range(dim)]).astype(complex)
-
-
 def build_xp(rep: FockRep, profile: CoefficientProfile) -> FockRep:
     """Attach X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-)."""
-    dim = rep.dim
-    f_mat = _diagonal_of(profile.f, dim)
-    g_mat = _diagonal_of(profile.g, dim)
-    h_mat = _diagonal_of(profile.h, dim)
-    k_mat = _diagonal_of(profile.k, dim)
-    x_op = f_mat @ rep.a_minus + g_mat @ rep.a_plus
-    p_op = 1j * (k_mat @ rep.a_plus - h_mat @ rep.a_minus)
-    return replace(rep, x_op=x_op, p_op=p_op)
+    f, g, h, k = (
+        np.array([fn(n) for n in range(rep.dim)], dtype=float)
+        for fn in (profile.f, profile.g, profile.h, profile.k)
+    )
+    roots = rep.ladder
+    x = np.stack([g[1:] * roots, f[:-1] * roots])
+    return replace(rep, x=x, p=np.stack([k[1:] * roots, -(h[:-1] * roots)]))
 
 
 def hamiltonian(rep: FockRep) -> np.ndarray:

@@ -131,17 +131,11 @@ def _check_classical_limit_catalog() -> float:
 
 
 def _check_classical_xp_forms() -> float:
-    dim = 12
-    rep = build_xp(build_ladder(harmonic(), dim), profile_q(1.0))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    x_expected = (rep.a_plus + rep.a_minus) * inv_sqrt2
-    p_expected = 1j * (rep.a_plus - rep.a_minus) * inv_sqrt2
-    return float(
-        max(
-            np.abs(rep.x_op - x_expected).max(),
-            np.abs(rep.p_op - p_expected).max(),
-        )
-    )
+    # X = (a+ + a-)/sqrt(2), P = i (a+ - a-)/sqrt(2), off-diagonal by off-diagonal
+    rep = build_xp(build_ladder(harmonic(), 12), profile_q(1.0))
+    entry = rep.ladder * (1.0 / math.sqrt(2.0))
+    x_gap = np.abs(rep.x - entry).max()
+    return float(max(x_gap, np.abs(rep.p - [entry, -entry]).max()))
 
 
 def _check_qp_equal_parameters_scaled_harmonic() -> float:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import count
+from typing import Callable, Iterator
 
 from .errors import (
     DomainError,
@@ -144,16 +145,6 @@ def custom_hg(hg: HGPair) -> StructureFunctionModel:
 # --------------------------------------------------------------------------
 
 
-def _geometric_sum(q: float, m: int) -> float:
-    # sum_{k=0}^{m-1} q**k, regular at q = 1 by construction
-    total = 0.0
-    power = 1.0
-    for _ in range(m):
-        total += power
-        power *= q
-    return total
-
-
 def _sf_harmonic(model: StructureFunctionModel, n: int) -> float:
     return float(n)
 
@@ -181,15 +172,26 @@ def _sf_jannussis_mu(model: StructureFunctionModel, n: int) -> float:
     return n / denom
 
 
-def _sf_nonstd_q(model: StructureFunctionModel, n: int) -> float:
-    if n == 0:
-        return 0.0
+def _nonstd_q_levels(model: StructureFunctionModel, start: int = 1) -> Iterator[float]:
+    # Phi(start), Phi(start + 1), ...: (q**n - q**(1-n)) / (q - 1) is written
+    # through the geometric sum sum_{k<2n-1} q**k, so the q -> 1 point needs
+    # no limit branch; each level extends the sum of the one before by two terms.
     q = model.params.q
-    # (q**n - q**(1-n)) / (q - 1) rewritten through a geometric sum so the
-    # q -> 1 point needs no limit branch.
-    bracket = 1.0 + q ** (1 - n) * _geometric_sum(q, 2 * n - 1)
-    prefactor = 2.0 * q ** (-n) / ((1.0 + q ** (2 * n - 2)) * (1.0 + q ** (2 * n)))
-    return prefactor * bracket
+    total, power = 0.0, 1.0
+    for _ in range(2 * start - 1):
+        total += power
+        power *= q
+    for n in count(start):
+        bracket = 1.0 + q ** (1 - n) * total
+        prefactor = 2.0 * q ** (-n) / ((1.0 + q ** (2 * n - 2)) * (1.0 + q ** (2 * n)))
+        yield prefactor * bracket
+        for _ in range(2):
+            total += power
+            power *= q
+
+
+def _sf_nonstd_q(model: StructureFunctionModel, n: int) -> float:
+    return next(_nonstd_q_levels(model, n))
 
 
 def _sf_nonstd_qp(model: StructureFunctionModel, n: int) -> float:
@@ -256,6 +258,12 @@ _EVALUATORS = {
 }
 
 
+def _overflow(model: StructureFunctionModel, n: int) -> EvaluationOverflowError:
+    return EvaluationOverflowError(
+        f"structure function {model.label or model.variant} overflowed at n={n}"
+    )
+
+
 def sf_eval(model: StructureFunctionModel, n: int) -> float:
     """Evaluate Phi(n) for a catalog entry; Phi(0) = 0 for every variant."""
     if n < 0:
@@ -265,14 +273,59 @@ def sf_eval(model: StructureFunctionModel, n: int) -> float:
     try:
         value = _EVALUATORS[model.variant](model, n)
     except OverflowError as exc:
-        raise EvaluationOverflowError(
-            f"structure function {model.label or model.variant} overflowed at n={n}"
-        ) from exc
+        raise _overflow(model, n) from exc
     if not math.isfinite(value):
-        raise EvaluationOverflowError(
-            f"structure function {model.label or model.variant} overflowed at n={n}"
-        )
+        raise _overflow(model, n)
     return value
+
+
+def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
+    """Phi(0..n_max) in one pass; entry n equals sf_eval(model, n) bit for bit.
+
+    The recipe and the nonstd-q geometric sum carry their running values
+    from level to level; other variants evaluate level by level.  Each
+    entry is range-checked as in sf_eval, and nothing beyond level n_max
+    is evaluated (the recipe consults h and g up to n_max - 1 only).
+    """
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    stream = _LEVEL_STREAMS.get(model.variant)
+    evaluate = _EVALUATORS[model.variant]
+    levels = stream(model) if stream else (evaluate(model, n) for n in count(1))
+    table = [0.0]
+    for n in range(1, n_max + 1):
+        try:
+            value = next(levels)
+        except OverflowError as exc:
+            raise _overflow(model, n) from exc
+        if not math.isfinite(value):
+            raise _overflow(model, n)
+        table.append(value)
+    return table
+
+
+def _recipe_levels(hg: HGPair) -> Iterator[float]:
+    # Phi(1), Phi(2), ...: the running products of Phi(n) are the prefix of
+    # those of Phi(n + 1); g(j), h(j) are consulted when Phi(j + 1) is asked
+    # for.  Overflow propagates untyped: the caller knows the level it asked.
+    h0 = hg.h(0)
+    if h0 == 0:
+        raise RecipeDivisionError("recipe division by zero: h(0) = 0")
+    ratio = 1.0  # g(n-1)!/h(n-1)! as a product of per-level ratios
+    partial = 1.0 / h0  # 1/h(0) + sum of h(j-1)!/g(j)!
+    term = 1.0  # running h(j-1)!/g(j)!
+    for j in count(1):
+        yield ratio * partial
+        gj = hg.g(j)
+        if gj == 0:
+            raise RecipeDivisionError(f"recipe division by zero: g({j}) = 0")
+        hj = hg.h(j)
+        if hj == 0:
+            raise RecipeDivisionError(f"recipe division by zero: h({j}) = 0")
+        term /= gj
+        partial += term
+        term *= hj
+        ratio *= gj / hj
 
 
 def sf_from_hg(hg: HGPair, n: int) -> float:
@@ -285,40 +338,30 @@ def sf_from_hg(hg: HGPair, n: int) -> float:
     h(n) Phi(n+1) - g(n) Phi(n) = 1 from Phi(0) = 0.  All factorial
     ratios are accumulated as running products, never as quotients of two
     separately grown factorials, so evaluation stays in range for n up to
-    about a hundred even far from the undeformed point.
+    about a hundred even far from the undeformed point.  Only Phi(n)
+    itself is range-checked, not the levels below it.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if n == 0:
         return 0.0
-    h0 = hg.h(0)
-    if h0 == 0:
-        raise RecipeDivisionError("recipe division by zero: h(0) = 0")
-    ratio = 1.0  # g(n-1)!/h(n-1)! as a product of per-level ratios
-    partial = 1.0 / h0  # 1/h(0) + sum of h(j-1)!/g(j)!
-    term = 1.0  # running h(j-1)!/g(j)!
+    overflow = f"recipe overflowed at n={n} for pair {hg.label or '<unnamed>'}"
+    levels = _recipe_levels(hg)
+    value = next(levels)  # h(0) is evaluated outside the overflow guard
     try:
-        for j in range(1, n):
-            gj = hg.g(j)
-            if gj == 0:
-                raise RecipeDivisionError(f"recipe division by zero: g({j}) = 0")
-            hj = hg.h(j)
-            if hj == 0:
-                raise RecipeDivisionError(f"recipe division by zero: h({j}) = 0")
-            term /= gj
-            partial += term
-            term *= hj
-            ratio *= gj / hj
-        value = ratio * partial
+        for _ in range(n - 1):
+            value = next(levels)
     except OverflowError as exc:
-        raise EvaluationOverflowError(
-            f"recipe overflowed at n={n} for pair {hg.label or '<unnamed>'}"
-        ) from exc
+        raise EvaluationOverflowError(overflow) from exc
     if not math.isfinite(value):
-        raise EvaluationOverflowError(
-            f"recipe overflowed at n={n} for pair {hg.label or '<unnamed>'}"
-        )
+        raise EvaluationOverflowError(overflow)
     return value
+
+
+_LEVEL_STREAMS = {
+    "custom-hg": lambda model: _recipe_levels(model.hg),
+    "nonstd-q": _nonstd_q_levels,
+}
 
 
 # --------------------------------------------------------------------------
@@ -459,5 +502,5 @@ def spectrum(model: StructureFunctionModel, n_max: int) -> list[float]:
     """Energy levels E(n) = (Phi(n+1) + Phi(n)) / 2 for n = 0..n_max."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    phi = [sf_eval(model, n) for n in range(n_max + 2)]
+    phi = sf_table(model, n_max + 1)
     return [0.5 * (phi[n + 1] + phi[n]) for n in range(n_max + 1)]

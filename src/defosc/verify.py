@@ -1,11 +1,18 @@
 """Residual verification of deformed commutation relations.
 
 Each check builds (or receives) a truncated Fock realization, forms the
-relation residual as a dense matrix, and reports the maximum absolute
-entry over the interior block, i.e. rows and columns 0..dim-1-margin.
-The default margin of 2 keeps truncation leakage (one level per ladder
-application, two per operator product) out of the reported residual, so
-a correct construction scores pure roundoff.
+relation residual, and reports the maximum absolute entry over the
+interior block, i.e. rows and columns 0..dim-1-margin.  The default
+margin of 2 keeps truncation leakage (one level per ladder application,
+two per operator product) out of the reported residual, so a correct
+construction scores pure roundoff.
+
+X, P and the ladder operators sit on the offsets -1 and +1, so every
+term of a relation sits on the offsets -2, 0 and +2 and all other
+entries are exact zeros.  A term is therefore held as a (3, dim) array
+of bands indexed by row n, holding the entries (n, n-2), (n, n) and
+(n, n+2); the X/P relations are purely imaginary and carried as their
+imaginary parts.  A check costs O(dim) real arithmetic.
 
 Roundoff is proportional to the size of the terms being cancelled, and
 several structure functions grow exponentially with the level (already
@@ -30,7 +37,6 @@ from .fock import (
     FockRep,
     build_ladder,
     build_xp,
-    hamiltonian,
     profile_q,
     profile_qp,
     profile_two_sided,
@@ -64,6 +70,21 @@ class ResidualReport:
         }
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bands of A B, for A and B given by the rows (A[n+1, n], A[n, n+1])."""
+    (a_below, a_above), (b_below, b_above) = a, b
+    bands = np.zeros((3, a_below.size + 1))
+    bands[0, 2:] = a_below[1:] * b_below[:-1]
+    bands[1, 1:] = a_below * b_above
+    bands[1, :-1] += a_above * b_below
+    bands[2, :-2] = a_above[:-1] * b_above[1:]
+    return bands
+
+
+def _diagonal(values: np.ndarray) -> np.ndarray:
+    return np.stack([np.zeros_like(values), values, np.zeros_like(values)])
+
+
 def _interior_report(
     relation: str,
     residual: np.ndarray,
@@ -72,15 +93,15 @@ def _interior_report(
     tolerance: float,
     per_state: bool,
 ) -> ResidualReport:
-    dim = residual.shape[0]
+    dim = residual.shape[1]
     keep = dim - margin
     if keep < 1:
         raise DomainError(f"margin {margin} leaves no interior block for dim {dim}")
-    scale = 1.0
-    for term in terms:
-        scale = max(scale, float(np.abs(term[:keep, :keep]).max()))
-    block = np.abs(residual[:keep, :keep]) / scale
-    states = [(n, float(block[n].max())) for n in range(keep)] if per_state else None
+    blocks = np.abs(np.stack([residual, *terms])[:, :, :keep])
+    blocks[:, 2, keep - 2 :] = 0.0  # entries (n, n+2) with n + 2 >= keep
+    scale = max(1.0, *(float(term.max()) for term in blocks[1:]))
+    block = blocks[0] / scale
+    states = list(enumerate(block.max(axis=0).tolist())) if per_state else None
     worst = float(block.max())
     return ResidualReport(
         relation=relation,
@@ -93,6 +114,34 @@ def _interior_report(
     )
 
 
+def _ladder_products(rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
+    # a- a+ and a+ a-; each loses the level the truncation cuts
+    zero = np.zeros_like(rep.ladder)
+    a_minus, a_plus = (zero, rep.ladder), (rep.ladder, zero)
+    return _product(a_minus, a_plus), _product(a_plus, a_minus)
+
+
+def _xp_report(
+    relation: str,
+    rep: FockRep,
+    xp_coeff: float,
+    px_coeff: float,
+    rhs: np.ndarray,
+    margin: int,
+    tol: float,
+    per_state: bool,
+    scale: float = 1.0,
+) -> ResidualReport:
+    # xp_coeff Xs Ps - px_coeff Ps Xs - i rhs(N) with Xs = scale X,
+    # Ps = scale P; rhs joins the normalizing terms (no change when it is 1)
+    x, p = scale * rep.x, scale * rep.p
+    xp = xp_coeff * _product(x, p)
+    px = px_coeff * _product(p, x)
+    rhs = _diagonal(rhs)
+    residual = xp - px - rhs
+    return _interior_report(relation, residual, [xp, px, rhs], margin, tol, per_state)
+
+
 def verify_hg(
     rep: FockRep,
     hg: HGPair,
@@ -102,13 +151,14 @@ def verify_hg(
 ) -> ResidualReport:
     """Residual of h(N) a- a+ - g(N) a+ a- - 1 on the interior block."""
     dim = rep.dim
-    if rep.a_plus.shape != (dim, dim) or rep.a_minus.shape != (dim, dim):
+    if rep.ladder.shape != (dim - 1,):
         raise DomainError("ladder matrices do not match the declared dimension")
-    h_mat = np.diag([hg.h(n) for n in range(dim)]).astype(complex)
-    g_mat = np.diag([hg.g(n) for n in range(dim)]).astype(complex)
-    raise_then_lower = h_mat @ (rep.a_minus @ rep.a_plus)
-    lower_then_raise = g_mat @ (rep.a_plus @ rep.a_minus)
-    residual = raise_then_lower - lower_then_raise - np.eye(dim)
+    h = np.array([hg.h(n) for n in range(dim)], dtype=float)
+    g = np.array([hg.g(n) for n in range(dim)], dtype=float)
+    raise_side, lower_side = _ladder_products(rep)
+    raise_then_lower = h * raise_side
+    lower_then_raise = g * lower_side
+    residual = raise_then_lower - lower_then_raise - _diagonal(np.ones(dim))
     label = f"hg[{hg.label or 'custom'}]"
     return _interior_report(
         label, residual, [raise_then_lower, lower_then_raise], margin, tol, per_state
@@ -130,11 +180,8 @@ def verify_q_ha(
     """
     rep = build_xp(build_ladder(nonstd_q(q), dim), profile_q(q))
     cq = q if check_q is None else check_q
-    xp = rep.x_op @ rep.p_op
-    px = cq * (rep.p_op @ rep.x_op)
-    residual = xp - px - 1j * np.eye(dim)
-    return _interior_report(
-        f"q-ha(q={q},check_q={cq})", residual, [xp, px], margin, tol, per_state
+    return _xp_report(
+        f"q-ha(q={q},check_q={cq})", rep, 1.0, cq, np.ones(dim), margin, tol, per_state
     )
 
 
@@ -152,17 +199,8 @@ def verify_qp_ha(
     rep = build_xp(build_ladder(nonstd_qp(q, p), dim), profile_qp(q, p))
     cq = q if check_q is None else check_q
     cp = p if check_p is None else check_p
-    xp = cp * (rep.x_op @ rep.p_op)
-    px = cq * (rep.p_op @ rep.x_op)
-    residual = xp - px - 1j * np.eye(dim)
-    return _interior_report(
-        f"qp-ha(q={q},p={p},check_q={cq},check_p={cp})",
-        residual,
-        [xp, px],
-        margin,
-        tol,
-        per_state,
-    )
+    label = f"qp-ha(q={q},p={p},check_q={cq},check_p={cp})"
+    return _xp_report(label, rep, cp, cq, np.ones(dim), margin, tol, per_state)
 
 
 def verify_two_sided(
@@ -192,33 +230,18 @@ def verify_two_sided(
     """
     pair = hg_for_two_sided(qb, pb, mu)
     rep = build_xp(build_ladder(custom_hg(pair), dim), profile_two_sided(qb, pb))
-    scale = math.sqrt(pb)
-    xs = scale * rep.x_op
-    ps = scale * rep.p_op
     ratio = qb / pb
     mu_used = mu if check_mu is None else check_mu
     if callable(mu_used):
-        mu_mat = np.diag([mu_used(n) for n in range(dim)]).astype(complex)
+        mu_levels = np.array([mu_used(n) for n in range(dim)], dtype=float)
     else:
-        mu_mat = mu_used * np.eye(dim, dtype=complex)
-    rhs = 1j * (np.eye(dim) + mu_mat @ hamiltonian(rep))
-    if alt_pairing:
-        xp = ratio * (xs @ ps)
-        px = ps @ xs
-    else:
-        xp = xs @ ps
-        px = ratio * (ps @ xs)
-    residual = xp - px - rhs
+        mu_levels = np.full(dim, mu_used, dtype=float)
+    rhs = 1.0 + mu_levels * (0.5 * (rep.phi[1:] + rep.phi[:-1]))  # 1 + mu H
+    coeffs = (ratio, 1.0) if alt_pairing else (1.0, ratio)
     tag = "alt-pairing" if alt_pairing else "ratio-pairing"
     mu_tag = "mu(n)" if callable(mu) else f"mu={mu}"
-    return _interior_report(
-        f"two-sided(qb={qb},pb={pb},{mu_tag},{tag})",
-        residual,
-        [xp, px, rhs],
-        margin,
-        tol,
-        per_state,
-    )
+    label = f"two-sided(qb={qb},pb={pb},{mu_tag},{tag})"
+    return _xp_report(label, rep, *coeffs, rhs, margin, tol, per_state, math.sqrt(pb))
 
 
 def verify_commutator_sf(
@@ -228,10 +251,8 @@ def verify_commutator_sf(
     per_state: bool = False,
 ) -> ResidualReport:
     """Residual of [a-, a+] - diag(Phi(n+1) - Phi(n)) on the interior."""
-    raise_side = rep.a_minus @ rep.a_plus
-    lower_side = rep.a_plus @ rep.a_minus
-    expected = np.diag(rep.phi[1:] - rep.phi[:-1]).astype(complex)
-    residual = raise_side - lower_side - expected
+    raise_side, lower_side = _ladder_products(rep)
+    residual = raise_side - lower_side - _diagonal(rep.phi[1:] - rep.phi[:-1])
     return _interior_report(
         "commutator-sf", residual, [raise_side, lower_side], margin, tol, per_state
     )

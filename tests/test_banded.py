@@ -1,0 +1,341 @@
+"""The banded Fock core checked against the dense oracle it replaced.
+
+Every relation and every negative control is run through the package
+(offset-indexed vectors, O(dim)) and through tests/dense_oracle.py
+(dense complex matrices, O(dim**3)); verdicts, labels and errors must be
+identical and residuals equal to roundoff.  Phi tables must be identical
+bit for bit.
+"""
+
+import dataclasses
+import io
+import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import defosc
+import dense_oracle
+from defosc import verify
+from defosc import (
+    HGPair,
+    arik_coon,
+    biedenharn_macfarlane,
+    build_ladder,
+    build_xp,
+    chakrabarti_jagannathan,
+    custom_hg,
+    equal_hg_special_case,
+    harmonic,
+    hg_for_q_ha,
+    hg_for_qp_ha,
+    hg_for_two_sided,
+    jannussis_mu,
+    nonstd_q,
+    nonstd_qp,
+    profile_qp,
+    profile_two_sided,
+    sf_eval,
+    sf_from_hg,
+    sf_table,
+    two_sided_equal_hg,
+    verify_two_sided,
+)
+from defosc.cli import main as cli_main
+
+PAIR = hg_for_qp_ha(1.2, 0.9)
+MU_LEVELS = equal_hg_special_case(1.05, 1.0)[0]
+
+
+def _hg(m, dim, margin, pair):
+    rep = m.build_ladder(custom_hg(PAIR), dim)
+    return m.verify_hg(rep, pair, margin=margin, per_state=True)
+
+
+def _commutator(m, dim, margin, model, phi_scale=1.0):
+    rep = m.build_ladder(model, dim)
+    rep = dataclasses.replace(rep, phi=rep.phi * phi_scale)
+    return m.verify_commutator_sf(rep, margin=margin, per_state=True)
+
+
+# name -> (check run through module m, whether it is a true construction)
+CASES = {
+    "q-ha": (lambda m, d, g: m.verify_q_ha(1.3, dim=d, margin=g, per_state=True), True),
+    "q-ha check_q": (
+        lambda m, d, g: m.verify_q_ha(1.3, dim=d, margin=g, check_q=1.31, per_state=True),
+        False,
+    ),
+    "q-ha q=2 check_q": (
+        lambda m, d, g: m.verify_q_ha(2.0, dim=d, margin=g, check_q=2.02, per_state=True),
+        False,
+    ),
+    "qp-ha": (
+        lambda m, d, g: m.verify_qp_ha(1.2, 0.9, dim=d, margin=g, per_state=True),
+        True,
+    ),
+    "qp-ha check_q": (
+        lambda m, d, g: m.verify_qp_ha(
+            1.2, 0.9, dim=d, margin=g, check_q=1.21, per_state=True
+        ),
+        False,
+    ),
+    "qp-ha check_p": (
+        lambda m, d, g: m.verify_qp_ha(
+            1.2, 0.9, dim=d, margin=g, check_p=0.91, per_state=True
+        ),
+        False,
+    ),
+    "two-sided": (
+        lambda m, d, g: m.verify_two_sided(
+            1.1, 0.95, 0.3, dim=d, margin=g, per_state=True
+        ),
+        True,
+    ),
+    "two-sided check_mu": (
+        lambda m, d, g: m.verify_two_sided(
+            1.1, 0.95, 0.3, dim=d, margin=g, check_mu=0.35, per_state=True
+        ),
+        False,
+    ),
+    # 1 + mu H outgrows X P and P X here, so it sets the normalization
+    "two-sided mu=0.9 check_mu": (
+        lambda m, d, g: m.verify_two_sided(
+            1.0, 1.0, 0.9, dim=d, margin=g, check_mu=1.0, per_state=True
+        ),
+        False,
+    ),
+    "two-sided alt_pairing": (
+        lambda m, d, g: m.verify_two_sided(
+            1.1, 0.95, 0.3, dim=d, margin=g, alt_pairing=True, per_state=True
+        ),
+        False,
+    ),
+    "two-sided mu(n)": (
+        lambda m, d, g: m.verify_two_sided(
+            1.05, 1.0, MU_LEVELS, dim=d, margin=g, per_state=True
+        ),
+        True,
+    ),
+    "two-sided mu(n) alt_pairing": (
+        lambda m, d, g: m.verify_two_sided(
+            1.05, 1.0, MU_LEVELS, dim=d, margin=g, alt_pairing=True, per_state=True
+        ),
+        False,
+    ),
+    "hg": (lambda m, d, g: _hg(m, d, g, PAIR), True),
+    "hg mismatched pair": (lambda m, d, g: _hg(m, d, g, hg_for_qp_ha(1.21, 0.9)), False),
+    "commutator-sf arik-coon": (
+        lambda m, d, g: _commutator(m, d, g, arik_coon(1.1)),
+        True,
+    ),
+    "commutator-sf nonstd-q": (
+        lambda m, d, g: _commutator(m, d, g, nonstd_q(1.05)),
+        True,
+    ),
+    "commutator-sf rescaled phi": (
+        lambda m, d, g: _commutator(m, d, g, arik_coon(1.1), phi_scale=1.001),
+        False,
+    ),
+}
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= max(1e-12 * abs(b), 1e-15)
+
+
+@pytest.mark.parametrize("margin", [0, 2, 5])
+@pytest.mark.parametrize("dim", [32, 64, 256])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_residuals_match_the_dense_oracle(case, dim, margin):
+    check, true_construction = CASES[case]
+    banded = check(defosc, dim, margin)
+    dense = check(dense_oracle, dim, margin)
+    assert (banded.relation, banded.dim, banded.margin, banded.tolerance) == (
+        dense.relation,
+        dense.dim,
+        dense.margin,
+        dense.tolerance,
+    )
+    assert banded.passed == dense.passed
+    if margin:
+        # margin 0 keeps the truncation leakage in, and everything fails
+        assert banded.passed == true_construction
+    assert _close(banded.max_abs_residual, dense.max_abs_residual)
+    assert [n for n, _ in banded.per_state] == [n for n, _ in dense.per_state]
+    for (_, a), (_, b) in zip(banded.per_state, dense.per_state):
+        assert _close(a, b)
+
+
+def _dense_of(bands):
+    # bands[0, n] = (n, n-2), bands[1, n] = (n, n), bands[2, n] = (n, n+2)
+    return np.diag(bands[1]) + np.diag(bands[0, 2:], -2) + np.diag(bands[2, :-2], 2)
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2, 3, 5, 11])
+def test_interior_block_of_bands_is_the_dense_block(margin):
+    # order-one entries everywhere, so every entry the block takes in or
+    # leaves out can move the report
+    rng = np.random.default_rng(margin)
+    bands = [rng.standard_normal((3, 12)) * 4.0 for _ in range(3)]
+    for array in bands:
+        array[0, :2] = array[2, -2:] = 0.0  # no such matrix entries
+    banded = verify._interior_report("r", bands[0], bands[1:], margin, 1e-10, True)
+    dense = dense_oracle._interior_report(
+        "r", _dense_of(bands[0]), [_dense_of(b) for b in bands[1:]], margin, 1e-10, True
+    )
+    assert banded == dense
+
+
+MODELS = [
+    harmonic(),
+    arik_coon(1.1),
+    biedenharn_macfarlane(1.2),
+    chakrabarti_jagannathan(1.3, 0.8),
+    jannussis_mu(0.2),
+    nonstd_q(1.3),
+    nonstd_q(1.0),
+    nonstd_q(0.7),
+    nonstd_qp(1.2, 0.9),
+    two_sided_equal_hg(1.1, 1.0),
+    custom_hg(hg_for_q_ha(0.9)),
+    custom_hg(hg_for_two_sided(1.1, 0.95, 0.3)),
+    custom_hg(hg_for_two_sided(1.05, 1.0, MU_LEVELS)),
+]
+
+
+@pytest.mark.parametrize("dim", [32, 64, 256])
+def test_phi_tables_are_bit_identical_to_per_level_evaluation(dim):
+    for model in MODELS:
+        table = sf_table(model, dim)
+        assert table == [sf_eval(model, n) for n in range(dim + 1)], model.label
+        assert build_ladder(model, dim).phi.tolist() == table
+        if model.hg is not None:
+            assert sf_from_hg(model.hg, dim) == table[-1]
+
+
+def test_sf_table_consults_h_and_g_below_n_max_only():
+    seen = []
+
+    def one(n):
+        seen.append(n)
+        return 1.0
+
+    sf_table(custom_hg(HGPair(h=one, g=one)), 10)
+    assert sorted(seen) == [0] + sorted(2 * list(range(1, 10)))
+    assert sf_table(harmonic(), 0) == [0.0]
+    with pytest.raises(defosc.DomainError):
+        sf_table(harmonic(), -1)
+
+
+@pytest.mark.parametrize(
+    "model,profile",
+    [
+        (harmonic(), profile_qp(1.0, 1.0)),
+        (nonstd_qp(1.2, 0.9), profile_qp(1.2, 0.9)),
+        (custom_hg(hg_for_two_sided(1.1, 0.95, 0.3)), profile_two_sided(1.1, 0.95)),
+    ],
+)
+def test_dense_views_are_the_oracle_matrices(model, profile):
+    rep = build_xp(build_ladder(model, 32), profile)
+    oracle = dense_oracle.build_xp(dense_oracle.build_ladder(model, 32), profile)
+    for name in ("a_plus", "a_minus", "n_op", "x_op", "p_op"):
+        assert np.array_equal(getattr(rep, name), getattr(oracle, name)), name
+
+
+def _outcome(run):
+    try:
+        run()
+    except Exception as exc:  # the outcome itself is under test
+        return type(exc), str(exc)
+    return None
+
+
+DIM = 16
+
+
+def _ladder(m, h=lambda n: 1.0, g=lambda n: 1.0):
+    return m.build_ladder(custom_hg(HGPair(h=h, g=g)), DIM)
+
+
+def _mismatched_dimension(m):
+    rep = m.build_ladder(custom_hg(PAIR), 8)
+    return m.verify_hg(dataclasses.replace(rep, dim=9), PAIR)
+
+
+ERRORS = {
+    "h(0) = 0": lambda m: _ladder(m, h=lambda n: 0.0 if n == 0 else 1.0),
+    "g(dim-1) = 0": lambda m: _ladder(m, g=lambda n: 0.0 if n == DIM - 1 else 1.0),
+    "h(dim-1) = 0": lambda m: _ladder(m, h=lambda n: 0.0 if n == DIM - 1 else 1.0),
+    "negative phi": lambda m: _ladder(m, h=lambda n: -1.0),
+    "recipe overflow": lambda m: m.verify_two_sided(2.0, 1.0, 0.3, dim=256),
+    "closed-form overflow": lambda m: m.verify_qp_ha(2.05, 0.5, dim=256),
+    "dimension mismatch": _mismatched_dimension,
+    "margin = dim": lambda m: m.verify_q_ha(1.5, dim=8, margin=8),
+    "margin > dim": lambda m: m.verify_two_sided(1.1, 0.95, 0.3, dim=8, margin=9),
+    "dim < 2": lambda m: m.verify_two_sided(1.1, 1.0, 0.3, dim=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERRORS))
+def test_errors_match_the_dense_oracle(case):
+    banded = _outcome(lambda: ERRORS[case](defosc))
+    assert banded is not None
+    assert issubclass(banded[0], defosc.DeformedAlgebraError)
+    assert banded == _outcome(lambda: ERRORS[case](dense_oracle))
+
+
+def test_zero_h_at_the_dimension_is_never_consulted():
+    def h(n):
+        return 0.0 if n == DIM else 1.0
+
+    assert _outcome(lambda: _ladder(defosc, h=h)) is None
+    assert _outcome(lambda: _ladder(dense_oracle, h=h)) is None
+
+
+def test_dimensions_beyond_dense_storage():
+    # one dense complex matrix at this dim would take 160 GB
+    assert verify_two_sided(1.0, 1.0, 0.0, dim=100_000).passed
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli_main(
+            ["verify", "--relation", "commutator-sf", "--model", "harmonic"]
+            + ["--dim", "100000"]
+        )
+    assert code == 0
+    assert out.getvalue().splitlines()[-1].endswith(",true")
+
+
+def test_import_loads_no_new_module():
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import defosc\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    loaded = json.loads(result.stdout)
+    assert not any(name.split(".")[0] == "scipy" for name in loaded)
+    third_party = {name.split(".")[0] for name in loaded} - set(sys.stdlib_module_names)
+    assert third_party == {"defosc", "numpy"}
+    assert {name for name in loaded if name.startswith("defosc.")} == {
+        "defosc.errors",
+        "defosc.fock",
+        "defosc.limits",
+        "defosc.linkage",
+        "defosc.qp",
+        "defosc.structure",
+        "defosc.verify",
+    }
