@@ -31,7 +31,7 @@ from .structure import (
     jannussis_mu,
     nonstd_q,
     nonstd_qp,
-    sf_eval,
+    sf_table,
     spectrum,
     two_sided_equal_hg,
     hg_for_q_ha,
@@ -47,16 +47,19 @@ from .verify import (
     verify_two_sided,
 )
 
-MODEL_CHOICES = (
-    "harmonic",
-    "arik-coon",
-    "biedenharn-macfarlane",
-    "cj",
-    "jannussis-mu",
-    "nonstd-q",
-    "nonstd-qp",
-    "two-sided-equal",
-)
+# model name -> (constructor, ((flag, default), ...)); the flags are the
+# constructor's positional arguments, echoed in the config as flag=value.
+# A None default makes the flag required.
+MODELS = {
+    "harmonic": (harmonic, ()),
+    "arik-coon": (arik_coon, (("q", None),)),
+    "biedenharn-macfarlane": (biedenharn_macfarlane, (("q", None),)),
+    "cj": (chakrabarti_jagannathan, (("q", None), ("p", 1.0))),
+    "jannussis-mu": (jannussis_mu, (("mu-tilde", None),)),
+    "nonstd-q": (nonstd_q, (("q", None),)),
+    "nonstd-qp": (nonstd_qp, (("q", None), ("p", None))),
+    "two-sided-equal": (two_sided_equal_hg, (("qb", None), ("pb", None))),
+}
 
 RELATION_CHOICES = ("q-ha", "qp-ha", "two-sided", "hg", "commutator-sf")
 
@@ -116,64 +119,32 @@ def _require(args: argparse.Namespace, names: list[str], context: str) -> None:
             raise DomainError(f"{context} requires --{name}")
 
 
-def _build_model(args: argparse.Namespace) -> StructureFunctionModel:
-    name = args.model
-    if name is None:
+def _build_model(args: argparse.Namespace) -> tuple[StructureFunctionModel, dict]:
+    """The model named by --model, and its config echo."""
+    if args.model is None:
         raise DomainError("this command requires --model")
-    if name == "harmonic":
-        return harmonic()
-    if name == "arik-coon":
-        _require(args, ["q"], "model 'arik-coon'")
-        return arik_coon(args.q)
-    if name == "biedenharn-macfarlane":
-        _require(args, ["q"], "model 'biedenharn-macfarlane'")
-        return biedenharn_macfarlane(args.q)
-    if name == "cj":
-        _require(args, ["q"], "model 'cj'")
-        return chakrabarti_jagannathan(args.q, 1.0 if args.p is None else args.p)
-    if name == "jannussis-mu":
-        _require(args, ["mu-tilde"], "model 'jannussis-mu'")
-        return jannussis_mu(args.mu_tilde)
-    if name == "nonstd-q":
-        _require(args, ["q"], "model 'nonstd-q'")
-        return nonstd_q(args.q)
-    if name == "nonstd-qp":
-        _require(args, ["q", "p"], "model 'nonstd-qp'")
-        return nonstd_qp(args.q, args.p)
-    if name == "two-sided-equal":
-        _require(args, ["qb", "pb"], "model 'two-sided-equal'")
-        return two_sided_equal_hg(args.qb, args.pb)
-    raise DomainError(f"unknown model {name!r}")
-
-
-def _model_config(args: argparse.Namespace, model: StructureFunctionModel) -> dict:
-    config: dict = {"model": args.model}
-    if model.params is not None and args.model != "harmonic":
-        if args.model in ("arik-coon", "biedenharn-macfarlane", "nonstd-q"):
-            config["q"] = model.params.q
-        elif args.model in ("cj", "nonstd-qp"):
-            config["q"] = model.params.q
-            config["p"] = model.params.p
-        elif args.model == "jannussis-mu":
-            config["mu_tilde"] = model.params.mu
-        elif args.model == "two-sided-equal":
-            config["qb"] = model.params.q
-            config["pb"] = model.params.p
-    return config
+    constructor, flags = MODELS[args.model]
+    values = {}
+    for flag, default in flags:
+        key = flag.replace("-", "_")
+        values[key] = default if getattr(args, key) is None else getattr(args, key)
+        if values[key] is None:
+            raise DomainError(f"model '{args.model}' requires --{flag}")
+    return constructor(*values.values()), {"model": args.model, **values}
 
 
 def _cmd_sf(args: argparse.Namespace) -> int:
-    model = _build_model(args)
-    config = {"command": "sf", **_model_config(args, model)}
+    model, model_config = _build_model(args)
+    config = {"command": "sf", **model_config}
     config.update({"n_max": args.n_max, "format": args.format})
-    rows = [{"n": n, "phi": sf_eval(model, n)} for n in range(args.n_max + 1)]
+    rows = [{"n": n, "phi": phi} for n, phi in enumerate(sf_table(model, args.n_max))]
     _emit(_render(config, ["n", "phi"], rows, args.format), args.out)
     return 0
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    model = _build_model(args)
-    config = {"command": "spectrum", **_model_config(args, model)}
+    model, model_config = _build_model(args)
+    config = {"command": "spectrum", **model_config}
     config.update({"n_max": args.n_max, "format": args.format})
     energies = spectrum(model, args.n_max)
     rows = [{"n": n, "energy": e} for n, e in enumerate(energies)]
@@ -206,17 +177,14 @@ def _verify_report(args: argparse.Namespace):
         if args.qb is not None or args.pb is not None:
             _require(args, ["qb", "pb"], "relation 'hg' with two-sided parameters")
             pair = hg_for_two_sided(args.qb, args.pb, args.mu)
-        elif args.p is not None:
-            _require(args, ["q"], "relation 'hg'")
-            pair = hg_for_qp_ha(args.q, args.p)
         else:
             _require(args, ["q"], "relation 'hg'")
-            pair = hg_for_q_ha(args.q)
+            q, p = args.q, args.p
+            pair = hg_for_q_ha(q) if p is None else hg_for_qp_ha(q, p)
         rep = build_ladder(custom_hg(pair), args.dim)
         return verify_hg(rep, pair, tol=args.tolerance, margin=args.margin)
     if relation == "commutator-sf":
-        model = _build_model(args)
-        rep = build_ladder(model, args.dim)
+        rep = build_ladder(_build_model(args)[0], args.dim)
         return verify_commutator_sf(rep, tol=args.tolerance, margin=args.margin)
     raise DomainError(f"unknown relation {relation!r}")
 
@@ -290,7 +258,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=MODEL_CHOICES, default=None)
+    parser.add_argument("--model", choices=tuple(MODELS), default=None)
     parser.add_argument("--q", type=float, default=None)
     parser.add_argument("--p", type=float, default=None)
     parser.add_argument("--qb", type=float, default=None)

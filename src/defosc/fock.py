@@ -97,33 +97,21 @@ def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
     return FockRep(dim=dim, phi=phi, ladder=np.sqrt(phi[1:dim]))
 
 
-def _ratio_profile(ratio: float, label: str) -> CoefficientProfile:
-    # f = k = ratio**n / sqrt(2), h = g = ratio**(2n) / sqrt(2)
+def ratio_profile(ratio: float) -> CoefficientProfile:
+    """Coefficients f = k = ratio**n / sqrt(2), h = g = ratio**(2n) / sqrt(2).
+
+    One profile serves the whole family: X P - q P X = i takes ratio = q,
+    p X P - q P X = i takes q/p and the two-sided relation qb/pb.
+    """
+    require_positive(ratio=ratio)
+
     def f(n: int) -> float:
         return ratio**n * _INV_SQRT2
 
     def g(n: int) -> float:
         return ratio ** (2 * n) * _INV_SQRT2
 
-    return CoefficientProfile(f=f, g=g, h=g, k=f, label=label)
-
-
-def profile_q(q: float) -> CoefficientProfile:
-    """Coefficients of the single-parameter relation X P - q P X = i."""
-    require_positive(q=q)
-    return _ratio_profile(q, label=f"q-profile(q={q})")
-
-
-def profile_qp(q: float, p: float) -> CoefficientProfile:
-    """Coefficients of p X P - q P X = i; they depend only on q/p."""
-    require_positive(q=q, p=p)
-    return _ratio_profile(q / p, label=f"qp-profile(q={q},p={p})")
-
-
-def profile_two_sided(qb: float, pb: float) -> CoefficientProfile:
-    """Coefficients of the two-sided relation; same ratio form in qb/pb."""
-    require_positive(qb=qb, pb=pb)
-    return _ratio_profile(qb / pb, label=f"two-sided-profile(qb={qb},pb={pb})")
+    return CoefficientProfile(f=f, g=g, h=g, k=f, label=f"ratio-profile({ratio})")
 
 
 def build_xp(rep: FockRep, profile: CoefficientProfile) -> FockRep:

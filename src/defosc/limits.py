@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fock import build_ladder, build_xp, profile_q
+from .fock import build_ladder, build_xp, ratio_profile
 from .structure import (
     StructureFunctionModel,
     arik_coon,
@@ -31,7 +31,7 @@ from .structure import (
     nonstd_q,
     nonstd_qp,
     sf_eval,
-    sf_from_hg,
+    sf_table,
     spectrum,
     two_sided_equal_hg,
     two_sided_equal_sf,
@@ -87,9 +87,9 @@ def _check_two_sided_mu_zero_near_ratio_one() -> float:
     worst = 0.0
     for qb in _QGRID:
         for pb in (qb, qb / (1.0 + PARAMETER_OFFSET)):
-            pair = hg_for_two_sided(qb, pb, 0.0)
-            for n in range(_NMAX + 1):
-                worst = max(worst, _rel(sf_from_hg(pair, n), n / qb))
+            table = sf_table(custom_hg(hg_for_two_sided(qb, pb, 0.0)), _NMAX)
+            for n, phi in enumerate(table):
+                worst = max(worst, _rel(phi, n / qb))
     return worst
 
 
@@ -132,7 +132,7 @@ def _check_classical_limit_catalog() -> float:
 
 def _check_classical_xp_forms() -> float:
     # X = (a+ + a-)/sqrt(2), P = i (a+ - a-)/sqrt(2), off-diagonal by off-diagonal
-    rep = build_xp(build_ladder(harmonic(), 12), profile_q(1.0))
+    rep = build_xp(build_ladder(harmonic(), 12), ratio_profile(1.0))
     entry = rep.ladder * (1.0 / math.sqrt(2.0))
     x_gap = np.abs(rep.x - entry).max()
     return float(max(x_gap, np.abs(rep.p - [entry, -entry]).max()))

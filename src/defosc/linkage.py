@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PoleError
 from .qp import qp_number, require_positive
-from .structure import HGPair, sf_from_hg
+from .structure import HGPair, custom_hg, sf_table
 from .verify import ResidualReport
 
 
@@ -237,11 +237,10 @@ def check_link_consistency(
         target = HGPair(
             h=lambda n: p ** (-n), g=lambda n: q * p ** (-n), label="oscillator-target"
         )
-        sf_gap = max(
-            _relative_gap(sf_from_hg(target, n), qp_number(n, q, p))
-            for n in range(depth + 1)
+        table = sf_table(custom_hg(target), depth)
+        gaps.append(
+            max(_relative_gap(phi, qp_number(n, q, p)) for n, phi in enumerate(table))
         )
-        gaps.append(sf_gap)
     else:
         depth = 0
 

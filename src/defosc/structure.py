@@ -31,18 +31,6 @@ from .qp import DeformationParams, qp_number, require_positive
 # n / qb; the bracket term of the closed form is 0/0 at Q = 1.
 EQUAL_CASE_LIMIT_THRESHOLD = 1e-6
 
-VARIANTS = (
-    "harmonic",
-    "arik-coon",
-    "biedenharn-macfarlane",
-    "chakrabarti-jagannathan",
-    "jannussis-mu",
-    "nonstd-q",
-    "nonstd-qp",
-    "two-sided-equal",
-    "custom-hg",
-)
-
 
 @dataclass(frozen=True)
 class HGPair:
@@ -67,7 +55,7 @@ class StructureFunctionModel:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
+        if self.variant not in _EVALUATORS:
             raise DomainError(f"unknown structure-function variant {self.variant!r}")
         if self.variant == "custom-hg" and self.hg is None:
             raise DomainError("variant 'custom-hg' requires an HGPair")
@@ -338,24 +326,13 @@ def sf_from_hg(hg: HGPair, n: int) -> float:
     h(n) Phi(n+1) - g(n) Phi(n) = 1 from Phi(0) = 0.  All factorial
     ratios are accumulated as running products, never as quotients of two
     separately grown factorials, so evaluation stays in range for n up to
-    about a hundred even far from the undeformed point.  Only Phi(n)
-    itself is range-checked, not the levels below it.
+    about a hundred even far from the undeformed point.  This is the last
+    entry of sf_table(custom_hg(hg), n), so every level up to n is
+    range-checked.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 0.0
-    overflow = f"recipe overflowed at n={n} for pair {hg.label or '<unnamed>'}"
-    levels = _recipe_levels(hg)
-    value = next(levels)  # h(0) is evaluated outside the overflow guard
-    try:
-        for _ in range(n - 1):
-            value = next(levels)
-    except OverflowError as exc:
-        raise EvaluationOverflowError(overflow) from exc
-    if not math.isfinite(value):
-        raise EvaluationOverflowError(overflow)
-    return value
+    return sf_table(custom_hg(hg), n)[-1]
 
 
 _LEVEL_STREAMS = {
@@ -385,21 +362,32 @@ def hg_for_q_ha(q: float) -> HGPair:
     return HGPair(h, g, label=f"q-ha(q={q})")
 
 
+def _ratio_pair(
+    qb: float, pb: float, mu: float | Callable[[int], float], label: str
+) -> HGPair:
+    # shared by hg_for_qp_ha and hg_for_two_sided, so neither calls the other
+    ratio = qb / pb
+    per_level = callable(mu)  # a constant mu costs no call per evaluation
+
+    def h(n: int) -> float:
+        mu_n = mu(n) if per_level else mu
+        return 0.5 * qb * ratio ** (2 * n) * (1.0 + ratio ** (2 * n + 2)) - 0.5 * mu_n
+
+    def g(n: int) -> float:
+        mu_n = mu(n) if per_level else mu
+        return 0.5 * pb * ratio ** (2 * n) * (1.0 + ratio ** (2 * n - 2)) + 0.5 * mu_n
+
+    return HGPair(h, g, label=label)
+
+
 def hg_for_qp_ha(q: float, p: float) -> HGPair:
     """Coefficient pair realizing p X P - q P X = i, in terms of Q = q/p.
 
-    h(n) = q Q**(2n) (1 + Q**(2n+2)) / 2,  g(n) = p Q**(2n) (1 + Q**(2n-2)) / 2.
+    h(n) = q Q**(2n) (1 + Q**(2n+2)) / 2,  g(n) = p Q**(2n) (1 + Q**(2n-2)) / 2:
+    the two-sided pair at mu = 0.
     """
     require_positive(q=q, p=p)
-    ratio = q / p
-
-    def h(n: int) -> float:
-        return 0.5 * q * ratio ** (2 * n) * (1.0 + ratio ** (2 * n + 2))
-
-    def g(n: int) -> float:
-        return 0.5 * p * ratio ** (2 * n) * (1.0 + ratio ** (2 * n - 2))
-
-    return HGPair(h, g, label=f"qp-ha(q={q},p={p})")
+    return _ratio_pair(q, p, 0.0, label=f"qp-ha(q={q},p={p})")
 
 
 def hg_for_two_sided(
@@ -415,17 +403,8 @@ def hg_for_two_sided(
     mu is reported by sf_from_hg when the recipe consumes the pair.
     """
     require_positive(qb=qb, pb=pb)
-    ratio = qb / pb
-    mu_at: Callable[[int], float] = mu if callable(mu) else (lambda n: mu)
-
-    def h(n: int) -> float:
-        return 0.5 * qb * ratio ** (2 * n) * (1.0 + ratio ** (2 * n + 2)) - 0.5 * mu_at(n)
-
-    def g(n: int) -> float:
-        return 0.5 * pb * ratio ** (2 * n) * (1.0 + ratio ** (2 * n - 2)) + 0.5 * mu_at(n)
-
     tag = "mu(n)" if callable(mu) else f"mu={mu}"
-    return HGPair(h, g, label=f"two-sided(qb={qb},pb={pb},{tag})")
+    return _ratio_pair(qb, pb, mu, label=f"two-sided(qb={qb},pb={pb},{tag})")
 
 
 def equal_hg_special_case(

@@ -5,7 +5,9 @@ relation residual, and reports the maximum absolute entry over the
 interior block, i.e. rows and columns 0..dim-1-margin.  The default
 margin of 2 keeps truncation leakage (one level per ladder application,
 two per operator product) out of the reported residual, so a correct
-construction scores pure roundoff.
+construction scores pure roundoff.  The q-ha, qp-ha and two-sided checks
+are one relation, a X P - b P X = i (1 + mu H), on a realization dressed by
+fock.ratio_profile; they differ only in the model, the ratio, (a, b) and mu.
 
 X, P and the ladder operators sit on the offsets -1 and +1, so every
 term of a relation sits on the offsets -2, 0 and +2 and all other
@@ -33,15 +35,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .fock import (
-    FockRep,
-    build_ladder,
-    build_xp,
-    profile_q,
-    profile_qp,
-    profile_two_sided,
+from .fock import FockRep, build_ladder, build_xp, ratio_profile
+from .structure import (
+    HGPair,
+    StructureFunctionModel,
+    custom_hg,
+    hg_for_two_sided,
+    nonstd_q,
+    nonstd_qp,
 )
-from .structure import HGPair, custom_hg, hg_for_two_sided, nonstd_q, nonstd_qp
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MARGIN = 2
@@ -123,17 +125,27 @@ def _ladder_products(rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
 
 def _xp_report(
     relation: str,
-    rep: FockRep,
+    model: StructureFunctionModel,
+    ratio: float,
     xp_coeff: float,
     px_coeff: float,
-    rhs: np.ndarray,
+    mu: float | Callable[[int], float] | None,
+    dim: int,
     margin: int,
     tol: float,
     per_state: bool,
     scale: float = 1.0,
 ) -> ResidualReport:
-    # xp_coeff Xs Ps - px_coeff Ps Xs - i rhs(N) with Xs = scale X,
-    # Ps = scale P; rhs joins the normalizing terms (no change when it is 1)
+    # xp_coeff Xs Ps - px_coeff Ps Xs - i rhs(N) on the realization of model
+    # dressed by ratio_profile(ratio), with Xs = scale X, Ps = scale P and
+    # rhs = 1 + mu H (rhs = 1 when mu is None); rhs joins the normalizing
+    # terms (no change when it is 1)
+    rep = build_xp(build_ladder(model, dim), ratio_profile(ratio))
+    rhs = np.ones(dim)
+    if callable(mu):
+        mu = np.array([mu(n) for n in range(dim)], dtype=float)
+    if mu is not None:
+        rhs += mu * (0.5 * (rep.phi[1:] + rep.phi[:-1]))  # 1 + mu H
     x, p = scale * rep.x, scale * rep.p
     xp = xp_coeff * _product(x, p)
     px = px_coeff * _product(p, x)
@@ -178,11 +190,9 @@ def verify_q_ha(
     check_q overrides the coefficient used in the checked relation only
     (negative controls); the realization itself is always built from q.
     """
-    rep = build_xp(build_ladder(nonstd_q(q), dim), profile_q(q))
     cq = q if check_q is None else check_q
-    return _xp_report(
-        f"q-ha(q={q},check_q={cq})", rep, 1.0, cq, np.ones(dim), margin, tol, per_state
-    )
+    label = f"q-ha(q={q},check_q={cq})"
+    return _xp_report(label, nonstd_q(q), q, 1.0, cq, None, dim, margin, tol, per_state)
 
 
 def verify_qp_ha(
@@ -196,11 +206,11 @@ def verify_qp_ha(
     per_state: bool = False,
 ) -> ResidualReport:
     """Check p X P - q P X = i on the nonstandard two-parameter realization."""
-    rep = build_xp(build_ladder(nonstd_qp(q, p), dim), profile_qp(q, p))
     cq = q if check_q is None else check_q
     cp = p if check_p is None else check_p
     label = f"qp-ha(q={q},p={p},check_q={cq},check_p={cp})"
-    return _xp_report(label, rep, cp, cq, np.ones(dim), margin, tol, per_state)
+    model = nonstd_qp(q, p)
+    return _xp_report(label, model, q / p, cp, cq, None, dim, margin, tol, per_state)
 
 
 def verify_two_sided(
@@ -228,20 +238,17 @@ def verify_two_sided(
     measurement rather than an assumption.  mu may be a constant or a
     per-level function, entering as a diagonal operator either way.
     """
-    pair = hg_for_two_sided(qb, pb, mu)
-    rep = build_xp(build_ladder(custom_hg(pair), dim), profile_two_sided(qb, pb))
+    model = custom_hg(hg_for_two_sided(qb, pb, mu))
     ratio = qb / pb
-    mu_used = mu if check_mu is None else check_mu
-    if callable(mu_used):
-        mu_levels = np.array([mu_used(n) for n in range(dim)], dtype=float)
-    else:
-        mu_levels = np.full(dim, mu_used, dtype=float)
-    rhs = 1.0 + mu_levels * (0.5 * (rep.phi[1:] + rep.phi[:-1]))  # 1 + mu H
     coeffs = (ratio, 1.0) if alt_pairing else (1.0, ratio)
     tag = "alt-pairing" if alt_pairing else "ratio-pairing"
     mu_tag = "mu(n)" if callable(mu) else f"mu={mu}"
     label = f"two-sided(qb={qb},pb={pb},{mu_tag},{tag})"
-    return _xp_report(label, rep, *coeffs, rhs, margin, tol, per_state, math.sqrt(pb))
+    mu_used = mu if check_mu is None else check_mu
+    scale = math.sqrt(pb)
+    return _xp_report(
+        label, model, ratio, *coeffs, mu_used, dim, margin, tol, per_state, scale
+    )
 
 
 def verify_commutator_sf(

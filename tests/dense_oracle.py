@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from defosc.errors import DomainError, NegativeStructureFunctionError
-from defosc.fock import CoefficientProfile, profile_q, profile_qp, profile_two_sided
+from defosc.fock import CoefficientProfile, ratio_profile
 from defosc.structure import (
     HGPair,
     StructureFunctionModel,
@@ -116,7 +116,7 @@ def verify_hg(rep: DenseRep, hg: HGPair, tol=DEFAULT_TOLERANCE, margin=DEFAULT_M
 
 def verify_q_ha(q, dim=32, tol=DEFAULT_TOLERANCE, margin=DEFAULT_MARGIN, check_q=None,
                 per_state=False) -> ResidualReport:
-    rep = build_xp(build_ladder(nonstd_q(q), dim), profile_q(q))
+    rep = build_xp(build_ladder(nonstd_q(q), dim), ratio_profile(q))
     cq = q if check_q is None else check_q
     xp = rep.x_op @ rep.p_op
     px = cq * (rep.p_op @ rep.x_op)
@@ -128,7 +128,7 @@ def verify_q_ha(q, dim=32, tol=DEFAULT_TOLERANCE, margin=DEFAULT_MARGIN, check_q
 
 def verify_qp_ha(q, p, dim=32, tol=DEFAULT_TOLERANCE, margin=DEFAULT_MARGIN,
                  check_q=None, check_p=None, per_state=False) -> ResidualReport:
-    rep = build_xp(build_ladder(nonstd_qp(q, p), dim), profile_qp(q, p))
+    rep = build_xp(build_ladder(nonstd_qp(q, p), dim), ratio_profile(q / p))
     cq = q if check_q is None else check_q
     cp = p if check_p is None else check_p
     xp = cp * (rep.x_op @ rep.p_op)
@@ -143,7 +143,7 @@ def verify_qp_ha(q, p, dim=32, tol=DEFAULT_TOLERANCE, margin=DEFAULT_MARGIN,
 def verify_two_sided(qb, pb, mu, dim=32, tol=DEFAULT_TOLERANCE, margin=DEFAULT_MARGIN,
                      check_mu=None, alt_pairing=False, per_state=False) -> ResidualReport:
     pair = hg_for_two_sided(qb, pb, mu)
-    rep = build_xp(build_ladder(custom_hg(pair), dim), profile_two_sided(qb, pb))
+    rep = build_xp(build_ladder(custom_hg(pair), dim), ratio_profile(qb / pb))
     scale = math.sqrt(pb)
     xs = scale * rep.x_op
     ps = scale * rep.p_op

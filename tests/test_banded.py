@@ -38,8 +38,7 @@ from defosc import (
     jannussis_mu,
     nonstd_q,
     nonstd_qp,
-    profile_qp,
-    profile_two_sided,
+    ratio_profile,
     sf_eval,
     sf_from_hg,
     sf_table,
@@ -235,9 +234,9 @@ def test_sf_table_consults_h_and_g_below_n_max_only():
 @pytest.mark.parametrize(
     "model,profile",
     [
-        (harmonic(), profile_qp(1.0, 1.0)),
-        (nonstd_qp(1.2, 0.9), profile_qp(1.2, 0.9)),
-        (custom_hg(hg_for_two_sided(1.1, 0.95, 0.3)), profile_two_sided(1.1, 0.95)),
+        (harmonic(), ratio_profile(1.0)),
+        (nonstd_qp(1.2, 0.9), ratio_profile(1.2 / 0.9)),
+        (custom_hg(hg_for_two_sided(1.1, 0.95, 0.3)), ratio_profile(1.1 / 0.95)),
     ],
 )
 def test_dense_views_are_the_oracle_matrices(model, profile):

@@ -4,7 +4,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from defosc.cli import main
+from defosc.cli import MODELS, main
+from defosc.structure import _EVALUATORS
 
 
 def run_cli(*argv):
@@ -69,6 +70,64 @@ def test_sf_rejects_unknown_model_before_computing():
     with pytest.raises(SystemExit) as exc:
         run_cli("sf", "--model", "not-a-model")
     assert exc.value.code == 2
+
+
+# model -> (argv flags, "# key=value" config lines of sf --format csv,
+# {omitted flag: stderr line}); exact strings that cli.MODELS must reproduce
+MODEL_SURFACE = {
+    "harmonic": ([], [], {}),
+    "arik-coon": (["--q", "1.5"], ["# q=1.5"], {
+        "--q": "error: model 'arik-coon' requires --q\n"}),
+    "biedenharn-macfarlane": (["--q", "1.5"], ["# q=1.5"], {
+        "--q": "error: model 'biedenharn-macfarlane' requires --q\n"}),
+    "cj": (["--q", "1.5"], ["# q=1.5", "# p=1"], {
+        "--q": "error: model 'cj' requires --q\n"}),
+    "jannussis-mu": (["--mu-tilde", "0.25"], ["# mu_tilde=0.25"], {
+        "--mu-tilde": "error: model 'jannussis-mu' requires --mu-tilde\n"}),
+    "nonstd-q": (["--q", "1.5"], ["# q=1.5"], {
+        "--q": "error: model 'nonstd-q' requires --q\n"}),
+    "nonstd-qp": (["--q", "1.5", "--p", "0.5"], ["# q=1.5", "# p=0.5"], {
+        "--q": "error: model 'nonstd-qp' requires --q\n",
+        "--p": "error: model 'nonstd-qp' requires --p\n"}),
+    "two-sided-equal": (["--qb", "1.5", "--pb", "0.75"], ["# qb=1.5", "# pb=0.75"], {
+        "--qb": "error: model 'two-sided-equal' requires --qb\n",
+        "--pb": "error: model 'two-sided-equal' requires --pb\n"}),
+}
+
+
+def test_model_surface_covers_the_model_table():
+    assert list(MODEL_SURFACE) == list(MODELS)
+
+
+@pytest.mark.parametrize("model", list(MODEL_SURFACE))
+def test_model_config_echo_and_missing_flags(model):
+    flags, config_lines, missing = MODEL_SURFACE[model]
+    code, out, _ = run_cli("sf", "--model", model, *flags, "--n-max", "0",
+                           "--format", "csv")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("#")] == [
+        "# command=sf", f"# model={model}", *config_lines, "# n_max=0", "# format=csv"
+    ]
+    for flag, stderr in missing.items():
+        at = flags.index(flag)
+        assert run_cli("sf", "--model", model, *flags[:at], *flags[at + 2:]) == (
+            2, "", stderr
+        )
+
+
+def test_model_table_reaches_every_catalog_variant():
+    variants = {
+        constructor(*(1.5 if default is None else default for _, default in flags))
+        .variant
+        for constructor, flags in MODELS.values()
+    }
+    assert variants == set(_EVALUATORS) - {"custom-hg"}
+
+
+@pytest.mark.parametrize("command", ["sf", "spectrum"])
+def test_negative_n_max_exits_two(command):
+    code, out, err = run_cli(command, "--model", "harmonic", "--n-max", "-1")
+    assert (code, out, err) == (2, "", "error: n_max must be >= 0, got -1\n")
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,12 @@ def test_recipe_division_errors_name_the_coefficient():
         sf_from_hg(bad_h_inner, 5)
 
 
+def test_recipe_overflow_at_the_first_level_is_typed():
+    # h(0) = qb (1 + qb**2) / 2 overflows before any level is formed
+    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=1"):
+        sf_from_hg(hg_for_two_sided(1e200, 1.0, 0.0), 1)
+
+
 def test_recipe_stays_in_range_far_from_the_undeformed_point():
     pair = hg_for_q_ha(2.0)
     value = sf_from_hg(pair, 100)
