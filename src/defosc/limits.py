@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .fock import build_ladder, build_xp, ratio_profile
+from .qp import relative_gap, require_nonnegative
 from .structure import (
     StructureFunctionModel,
     arik_coon,
@@ -52,13 +52,10 @@ class LimitCheck:
     passed: bool
 
 
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
 def _sf_gap(model_a: StructureFunctionModel, model_b: StructureFunctionModel) -> float:
     return max(
-        _rel(sf_eval(model_a, n), sf_eval(model_b, n)) for n in range(_NMAX + 1)
+        relative_gap(sf_eval(model_a, n), sf_eval(model_b, n))
+        for n in range(_NMAX + 1)
     )
 
 
@@ -78,7 +75,7 @@ def _check_equal_ratio_gives_scaled_integers() -> float:
     worst = 0.0
     for q in _QGRID:
         for n in range(_NMAX + 1):
-            worst = max(worst, _rel(two_sided_equal_sf(q, q, n), n / q))
+            worst = max(worst, relative_gap(two_sided_equal_sf(q, q, n), n / q))
     return worst
 
 
@@ -89,7 +86,7 @@ def _check_two_sided_mu_zero_near_ratio_one() -> float:
         for pb in (qb, qb / (1.0 + PARAMETER_OFFSET)):
             table = sf_table(custom_hg(hg_for_two_sided(qb, pb, 0.0)), _NMAX)
             for n, phi in enumerate(table):
-                worst = max(worst, _rel(phi, n / qb))
+                worst = max(worst, relative_gap(phi, n / qb))
     return worst
 
 
@@ -100,8 +97,8 @@ def _check_two_sided_mu_zero_matches_qp_pair() -> float:
             two_sided = hg_for_two_sided(qb, pb, 0.0)
             plain = hg_for_qp_ha(qb, pb)
             for n in range(_NMAX + 1):
-                worst = max(worst, _rel(two_sided.h(n), plain.h(n)))
-                worst = max(worst, _rel(two_sided.g(n), plain.g(n)))
+                worst = max(worst, relative_gap(two_sided.h(n), plain.h(n)))
+                worst = max(worst, relative_gap(two_sided.g(n), plain.g(n)))
     return worst
 
 
@@ -126,7 +123,7 @@ def _check_classical_limit_catalog() -> float:
     for offset in (0.0, PARAMETER_OFFSET, -PARAMETER_OFFSET):
         for model in _classical_models(offset):
             for n in range(_NMAX + 1):
-                worst = max(worst, _rel(sf_eval(model, n), float(n)))
+                worst = max(worst, relative_gap(sf_eval(model, n), float(n)))
     return worst
 
 
@@ -143,10 +140,10 @@ def _check_qp_equal_parameters_scaled_harmonic() -> float:
     for q in _QGRID:
         model = nonstd_qp(q, q)
         for n in range(_NMAX + 1):
-            worst = max(worst, _rel(sf_eval(model, n), n / q))
+            worst = max(worst, relative_gap(sf_eval(model, n), n / q))
         energies = spectrum(model, _NMAX)
         for n in range(_NMAX):
-            worst = max(worst, _rel(energies[n + 1] - energies[n], 1.0 / q))
+            worst = max(worst, relative_gap(energies[n + 1] - energies[n], 1.0 / q))
     return worst
 
 
@@ -174,8 +171,7 @@ _CHECKS = (
 
 def run_limit_suite(tolerance: float = DEFAULT_LIMIT_TOLERANCE) -> list[LimitCheck]:
     """Run every reduction check and report per-check worst deviations."""
-    if tolerance < 0:
-        raise DomainError(f"tolerance must be >= 0, got {tolerance}")
+    require_nonnegative(tolerance=tolerance)
     results = []
     for name, check in _CHECKS:
         deviation = check()

@@ -5,9 +5,11 @@ Matching the two-sided coefficient pair to the target (h, g) =
 (p**-N, q p**-N) fixes mu and q, but only per level: with qb, pb and p
 held constant, the matching value of mu (and of q) changes with the
 level N.  The formulas below express mu and q through each other along
-every route the matching admits; check_link_consistency closes the loop
-numerically and confirms that the target pair with the level-consistent
-q reproduces the deformed integers [n] = (q**n - p**n)/(q - p).
+every route the matching admits.  Each is written once, with int
+literals only, so it fills the link table on floats and runs exactly on
+Fractions: check_link_consistency closes the loop that way and confirms
+that the target pair with the level-consistent q reproduces the deformed
+integers [n] = (q**n - p**n)/(q - p).
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PoleError
-from .qp import qp_number, require_positive
-from .structure import HGPair, custom_hg, sf_table
+from .errors import EvaluationOverflowError, PoleError
+from .qp import qp_number, relative_gap, require_nonnegative, require_positive
+from .structure import HGPair, custom_hg, hg_for_two_sided, sf_table
 from .verify import ResidualReport
 
 
@@ -38,8 +40,7 @@ class LinkInput:
 
     def __post_init__(self) -> None:
         require_positive(qb=self.qb, pb=self.pb, p=self.p)
-        if self.level < 0:
-            raise DomainError(f"level must be >= 0, got {self.level}")
+        require_nonnegative(level=self.level)
 
     @property
     def ratio(self) -> float:
@@ -52,7 +53,7 @@ def mu_from_h_match(link: LinkInput) -> float:
     mu = qb Q**(2N) (1 + Q**(2N+2)) - 2 p**-N,  Q = qb/pb.
     """
     ratio, n = link.ratio, link.level
-    return link.qb * ratio ** (2 * n) * (1.0 + ratio ** (2 * n + 2)) - 2.0 * link.p ** (-n)
+    return link.qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - 2 * link.p ** (-n)
 
 
 def mu_from_g_match(link: LinkInput) -> float:
@@ -61,8 +62,8 @@ def mu_from_g_match(link: LinkInput) -> float:
     mu = 2 q p**-N - pb Q**(2N) (1 + Q**(2N-2)).
     """
     ratio, n = link.ratio, link.level
-    return 2.0 * link.q * link.p ** (-n) - link.pb * ratio ** (2 * n) * (
-        1.0 + ratio ** (2 * n - 2)
+    return 2 * link.q * link.p ** (-n) - link.pb * ratio ** (2 * n) * (
+        1 + ratio ** (2 * n - 2)
     )
 
 
@@ -72,14 +73,12 @@ def mu_from_q(qb: float, pb: float, q: float, level: int) -> float:
     mu = pb Q**(2N) [Q**(2N-2) (q Q**5 - 1) + q Q - 1] / (1 + q).
     """
     require_positive(qb=qb, pb=pb)
-    if level < 0:
-        raise DomainError(f"level must be >= 0, got {level}")
-    if q == -1.0:
+    require_nonnegative(level=level)
+    if q == -1:
         raise PoleError("mu_from_q has a pole at q = -1")
-    ratio = qb / pb
-    n = level
-    bracket = ratio ** (2 * n - 2) * (q * ratio**5 - 1.0) + q * ratio - 1.0
-    return pb * ratio ** (2 * n) * bracket / (1.0 + q)
+    ratio, n = qb / pb, level
+    bracket = ratio ** (2 * n - 2) * (q * ratio**5 - 1) + q * ratio - 1
+    return pb * ratio ** (2 * n) * bracket / (1 + q)
 
 
 def q_from_p(qb: float, pb: float, p: float, level: int) -> float:
@@ -88,22 +87,18 @@ def q_from_p(qb: float, pb: float, p: float, level: int) -> float:
     q = -1 + pb p**N Q**(2N) [1 + Q + Q**(2N-2) (1 + Q**5)] / 2.
     """
     require_positive(qb=qb, pb=pb, p=p)
-    if level < 0:
-        raise DomainError(f"level must be >= 0, got {level}")
-    ratio = qb / pb
-    n = level
-    bracket = 1.0 + ratio + ratio ** (2 * n - 2) * (1.0 + ratio**5)
-    return -1.0 + 0.5 * pb * p**n * ratio ** (2 * n) * bracket
+    require_nonnegative(level=level)
+    ratio, n = qb / pb, level
+    bracket = 1 + ratio + ratio ** (2 * n - 2) * (1 + ratio**5)
+    return -1 + pb / 2 * p**n * ratio ** (2 * n) * bracket
 
 
 def q_from_mu(qb: float, pb: float, p: float, mu: float, level: int) -> float:
     """Target q through mu: q = p**N [mu + pb Q**(2N) (1 + Q**(2N-2))] / 2."""
     require_positive(qb=qb, pb=pb, p=p)
-    if level < 0:
-        raise DomainError(f"level must be >= 0, got {level}")
-    ratio = qb / pb
-    n = level
-    return 0.5 * p**n * (mu + pb * ratio ** (2 * n) * (1.0 + ratio ** (2 * n - 2)))
+    require_nonnegative(level=level)
+    ratio, n = qb / pb, level
+    return p**n / 2 * (mu + pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)))
 
 
 def q_and_pn_from_mu(qb: float, pb: float, mu: float, level: int) -> tuple[float, float]:
@@ -113,17 +108,15 @@ def q_and_pn_from_mu(qb: float, pb: float, mu: float, level: int) -> tuple[float
     p**N = 2 / [pb Q**(2N+1) (1 + Q**(2N+2)) - mu].
     """
     require_positive(qb=qb, pb=pb)
-    if level < 0:
-        raise DomainError(f"level must be >= 0, got {level}")
-    ratio = qb / pb
-    n = level
-    denominator = pb * ratio ** (2 * n + 1) * (1.0 + ratio ** (2 * n + 2)) - mu
-    if denominator == 0.0:
+    require_nonnegative(level=level)
+    ratio, n = qb / pb, level
+    denominator = pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2)) - mu
+    if denominator == 0:
         raise PoleError(
             f"q_and_pn_from_mu denominator vanishes at mu={mu}, level={level}"
         )
-    numerator = pb * ratio ** (2 * n) * (1.0 + ratio ** (2 * n - 2)) + mu
-    return numerator / denominator, 2.0 / denominator
+    numerator = pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu
+    return numerator / denominator, 2 / denominator
 
 
 def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
@@ -132,15 +125,14 @@ def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
     mu = -2 + pb Q**(2N+1) (1 + Q**(2N+2)).
     """
     require_positive(qb=qb, pb=pb)
-    if level < 0:
-        raise DomainError(f"level must be >= 0, got {level}")
-    ratio = qb / pb
-    n = level
-    return -2.0 + pb * ratio ** (2 * n + 1) * (1.0 + ratio ** (2 * n + 2))
+    require_nonnegative(level=level)
+    ratio, n = qb / pb, level
+    return -2 + pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2))
 
 
-def _relative_gap(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+# Depth of the recipe check in check_link_consistency: Phi(0..SF_LEVELS)
+# against the deformed integers, trimmed while q**depth leaves double range.
+SF_LEVELS = 12
 
 
 def _exact_loop_gaps(qb: float, pb: float, p: float, level: int) -> list[float]:
@@ -149,57 +141,36 @@ def _exact_loop_gaps(qb: float, pb: float, p: float, level: int) -> list[float]:
     # rounds the small term away and the inversion back to (q, p**N)
     # divides by pure cancellation noise.  Every formula in the loop is a
     # rational function of exactly representable inputs, so the closure
-    # is certified here in exact rational arithmetic instead.
-    big_q, big_p, const_p = Fraction(qb), Fraction(pb), Fraction(p)
-    ratio = big_q / big_p
-    n = level
-    h_term = big_q * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2))
-    g_term = big_p * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2))
-
-    q45 = -1 + Fraction(1, 2) * big_p * const_p**n * ratio ** (2 * n) * (
-        1 + ratio + ratio ** (2 * n - 2) * (1 + ratio**5)
+    # is certified by running the same formulas on Fractions instead.
+    qb, pb, p = Fraction(qb), Fraction(pb), Fraction(p)
+    q = q_from_p(qb, pb, p, level)
+    link = LinkInput(qb=qb, pb=pb, q=q, p=p, level=level)
+    mu = mu_from_h_match(link)
+    q_back, pn_back = q_and_pn_from_mu(qb, pb, mu, level)
+    # a per-level mu keeps the label from printing mu, past 4300 digits a ValueError
+    pair = hg_for_two_sided(qb, pb, lambda n: mu)
+    pairs = (
+        (mu_from_g_match(link), mu),
+        (mu_from_q(qb, pb, q, level), mu),
+        (q_from_mu(qb, pb, p, mu, level), q),
+        (q_back, q),
+        (pn_back, p**level),
+        (pair.h(level), p**-level),
+        (pair.g(level), q * p**-level),
     )
-    mu42 = h_term - 2 * const_p ** (-n)
-    mu43 = 2 * q45 * const_p ** (-n) - g_term
-    mu44 = (
-        big_p
-        * ratio ** (2 * n)
-        * (ratio ** (2 * n - 2) * (q45 * ratio**5 - 1) + q45 * ratio - 1)
-        / (1 + q45)
-    )
-    q46 = Fraction(1, 2) * const_p**n * (mu42 + g_term)
-    denominator = big_p * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2)) - mu42
-    if denominator == 0:
-        raise PoleError(
-            f"exact linkage loop hit the declared pole at qb={qb}, pb={pb}, "
-            f"p={p}, level={level}"
-        )
-    q47 = (g_term + mu42) / denominator
-    pn47 = 2 / denominator
-    h_at_level = (h_term - mu42) / 2
-    g_at_level = (g_term + mu42) / 2
+    # a closed loop gives equal normalized Fractions, compared without a gcd
+    return [0.0 if a == b else float(relative_gap(a, b)) for a, b in pairs]
 
-    def gap(a: Fraction, b: Fraction) -> float:
-        return float(abs(a - b) / max(1, abs(a), abs(b)))
 
-    return [
-        gap(mu43, mu42),
-        gap(mu44, mu42),
-        gap(q46, q45),
-        gap(q47, q45),
-        gap(pn47, const_p**n),
-        gap(h_at_level, const_p ** (-n)),
-        gap(g_at_level, q45 * const_p ** (-n)),
-    ]
+def _exceeds_double_range(base: float, exponent: int) -> bool:
+    try:
+        return base**exponent > 1e300
+    except OverflowError:  # past the largest double, so out of range too
+        return True
 
 
 def check_link_consistency(
-    qb: float,
-    pb: float,
-    p: float,
-    level: int,
-    tol: float = 1e-10,
-    sf_levels: int = 12,
+    qb: float, pb: float, p: float, level: int, tol: float = 1e-10
 ) -> ResidualReport:
     """Close the matching loop at one level and certify its consequences.
 
@@ -214,35 +185,38 @@ def check_link_consistency(
       5  two-sided h at this level equals p**-level
       6  two-sided g at this level equals q p**-level
       7  recipe over the target pair (p**-N, q p**-N) equals the deformed
-         integers [n] for n = 0..sf_levels (level-consistent constant q)
+         integers [n] for n = 0..SF_LEVELS (level-consistent constant q)
 
-    Gaps 0-6 are evaluated in exact rational arithmetic (see the note in
-    _exact_loop_gaps: mu absorbs terms whose spread exceeds the double
-    mantissa at deformed corners, so the float route cannot certify the
-    closure there).  Gap 7 exercises the float recipe, which carries no
-    cancellation.  The matching q always exceeds -1 but can reach zero or
-    negative values; the target then no longer describes an oscillator,
-    so gap 7 only runs when q > 0 (q is validated before reuse).  All
-    gaps are relative against max(1, |values|); the depth of gap 7 is
-    trimmed when q**sf_levels would leave double range.
+    Gaps 0-6 run the public formulas above and hg_for_two_sided on
+    Fractions, so they are exact (see the note in _exact_loop_gaps: mu
+    absorbs terms whose spread exceeds the double mantissa at deformed
+    corners, so the float route cannot certify the closure there).  Gap 7
+    exercises the float recipe, which carries no cancellation.  The
+    matching q always exceeds -1 but can reach zero or negative values;
+    the target then no longer describes an oscillator, so gap 7 only runs
+    when q > 0 (q is validated before reuse).  All gaps are relative
+    against max(1, |values|); the depth of gap 7 is trimmed (to 2 at the
+    least) while max(q, p, 2)**depth exceeds 1e300 or overflows.  Any
+    other float overflow raises EvaluationOverflowError naming the level.
     """
     gaps = _exact_loop_gaps(qb, pb, p, level)
-    q = q_from_p(qb, pb, p, level)
-
-    if q > 0:
-        depth = sf_levels
-        scale = max(q, p, 2.0)
-        while depth > 2 and scale**depth > 1e300:
+    try:
+        q = q_from_p(qb, pb, p, level)
+        depth = SF_LEVELS if q > 0 else 0
+        while depth > 2 and _exceeds_double_range(max(q, p, 2.0), depth):
             depth -= 1
-        target = HGPair(
-            h=lambda n: p ** (-n), g=lambda n: q * p ** (-n), label="oscillator-target"
-        )
-        table = sf_table(custom_hg(target), depth)
-        gaps.append(
-            max(_relative_gap(phi, qp_number(n, q, p)) for n, phi in enumerate(table))
-        )
-    else:
-        depth = 0
+        if depth:
+            target = HGPair(lambda n: p**-n, lambda n: q * p**-n, "oscillator-target")
+            table = sf_table(custom_hg(target), depth)
+            gaps.append(
+                max(relative_gap(phi, qp_number(n, q, p)) for n, phi in enumerate(table))
+            )
+    except EvaluationOverflowError:
+        raise
+    except OverflowError as exc:
+        raise EvaluationOverflowError(
+            f"link-consistency float check overflowed at level={level}"
+        ) from exc
 
     worst = max(gaps)
     return ResidualReport(
@@ -264,26 +238,21 @@ def link_table(
     Each row carries the level, the level-consistent q, mu along all
     three routes, the reconstructed p**N, and the loop-closure verdict.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    require_nonnegative(n_max=n_max)
     rows = []
     for level in range(n_max + 1):
         q = q_from_p(qb, pb, p, level)
         link = LinkInput(qb=qb, pb=pb, q=q, p=p, level=level)
         mu_h = mu_from_h_match(link)
-        mu_g = mu_from_g_match(link)
-        mu_q = mu_from_q(qb, pb, q, level)
-        _, pn = q_and_pn_from_mu(qb, pb, mu_h, level)
-        consistent = check_link_consistency(qb, pb, p, level, tol=tol).passed
         rows.append(
-            {
-                "n": level,
-                "q": q,
-                "mu_h_match": mu_h,
-                "mu_g_match": mu_g,
-                "mu_from_q": mu_q,
-                "p_pow_n": pn,
-                "consistent": consistent,
-            }
+            dict(
+                n=level,
+                q=q,
+                mu_h_match=mu_h,
+                mu_g_match=mu_from_g_match(link),
+                mu_from_q=mu_from_q(qb, pb, q, level),
+                p_pow_n=q_and_pn_from_mu(qb, pb, mu_h, level)[1],
+                consistent=check_link_consistency(qb, pb, p, level, tol=tol).passed,
+            )
         )
     return rows

@@ -28,6 +28,18 @@ def require_positive(**params: float) -> None:
             raise DomainError(f"parameter {name} must be > 0, got {value!r}")
 
 
+def require_nonnegative(**params: float) -> None:
+    """Raise DomainError naming the first parameter that is < 0."""
+    for name, value in params.items():
+        if value < 0:
+            raise DomainError(f"{name} must be >= 0, got {value}")
+
+
+def relative_gap(a: float, b: float) -> float:
+    """|a - b| relative to max(1, |a|, |b|); exact when a and b are Fractions."""
+    return abs(a - b) / max(1, abs(a), abs(b))
+
+
 @dataclass(frozen=True)
 class DeformationParams:
     """Deformation parameters (q, p, mu), with the derived ratio Q = q/p.
@@ -55,8 +67,7 @@ def qp_number(m: int, q: float, p: float) -> float:
     SINGULARITY_THRESHOLD) returns the limit m * mid**(m - 1) evaluated
     at the midpoint mid = (q + p) / 2.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    require_nonnegative(m=m)
     require_positive(q=q, p=p)
     if abs(q - p) < SINGULARITY_THRESHOLD * max(q, p):
         if m == 0:
@@ -68,8 +79,7 @@ def qp_number(m: int, q: float, p: float) -> float:
 
 def generalized_factorial(func: Callable[[int], float], n: int) -> float:
     """Descending product func(n) * func(n-1) * ... * func(1); 1 for n = 0."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    require_nonnegative(n=n)
     product = 1.0
     for j in range(n, 0, -1):
         product *= func(j)

@@ -25,7 +25,7 @@ from .errors import (
     EvaluationOverflowError,
     RecipeDivisionError,
 )
-from .qp import DeformationParams, qp_number, require_positive
+from .qp import DeformationParams, qp_number, require_nonnegative, require_positive
 
 # |Q - 1| below this switches two_sided_equal_sf to its analytic limit
 # n / qb; the bracket term of the closed form is 0/0 at Q = 1.
@@ -202,8 +202,7 @@ def nonstd_qp_sf_explicit(n: int, q: float, p: float) -> float:
     Written directly in q and p (no ratio), it carries larger powers and
     serves as an independent cross-check of the ratio-based evaluator.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    require_nonnegative(n=n)
     require_positive(q=q, p=p)
     if n == 0:
         return 0.0
@@ -254,8 +253,7 @@ def _overflow(model: StructureFunctionModel, n: int) -> EvaluationOverflowError:
 
 def sf_eval(model: StructureFunctionModel, n: int) -> float:
     """Evaluate Phi(n) for a catalog entry; Phi(0) = 0 for every variant."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    require_nonnegative(n=n)
     if n == 0:
         return 0.0
     try:
@@ -275,8 +273,7 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
     entry is range-checked as in sf_eval, and nothing beyond level n_max
     is evaluated (the recipe consults h and g up to n_max - 1 only).
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    require_nonnegative(n_max=n_max)
     stream = _LEVEL_STREAMS.get(model.variant)
     evaluate = _EVALUATORS[model.variant]
     levels = stream(model) if stream else (evaluate(model, n) for n in count(1))
@@ -330,8 +327,7 @@ def sf_from_hg(hg: HGPair, n: int) -> float:
     entry of sf_table(custom_hg(hg), n), so every level up to n is
     range-checked.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    require_nonnegative(n=n)
     return sf_table(custom_hg(hg), n)[-1]
 
 
@@ -366,16 +362,17 @@ def _ratio_pair(
     qb: float, pb: float, mu: float | Callable[[int], float], label: str
 ) -> HGPair:
     # shared by hg_for_qp_ha and hg_for_two_sided, so neither calls the other
-    ratio = qb / pb
+    # int literals only, so Fraction arguments give exact Fraction values
+    ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
     per_level = callable(mu)  # a constant mu costs no call per evaluation
 
     def h(n: int) -> float:
         mu_n = mu(n) if per_level else mu
-        return 0.5 * qb * ratio ** (2 * n) * (1.0 + ratio ** (2 * n + 2)) - 0.5 * mu_n
+        return half_qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - mu_n / 2
 
     def g(n: int) -> float:
         mu_n = mu(n) if per_level else mu
-        return 0.5 * pb * ratio ** (2 * n) * (1.0 + ratio ** (2 * n - 2)) + 0.5 * mu_n
+        return half_pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu_n / 2
 
     return HGPair(h, g, label=label)
 
@@ -455,8 +452,7 @@ def two_sided_equal_sf(qb: float, pb: float, n: int) -> float:
     with Q = qb/pb; for |Q - 1| below EQUAL_CASE_LIMIT_THRESHOLD the
     whole expression is 0/0-ridden and the analytic limit n/qb is used.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    require_nonnegative(n=n)
     require_positive(qb=qb, pb=pb)
     if n == 0:
         return 0.0
@@ -479,7 +475,6 @@ def two_sided_equal_sf(qb: float, pb: float, n: int) -> float:
 
 def spectrum(model: StructureFunctionModel, n_max: int) -> list[float]:
     """Energy levels E(n) = (Phi(n+1) + Phi(n)) / 2 for n = 0..n_max."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    require_nonnegative(n_max=n_max)
     phi = sf_table(model, n_max + 1)
     return [0.5 * (phi[n + 1] + phi[n]) for n in range(n_max + 1)]

@@ -1,7 +1,13 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defosc import (
+    DeformedAlgebraError,
     DomainError,
+    EvaluationOverflowError,
+    HGPair,
     LinkInput,
     PoleError,
     check_link_consistency,
@@ -15,6 +21,7 @@ from defosc import (
     q_from_mu,
     q_from_p,
 )
+from defosc import linkage
 
 GRID = (0.5, 0.9, 1.1, 2.0)
 
@@ -234,3 +241,107 @@ def test_link_table_is_consistent_across_levels():
     # the level dependence is visible in the table itself
     q_values = [row["q"] for row in rows]
     assert len(set(q_values)) == len(q_values)
+
+
+# ---------------------------------------------------------------------------
+# the exact certificate runs the public formulas
+# ---------------------------------------------------------------------------
+
+PLANTED = 1 + Fraction(1, 10**6)
+
+
+def _planted_typo(formula):
+    # scale every value the formula returns by 1 + 1e-6, as a typo would
+    def wrapper(*args):
+        out = formula(*args)
+        if isinstance(out, HGPair):
+            h, g = out.h, out.g
+            return HGPair(lambda n: h(n) * PLANTED, lambda n: g(n) * PLANTED, out.label)
+        if isinstance(out, tuple):
+            return tuple(value * PLANTED for value in out)
+        return out * PLANTED
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["mu_from_g_match", "mu_from_q", "q_from_mu", "q_and_pn_from_mu", "hg_for_two_sided"],
+)
+def test_planted_typo_fails_the_certificate(monkeypatch, name):
+    monkeypatch.setattr(linkage, name, _planted_typo(getattr(linkage, name)))
+    report = check_link_consistency(1.1, 0.9, 1.1, 3)
+    assert not report.passed
+    assert report.max_abs_residual > 1e-7
+    assert not any(row["consistent"] for row in link_table(1.1, 0.9, 1.1, 3))
+
+
+def test_formulas_stay_exact_on_fractions():
+    qb, pb, p = Fraction(2), Fraction(1), Fraction(1)
+    q = q_from_p(qb, pb, p, 0)
+    link = LinkInput(qb=qb, pb=pb, q=q, p=p, level=0)
+    mu = mu_from_h_match(link)
+    q_back, pn = q_and_pn_from_mu(qb, pb, mu, 0)
+    pair = hg_for_two_sided(qb, pb, mu)
+    values = [
+        q,
+        mu,
+        mu_from_g_match(link),
+        mu_from_q(qb, pb, q, 0),
+        q_from_mu(qb, pb, p, mu, 0),
+        q_back,
+        pn,
+        mu_for_arik_coon_target(qb, pb, 0),
+        pair.h(0),
+        pair.g(0),
+    ]
+    assert all(type(value) is Fraction for value in values)
+    assert (q, mu, pn) == (Fraction(37, 8), 8, 1)
+    assert values[2:7] == [8, 8, Fraction(37, 8), Fraction(37, 8), 1]
+    assert (pair.h(0), pair.g(0)) == (1, Fraction(37, 8))
+
+
+# ---------------------------------------------------------------------------
+# float powers past double range
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("qb, level, depth", [(2.05, 28, 8), (2.0, 40, 6)])
+def test_recipe_depth_trim_survives_overflowing_powers(qb, level, depth):
+    report = check_link_consistency(qb, 1.0, 1.0, level)
+    assert report.passed
+    assert report.dim == depth
+
+
+@pytest.mark.parametrize(
+    "qb, p, level, message",
+    [
+        (2.0, 1.0, 600, "link-consistency float check overflowed at level=600"),
+        # the recipe's own typed error keeps its message
+        (1.0, 1e-30, 0, "structure function oscillator-target overflowed at n=12"),
+    ],
+)
+def test_float_overflow_in_the_link_check_is_typed(qb, p, level, message):
+    with pytest.raises(EvaluationOverflowError, match=f"^{message}$"):
+        check_link_consistency(qb, 1.0, p, level)
+
+
+@given(
+    qb=st.floats(1e-3, 1e3),
+    pb=st.floats(1e-3, 1e3),
+    p=st.floats(1e-3, 1e3),
+    level=st.integers(0, 64),
+)
+@settings(max_examples=100, deadline=None)
+def test_link_check_reports_or_raises_a_typed_error(qb, pb, p, level):
+    try:
+        report = check_link_consistency(qb, pb, p, level)
+    except DeformedAlgebraError:
+        return
+    assert len(report.per_state) in (7, 8)
+
+
+def test_exact_certificate_never_prints_its_fractions():
+    # mu has about 6,600 digits here, past the int-to-str limit of 4,300
+    with pytest.raises(EvaluationOverflowError, match="level=64"):
+        check_link_consistency(999.9, 0.0011, 0.0013, 64)

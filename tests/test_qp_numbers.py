@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defosc import DeformationParams, DomainError, generalized_factorial, qp_number
+from defosc.qp import relative_gap, require_nonnegative
 
 GRID = (0.5, 0.9, 1.1, 2.0)
 
@@ -104,3 +105,16 @@ def test_generalized_factorial():
     assert generalized_factorial(lambda j: 2.0, 3) == 8.0
     with pytest.raises(DomainError):
         generalized_factorial(lambda j: j, -1)
+
+
+def test_require_nonnegative_names_the_first_negative_parameter():
+    require_nonnegative(n=0, level=3)
+    with pytest.raises(DomainError, match=r"^level must be >= 0, got -2$"):
+        require_nonnegative(n=1, level=-2, n_max=-1)
+    require_nonnegative(n=float("nan"))  # only a value below 0 is refused
+
+
+def test_relative_gap_is_floored_at_one():
+    assert relative_gap(0.25, 0.5) == 0.25
+    assert relative_gap(-4.0, 4.0) == 2.0
+    assert relative_gap(3, 3) == 0
