@@ -1,21 +1,23 @@
 """Truncated Fock-space realizations, stored entry by entry.
 
 Ladder operators act as a+ |n> = sqrt(Phi(n+1)) |n+1> and
-a- |n> = sqrt(Phi(n)) |n-1>; position and momentum are dressed ladder
-combinations X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-).  Each
-is a function of N times ladder operators, so it lives on the offsets
--1 and +1 only; those O(dim) entries are all that is stored.  A function
-of N scales the entries of the row it acts on, which reproduces
-F(N) a(+/-) = a(+/-) F(N +/- 1) automatically.  Truncation artifacts
-live in the top two levels only; the verification module restricts
-checks to the interior accordingly.
+a- |n> = sqrt(Phi(n)) |n-1>; position and momentum are ladder
+combinations dressed by powers of one ratio,
+X = f(N) a- + g(N) a+ and P = i (f(N) a+ - g(N) a-) with
+f(n) = ratio**n / sqrt(2) and g(n) = ratio**(2n) / sqrt(2).  Each is a
+function of N times ladder operators, so it lives on the offsets -1 and
++1 only; those O(dim) entries are the only form in which the package
+holds an operator.  A function of N scales the entries of the row it
+acts on, which reproduces F(N) a(+/-) = a(+/-) F(N +/- 1) automatically.
+The Hamiltonian is diagonal and held as its diagonal.  Truncation
+artifacts live in the top two levels only; the verification module
+restricts checks to the interior accordingly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -27,22 +29,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class CoefficientProfile:
-    """Number-operator coefficients (f, g, h, k) dressing the ladder operators."""
-
-    f: Callable[[int], float]
-    g: Callable[[int], float]
-    h: Callable[[int], float]
-    k: Callable[[int], float]
-    label: str = ""
-
-
-def _tridiagonal(offdiagonals: np.ndarray) -> np.ndarray:
-    below, above = offdiagonals
-    return (np.diag(below, -1) + np.diag(above, 1)).astype(complex)
-
-
-@dataclass(frozen=True)
 class FockRep:
     """Truncated realization of one deformed oscillator.
 
@@ -51,8 +37,7 @@ class FockRep:
     ladder holds <n+1|a+|n> = <n|a-|n+1> = sqrt(Phi(n+1)), n < dim - 1,
     apart from phi so that a tampered phi table stays detectable.
     build_xp fills x with the rows <n+1|X|n> and <n|X|n+1>, and p likewise
-    for P / i.  The properties build the dense complex matrices on demand;
-    x_op and p_op are None before build_xp.
+    for P / i; both are None before build_xp.
     """
 
     dim: int
@@ -60,26 +45,6 @@ class FockRep:
     ladder: np.ndarray
     x: np.ndarray | None = None
     p: np.ndarray | None = None
-
-    @property
-    def a_plus(self) -> np.ndarray:
-        return np.diag(self.ladder, -1).astype(complex)
-
-    @property
-    def a_minus(self) -> np.ndarray:
-        return np.diag(self.ladder, 1).astype(complex)
-
-    @property
-    def n_op(self) -> np.ndarray:
-        return np.diag(np.arange(self.dim)).astype(complex)
-
-    @property
-    def x_op(self) -> np.ndarray | None:
-        return None if self.x is None else _tridiagonal(self.x)
-
-    @property
-    def p_op(self) -> np.ndarray | None:
-        return None if self.p is None else 1j * _tridiagonal(self.p)
 
 
 def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
@@ -97,38 +62,25 @@ def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
     return FockRep(dim=dim, phi=phi, ladder=np.sqrt(phi[1:dim]))
 
 
-def ratio_profile(ratio: float) -> CoefficientProfile:
-    """Coefficients f = k = ratio**n / sqrt(2), h = g = ratio**(2n) / sqrt(2).
+def build_xp(rep: FockRep, ratio: float) -> FockRep:
+    """Attach X = f(N) a- + g(N) a+ and P = i (f(N) a+ - g(N) a-).
 
-    One profile serves the whole family: X P - q P X = i takes ratio = q,
+    f(n) = ratio**n / sqrt(2) and g(n) = ratio**(2n) / sqrt(2).  One ratio
+    serves the whole family: X P - q P X = i takes ratio = q,
     p X P - q P X = i takes q/p and the two-sided relation qb/pb.
     """
     require_positive(ratio=ratio)
-
-    def f(n: int) -> float:
-        return ratio**n * _INV_SQRT2
-
-    def g(n: int) -> float:
-        return ratio ** (2 * n) * _INV_SQRT2
-
-    return CoefficientProfile(f=f, g=g, h=g, k=f, label=f"ratio-profile({ratio})")
-
-
-def build_xp(rep: FockRep, profile: CoefficientProfile) -> FockRep:
-    """Attach X = f(N) a- + g(N) a+ and P = i (k(N) a+ - h(N) a-)."""
-    f, g, h, k = (
-        np.array([fn(n) for n in range(rep.dim)], dtype=float)
-        for fn in (profile.f, profile.g, profile.h, profile.k)
-    )
+    f = np.array([ratio**n * _INV_SQRT2 for n in range(rep.dim)], dtype=float)
+    g = np.array([ratio ** (2 * n) * _INV_SQRT2 for n in range(rep.dim)], dtype=float)
     roots = rep.ladder
     x = np.stack([g[1:] * roots, f[:-1] * roots])
-    return replace(rep, x=x, p=np.stack([k[1:] * roots, -(h[:-1] * roots)]))
+    return replace(rep, x=x, p=np.stack([f[1:] * roots, -(g[:-1] * roots)]))
 
 
 def hamiltonian(rep: FockRep) -> np.ndarray:
-    """Diagonal Hamiltonian (Phi(n+1) + Phi(n)) / 2, n = 0..dim-1.
+    """Diagonal (Phi(n+1) + Phi(n)) / 2, n = 0..dim-1, of the Hamiltonian.
 
     Built from the Phi table rather than the truncated product
     (a- a+ + a+ a-)/2, whose last diagonal entry is a truncation artifact.
     """
-    return np.diag(0.5 * (rep.phi[1:] + rep.phi[:-1])).astype(complex)
+    return 0.5 * (rep.phi[1:] + rep.phi[:-1])

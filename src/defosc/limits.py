@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import build_ladder, build_xp, ratio_profile
+from .fock import build_ladder, build_xp
 from .qp import relative_gap, require_nonnegative
 from .structure import (
     StructureFunctionModel,
@@ -129,7 +129,7 @@ def _check_classical_limit_catalog() -> float:
 
 def _check_classical_xp_forms() -> float:
     # X = (a+ + a-)/sqrt(2), P = i (a+ - a-)/sqrt(2), off-diagonal by off-diagonal
-    rep = build_xp(build_ladder(harmonic(), 12), ratio_profile(1.0))
+    rep = build_xp(build_ladder(harmonic(), 12), 1.0)
     entry = rep.ladder * (1.0 / math.sqrt(2.0))
     x_gap = np.abs(rep.x - entry).max()
     return float(max(x_gap, np.abs(rep.p - [entry, -entry]).max()))

@@ -237,15 +237,17 @@ def link_table(
 
     Each row carries the level, the level-consistent q, mu along all
     three routes, the reconstructed p**N, and the loop-closure verdict.
+    A float overflow in a row raises EvaluationOverflowError naming the
+    level.
     """
     require_nonnegative(n_max=n_max)
     rows = []
     for level in range(n_max + 1):
-        q = q_from_p(qb, pb, p, level)
-        link = LinkInput(qb=qb, pb=pb, q=q, p=p, level=level)
-        mu_h = mu_from_h_match(link)
-        rows.append(
-            dict(
+        try:
+            q = q_from_p(qb, pb, p, level)
+            link = LinkInput(qb=qb, pb=pb, q=q, p=p, level=level)
+            mu_h = mu_from_h_match(link)
+            row = dict(
                 n=level,
                 q=q,
                 mu_h_match=mu_h,
@@ -254,5 +256,11 @@ def link_table(
                 p_pow_n=q_and_pn_from_mu(qb, pb, mu_h, level)[1],
                 consistent=check_link_consistency(qb, pb, p, level, tol=tol).passed,
             )
-        )
+        except EvaluationOverflowError:
+            raise
+        except OverflowError as exc:
+            raise EvaluationOverflowError(
+                f"link-table float row overflowed at level={level}"
+            ) from exc
+        rows.append(row)
     return rows

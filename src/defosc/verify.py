@@ -6,8 +6,9 @@ interior block, i.e. rows and columns 0..dim-1-margin.  The default
 margin of 2 keeps truncation leakage (one level per ladder application,
 two per operator product) out of the reported residual, so a correct
 construction scores pure roundoff.  The q-ha, qp-ha and two-sided checks
-are one relation, a X P - b P X = i (1 + mu H), on a realization dressed by
-fock.ratio_profile; they differ only in the model, the ratio, (a, b) and mu.
+are one relation, a X P - b P X = i (1 + mu H), on a realization whose X
+and P fock.build_xp dresses by powers of one ratio; they differ only in
+the model, the ratio, (a, b) and mu.  H is fock.hamiltonian's diagonal.
 
 X, P and the ladder operators sit on the offsets -1 and +1, so every
 term of a relation sits on the offsets -2, 0 and +2 and all other
@@ -35,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .fock import FockRep, build_ladder, build_xp, ratio_profile
+from .fock import FockRep, build_ladder, build_xp, hamiltonian
 from .structure import (
     HGPair,
     StructureFunctionModel,
@@ -137,15 +138,15 @@ def _xp_report(
     scale: float = 1.0,
 ) -> ResidualReport:
     # xp_coeff Xs Ps - px_coeff Ps Xs - i rhs(N) on the realization of model
-    # dressed by ratio_profile(ratio), with Xs = scale X, Ps = scale P and
-    # rhs = 1 + mu H (rhs = 1 when mu is None); rhs joins the normalizing
-    # terms (no change when it is 1)
-    rep = build_xp(build_ladder(model, dim), ratio_profile(ratio))
+    # dressed by ratio, with Xs = scale X, Ps = scale P and rhs = 1 + mu H
+    # (rhs = 1 when mu is None); rhs joins the normalizing terms (no change
+    # when it is 1)
+    rep = build_xp(build_ladder(model, dim), ratio)
     rhs = np.ones(dim)
     if callable(mu):
         mu = np.array([mu(n) for n in range(dim)], dtype=float)
     if mu is not None:
-        rhs += mu * (0.5 * (rep.phi[1:] + rep.phi[:-1]))  # 1 + mu H
+        rhs += mu * hamiltonian(rep)
     x, p = scale * rep.x, scale * rep.p
     xp = xp_coeff * _product(x, p)
     px = px_coeff * _product(p, x)

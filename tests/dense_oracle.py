@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from defosc.errors import DomainError, NegativeStructureFunctionError
-from defosc.fock import CoefficientProfile, ratio_profile
+from defosc.qp import require_positive
 from defosc.structure import (
     HGPair,
     StructureFunctionModel,
@@ -61,14 +61,17 @@ def _diagonal_of(func: Callable[[int], float], dim: int) -> np.ndarray:
     return np.diag([func(n) for n in range(dim)]).astype(complex)
 
 
-def build_xp(rep: DenseRep, profile: CoefficientProfile) -> DenseRep:
-    dim = rep.dim
-    f_mat = _diagonal_of(profile.f, dim)
-    g_mat = _diagonal_of(profile.g, dim)
-    h_mat = _diagonal_of(profile.h, dim)
-    k_mat = _diagonal_of(profile.k, dim)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def build_xp(rep: DenseRep, ratio: float) -> DenseRep:
+    # X = f(N) a- + g(N) a+ and P = i (f(N) a+ - g(N) a-) with
+    # f = ratio**n / sqrt(2) and g = ratio**(2n) / sqrt(2)
+    require_positive(ratio=ratio)
+    f_mat = _diagonal_of(lambda n: ratio**n * _INV_SQRT2, rep.dim)
+    g_mat = _diagonal_of(lambda n: ratio ** (2 * n) * _INV_SQRT2, rep.dim)
     x_op = f_mat @ rep.a_minus + g_mat @ rep.a_plus
-    p_op = 1j * (k_mat @ rep.a_plus - h_mat @ rep.a_minus)
+    p_op = 1j * (f_mat @ rep.a_plus - g_mat @ rep.a_minus)
     return replace(rep, x_op=x_op, p_op=p_op)
 
 
@@ -116,7 +119,7 @@ def verify_hg(rep: DenseRep, hg: HGPair, tol=DEFAULT_TOLERANCE, margin=DEFAULT_M
 
 def verify_q_ha(q, dim=32, tol=DEFAULT_TOLERANCE, margin=DEFAULT_MARGIN, check_q=None,
                 per_state=False) -> ResidualReport:
-    rep = build_xp(build_ladder(nonstd_q(q), dim), ratio_profile(q))
+    rep = build_xp(build_ladder(nonstd_q(q), dim), q)
     cq = q if check_q is None else check_q
     xp = rep.x_op @ rep.p_op
     px = cq * (rep.p_op @ rep.x_op)
@@ -128,7 +131,7 @@ def verify_q_ha(q, dim=32, tol=DEFAULT_TOLERANCE, margin=DEFAULT_MARGIN, check_q
 
 def verify_qp_ha(q, p, dim=32, tol=DEFAULT_TOLERANCE, margin=DEFAULT_MARGIN,
                  check_q=None, check_p=None, per_state=False) -> ResidualReport:
-    rep = build_xp(build_ladder(nonstd_qp(q, p), dim), ratio_profile(q / p))
+    rep = build_xp(build_ladder(nonstd_qp(q, p), dim), q / p)
     cq = q if check_q is None else check_q
     cp = p if check_p is None else check_p
     xp = cp * (rep.x_op @ rep.p_op)
@@ -143,7 +146,7 @@ def verify_qp_ha(q, p, dim=32, tol=DEFAULT_TOLERANCE, margin=DEFAULT_MARGIN,
 def verify_two_sided(qb, pb, mu, dim=32, tol=DEFAULT_TOLERANCE, margin=DEFAULT_MARGIN,
                      check_mu=None, alt_pairing=False, per_state=False) -> ResidualReport:
     pair = hg_for_two_sided(qb, pb, mu)
-    rep = build_xp(build_ladder(custom_hg(pair), dim), ratio_profile(qb / pb))
+    rep = build_xp(build_ladder(custom_hg(pair), dim), qb / pb)
     scale = math.sqrt(pb)
     xs = scale * rep.x_op
     ps = scale * rep.p_op

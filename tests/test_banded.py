@@ -38,7 +38,6 @@ from defosc import (
     jannussis_mu,
     nonstd_q,
     nonstd_qp,
-    ratio_profile,
     sf_eval,
     sf_from_hg,
     sf_table,
@@ -232,18 +231,26 @@ def test_sf_table_consults_h_and_g_below_n_max_only():
 
 
 @pytest.mark.parametrize(
-    "model,profile",
+    "model,ratio",
     [
-        (harmonic(), ratio_profile(1.0)),
-        (nonstd_qp(1.2, 0.9), ratio_profile(1.2 / 0.9)),
-        (custom_hg(hg_for_two_sided(1.1, 0.95, 0.3)), ratio_profile(1.1 / 0.95)),
+        (harmonic(), 1.0),
+        (nonstd_qp(1.2, 0.9), 1.2 / 0.9),
+        (custom_hg(hg_for_two_sided(1.1, 0.95, 0.3)), 1.1 / 0.95),
     ],
+    ids=["harmonic", "nonstd-qp", "two-sided"],
 )
-def test_dense_views_are_the_oracle_matrices(model, profile):
-    rep = build_xp(build_ladder(model, 32), profile)
-    oracle = dense_oracle.build_xp(dense_oracle.build_ladder(model, 32), profile)
-    for name in ("a_plus", "a_minus", "n_op", "x_op", "p_op"):
-        assert np.array_equal(getattr(rep, name), getattr(oracle, name)), name
+def test_bands_are_the_oracle_off_diagonals(model, ratio):
+    rep = build_xp(build_ladder(model, 32), ratio)
+    oracle = dense_oracle.build_xp(dense_oracle.build_ladder(model, 32), ratio)
+    zero = np.zeros_like(rep.ladder)
+    for name, (below, above) in (
+        ("a_plus", (rep.ladder, zero)),
+        ("a_minus", (zero, rep.ladder)),
+        ("x_op", rep.x),
+        ("p_op", 1j * rep.p),
+    ):
+        matrix = np.diag(below, -1) + np.diag(above, 1)
+        assert np.array_equal(matrix, getattr(oracle, name)), name
 
 
 def _outcome(run):

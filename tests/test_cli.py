@@ -257,6 +257,16 @@ def test_link_pole_exits_two():
     assert "pole" in err.lower() or "denominator" in err.lower()
 
 
+def test_link_overflow_exits_two():
+    code, out, err = run_cli(
+        "link", "--qb", "2", "--pb", "1", "--p", "0.0625", "--n-max", "260"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "level=256" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # limits
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import dense_oracle
 from defosc import (
-    CoefficientProfile,
     DomainError,
     NegativeStructureFunctionError,
     arik_coon,
@@ -16,7 +17,6 @@ from defosc import (
     jannussis_mu,
     nonstd_q,
     nonstd_qp,
-    ratio_profile,
     sf_eval,
     spectrum,
     HGPair,
@@ -25,31 +25,41 @@ from defosc import (
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _ladder_matrices(rep):
+    """Dense (a+, a-) with rep.ladder on their off-diagonals."""
+    return np.diag(rep.ladder, -1), np.diag(rep.ladder, 1)
+
+
 def test_harmonic_ladder_entries():
     rep = build_ladder(harmonic(), 3)
-    assert np.allclose(np.diag(rep.a_plus, -1), [1.0, math.sqrt(2.0)])
-    assert np.allclose(np.diag(rep.a_minus, 1), [1.0, math.sqrt(2.0)])
-    assert np.count_nonzero(rep.a_plus) == 2
-    assert np.count_nonzero(rep.a_minus) == 2
+    assert np.allclose(rep.ladder, [1.0, math.sqrt(2.0)])
+    assert rep.ladder.shape == (2,)
+    assert np.count_nonzero(rep.ladder) == 2
 
 
 def test_deformed_first_rung():
     rep = build_ladder(nonstd_q(2.0), 2)
-    assert rep.a_plus[1, 0] == pytest.approx(math.sqrt(0.2), rel=1e-15)
+    assert rep.ladder[0] == pytest.approx(math.sqrt(0.2), rel=1e-15)
 
 
 def test_number_operator_is_the_level_diagonal():
-    rep = build_ladder(arik_coon(1.4), 6)
-    assert np.array_equal(np.diag(rep.n_op).real, np.arange(6))
+    # the package's number operator is the row index n of its bands
+    model = arik_coon(1.4)
+    oracle = dense_oracle.build_ladder(model, 6)
+    assert np.array_equal(np.diag(oracle.n_op).real, np.arange(6))
+    a_plus, a_minus = _ladder_matrices(build_ladder(model, 6))
+    assert np.array_equal(a_plus, oracle.a_plus)
+    assert np.array_equal(a_minus, oracle.a_minus)
 
 
 @pytest.mark.parametrize("dim", [4, 16])
 def test_ladder_products_reproduce_the_phi_table(dim):
     model = nonstd_qp(1.3, 0.7)
     rep = build_ladder(model, dim)
-    lowering = np.diag(rep.a_plus @ rep.a_minus).real
+    a_plus, a_minus = _ladder_matrices(rep)
+    lowering = np.diag(a_plus @ a_minus)
     assert np.allclose(lowering, rep.phi[:dim], rtol=1e-14, atol=0.0)
-    raising = np.diag(rep.a_minus @ rep.a_plus).real
+    raising = np.diag(a_minus @ a_plus)
     # truncated on the topmost level only
     assert np.allclose(raising[:-1], rep.phi[1:dim], rtol=1e-14, atol=0.0)
     assert raising[-1] == 0.0
@@ -71,65 +81,93 @@ def test_ladder_rejects_tiny_dimensions_and_negative_phi():
 
 
 # ---------------------------------------------------------------------------
-# coefficient profiles
+# the dressing of X and P
 # ---------------------------------------------------------------------------
+
+# h(0) = 1 and h(n) = 1 + g(n) give Phi(n) = 1 for n >= 1: every ladder
+# entry is 1, so X and P hold the bare dressing coefficients
+UNIT_LADDER = custom_hg(
+    HGPair(h=lambda n: 1.0 if n == 0 else 2.0, g=lambda n: 1.0, label="unit")
+)
+
+
+def _profile(ratio, dim=12):
+    """f, g, h, k of X = f(N) a- + g(N) a+, P = i (k(N) a+ - h(N) a-).
+
+    Indexed by n; f(dim-1), h(dim-1), g(0) and k(0) multiply no stored
+    entry and read NaN.
+    """
+    rep = build_xp(build_ladder(UNIT_LADDER, dim), ratio)
+    assert np.array_equal(rep.ladder, np.ones(dim - 1))
+    (x_below, x_above), (p_below, p_above) = rep.x, rep.p
+    nan = [np.nan]
+    return SimpleNamespace(
+        f=np.concatenate([x_above, nan]),
+        g=np.concatenate([nan, x_below]),
+        h=np.concatenate([-p_above, nan]),
+        k=np.concatenate([nan, p_below]),
+    )
 
 
 def test_profile_q_is_constant_at_q_one():
-    profile = ratio_profile(1.0)
+    profile = _profile(1.0)
     for n in range(8):
-        for fn in (profile.f, profile.g, profile.h, profile.k):
-            assert fn(n) == INV_SQRT2
+        assert profile.f[n] == profile.h[n] == INV_SQRT2
+    for n in range(1, 8):
+        assert profile.g[n] == profile.k[n] == INV_SQRT2
 
 
 def test_profile_q_values():
-    profile = ratio_profile(2.0)
-    assert profile.f(1) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert profile.g(1) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
-    assert profile.k(1) == profile.f(1)
-    assert profile.h(1) == profile.g(1)
+    profile = _profile(2.0)
+    assert profile.f[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert profile.g[1] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+    assert profile.k[1] == profile.f[1]
+    assert profile.h[1] == profile.g[1]
 
 
 @pytest.mark.parametrize("q", [0.5, 1.3, 2.0])
 def test_profile_q_geometric_ratios(q):
-    profile = ratio_profile(q)
+    profile = _profile(q)
     for n in range(1, 8):
-        assert profile.f(n + 1) / profile.f(n) == pytest.approx(q, rel=1e-14)
-        assert profile.g(n) / profile.g(n - 1) == pytest.approx(q * q, rel=1e-14)
+        assert profile.f[n + 1] / profile.f[n] == pytest.approx(q, rel=1e-14)
+    for n in range(2, 9):
+        assert profile.g[n] / profile.g[n - 1] == pytest.approx(q * q, rel=1e-14)
 
 
 @pytest.mark.parametrize(
     "profile,ratio",
     [
-        (ratio_profile(1.6), 1.6),
-        (ratio_profile(2.0 / 0.5), 4.0),
-        (ratio_profile(0.9 / 1.2), 0.75),
+        (_profile(1.6), 1.6),
+        (_profile(2.0 / 0.5), 4.0),
+        (_profile(0.9 / 1.2), 0.75),
     ],
 )
 def test_profile_ratio_constraints(profile, ratio):
     # f(n+1)/f(n) = h(n+1)/h(n) / ratio and g(n-1)/g(n) = k(n-1)/k(n) / ratio
     for n in range(1, 10):
-        left = profile.f(n + 1) / profile.f(n)
-        right = profile.h(n + 1) / profile.h(n) / ratio
+        left = profile.f[n + 1] / profile.f[n]
+        right = profile.h[n + 1] / profile.h[n] / ratio
         assert left == pytest.approx(right, rel=1e-13)
-        left = profile.g(n - 1) / profile.g(n)
-        right = profile.k(n - 1) / profile.k(n) / ratio
+    for n in range(2, 11):
+        left = profile.g[n - 1] / profile.g[n]
+        right = profile.k[n - 1] / profile.k[n] / ratio
         assert left == pytest.approx(right, rel=1e-13)
 
 
 def test_two_sided_profile_equals_ratio_profile_pointwise():
-    a = ratio_profile(2.0 / 1.0)
-    b = ratio_profile(1.0 / 0.5)
-    for n in range(10):
-        assert a.f(n) == b.f(n)
-        assert a.g(n) == b.g(n)
+    rep = build_ladder(UNIT_LADDER, 10)
+    a = build_xp(rep, 2.0 / 1.0)
+    b = build_xp(rep, 1.0 / 0.5)
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.p, b.p)
 
 
 def test_profiles_validate_their_parameters():
-    with pytest.raises(DomainError):
-        ratio_profile(0.0)
-    with pytest.raises(DomainError):
-        ratio_profile(1.0 / -2.0)
+    rep = build_ladder(harmonic(), 4)
+    with pytest.raises(DomainError, match="ratio"):
+        build_xp(rep, 0.0)
+    with pytest.raises(DomainError, match="ratio"):
+        build_xp(rep, 1.0 / -2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,33 +176,24 @@ def test_profiles_validate_their_parameters():
 
 
 def test_classical_position_momentum_forms():
-    rep = build_xp(build_ladder(harmonic(), 8), ratio_profile(1.0))
-    x_want = (rep.a_plus + rep.a_minus) * INV_SQRT2
-    p_want = 1j * (rep.a_plus - rep.a_minus) * INV_SQRT2
-    assert np.array_equal(rep.x_op, x_want)
-    assert np.array_equal(rep.p_op, p_want)
+    rep = build_xp(build_ladder(harmonic(), 8), 1.0)
+    entry = rep.ladder * INV_SQRT2
+    assert np.array_equal(rep.x, [entry, entry])
+    assert np.array_equal(rep.p, [entry, -entry])
 
 
 def test_first_position_matrix_element():
-    rep = build_xp(build_ladder(harmonic(), 2), ratio_profile(1.0))
-    assert rep.x_op[1, 0] == pytest.approx(INV_SQRT2, rel=1e-15)
-
-
-def test_zero_profile_gives_zero_operators():
-    zero = CoefficientProfile(
-        f=lambda n: 0.0, g=lambda n: 0.0, h=lambda n: 0.0, k=lambda n: 0.0
-    )
-    rep = build_xp(build_ladder(harmonic(), 4), zero)
-    assert not np.any(rep.x_op)
-    assert not np.any(rep.p_op)
+    rep = build_xp(build_ladder(harmonic(), 2), 1.0)
+    assert rep.x[0, 0] == pytest.approx(INV_SQRT2, rel=1e-15)
 
 
 def test_build_xp_returns_a_new_rep():
     bare = build_ladder(harmonic(), 4)
-    dressed = build_xp(bare, ratio_profile(1.0))
-    assert bare.x_op is None
-    assert dressed.x_op is not None
-    assert np.array_equal(dressed.a_plus, bare.a_plus)
+    dressed = build_xp(bare, 1.0)
+    assert bare.x is None and bare.p is None
+    assert dressed.x is not None and dressed.p is not None
+    assert np.array_equal(dressed.ladder, bare.ladder)
+    assert np.array_equal(dressed.phi, bare.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +204,15 @@ def test_build_xp_returns_a_new_rep():
 def test_harmonic_hamiltonian_diagonal():
     rep = build_ladder(harmonic(), 6)
     ham = hamiltonian(rep)
-    assert np.allclose(np.diag(ham).real, np.arange(6) + 0.5)
+    assert ham.shape == (6,)
+    assert np.allclose(ham, np.arange(6) + 0.5)
 
 
 def test_hamiltonian_matches_spectrum_exactly():
     model = nonstd_qp(1.4, 0.8)
     rep = build_ladder(model, 10)
-    ham = np.diag(hamiltonian(rep)).real
     energies = spectrum(model, 9)
-    assert list(ham) == energies
+    assert hamiltonian(rep).tolist() == energies
 
 
 def test_scaled_harmonic_hamiltonian():
@@ -191,25 +220,26 @@ def test_scaled_harmonic_hamiltonian():
     # entries (n + 1/2)/q
     q = 2.0
     rep = build_ladder(nonstd_qp(q, q), 6)
-    ham = np.diag(hamiltonian(rep)).real
+    ham = hamiltonian(rep)
     assert np.allclose(ham, (np.arange(6) + 0.5) / q, rtol=1e-14)
 
 
 def test_hamiltonian_uses_the_table_not_the_truncated_product():
     rep = build_ladder(harmonic(), 4)
-    product = 0.5 * (rep.a_minus @ rep.a_plus + rep.a_plus @ rep.a_minus)
+    a_plus, a_minus = _ladder_matrices(rep)
+    product = 0.5 * (a_minus @ a_plus + a_plus @ a_minus)
     ham = hamiltonian(rep)
-    assert ham[3, 3].real == 3.5
-    assert product[3, 3].real != ham[3, 3].real
+    assert ham[3] == 3.5
+    assert product[3, 3] != ham[3]
 
 
 def test_mu_oscillator_commutator_formula():
     # [a-, a+] = (N+1)/(1 + mt(N+1)) - N/(1 + mt N) on the interior
     mt = 0.3
     dim = 16
-    rep = build_ladder(jannussis_mu(mt), dim)
-    commutator = rep.a_minus @ rep.a_plus - rep.a_plus @ rep.a_minus
+    a_plus, a_minus = _ladder_matrices(build_ladder(jannussis_mu(mt), dim))
+    commutator = a_minus @ a_plus - a_plus @ a_minus
+    assert np.isrealobj(commutator)
     for n in range(dim - 2):
         want = (n + 1) / (1.0 + mt * (n + 1)) - n / (1.0 + mt * n)
-        assert abs(commutator[n, n].real - want) <= 1e-12
-        assert abs(commutator[n, n].imag) == 0.0
+        assert abs(commutator[n, n] - want) <= 1e-12

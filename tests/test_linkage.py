@@ -243,6 +243,26 @@ def test_link_table_is_consistent_across_levels():
     assert len(set(q_values)) == len(q_values)
 
 
+def test_link_table_types_a_float_overflow_with_its_level():
+    # p**(-n) = 16**256 leaves the double range in mu_from_h_match
+    with pytest.raises(EvaluationOverflowError, match=r"level=256$") as exc:
+        link_table(2.0, 1.0, 0.0625, 260)
+    assert isinstance(exc.value, DeformedAlgebraError)
+    assert type(exc.value.__cause__) is OverflowError
+    rows = link_table(2.0, 1.0, 0.0625, 250)
+    assert len(rows) == 251
+    assert all(row["consistent"] for row in rows)
+
+
+def test_link_table_passes_a_typed_overflow_through(monkeypatch):
+    def overflowing(*args, **kwargs):
+        raise EvaluationOverflowError("certificate overflowed at level=3")
+
+    monkeypatch.setattr(linkage, "check_link_consistency", overflowing)
+    with pytest.raises(EvaluationOverflowError, match="^certificate overflowed"):
+        link_table(1.1, 0.9, 1.1, 6)
+
+
 # ---------------------------------------------------------------------------
 # the exact certificate runs the public formulas
 # ---------------------------------------------------------------------------

@@ -1,0 +1,24 @@
+"""The public names of the package: each exported once and importable."""
+
+import defosc
+from defosc import FockRep
+
+
+def test_every_exported_name_resolves_once():
+    assert len(defosc.__all__) == len(set(defosc.__all__))
+    for name in defosc.__all__:
+        assert hasattr(defosc, name), name
+
+
+def test_star_import_binds_exactly_the_exported_names():
+    namespace = {}
+    exec("from defosc import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(defosc.__all__)
+
+
+def test_operators_have_one_representation():
+    for name in ("CoefficientProfile", "ratio_profile"):
+        assert not hasattr(defosc, name)
+    for name in ("a_plus", "a_minus", "n_op", "x_op", "p_op"):
+        assert not hasattr(FockRep, name)
