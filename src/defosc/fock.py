@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class FockRep:
 
 
 def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
-    """Build the dim-dimensional ladder realization of a structure function."""
+    """Build the dim-dimensional ladder realization from one sf_table pass."""
     if dim < 2:
         raise DomainError(f"dim must be >= 2, got {dim}")
     phi = np.array(sf_table(model, dim), dtype=float)
@@ -67,11 +68,14 @@ def build_xp(rep: FockRep, ratio: float) -> FockRep:
 
     f(n) = ratio**n / sqrt(2) and g(n) = ratio**(2n) / sqrt(2).  One ratio
     serves the whole family: X P - q P X = i takes ratio = q,
-    p X P - q P X = i takes q/p and the two-sided relation qb/pb.
+    p X P - q P X = i takes q/p and the two-sided relation qb/pb.  Both
+    dressings are read off one array of ratio**k / sqrt(2), k < 2 dim - 1,
+    whose powers are Python's pow (numpy's ** can differ in the last bit).
     """
     require_positive(ratio=ratio)
-    f = np.array([ratio**n * _INV_SQRT2 for n in range(rep.dim)], dtype=float)
-    g = np.array([ratio ** (2 * n) * _INV_SQRT2 for n in range(rep.dim)], dtype=float)
+    powers = np.fromiter(map(pow, repeat(ratio), range(2 * rep.dim - 1)), float)
+    dressing = powers * _INV_SQRT2
+    f, g = dressing[: rep.dim], dressing[::2]
     roots = rep.ladder
     x = np.stack([g[1:] * roots, f[:-1] * roots])
     return replace(rep, x=x, p=np.stack([f[1:] * roots, -(g[:-1] * roots)]))

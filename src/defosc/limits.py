@@ -30,7 +30,6 @@ from .structure import (
     jannussis_mu,
     nonstd_q,
     nonstd_qp,
-    sf_eval,
     sf_table,
     spectrum,
     two_sided_equal_hg,
@@ -53,10 +52,8 @@ class LimitCheck:
 
 
 def _sf_gap(model_a: StructureFunctionModel, model_b: StructureFunctionModel) -> float:
-    return max(
-        relative_gap(sf_eval(model_a, n), sf_eval(model_b, n))
-        for n in range(_NMAX + 1)
-    )
+    rows = zip(sf_table(model_a, _NMAX), sf_table(model_b, _NMAX))
+    return max(relative_gap(a, b) for a, b in rows)
 
 
 def _check_qp_reduces_to_q_at_p_one() -> float:
@@ -122,8 +119,8 @@ def _check_classical_limit_catalog() -> float:
     worst = 0.0
     for offset in (0.0, PARAMETER_OFFSET, -PARAMETER_OFFSET):
         for model in _classical_models(offset):
-            for n in range(_NMAX + 1):
-                worst = max(worst, relative_gap(sf_eval(model, n), float(n)))
+            for n, phi in enumerate(sf_table(model, _NMAX)):
+                worst = max(worst, relative_gap(phi, float(n)))
     return worst
 
 
@@ -139,8 +136,8 @@ def _check_qp_equal_parameters_scaled_harmonic() -> float:
     worst = 0.0
     for q in _QGRID:
         model = nonstd_qp(q, q)
-        for n in range(_NMAX + 1):
-            worst = max(worst, relative_gap(sf_eval(model, n), n / q))
+        for n, phi in enumerate(sf_table(model, _NMAX)):
+            worst = max(worst, relative_gap(phi, n / q))
         energies = spectrum(model, _NMAX)
         for n in range(_NMAX):
             worst = max(worst, relative_gap(energies[n + 1] - energies[n], 1.0 / q))

@@ -12,10 +12,6 @@ from typing import Callable
 
 from .errors import DomainError
 
-# hbar is set to 1 everywhere; energies and commutator constants are
-# expressed in these units.
-HBAR = 1.0
-
 # Relative |q - p| gap below which qp_number switches to its analytic
 # limit, avoiding catastrophic cancellation in (q**m - p**m) / (q - p).
 SINGULARITY_THRESHOLD = 1e-9
@@ -60,21 +56,27 @@ class DeformationParams:
         return self.q / self.p
 
 
+def deformed_integers(q: float, p: float) -> Callable[[int], float]:
+    """m -> [m] for fixed (q, p): the domain check, the singular-branch
+    choice, the midpoint and the gap q - p are done once, not per m."""
+    require_positive(q=q, p=p)
+    if abs(q - p) < SINGULARITY_THRESHOLD * max(q, p):
+        mid = 0.5 * (q + p)
+        return lambda m: m * mid ** (m - 1) if m else 0.0
+    gap = q - p
+    return lambda m: (q**m - p**m) / gap
+
+
 def qp_number(m: int, q: float, p: float) -> float:
     """Deformed integer [m] = (q**m - p**m) / (q - p).
 
     Near the removable singularity q = p (relative gap below
     SINGULARITY_THRESHOLD) returns the limit m * mid**(m - 1) evaluated
-    at the midpoint mid = (q + p) / 2.
+    at the midpoint mid = (q + p) / 2.  deformed_integers(q, p) is the
+    same map with its per-(q, p) work done once.
     """
     require_nonnegative(m=m)
-    require_positive(q=q, p=p)
-    if abs(q - p) < SINGULARITY_THRESHOLD * max(q, p):
-        if m == 0:
-            return 0.0
-        mid = 0.5 * (q + p)
-        return m * mid ** (m - 1)
-    return (q**m - p**m) / (q - p)
+    return deformed_integers(q, p)(m)
 
 
 def generalized_factorial(func: Callable[[int], float], n: int) -> float:

@@ -17,15 +17,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable
 
 from .errors import (
     DomainError,
     EvaluationOverflowError,
     RecipeDivisionError,
 )
-from .qp import DeformationParams, qp_number, require_nonnegative, require_positive
+from .qp import (
+    DeformationParams,
+    deformed_integers,
+    qp_number,
+    require_nonnegative,
+    require_positive,
+)
 
 # |Q - 1| below this switches two_sided_equal_sf to its analytic limit
 # n / qb; the bracket term of the closed form is 0/0 at Q = 1.
@@ -55,7 +61,7 @@ class StructureFunctionModel:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.variant not in _EVALUATORS:
+        if self.variant not in _LEVELS:
             raise DomainError(f"unknown structure-function variant {self.variant!r}")
         if self.variant == "custom-hg" and self.hg is None:
             raise DomainError("variant 'custom-hg' requires an HGPair")
@@ -129,71 +135,65 @@ def custom_hg(hg: HGPair) -> StructureFunctionModel:
 
 
 # --------------------------------------------------------------------------
-# closed-form evaluators
+# level builders
 # --------------------------------------------------------------------------
+#
+# _LEVELS[variant](model) does the model's per-model work once (constants,
+# domain checks, branch choices) and returns level(n) = Phi(n), n >= 1.
+# nonstd-q and the recipe carry running values from level to level, so they
+# take n in increasing order, the recipe n = 1, 2, ... in turn (sf_eval
+# reads its Phi(n) off the table).
+
+_Level = Callable[[int], float]
 
 
-def _sf_harmonic(model: StructureFunctionModel, n: int) -> float:
-    return float(n)
+def _jannussis_mu_levels(model: StructureFunctionModel) -> _Level:
+    mu = model.params.mu
+
+    def level(n: int) -> float:
+        denom = 1.0 + mu * n
+        if denom <= 0:
+            raise DomainError(
+                f"jannussis-mu denominator 1 + mu_tilde*n = {denom} must stay positive "
+                f"(mu_tilde={mu}, n={n})"
+            )
+        return n / denom
+
+    return level
 
 
-def _sf_arik_coon(model: StructureFunctionModel, n: int) -> float:
-    return qp_number(n, model.params.q, 1.0)
-
-
-def _sf_biedenharn_macfarlane(model: StructureFunctionModel, n: int) -> float:
+def _nonstd_q_levels(model: StructureFunctionModel) -> _Level:
+    # (q**n - q**(1-n)) / (q - 1) is written through the geometric sum
+    # sum_{k<2n-1} q**k, so the q -> 1 point needs no limit branch; each
+    # level extends the sum of the one before by two terms.
     q = model.params.q
-    return qp_number(n, q, 1.0 / q)
+    total, power, terms = 0.0, 1.0, 0
 
-
-def _sf_chakrabarti_jagannathan(model: StructureFunctionModel, n: int) -> float:
-    return qp_number(n, model.params.q, model.params.p)
-
-
-def _sf_jannussis_mu(model: StructureFunctionModel, n: int) -> float:
-    denom = 1.0 + model.params.mu * n
-    if denom <= 0:
-        raise DomainError(
-            f"jannussis-mu denominator 1 + mu_tilde*n = {denom} must stay positive "
-            f"(mu_tilde={model.params.mu}, n={n})"
-        )
-    return n / denom
-
-
-def _nonstd_q_levels(model: StructureFunctionModel, start: int = 1) -> Iterator[float]:
-    # Phi(start), Phi(start + 1), ...: (q**n - q**(1-n)) / (q - 1) is written
-    # through the geometric sum sum_{k<2n-1} q**k, so the q -> 1 point needs
-    # no limit branch; each level extends the sum of the one before by two terms.
-    q = model.params.q
-    total, power = 0.0, 1.0
-    for _ in range(2 * start - 1):
-        total += power
-        power *= q
-    for n in count(start):
-        bracket = 1.0 + q ** (1 - n) * total
-        prefactor = 2.0 * q ** (-n) / ((1.0 + q ** (2 * n - 2)) * (1.0 + q ** (2 * n)))
-        yield prefactor * bracket
-        for _ in range(2):
+    def level(n: int) -> float:
+        nonlocal total, power, terms
+        while terms < 2 * n - 1:
             total += power
             power *= q
+            terms += 1
+        bracket = 1.0 + q ** (1 - n) * total
+        prefactor = 2.0 * q ** (-n) / ((1.0 + q ** (2 * n - 2)) * (1.0 + q ** (2 * n)))
+        return prefactor * bracket
+
+    return level
 
 
-def _sf_nonstd_q(model: StructureFunctionModel, n: int) -> float:
-    return next(_nonstd_q_levels(model, n))
+def _nonstd_qp_levels(model: StructureFunctionModel) -> _Level:
+    p = model.params.p
+    ratio = model.params.q / p
+    odd = deformed_integers(ratio, 1.0)
 
+    def level(n: int) -> float:
+        bracket = 1.0 + ratio ** (1 - n) * odd(2 * n - 1)
+        head = 2.0 / (p * ratio**n)
+        tail = (1.0 + ratio ** (2 * n - 2)) * (1.0 + ratio ** (2 * n))
+        return head / tail * bracket
 
-def _sf_nonstd_qp(model: StructureFunctionModel, n: int) -> float:
-    if n == 0:
-        return 0.0
-    q, p = model.params.q, model.params.p
-    ratio = q / p
-    bracket = 1.0 + ratio ** (1 - n) * qp_number(2 * n - 1, ratio, 1.0)
-    prefactor = (
-        2.0
-        / (p * ratio**n)
-        / ((1.0 + ratio ** (2 * n - 2)) * (1.0 + ratio ** (2 * n)))
-    )
-    return prefactor * bracket
+    return level
 
 
 def nonstd_qp_sf_explicit(n: int, q: float, p: float) -> float:
@@ -224,24 +224,47 @@ def nonstd_qp_sf_explicit(n: int, q: float, p: float) -> float:
     return value
 
 
-def _sf_two_sided_equal(model: StructureFunctionModel, n: int) -> float:
-    return two_sided_equal_sf(model.params.q, model.params.p, n)
+def _recipe_levels(model: StructureFunctionModel) -> _Level:
+    # The running products of Phi(n) are the prefix of those of Phi(n + 1);
+    # level n consults g(n-1) and h(n-1).  Overflow propagates untyped: the
+    # caller knows the level it asked for.
+    h, g = model.hg.h, model.hg.g
+    h0 = h(0)
+    if h0 == 0:
+        raise RecipeDivisionError("recipe division by zero: h(0) = 0")
+    ratio = 1.0  # g(n-1)!/h(n-1)! as a product of per-level ratios
+    series = 1.0 / h0  # 1/h(0) + sum of h(j-1)!/g(j)!
+    term = 1.0  # running h(j-1)!/g(j)!
+
+    def level(n: int) -> float:
+        nonlocal ratio, series, term
+        if n > 1:
+            j = n - 1
+            gj = g(j)
+            if gj == 0:
+                raise RecipeDivisionError(f"recipe division by zero: g({j}) = 0")
+            hj = h(j)
+            if hj == 0:
+                raise RecipeDivisionError(f"recipe division by zero: h({j}) = 0")
+            term /= gj
+            series += term
+            term *= hj
+            ratio *= gj / hj
+        return ratio * series
+
+    return level
 
 
-def _sf_custom_hg(model: StructureFunctionModel, n: int) -> float:
-    return sf_from_hg(model.hg, n)
-
-
-_EVALUATORS = {
-    "harmonic": _sf_harmonic,
-    "arik-coon": _sf_arik_coon,
-    "biedenharn-macfarlane": _sf_biedenharn_macfarlane,
-    "chakrabarti-jagannathan": _sf_chakrabarti_jagannathan,
-    "jannussis-mu": _sf_jannussis_mu,
-    "nonstd-q": _sf_nonstd_q,
-    "nonstd-qp": _sf_nonstd_qp,
-    "two-sided-equal": _sf_two_sided_equal,
-    "custom-hg": _sf_custom_hg,
+_LEVELS: dict[str, Callable[[StructureFunctionModel], _Level]] = {
+    "harmonic": lambda m: float,
+    "arik-coon": lambda m: deformed_integers(m.params.q, 1.0),
+    "biedenharn-macfarlane": lambda m: deformed_integers(m.params.q, 1.0 / m.params.q),
+    "chakrabarti-jagannathan": lambda m: deformed_integers(m.params.q, m.params.p),
+    "jannussis-mu": _jannussis_mu_levels,
+    "nonstd-q": _nonstd_q_levels,
+    "nonstd-qp": _nonstd_qp_levels,
+    "two-sided-equal": lambda m: partial(two_sided_equal_sf, m.params.q, m.params.p),
+    "custom-hg": _recipe_levels,
 }
 
 
@@ -257,7 +280,10 @@ def sf_eval(model: StructureFunctionModel, n: int) -> float:
     if n == 0:
         return 0.0
     try:
-        value = _EVALUATORS[model.variant](model, n)
+        if model.variant == "custom-hg":  # the recipe runs its table to n
+            value = sf_table(model, n)[-1]
+        else:
+            value = _LEVELS[model.variant](model)(n)
     except OverflowError as exc:
         raise _overflow(model, n) from exc
     if not math.isfinite(value):
@@ -268,49 +294,28 @@ def sf_eval(model: StructureFunctionModel, n: int) -> float:
 def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
     """Phi(0..n_max) in one pass; entry n equals sf_eval(model, n) bit for bit.
 
-    The recipe and the nonstd-q geometric sum carry their running values
-    from level to level; other variants evaluate level by level.  Each
-    entry is range-checked as in sf_eval, and nothing beyond level n_max
-    is evaluated (the recipe consults h and g up to n_max - 1 only).
+    The model's level builder does its per-model work once, and a plain
+    loop calls the level function it returns for n = 1..n_max.  Each entry
+    is range-checked as in sf_eval, an error names the first failing level,
+    and nothing beyond level n_max is evaluated (the recipe consults h and
+    g up to n_max - 1 only).
     """
     require_nonnegative(n_max=n_max)
-    stream = _LEVEL_STREAMS.get(model.variant)
-    evaluate = _EVALUATORS[model.variant]
-    levels = stream(model) if stream else (evaluate(model, n) for n in count(1))
     table = [0.0]
-    for n in range(1, n_max + 1):
-        try:
-            value = next(levels)
-        except OverflowError as exc:
-            raise _overflow(model, n) from exc
-        if not math.isfinite(value):
-            raise _overflow(model, n)
-        table.append(value)
-    return table
-
-
-def _recipe_levels(hg: HGPair) -> Iterator[float]:
-    # Phi(1), Phi(2), ...: the running products of Phi(n) are the prefix of
-    # those of Phi(n + 1); g(j), h(j) are consulted when Phi(j + 1) is asked
-    # for.  Overflow propagates untyped: the caller knows the level it asked.
-    h0 = hg.h(0)
-    if h0 == 0:
-        raise RecipeDivisionError("recipe division by zero: h(0) = 0")
-    ratio = 1.0  # g(n-1)!/h(n-1)! as a product of per-level ratios
-    partial = 1.0 / h0  # 1/h(0) + sum of h(j-1)!/g(j)!
-    term = 1.0  # running h(j-1)!/g(j)!
-    for j in count(1):
-        yield ratio * partial
-        gj = hg.g(j)
-        if gj == 0:
-            raise RecipeDivisionError(f"recipe division by zero: g({j}) = 0")
-        hj = hg.h(j)
-        if hj == 0:
-            raise RecipeDivisionError(f"recipe division by zero: h({j}) = 0")
-        term /= gj
-        partial += term
-        term *= hj
-        ratio *= gj / hj
+    if n_max == 0:
+        return table
+    try:
+        level = _LEVELS[model.variant](model)
+        for n in range(1, n_max + 1):
+            value = level(n)
+            if not math.isfinite(value):
+                break
+            table.append(value)
+        else:
+            return table
+    except OverflowError as exc:
+        raise _overflow(model, len(table)) from exc
+    raise _overflow(model, len(table))
 
 
 def sf_from_hg(hg: HGPair, n: int) -> float:
@@ -329,12 +334,6 @@ def sf_from_hg(hg: HGPair, n: int) -> float:
     """
     require_nonnegative(n=n)
     return sf_table(custom_hg(hg), n)[-1]
-
-
-_LEVEL_STREAMS = {
-    "custom-hg": lambda model: _recipe_levels(model.hg),
-    "nonstd-q": _nonstd_q_levels,
-}
 
 
 # --------------------------------------------------------------------------
@@ -364,15 +363,17 @@ def _ratio_pair(
     # shared by hg_for_qp_ha and hg_for_two_sided, so neither calls the other
     # int literals only, so Fraction arguments give exact Fraction values
     ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
-    per_level = callable(mu)  # a constant mu costs no call per evaluation
+    if callable(mu):
+        def h(n: int) -> float:
+            return half_qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - mu(n) / 2
+        def g(n: int) -> float:
+            return half_pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu(n) / 2
 
-    def h(n: int) -> float:
-        mu_n = mu(n) if per_level else mu
-        return half_qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - mu_n / 2
-
-    def g(n: int) -> float:
-        mu_n = mu(n) if per_level else mu
-        return half_pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu_n / 2
+    else:  # a constant mu costs no call per evaluation
+        def h(n: int) -> float:
+            return half_qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - mu / 2
+        def g(n: int) -> float:
+            return half_pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu / 2
 
     return HGPair(h, g, label=label)
 

@@ -144,7 +144,7 @@ def _xp_report(
     rep = build_xp(build_ladder(model, dim), ratio)
     rhs = np.ones(dim)
     if callable(mu):
-        mu = np.array([mu(n) for n in range(dim)], dtype=float)
+        mu = np.fromiter(map(mu, range(dim)), float, dim)
     if mu is not None:
         rhs += mu * hamiltonian(rep)
     x, p = scale * rep.x, scale * rep.p
@@ -166,8 +166,8 @@ def verify_hg(
     dim = rep.dim
     if rep.ladder.shape != (dim - 1,):
         raise DomainError("ladder matrices do not match the declared dimension")
-    h = np.array([hg.h(n) for n in range(dim)], dtype=float)
-    g = np.array([hg.g(n) for n in range(dim)], dtype=float)
+    h = np.fromiter(map(hg.h, range(dim)), float, dim)
+    g = np.fromiter(map(hg.g, range(dim)), float, dim)
     raise_side, lower_side = _ladder_products(rep)
     raise_then_lower = h * raise_side
     lower_then_raise = g * lower_side

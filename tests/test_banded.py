@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import defosc
 import dense_oracle
@@ -214,6 +215,62 @@ def test_phi_tables_are_bit_identical_to_per_level_evaluation(dim):
         assert build_ladder(model, dim).phi.tolist() == table
         if model.hg is not None:
             assert sf_from_hg(model.hg, dim) == table[-1]
+
+
+# every variant, over q, p log-uniform in [1e-3, 1e3] and mu in [-1, 1]
+SWEPT = {
+    "harmonic": lambda q, p, mu: harmonic(),
+    "arik-coon": lambda q, p, mu: arik_coon(q),
+    "biedenharn-macfarlane": lambda q, p, mu: biedenharn_macfarlane(q),
+    "cj": lambda q, p, mu: chakrabarti_jagannathan(q, p),
+    "jannussis-mu": lambda q, p, mu: jannussis_mu(mu),
+    "nonstd-q": lambda q, p, mu: nonstd_q(q),
+    "nonstd-qp": lambda q, p, mu: nonstd_qp(q, p),
+    "two-sided-equal": lambda q, p, mu: two_sided_equal_hg(q, p),
+    "two-sided": lambda q, p, mu: custom_hg(hg_for_two_sided(q, p, mu)),
+    "two-sided-mu(n)": lambda q, p, mu: custom_hg(
+        hg_for_two_sided(q, p, lambda n: mu / (1 + n))
+    ),
+}
+LOG_UNIFORM = st.floats(-3.0, 3.0).map(lambda exponent: 10.0**exponent)
+
+
+def _value_or_error(call):
+    try:
+        return call()
+    except defosc.DeformedAlgebraError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    name=st.sampled_from(sorted(SWEPT)),
+    q=LOG_UNIFORM,
+    p=st.one_of(LOG_UNIFORM, st.just(None)),
+    gap=st.floats(-1e-9, 1e-9),
+    mu=st.floats(-1.0, 1.0),
+    n_max=st.integers(0, 600),
+)
+@settings(max_examples=100, deadline=None)
+def test_sf_table_entries_are_sf_eval_over_the_parameter_domain(
+    name, q, p, gap, mu, n_max
+):
+    # p = None puts p inside the singular band |q - p| < 1e-9 max(q, p)
+    model = SWEPT[name](q, q * (1.0 + gap) if p is None else p, mu)
+    table = _value_or_error(lambda: sf_table(model, n_max))
+    if isinstance(table, list):
+        assert table == [sf_eval(model, n) for n in range(n_max + 1)]
+        return
+    # sf_table(model, k) raises exactly for k >= the first failing level
+    ok, failing = 0, n_max
+    while failing - ok > 1:
+        mid = (ok + failing) // 2
+        if isinstance(_value_or_error(lambda: sf_table(model, mid)), list):
+            ok = mid
+        else:
+            failing = mid
+    assert sf_table(model, ok) == [sf_eval(model, n) for n in range(ok + 1)]
+    assert _value_or_error(lambda: sf_eval(model, failing)) == table
+    assert _value_or_error(lambda: sf_table(model, failing)) == table
 
 
 def test_sf_table_consults_h_and_g_below_n_max_only():

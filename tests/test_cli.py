@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from defosc.cli import MODELS, main
-from defosc.structure import _EVALUATORS
+from defosc.structure import _LEVELS
 
 
 def run_cli(*argv):
@@ -121,7 +121,7 @@ def test_model_table_reaches_every_catalog_variant():
         .variant
         for constructor, flags in MODELS.values()
     }
-    assert variants == set(_EVALUATORS) - {"custom-hg"}
+    assert variants == set(_LEVELS) - {"custom-hg"}
 
 
 @pytest.mark.parametrize("command", ["sf", "spectrum"])

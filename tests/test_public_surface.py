@@ -18,7 +18,8 @@ def test_star_import_binds_exactly_the_exported_names():
 
 
 def test_operators_have_one_representation():
-    for name in ("CoefficientProfile", "ratio_profile"):
+    for name in ("CoefficientProfile", "ratio_profile", "HBAR"):
         assert not hasattr(defosc, name)
+    assert not hasattr(defosc.qp, "HBAR")  # unused: hbar = 1 is a convention
     for name in ("a_plus", "a_minus", "n_op", "x_op", "p_op"):
         assert not hasattr(FockRep, name)
