@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError, NegativeStructureFunctionError
+from .errors import DomainError, EvaluationOverflowError, NegativeStructureFunctionError
 from .qp import require_positive
 from .structure import StructureFunctionModel, sf_table
 
@@ -71,9 +71,15 @@ def build_xp(rep: FockRep, ratio: float) -> FockRep:
     p X P - q P X = i takes q/p and the two-sided relation qb/pb.  Both
     dressings are read off one array of ratio**k / sqrt(2), k < 2 dim - 1,
     whose powers are Python's pow (numpy's ** can differ in the last bit).
+    A power past the largest double raises EvaluationOverflowError.
     """
     require_positive(ratio=ratio)
-    powers = np.fromiter(map(pow, repeat(ratio), range(2 * rep.dim - 1)), float)
+    try:
+        powers = np.fromiter(map(pow, repeat(ratio), range(2 * rep.dim - 1)), float)
+    except OverflowError as exc:
+        raise EvaluationOverflowError(
+            f"X/P dressing ratio**k overflowed for ratio={ratio}, dim={rep.dim}"
+        ) from exc
     dressing = powers * _INV_SQRT2
     f, g = dressing[: rep.dim], dressing[::2]
     roots = rep.ladder

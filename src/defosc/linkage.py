@@ -6,65 +6,47 @@ Matching the two-sided coefficient pair to the target (h, g) =
 held constant, the matching value of mu (and of q) changes with the
 level N.  The formulas below express mu and q through each other along
 every route the matching admits.  Each is written once, with int
-literals only, so it fills the link table on floats and runs exactly on
-Fractions: check_link_consistency closes the loop that way and confirms
-that the target pair with the level-consistent q reproduces the deformed
+literals only, so on Fraction input it returns the exact Fraction.
+link_table and check_link_consistency run every row once that way: the
+printed columns are float() of the exact values, correctly rounded, and
+the loop-closure gaps compare those same exact values, confirming that
+the target pair with the level-consistent q reproduces the deformed
 integers [n] = (q**n - p**n)/(q - p).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import Iterator
 
-from .errors import EvaluationOverflowError, PoleError
-from .qp import qp_number, relative_gap, require_nonnegative, require_positive
+from .errors import DomainError, EvaluationOverflowError, PoleError
+from .qp import deformed_integers, relative_gap, require_nonnegative, require_positive
 from .structure import HGPair, custom_hg, hg_for_two_sided, sf_table
 from .verify import ResidualReport
 
 
-@dataclass(frozen=True)
-class LinkInput:
-    """Parameter sets of both relations plus the evaluation level.
-
-    qb, pb belong to the two-sided relation; q, p to the oscillator
-    target; level is the number-operator eigenvalue at which the
-    matching formulas are evaluated.
-    """
-
-    qb: float
-    pb: float
-    q: float
-    p: float
-    level: int
-
-    def __post_init__(self) -> None:
-        require_positive(qb=self.qb, pb=self.pb, p=self.p)
-        require_nonnegative(level=self.level)
-
-    @property
-    def ratio(self) -> float:
-        return self.qb / self.pb
-
-
-def mu_from_h_match(link: LinkInput) -> float:
+def mu_from_h_match(qb: float, pb: float, p: float, level: int) -> float:
     """mu forced by matching the a- a+ coefficient: h(N) = p**-N.
 
     mu = qb Q**(2N) (1 + Q**(2N+2)) - 2 p**-N,  Q = qb/pb.
     """
-    ratio, n = link.ratio, link.level
-    return link.qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - 2 * link.p ** (-n)
+    require_positive(qb=qb, pb=pb, p=p)
+    require_nonnegative(level=level)
+    ratio, n = qb / pb, level
+    return qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - 2 * p ** (-n)
 
 
-def mu_from_g_match(link: LinkInput) -> float:
+def mu_from_g_match(qb: float, pb: float, q: float, p: float, level: int) -> float:
     """mu forced by matching the a+ a- coefficient: g(N) = q p**-N.
 
     mu = 2 q p**-N - pb Q**(2N) (1 + Q**(2N-2)).
     """
-    ratio, n = link.ratio, link.level
-    return 2 * link.q * link.p ** (-n) - link.pb * ratio ** (2 * n) * (
-        1 + ratio ** (2 * n - 2)
-    )
+    require_positive(qb=qb, pb=pb, p=p)
+    require_nonnegative(level=level)
+    ratio, n = qb / pb, level
+    return 2 * q * p ** (-n) - pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2))
 
 
 def mu_from_q(qb: float, pb: float, q: float, level: int) -> float:
@@ -135,31 +117,57 @@ def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
 SF_LEVELS = 12
 
 
-def _exact_loop_gaps(qb: float, pb: float, p: float, level: int) -> list[float]:
+def _exact(**params: float) -> list[Fraction]:
+    # Fraction() of nan or inf raises a bare ValueError or OverflowError
+    require_positive(**params)
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"parameter {name} must be finite, got {value!r}")
+    return [Fraction(value) for value in params.values()]
+
+
+def _row(
+    qb: Fraction, pb: Fraction, p: Fraction, level: int
+) -> tuple[dict[str, Fraction], list[float]]:
     # The matching value of mu is (huge coefficient term) - 2 p**-N; at
     # deformed corners the two differ by more than 2**53, so a double
     # rounds the small term away and the inversion back to (q, p**N)
-    # divides by pure cancellation noise.  Every formula in the loop is a
-    # rational function of exactly representable inputs, so the closure
-    # is certified by running the same formulas on Fractions instead.
-    qb, pb, p = Fraction(qb), Fraction(pb), Fraction(p)
+    # divides by pure cancellation noise.  Every formula is a rational
+    # function of exactly representable inputs, so the row is computed
+    # on Fractions: the exact columns, and gaps 0-6 between them.
     q = q_from_p(qb, pb, p, level)
-    link = LinkInput(qb=qb, pb=pb, q=q, p=p, level=level)
-    mu = mu_from_h_match(link)
+    mu = mu_from_h_match(qb, pb, p, level)
+    mu_g = mu_from_g_match(qb, pb, q, p, level)
+    mu_q = mu_from_q(qb, pb, q, level)
     q_back, pn_back = q_and_pn_from_mu(qb, pb, mu, level)
     # a per-level mu keeps the label from printing mu, past 4300 digits a ValueError
     pair = hg_for_two_sided(qb, pb, lambda n: mu)
     pairs = (
-        (mu_from_g_match(link), mu),
-        (mu_from_q(qb, pb, q, level), mu),
+        (mu_g, mu),
+        (mu_q, mu),
         (q_from_mu(qb, pb, p, mu, level), q),
         (q_back, q),
         (pn_back, p**level),
         (pair.h(level), p**-level),
         (pair.g(level), q * p**-level),
     )
+    columns = dict(q=q, mu_h_match=mu, mu_g_match=mu_g, mu_from_q=mu_q, p_pow_n=pn_back)
     # a closed loop gives equal normalized Fractions, compared without a gcd
-    return [0.0 if a == b else float(relative_gap(a, b)) for a, b in pairs]
+    return columns, [0.0 if a == b else float(relative_gap(a, b)) for a, b in pairs]
+
+
+@contextmanager
+def _double_range(level: int) -> Iterator[None]:
+    # float() of an exact value, or a power of the target q in gap 7, past
+    # the largest double; the recipe's own typed error names its level
+    try:
+        yield
+    except EvaluationOverflowError:
+        raise
+    except OverflowError as exc:
+        raise EvaluationOverflowError(
+            f"linkage value leaves the double range at level={level}"
+        ) from exc
 
 
 def _exceeds_double_range(base: float, exponent: int) -> bool:
@@ -167,6 +175,19 @@ def _exceeds_double_range(base: float, exponent: int) -> bool:
         return base**exponent > 1e300
     except OverflowError:  # past the largest double, so out of range too
         return True
+
+
+def _recipe_gap(q: float, p: float) -> tuple[int, list[float]]:
+    # gap 7 and its depth; no gap when the target is no oscillator (q <= 0)
+    depth = SF_LEVELS if q > 0 else 0
+    while depth > 2 and _exceeds_double_range(max(q, p, 2.0), depth):
+        depth -= 1
+    if not depth:
+        return 0, []
+    target = HGPair(lambda n: p**-n, lambda n: q * p**-n, "oscillator-target")
+    table = sf_table(custom_hg(target), depth)
+    integers = deformed_integers(q, p)
+    return depth, [max(relative_gap(phi, integers(n)) for n, phi in enumerate(table))]
 
 
 def check_link_consistency(
@@ -187,37 +208,23 @@ def check_link_consistency(
       7  recipe over the target pair (p**-N, q p**-N) equals the deformed
          integers [n] for n = 0..SF_LEVELS (level-consistent constant q)
 
-    Gaps 0-6 run the public formulas above and hg_for_two_sided on
-    Fractions, so they are exact (see the note in _exact_loop_gaps: mu
-    absorbs terms whose spread exceeds the double mantissa at deformed
-    corners, so the float route cannot certify the closure there).  Gap 7
-    exercises the float recipe, which carries no cancellation.  The
-    matching q always exceeds -1 but can reach zero or negative values;
-    the target then no longer describes an oscillator, so gap 7 only runs
-    when q > 0 (q is validated before reuse).  All gaps are relative
-    against max(1, |values|); the depth of gap 7 is trimmed (to 2 at the
-    least) while max(q, p, 2)**depth exceeds 1e300 or overflows.  Any
-    other float overflow raises EvaluationOverflowError naming the level.
+    The row is computed once, on Fractions (the link_table row), so gaps
+    0-6 are exact: mu absorbs terms whose spread exceeds the double
+    mantissa at deformed corners, and no float route can certify the
+    closure there.  Gap 7 exercises the float recipe, which carries no
+    cancellation, at float() of the exact q.  The matching q always
+    exceeds -1 but can reach zero or negative values; the target then no
+    longer describes an oscillator, so gap 7 only runs when q > 0.  All
+    gaps are relative against max(1, |values|); the depth of gap 7 is
+    trimmed (to 2 at the least) while max(q, p, 2)**depth exceeds 1e300
+    or overflows.  qb, pb and p must be finite and positive.  A q, or
+    its square in gap 7, beyond double range raises
+    EvaluationOverflowError naming the level.
     """
-    gaps = _exact_loop_gaps(qb, pb, p, level)
-    try:
-        q = q_from_p(qb, pb, p, level)
-        depth = SF_LEVELS if q > 0 else 0
-        while depth > 2 and _exceeds_double_range(max(q, p, 2.0), depth):
-            depth -= 1
-        if depth:
-            target = HGPair(lambda n: p**-n, lambda n: q * p**-n, "oscillator-target")
-            table = sf_table(custom_hg(target), depth)
-            gaps.append(
-                max(relative_gap(phi, qp_number(n, q, p)) for n, phi in enumerate(table))
-            )
-    except EvaluationOverflowError:
-        raise
-    except OverflowError as exc:
-        raise EvaluationOverflowError(
-            f"link-consistency float check overflowed at level={level}"
-        ) from exc
-
+    columns, gaps = _row(*_exact(qb=qb, pb=pb, p=p), level)
+    with _double_range(level):
+        depth, recipe = _recipe_gap(float(columns["q"]), p)
+    gaps += recipe
     worst = max(gaps)
     return ResidualReport(
         relation=f"link-consistency(qb={qb},pb={pb},p={p},level={level})",
@@ -236,31 +243,21 @@ def link_table(
     """Per-level linkage table for levels 0..n_max.
 
     Each row carries the level, the level-consistent q, mu along all
-    three routes, the reconstructed p**N, and the loop-closure verdict.
-    A float overflow in a row raises EvaluationOverflowError naming the
+    three routes, the reconstructed p**N, and the loop-closure verdict of
+    check_link_consistency.  The row is computed once, on Fractions, and
+    each column is float() of its exact value, so every printed value is
+    correctly rounded; `consistent` compares those same exact values.  A
+    column beyond double range raises EvaluationOverflowError naming the
     level.
     """
     require_nonnegative(n_max=n_max)
+    exact = _exact(qb=qb, pb=pb, p=p)
     rows = []
     for level in range(n_max + 1):
-        try:
-            q = q_from_p(qb, pb, p, level)
-            link = LinkInput(qb=qb, pb=pb, q=q, p=p, level=level)
-            mu_h = mu_from_h_match(link)
-            row = dict(
-                n=level,
-                q=q,
-                mu_h_match=mu_h,
-                mu_g_match=mu_from_g_match(link),
-                mu_from_q=mu_from_q(qb, pb, q, level),
-                p_pow_n=q_and_pn_from_mu(qb, pb, mu_h, level)[1],
-                consistent=check_link_consistency(qb, pb, p, level, tol=tol).passed,
-            )
-        except EvaluationOverflowError:
-            raise
-        except OverflowError as exc:
-            raise EvaluationOverflowError(
-                f"link-table float row overflowed at level={level}"
-            ) from exc
+        columns, gaps = _row(*exact, level)
+        with _double_range(level):
+            row = {"n": level, **{key: float(value) for key, value in columns.items()}}
+            gaps += _recipe_gap(row["q"], p)[1]
+        row["consistent"] = max(gaps) <= tol
         rows.append(row)
     return rows

@@ -7,10 +7,11 @@ at q = p, where its value is m * q**(m - 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationOverflowError
 
 # Relative |q - p| gap below which qp_number switches to its analytic
 # limit, avoiding catastrophic cancellation in (q**m - p**m) / (q - p).
@@ -38,7 +39,7 @@ def relative_gap(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class DeformationParams:
-    """Deformation parameters (q, p, mu), with the derived ratio Q = q/p.
+    """Deformation parameters (q, p, mu).
 
     q and p must be strictly positive; mu is unrestricted.  p defaults
     to 1 (single-parameter deformations) and mu to 0.
@@ -50,10 +51,6 @@ class DeformationParams:
 
     def __post_init__(self) -> None:
         require_positive(q=self.q, p=self.p)
-
-    @property
-    def Q(self) -> float:
-        return self.q / self.p
 
 
 def deformed_integers(q: float, p: float) -> Callable[[int], float]:
@@ -73,16 +70,14 @@ def qp_number(m: int, q: float, p: float) -> float:
     Near the removable singularity q = p (relative gap below
     SINGULARITY_THRESHOLD) returns the limit m * mid**(m - 1) evaluated
     at the midpoint mid = (q + p) / 2.  deformed_integers(q, p) is the
-    same map with its per-(q, p) work done once.
+    same map with its per-(q, p) work done once.  A value beyond double
+    range raises EvaluationOverflowError.
     """
     require_nonnegative(m=m)
-    return deformed_integers(q, p)(m)
-
-
-def generalized_factorial(func: Callable[[int], float], n: int) -> float:
-    """Descending product func(n) * func(n-1) * ... * func(1); 1 for n = 0."""
-    require_nonnegative(n=n)
-    product = 1.0
-    for j in range(n, 0, -1):
-        product *= func(j)
-    return product
+    try:
+        value = deformed_integers(q, p)(m)
+    except OverflowError:  # a power past the largest double
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise EvaluationOverflowError(f"deformed integer [{m}] overflowed at q={q}, p={p}")

@@ -268,6 +268,11 @@ _LEVELS: dict[str, Callable[[StructureFunctionModel], _Level]] = {
 }
 
 
+# nonstd-qp divides by p (q/p)**n: a power underflowing to 0.0 there is
+# the overflow of the reciprocal, and is typed as one
+_OVERFLOWS = (OverflowError, ZeroDivisionError)
+
+
 def _overflow(model: StructureFunctionModel, n: int) -> EvaluationOverflowError:
     return EvaluationOverflowError(
         f"structure function {model.label or model.variant} overflowed at n={n}"
@@ -284,7 +289,7 @@ def sf_eval(model: StructureFunctionModel, n: int) -> float:
             value = sf_table(model, n)[-1]
         else:
             value = _LEVELS[model.variant](model)(n)
-    except OverflowError as exc:
+    except _OVERFLOWS as exc:
         raise _overflow(model, n) from exc
     if not math.isfinite(value):
         raise _overflow(model, n)
@@ -313,7 +318,7 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
             table.append(value)
         else:
             return table
-    except OverflowError as exc:
+    except _OVERFLOWS as exc:
         raise _overflow(model, len(table)) from exc
     raise _overflow(model, len(table))
 
@@ -424,23 +429,17 @@ def equal_hg_special_case(
         )
     ratio = qb / pb
 
-    def mu(n: int) -> float:
-        return (
-            0.5
-            * pb
-            * ratio ** (2 * n)
-            * ((ratio - 1.0) + ratio ** (2 * n - 2) * (ratio**5 - 1.0))
-        )
+    def scaled(n: int, factor: float, sign: float) -> float:
+        # factor pb Q**(2n) [Q + sign + Q**(2n-2) (Q**5 + sign)]
+        try:
+            tail = ratio ** (2 * n - 2) * (ratio**5 + sign)
+            return factor * pb * ratio ** (2 * n) * ((ratio + sign) + tail)
+        except OverflowError as exc:
+            raise EvaluationOverflowError(
+                f"equal-coefficient special case overflowed at n={n}, qb={qb}, pb={pb}"
+            ) from exc
 
-    def hg_value(n: int) -> float:
-        return (
-            0.25
-            * pb
-            * ratio ** (2 * n)
-            * ((ratio + 1.0) + ratio ** (2 * n - 2) * (ratio**5 + 1.0))
-        )
-
-    return mu, hg_value
+    return (lambda n: scaled(n, 0.5, -1.0)), (lambda n: scaled(n, 0.25, 1.0))
 
 
 def two_sided_equal_sf(qb: float, pb: float, n: int) -> float:
@@ -460,13 +459,16 @@ def two_sided_equal_sf(qb: float, pb: float, n: int) -> float:
     ratio = qb / pb
     if abs(ratio - 1.0) < EQUAL_CASE_LIMIT_THRESHOLD:
         return n / qb
-    head = 4.0 * ratio**2 / (pb * (1.0 + ratio**2) * (1.0 + ratio**3))
-    bracket = (1.0 - ratio ** (2 - 2 * n)) / (1.0 - ratio**2)
-    r5 = 1.0 + ratio**5
-    base = ratio**2 * (1.0 + ratio)
-    for j in range(1, n):
-        bracket += r5 / (base + ratio ** (2 * j) * r5)
-    value = head - 4.0 / (pb * (1.0 + ratio)) * bracket
+    try:
+        head = 4.0 * ratio**2 / (pb * (1.0 + ratio**2) * (1.0 + ratio**3))
+        bracket = (1.0 - ratio ** (2 - 2 * n)) / (1.0 - ratio**2)
+        r5 = 1.0 + ratio**5
+        base = ratio**2 * (1.0 + ratio)
+        for j in range(1, n):
+            bracket += r5 / (base + ratio ** (2 * j) * r5)
+        value = head - 4.0 / (pb * (1.0 + ratio)) * bracket
+    except OverflowError:  # a power past the largest double
+        value = math.inf
     if not math.isfinite(value):
         raise EvaluationOverflowError(
             f"equal-coefficient closed form overflowed at n={n}, qb={qb}, pb={pb}"

@@ -17,7 +17,6 @@ from contextlib import redirect_stdout
 
 from defosc import (
     HGPair,
-    LinkInput,
     NegativeStructureFunctionError,
     RecipeDivisionError,
     arik_coon,
@@ -229,8 +228,7 @@ def test_c07_linkage_loop_closure():
                     worst = max(worst, report.max_abs_residual)
     # the worked point: q = 37/8 and mu = 8 close the loop exactly
     assert q_from_p(2.0, 1.0, 1.0, 0) == 37.0 / 8.0
-    link = LinkInput(qb=2.0, pb=1.0, q=37.0 / 8.0, p=1.0, level=0)
-    assert mu_from_h_match(link) == 8.0
+    assert mu_from_h_match(2.0, 1.0, 1.0, 0) == 8.0
     assert mu_from_q(2.0, 1.0, 37.0 / 8.0, 0) == 8.0
     announce("C7", f"576 loop closures at 1e-10 (worst {worst:.2e}); worked point exact")
 
@@ -242,8 +240,8 @@ def test_c08_n_dependence_witness():
             if qb == pb:
                 continue
             for p in GRID:
-                mu0 = mu_from_h_match(LinkInput(qb=qb, pb=pb, q=1.0, p=p, level=0))
-                mu1 = mu_from_h_match(LinkInput(qb=qb, pb=pb, q=1.0, p=p, level=1))
+                mu0 = mu_from_h_match(qb, pb, p, 0)
+                mu1 = mu_from_h_match(qb, pb, p, 1)
                 gap = abs(mu1 - mu0)
                 smallest = min(smallest, gap)
                 assert gap > 1e-6
@@ -270,8 +268,7 @@ def test_c09_reduced_cases():
     qb = 1.3
     for p in (0.5, 2.0):
         for level in range(4):
-            q = q_from_p(qb, qb, p, level)
-            mu = mu_from_h_match(LinkInput(qb=qb, pb=qb, q=q, p=p, level=level))
+            mu = mu_from_h_match(qb, qb, p, level)
             worst = max(worst, rel_gap(mu, 2.0 * (qb - p**-level)))
     # q equal to the reciprocal ratio
     for qb, pb in [(2.0, 1.0), (0.5, 2.0), (1.1, 0.9)]:

@@ -6,6 +6,7 @@ import pytest
 
 from defosc.cli import MODELS, main
 from defosc.structure import _LEVELS
+from link_oracle import assert_rows_are_rounded_exact_values
 
 
 def run_cli(*argv):
@@ -58,6 +59,14 @@ def test_sf_rejects_bad_domain():
     code, _, err = run_cli("sf", "--model", "nonstd-q", "--q", "-1")
     assert code == 2
     assert "q" in err
+
+
+def test_sf_nonstd_qp_underflowing_power_exits_two():
+    code, out, err = run_cli(
+        "sf", "--model", "nonstd-qp", "--q", "1e-300", "--p", "1", "--n-max", "3"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.rstrip().endswith("overflowed at n=2")
 
 
 def test_sf_names_the_missing_parameter():
@@ -249,12 +258,34 @@ def test_link_ratio_one_mu_column():
         assert row["mu_h_match"] == pytest.approx(want, rel=1e-12)
 
 
-def test_link_pole_exits_two():
-    # at qb=2, pb=0.5, p=2 the float inversion loses the p-power term
-    # beyond the double mantissa and hits its declared pole
-    code, _, err = run_cli("link", "--qb", "2", "--pb", "0.5", "--p", "2", "--n-max", "8")
-    assert code == 2
-    assert "pole" in err.lower() or "denominator" in err.lower()
+@pytest.mark.parametrize(
+    "qb, pb, p, n_max",
+    [
+        # a float inversion loses the p-power term beyond the double
+        # mantissa here and divides by cancellation noise: a false pole
+        ("2", "0.5", "2", 8),
+        ("2", "1", "1", 13),
+    ],
+)
+def test_link_far_corner_prints_the_exact_table(qb, pb, p, n_max):
+    code, out, err = run_cli(
+        "link", "--qb", qb, "--pb", pb, "--p", p, "--n-max", str(n_max), "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [row["n"] for row in rows] == list(range(n_max + 1))
+    assert all(row["consistent"] for row in rows)
+    assert_rows_are_rounded_exact_values(float(qb), float(pb), float(p), rows)
+
+
+@pytest.mark.parametrize("flag", ["--qb", "--pb", "--p"])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_link_non_finite_parameter_exits_two(flag, bad):
+    argv = ["link", "--qb", "2", "--pb", "1", "--p", "1"]
+    argv[argv.index(flag) + 1] = bad
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and flag[2:] in err
 
 
 def test_link_overflow_exits_two():

@@ -7,6 +7,7 @@ import pytest
 import dense_oracle
 from defosc import (
     DomainError,
+    EvaluationOverflowError,
     NegativeStructureFunctionError,
     arik_coon,
     build_ladder,
@@ -185,6 +186,12 @@ def test_classical_position_momentum_forms():
 def test_first_position_matrix_element():
     rep = build_xp(build_ladder(harmonic(), 2), 1.0)
     assert rep.x[0, 0] == pytest.approx(INV_SQRT2, rel=1e-15)
+
+
+def test_build_xp_types_an_overflowing_dressing():
+    # 5.0**k leaves double range from k = 442, below 2 dim - 1 = 2999
+    with pytest.raises(EvaluationOverflowError, match=r"ratio=5.0, dim=1500$"):
+        build_xp(build_ladder(harmonic(), 1500), 5.0)
 
 
 def test_build_xp_returns_a_new_rep():

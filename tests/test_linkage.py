@@ -8,7 +8,6 @@ from defosc import (
     DomainError,
     EvaluationOverflowError,
     HGPair,
-    LinkInput,
     PoleError,
     check_link_consistency,
     hg_for_two_sided,
@@ -22,6 +21,7 @@ from defosc import (
     q_from_p,
 )
 from defosc import linkage
+from link_oracle import assert_rows_are_rounded_exact_values
 
 GRID = (0.5, 0.9, 1.1, 2.0)
 
@@ -40,9 +40,8 @@ def test_worked_point_q():
 
 
 def test_worked_point_mu_along_every_route():
-    link = LinkInput(qb=2.0, pb=1.0, q=4.625, p=1.0, level=0)
-    assert mu_from_h_match(link) == 8.0
-    assert mu_from_g_match(link) == 8.0
+    assert mu_from_h_match(2.0, 1.0, 1.0, 0) == 8.0
+    assert mu_from_g_match(2.0, 1.0, 4.625, 1.0, 0) == 8.0
     assert mu_from_q(2.0, 1.0, 4.625, 0) == 8.0
     assert q_from_mu(2.0, 1.0, 1.0, 8.0, 0) == 4.625
 
@@ -60,8 +59,7 @@ def test_worked_point_reaches_the_oscillator_target():
 
 
 def test_undeformed_point_gives_zero_mu():
-    link = LinkInput(qb=1.0, pb=1.0, q=1.0, p=1.0, level=3)
-    assert mu_from_h_match(link) == 0.0
+    assert mu_from_h_match(1.0, 1.0, 1.0, 3) == 0.0
     q, pn = q_and_pn_from_mu(1.0, 1.0, 0.0, 0)
     assert q == 1.0
     assert pn == 1.0
@@ -93,9 +91,8 @@ def test_float_routes_agree_where_well_conditioned():
     for qb, pb, p in [(1.1, 0.9, 1.1), (0.9, 1.1, 0.5), (2.0, 1.0, 1.0)]:
         for level in range(4):
             q = q_from_p(qb, pb, p, level)
-            link = LinkInput(qb=qb, pb=pb, q=q, p=p, level=level)
-            mu = mu_from_h_match(link)
-            assert rel_gap(mu_from_g_match(link), mu) <= 1e-10
+            mu = mu_from_h_match(qb, pb, p, level)
+            assert rel_gap(mu_from_g_match(qb, pb, q, p, level), mu) <= 1e-10
             assert rel_gap(mu_from_q(qb, pb, q, level), mu) <= 1e-10
             assert rel_gap(q_from_mu(qb, pb, p, mu, level), q) <= 1e-10
             q47, pn47 = q_and_pn_from_mu(qb, pb, mu, level)
@@ -112,8 +109,8 @@ def test_n_dependence_witness():
             if qb == pb:
                 continue
             for p in GRID:
-                mu0 = mu_from_h_match(LinkInput(qb=qb, pb=pb, q=1.0, p=p, level=0))
-                mu1 = mu_from_h_match(LinkInput(qb=qb, pb=pb, q=1.0, p=p, level=1))
+                mu0 = mu_from_h_match(qb, pb, p, 0)
+                mu1 = mu_from_h_match(qb, pb, p, 1)
                 assert abs(mu1 - mu0) > 1e-6
 
 
@@ -152,8 +149,7 @@ def test_ratio_one_mu_through_p_alone():
     qb = 1.3
     for p in (0.5, 2.0):
         for level in range(4):
-            q = q_from_p(qb, qb, p, level)
-            mu = mu_from_h_match(LinkInput(qb=qb, pb=qb, q=q, p=p, level=level))
+            mu = mu_from_h_match(qb, qb, p, level)
             want = 2.0 * (qb - p ** (-level))
             assert rel_gap(mu, want) <= 1e-12
 
@@ -164,7 +160,7 @@ def test_mu_vanishes_when_the_target_is_undeformed():
     level = 2
     p = qb ** (-1.0 / level)
     q = q_from_p(qb, pb, p, level)
-    mu = mu_from_h_match(LinkInput(qb=qb, pb=pb, q=q, p=p, level=level))
+    mu = mu_from_h_match(qb, pb, p, level)
     assert abs(mu) <= 1e-12
     assert rel_gap(q, 1.0) <= 1e-12
 
@@ -208,12 +204,24 @@ def test_inversion_pole():
 
 
 def test_link_input_validation():
-    with pytest.raises(DomainError):
-        LinkInput(qb=0.0, pb=1.0, q=1.0, p=1.0, level=0)
-    with pytest.raises(DomainError):
-        LinkInput(qb=1.0, pb=1.0, q=1.0, p=1.0, level=-1)
+    for qb, pb, p, level in [(0.0, 1.0, 1.0, 0), (1.0, 1.0, 0.0, 0), (1.0, 1.0, 1.0, -1)]:
+        with pytest.raises(DomainError):
+            mu_from_h_match(qb, pb, p, level)
+        with pytest.raises(DomainError):
+            mu_from_g_match(qb, pb, 1.0, p, level)
     with pytest.raises(DomainError):
         q_from_p(1.0, 1.0, 1.0, -2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slot", range(3))
+def test_non_finite_link_parameters_are_refused(bad, slot):
+    params = [2.0, 1.0, 1.0]
+    params[slot] = bad
+    with pytest.raises(DomainError, match=("qb", "pb", "p")[slot]):
+        check_link_consistency(*params, 0)
+    with pytest.raises(DomainError, match=("qb", "pb", "p")[slot]):
+        link_table(*params, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +262,11 @@ def test_link_table_types_a_float_overflow_with_its_level():
     assert all(row["consistent"] for row in rows)
 
 
-def test_link_table_passes_a_typed_overflow_through(monkeypatch):
-    def overflowing(*args, **kwargs):
-        raise EvaluationOverflowError("certificate overflowed at level=3")
-
-    monkeypatch.setattr(linkage, "check_link_consistency", overflowing)
-    with pytest.raises(EvaluationOverflowError, match="^certificate overflowed"):
-        link_table(1.1, 0.9, 1.1, 6)
+def test_link_table_passes_a_typed_overflow_through():
+    # the recipe's own typed error reaches the caller with its message
+    message = "^structure function oscillator-target overflowed at n=12$"
+    with pytest.raises(EvaluationOverflowError, match=message):
+        link_table(1.0, 1.0, 1e-30, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +292,15 @@ def _planted_typo(formula):
 
 @pytest.mark.parametrize(
     "name",
-    ["mu_from_g_match", "mu_from_q", "q_from_mu", "q_and_pn_from_mu", "hg_for_two_sided"],
+    [
+        "q_from_p",
+        "mu_from_h_match",
+        "mu_from_g_match",
+        "mu_from_q",
+        "q_from_mu",
+        "q_and_pn_from_mu",
+        "hg_for_two_sided",
+    ],
 )
 def test_planted_typo_fails_the_certificate(monkeypatch, name):
     monkeypatch.setattr(linkage, name, _planted_typo(getattr(linkage, name)))
@@ -299,14 +313,13 @@ def test_planted_typo_fails_the_certificate(monkeypatch, name):
 def test_formulas_stay_exact_on_fractions():
     qb, pb, p = Fraction(2), Fraction(1), Fraction(1)
     q = q_from_p(qb, pb, p, 0)
-    link = LinkInput(qb=qb, pb=pb, q=q, p=p, level=0)
-    mu = mu_from_h_match(link)
+    mu = mu_from_h_match(qb, pb, p, 0)
     q_back, pn = q_and_pn_from_mu(qb, pb, mu, 0)
     pair = hg_for_two_sided(qb, pb, mu)
     values = [
         q,
         mu,
-        mu_from_g_match(link),
+        mu_from_g_match(qb, pb, q, p, 0),
         mu_from_q(qb, pb, q, 0),
         q_from_mu(qb, pb, p, mu, 0),
         q_back,
@@ -319,6 +332,36 @@ def test_formulas_stay_exact_on_fractions():
     assert (q, mu, pn) == (Fraction(37, 8), 8, 1)
     assert values[2:7] == [8, 8, Fraction(37, 8), Fraction(37, 8), 1]
     assert (pair.h(0), pair.g(0)) == (1, Fraction(37, 8))
+
+
+# ---------------------------------------------------------------------------
+# the printed columns are the exact values, rounded once
+# ---------------------------------------------------------------------------
+
+
+@given(
+    qb=st.floats(-2, 2).map(lambda e: 10.0**e),
+    pb=st.floats(-2, 2).map(lambda e: 10.0**e),
+    p=st.floats(-2, 2).map(lambda e: 10.0**e),
+    n_max=st.integers(0, 40),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_printed_column_is_the_rounded_exact_value(qb, pb, p, n_max):
+    try:
+        rows = link_table(qb, pb, p, n_max)
+    except EvaluationOverflowError:  # a column or the recipe leaves double range
+        return
+    assert [row["n"] for row in rows] == list(range(n_max + 1))
+    assert_rows_are_rounded_exact_values(qb, pb, p, rows)
+
+
+def test_mild_parameters_print_exact_columns_to_level_64():
+    # a float route prints p_pow_n off by 41 % at level 40 here, and at
+    # level 42 divides by cancellation noise into a false PoleError
+    rows = link_table(1.1, 0.9, 1.1, 64)
+    assert len(rows) == 65
+    assert all(row["consistent"] for row in rows)
+    assert_rows_are_rounded_exact_values(1.1, 0.9, 1.1, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +379,7 @@ def test_recipe_depth_trim_survives_overflowing_powers(qb, level, depth):
 @pytest.mark.parametrize(
     "qb, p, level, message",
     [
-        (2.0, 1.0, 600, "link-consistency float check overflowed at level=600"),
+        (2.0, 1.0, 600, "linkage value leaves the double range at level=600"),
         # the recipe's own typed error keeps its message
         (1.0, 1e-30, 0, "structure function oscillator-target overflowed at n=12"),
     ],

@@ -1,7 +1,7 @@
 """The public names of the package: each exported once and importable."""
 
 import defosc
-from defosc import FockRep
+from defosc import DeformationParams, FockRep
 
 
 def test_every_exported_name_resolves_once():
@@ -23,3 +23,11 @@ def test_operators_have_one_representation():
     assert not hasattr(defosc.qp, "HBAR")  # unused: hbar = 1 is a convention
     for name in ("a_plus", "a_minus", "n_op", "x_op", "p_op"):
         assert not hasattr(FockRep, name)
+
+
+def test_unused_api_stays_removed():
+    for name in ("LinkInput", "generalized_factorial"):
+        assert not hasattr(defosc, name)
+    assert not hasattr(defosc.linkage, "LinkInput")  # formulas take plain arguments
+    assert not hasattr(defosc.qp, "generalized_factorial")  # the recipe runs products
+    assert not hasattr(DeformationParams, "Q")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defosc import DeformationParams, DomainError, generalized_factorial, qp_number
+from defosc import DeformationParams, DomainError, EvaluationOverflowError, qp_number
 from defosc.qp import relative_gap, require_nonnegative
 
 GRID = (0.5, 0.9, 1.1, 2.0)
@@ -89,7 +89,7 @@ def test_domain_errors():
 
 def test_deformation_params():
     params = DeformationParams(q=2.0, p=0.5, mu=0.3)
-    assert params.Q == 4.0
+    assert (params.q, params.p, params.mu) == (2.0, 0.5, 0.3)
     assert DeformationParams(q=1.5).p == 1.0
     assert DeformationParams(q=1.5).mu == 0.0
     with pytest.raises(DomainError):
@@ -98,13 +98,11 @@ def test_deformation_params():
         DeformationParams(q=1.0, p=0.0)
 
 
-def test_generalized_factorial():
-    assert generalized_factorial(lambda j: j, 0) == 1.0
-    assert generalized_factorial(lambda j: 99.0, 0) == 1.0
-    assert generalized_factorial(lambda j: j, 4) == 24.0
-    assert generalized_factorial(lambda j: 2.0, 3) == 8.0
-    with pytest.raises(DomainError):
-        generalized_factorial(lambda j: j, -1)
+def test_qp_number_types_an_overflow():
+    with pytest.raises(EvaluationOverflowError, match=r"^deformed integer \[2000\]"):
+        qp_number(2000, 2.0, 1.0)
+    with pytest.raises(EvaluationOverflowError):  # finite powers, infinite quotient
+        qp_number(1100, 1.9, 1.9 * (1 + 2e-9))
 
 
 def test_require_nonnegative_names_the_first_negative_parameter():

@@ -21,6 +21,7 @@ from defosc import (
     qp_number,
     sf_eval,
     sf_from_hg,
+    sf_table,
     spectrum,
     two_sided_equal_hg,
     two_sided_equal_sf,
@@ -130,6 +131,25 @@ def test_overflow_is_reported():
         sf_eval(arik_coon(2.0), 5000)
     with pytest.raises(EvaluationOverflowError):
         nonstd_qp_sf_explicit(600, 2.0, 0.5)
+
+
+def test_nonstd_qp_underflowing_power_is_a_typed_overflow():
+    # (q/p)**2 = 1e-600 underflows to 0.0 in the denominator p (q/p)**n
+    model = nonstd_qp(1e-300, 1.0)
+    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=2$"):
+        sf_table(model, 3)
+    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=2$"):
+        sf_eval(model, 2)
+    assert sf_table(model, 1) == [0.0, sf_eval(model, 1)]
+
+
+def test_equal_case_overflow_is_typed():
+    with pytest.raises(EvaluationOverflowError, match=r"closed form overflowed at n=2000"):
+        two_sided_equal_sf(0.5, 1.0, 2000)
+    mu_fn, hg_fn = equal_hg_special_case(1e3, 1e-3)
+    for fn in (mu_fn, hg_fn):
+        with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=40,"):
+            fn(40)
 
 
 def test_negative_level_rejected():
