@@ -57,7 +57,7 @@ def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
     if negative.size:
         level = int(negative[0])
         raise NegativeStructureFunctionError(
-            f"Phi({level}) = {phi[level]} < 0 for {model.label or model.variant}; "
+            f"Phi({level}) = {phi[level]} < 0 for {model.label}; "
             "ladder entries need real square roots"
         )
     return FockRep(dim=dim, phi=phi, ladder=np.sqrt(phi[1:dim]))

@@ -179,8 +179,9 @@ def _exceeds_double_range(base: float, exponent: int) -> bool:
 
 def _recipe_gap(q: float, p: float) -> tuple[int, list[float]]:
     # gap 7 and its depth; no gap when the target is no oscillator (q <= 0)
+    # or when max(q, p, 2) itself exceeds 1e300
     depth = SF_LEVELS if q > 0 else 0
-    while depth > 2 and _exceeds_double_range(max(q, p, 2.0), depth):
+    while depth and _exceeds_double_range(max(q, p, 2.0), depth):
         depth -= 1
     if not depth:
         return 0, []
@@ -216,10 +217,10 @@ def check_link_consistency(
     exceeds -1 but can reach zero or negative values; the target then no
     longer describes an oscillator, so gap 7 only runs when q > 0.  All
     gaps are relative against max(1, |values|); the depth of gap 7 is
-    trimmed (to 2 at the least) while max(q, p, 2)**depth exceeds 1e300
-    or overflows.  qb, pb and p must be finite and positive.  A q, or
-    its square in gap 7, beyond double range raises
-    EvaluationOverflowError naming the level.
+    trimmed while max(q, p, 2)**depth exceeds 1e300 or overflows, down
+    to 0, where gap 7 is left out.  qb, pb and p must be finite and
+    positive.  A q beyond double range raises EvaluationOverflowError
+    naming the level.
     """
     columns, gaps = _row(*_exact(qb=qb, pb=pb, p=p), level)
     with _double_range(level):

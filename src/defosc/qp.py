@@ -1,4 +1,4 @@
-"""Deformation parameters and two-parameter deformed integers.
+"""Parameter checks and two-parameter deformed integers.
 
 The deformed integer [m] = (q**m - p**m) / (q - p) reduces to m at
 q = p = 1 and interpolates smoothly across the removable singularity
@@ -8,7 +8,6 @@ at q = p, where its value is m * q**(m - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, EvaluationOverflowError
@@ -35,22 +34,6 @@ def require_nonnegative(**params: float) -> None:
 def relative_gap(a: float, b: float) -> float:
     """|a - b| relative to max(1, |a|, |b|); exact when a and b are Fractions."""
     return abs(a - b) / max(1, abs(a), abs(b))
-
-
-@dataclass(frozen=True)
-class DeformationParams:
-    """Deformation parameters (q, p, mu).
-
-    q and p must be strictly positive; mu is unrestricted.  p defaults
-    to 1 (single-parameter deformations) and mu to 0.
-    """
-
-    q: float
-    p: float = 1.0
-    mu: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_positive(q=self.q, p=self.p)
 
 
 def deformed_integers(q: float, p: float) -> Callable[[int], float]:

@@ -1,7 +1,9 @@
 """Structure functions of deformed oscillators.
 
 A deformed oscillator is fixed by its structure function Phi, through
-a+ a- = Phi(N) and a- a+ = Phi(N+1).  This module holds
+a+ a- = Phi(N) and a- a+ = Phi(N+1), so a model is a label and a way to
+build Phi: each constructor checks its parameters and stores the builder
+of its level function.  This module holds
 
 * the closed-form catalog: harmonic, Arik-Coon, Biedenharn-Macfarlane,
   Chakrabarti-Jagannathan, the Jannussis mu-oscillator, the nonstandard
@@ -20,22 +22,14 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .errors import (
-    DomainError,
-    EvaluationOverflowError,
-    RecipeDivisionError,
-)
-from .qp import (
-    DeformationParams,
-    deformed_integers,
-    qp_number,
-    require_nonnegative,
-    require_positive,
-)
+from .errors import DomainError, EvaluationOverflowError, RecipeDivisionError
+from .qp import deformed_integers, require_nonnegative, require_positive
 
 # |Q - 1| below this switches two_sided_equal_sf to its analytic limit
 # n / qb; the bracket term of the closed form is 0/0 at Q = 1.
 EQUAL_CASE_LIMIT_THRESHOLD = 1e-6
+
+_Level = Callable[[int], float]
 
 
 @dataclass(frozen=True)
@@ -53,103 +47,88 @@ class HGPair:
 
 @dataclass(frozen=True)
 class StructureFunctionModel:
-    """A tagged catalog entry or a custom coefficient pair defining Phi(n)."""
+    """A deformed oscillator: its label and the builder of its Phi.
 
-    variant: str
-    params: DeformationParams | None = None
-    hg: HGPair | None = None
-    label: str = ""
+    levels() does the model's per-model work once (constants, domain
+    checks, branch choices) and returns level(n) = Phi(n), n >= 1.  A
+    level function that carries running values from level to level
+    (nonstd-q, the recipe) takes any first n, catching up over the levels
+    below it, and then n in non-decreasing order; sf_table calls it for
+    n = 1, 2, ... in turn, one step per level.  A model equals only
+    itself: its levels callable compares by identity.
+    """
 
-    def __post_init__(self) -> None:
-        if self.variant not in _LEVELS:
-            raise DomainError(f"unknown structure-function variant {self.variant!r}")
-        if self.variant == "custom-hg" and self.hg is None:
-            raise DomainError("variant 'custom-hg' requires an HGPair")
+    label: str
+    levels: Callable[[], _Level]
 
 
 def harmonic() -> StructureFunctionModel:
     """Undeformed oscillator, Phi(n) = n."""
-    return StructureFunctionModel("harmonic", DeformationParams(1.0), label="harmonic")
+    return StructureFunctionModel("harmonic", lambda: float)
 
 
 def arik_coon(q: float) -> StructureFunctionModel:
     """Arik-Coon oscillator, Phi(n) = (q**n - 1) / (q - 1)."""
-    return StructureFunctionModel(
-        "arik-coon", DeformationParams(q), label=f"arik-coon(q={q})"
-    )
+    require_positive(q=q)
+    return StructureFunctionModel(f"arik-coon(q={q})", partial(deformed_integers, q, 1.0))
 
 
 def biedenharn_macfarlane(q: float) -> StructureFunctionModel:
     """Biedenharn-Macfarlane oscillator, Phi(n) = (q**n - q**-n) / (q - 1/q)."""
+    require_positive(q=q)
     return StructureFunctionModel(
-        "biedenharn-macfarlane",
-        DeformationParams(q),
-        label=f"biedenharn-macfarlane(q={q})",
+        f"biedenharn-macfarlane(q={q})", lambda: deformed_integers(q, 1.0 / q)
     )
 
 
 def chakrabarti_jagannathan(q: float, p: float = 1.0) -> StructureFunctionModel:
     """Two-parameter oscillator with the symmetric Phi(n) = [n] = (q**n - p**n)/(q - p)."""
+    require_positive(q=q, p=p)
     return StructureFunctionModel(
-        "chakrabarti-jagannathan",
-        DeformationParams(q, p),
-        label=f"chakrabarti-jagannathan(q={q},p={p})",
+        f"chakrabarti-jagannathan(q={q},p={p})", partial(deformed_integers, q, p)
     )
 
 
 def jannussis_mu(mu_tilde: float) -> StructureFunctionModel:
     """Jannussis mu-oscillator, Phi(n) = n / (1 + mu_tilde * n)."""
     return StructureFunctionModel(
-        "jannussis-mu",
-        DeformationParams(1.0, 1.0, mu_tilde),
-        label=f"jannussis-mu(mu_tilde={mu_tilde})",
+        f"jannussis-mu(mu_tilde={mu_tilde})", partial(_jannussis_mu_levels, mu_tilde)
     )
 
 
 def nonstd_q(q: float) -> StructureFunctionModel:
     """Nonstandard oscillator realizing the relation X P - q P X = i."""
-    return StructureFunctionModel(
-        "nonstd-q", DeformationParams(q), label=f"nonstd-q(q={q})"
-    )
+    require_positive(q=q)
+    return StructureFunctionModel(f"nonstd-q(q={q})", partial(_nonstd_q_levels, q))
 
 
 def nonstd_qp(q: float, p: float) -> StructureFunctionModel:
     """Nonstandard oscillator realizing the relation p X P - q P X = i."""
+    require_positive(q=q, p=p)
     return StructureFunctionModel(
-        "nonstd-qp", DeformationParams(q, p), label=f"nonstd-qp(q={q},p={p})"
+        f"nonstd-qp(q={q},p={p})", partial(_nonstd_qp_levels, q, p)
     )
 
 
 def two_sided_equal_hg(qb: float, pb: float) -> StructureFunctionModel:
     """Two-sided deformation in the special case of equal coefficient functions."""
+    require_positive(q=qb, p=pb)
     return StructureFunctionModel(
-        "two-sided-equal",
-        DeformationParams(qb, pb),
-        label=f"two-sided-equal(qb={qb},pb={pb})",
+        f"two-sided-equal(qb={qb},pb={pb})", lambda: partial(two_sided_equal_sf, qb, pb)
     )
 
 
 def custom_hg(hg: HGPair) -> StructureFunctionModel:
     """Oscillator defined by an explicit coefficient pair, Phi via the recipe."""
-    return StructureFunctionModel("custom-hg", hg=hg, label=hg.label or "custom-hg")
+    return StructureFunctionModel(hg.label or "custom-hg", partial(_recipe_levels, hg))
 
 
 # --------------------------------------------------------------------------
-# level builders
+# level builders: per-model work once, then level(n) = Phi(n), n >= 1
 # --------------------------------------------------------------------------
-#
-# _LEVELS[variant](model) does the model's per-model work once (constants,
-# domain checks, branch choices) and returns level(n) = Phi(n), n >= 1.
-# nonstd-q and the recipe carry running values from level to level, so they
-# take n in increasing order, the recipe n = 1, 2, ... in turn (sf_eval
-# reads its Phi(n) off the table).
-
-_Level = Callable[[int], float]
 
 
-def _jannussis_mu_levels(model: StructureFunctionModel) -> _Level:
-    mu = model.params.mu
-
+def _jannussis_mu_levels(mu: float) -> _Level:
     def level(n: int) -> float:
         denom = 1.0 + mu * n
         if denom <= 0:
@@ -162,11 +141,10 @@ def _jannussis_mu_levels(model: StructureFunctionModel) -> _Level:
     return level
 
 
-def _nonstd_q_levels(model: StructureFunctionModel) -> _Level:
+def _nonstd_q_levels(q: float) -> _Level:
     # (q**n - q**(1-n)) / (q - 1) is written through the geometric sum
     # sum_{k<2n-1} q**k, so the q -> 1 point needs no limit branch; each
     # level extends the sum of the one before by two terms.
-    q = model.params.q
     total, power, terms = 0.0, 1.0, 0
 
     def level(n: int) -> float:
@@ -182,9 +160,8 @@ def _nonstd_q_levels(model: StructureFunctionModel) -> _Level:
     return level
 
 
-def _nonstd_qp_levels(model: StructureFunctionModel) -> _Level:
-    p = model.params.p
-    ratio = model.params.q / p
+def _nonstd_qp_levels(q: float, p: float) -> _Level:
+    ratio = q / p
     odd = deformed_integers(ratio, 1.0)
 
     def level(n: int) -> float:
@@ -196,50 +173,27 @@ def _nonstd_qp_levels(model: StructureFunctionModel) -> _Level:
     return level
 
 
-def nonstd_qp_sf_explicit(n: int, q: float, p: float) -> float:
-    """Second printed form of the nonstandard two-parameter Phi(n).
-
-    Written directly in q and p (no ratio), it carries larger powers and
-    serves as an independent cross-check of the ratio-based evaluator.
-    """
-    require_nonnegative(n=n)
-    require_positive(q=q, p=p)
-    if n == 0:
-        return 0.0
-    try:
-        numerator = 2.0 * q ** (-n) * p ** (5 * n - 3)
-        denominator = (q ** (2 * n - 2) + p ** (2 * n - 2)) * (
-            q ** (2 * n) + p ** (2 * n)
-        )
-        bracket = 1.0 + qp_number(2 * n - 1, q, p) / (q * p) ** (n - 1)
-        value = numerator / denominator * bracket
-    except OverflowError as exc:
-        raise EvaluationOverflowError(
-            f"explicit two-parameter form overflowed at n={n}, q={q}, p={p}"
-        ) from exc
-    if not math.isfinite(value):
-        raise EvaluationOverflowError(
-            f"explicit two-parameter form overflowed at n={n}, q={q}, p={p}"
-        )
-    return value
-
-
-def _recipe_levels(model: StructureFunctionModel) -> _Level:
+def _recipe_levels(hg: HGPair) -> _Level:
     # The running products of Phi(n) are the prefix of those of Phi(n + 1);
-    # level n consults g(n-1) and h(n-1).  Overflow propagates untyped: the
-    # caller knows the level it asked for.
-    h, g = model.hg.h, model.hg.g
+    # level n consults g(n-1) and h(n-1).  A level passed over on the way to
+    # n is range-checked here, where sf_table would have stopped at it, so
+    # level(n) fails exactly when the table up to n does.  Overflow
+    # propagates untyped: the caller knows the level it asked for.
+    h, g = hg.h, hg.g
     h0 = h(0)
     if h0 == 0:
         raise RecipeDivisionError("recipe division by zero: h(0) = 0")
     ratio = 1.0  # g(n-1)!/h(n-1)! as a product of per-level ratios
     series = 1.0 / h0  # 1/h(0) + sum of h(j-1)!/g(j)!
     term = 1.0  # running h(j-1)!/g(j)!
+    done = 1  # the level the running values stand at
+    if not math.isfinite(series):  # Phi(1) = 1/h(0)
+        raise OverflowError
 
     def level(n: int) -> float:
-        nonlocal ratio, series, term
-        if n > 1:
-            j = n - 1
+        nonlocal ratio, series, term, done
+        while done < n:
+            j = done
             gj = g(j)
             if gj == 0:
                 raise RecipeDivisionError(f"recipe division by zero: g({j}) = 0")
@@ -250,22 +204,12 @@ def _recipe_levels(model: StructureFunctionModel) -> _Level:
             series += term
             term *= hj
             ratio *= gj / hj
+            done += 1
+            if done < n and not math.isfinite(ratio * series):
+                raise OverflowError
         return ratio * series
 
     return level
-
-
-_LEVELS: dict[str, Callable[[StructureFunctionModel], _Level]] = {
-    "harmonic": lambda m: float,
-    "arik-coon": lambda m: deformed_integers(m.params.q, 1.0),
-    "biedenharn-macfarlane": lambda m: deformed_integers(m.params.q, 1.0 / m.params.q),
-    "chakrabarti-jagannathan": lambda m: deformed_integers(m.params.q, m.params.p),
-    "jannussis-mu": _jannussis_mu_levels,
-    "nonstd-q": _nonstd_q_levels,
-    "nonstd-qp": _nonstd_qp_levels,
-    "two-sided-equal": lambda m: partial(two_sided_equal_sf, m.params.q, m.params.p),
-    "custom-hg": _recipe_levels,
-}
 
 
 # nonstd-qp divides by p (q/p)**n: a power underflowing to 0.0 there is
@@ -274,21 +218,20 @@ _OVERFLOWS = (OverflowError, ZeroDivisionError)
 
 
 def _overflow(model: StructureFunctionModel, n: int) -> EvaluationOverflowError:
-    return EvaluationOverflowError(
-        f"structure function {model.label or model.variant} overflowed at n={n}"
-    )
+    return EvaluationOverflowError(f"structure function {model.label} overflowed at n={n}")
 
 
 def sf_eval(model: StructureFunctionModel, n: int) -> float:
-    """Evaluate Phi(n) for a catalog entry; Phi(0) = 0 for every variant."""
+    """Phi(n) of a model, from a fresh model.levels(); Phi(0) = 0 for every model.
+
+    A value beyond double range, or one the recipe passes on its way to n,
+    raises EvaluationOverflowError naming n.
+    """
     require_nonnegative(n=n)
     if n == 0:
         return 0.0
     try:
-        if model.variant == "custom-hg":  # the recipe runs its table to n
-            value = sf_table(model, n)[-1]
-        else:
-            value = _LEVELS[model.variant](model)(n)
+        value = model.levels()(n)
     except _OVERFLOWS as exc:
         raise _overflow(model, n) from exc
     if not math.isfinite(value):
@@ -299,9 +242,9 @@ def sf_eval(model: StructureFunctionModel, n: int) -> float:
 def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
     """Phi(0..n_max) in one pass; entry n equals sf_eval(model, n) bit for bit.
 
-    The model's level builder does its per-model work once, and a plain
-    loop calls the level function it returns for n = 1..n_max.  Each entry
-    is range-checked as in sf_eval, an error names the first failing level,
+    model.levels() does the per-model work once, and a plain loop calls
+    the level function it returns for n = 1..n_max.  Each entry is
+    range-checked as in sf_eval, an error names the first failing level,
     and nothing beyond level n_max is evaluated (the recipe consults h and
     g up to n_max - 1 only).
     """
@@ -310,7 +253,7 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
     if n_max == 0:
         return table
     try:
-        level = _LEVELS[model.variant](model)
+        level = model.levels()
         for n in range(1, n_max + 1):
             value = level(n)
             if not math.isfinite(value):
@@ -433,11 +376,14 @@ def equal_hg_special_case(
         # factor pb Q**(2n) [Q + sign + Q**(2n-2) (Q**5 + sign)]
         try:
             tail = ratio ** (2 * n - 2) * (ratio**5 + sign)
-            return factor * pb * ratio ** (2 * n) * ((ratio + sign) + tail)
-        except OverflowError as exc:
-            raise EvaluationOverflowError(
-                f"equal-coefficient special case overflowed at n={n}, qb={qb}, pb={pb}"
-            ) from exc
+            value = factor * pb * ratio ** (2 * n) * ((ratio + sign) + tail)
+        except OverflowError:  # a power past the largest double
+            value = math.inf
+        if math.isfinite(value):  # a product past it is inf, not an error
+            return value
+        raise EvaluationOverflowError(
+            f"equal-coefficient special case overflowed at n={n}, qb={qb}, pb={pb}"
+        )
 
     return (lambda n: scaled(n, 0.5, -1.0)), (lambda n: scaled(n, 0.25, 1.0))
 

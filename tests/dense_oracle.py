@@ -47,7 +47,7 @@ def build_ladder(model: StructureFunctionModel, dim: int) -> DenseRep:
     if negative.size:
         level = int(negative[0])
         raise NegativeStructureFunctionError(
-            f"Phi({level}) = {phi[level]} < 0 for {model.label or model.variant}; "
+            f"Phi({level}) = {phi[level]} < 0 for {model.label}; "
             "ladder entries need real square roots"
         )
     roots = np.sqrt(phi[1:dim])

@@ -36,7 +36,6 @@ from defosc import (
     mu_from_q,
     nonstd_q,
     nonstd_qp,
-    nonstd_qp_sf_explicit,
     q_from_p,
     qp_number,
     run_limit_suite,
@@ -51,6 +50,7 @@ from defosc import (
     verify_two_sided,
 )
 from defosc.cli import main as cli_main
+from sf_oracle import nonstd_qp_sf_explicit
 
 GRID = (0.5, 0.9, 1.1, 2.0)
 DIMS = (8, 32, 64)

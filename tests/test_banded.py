@@ -201,20 +201,22 @@ MODELS = [
     nonstd_q(0.7),
     nonstd_qp(1.2, 0.9),
     two_sided_equal_hg(1.1, 1.0),
-    custom_hg(hg_for_q_ha(0.9)),
-    custom_hg(hg_for_two_sided(1.1, 0.95, 0.3)),
-    custom_hg(hg_for_two_sided(1.05, 1.0, MU_LEVELS)),
+]
+PAIRS = [
+    hg_for_q_ha(0.9),
+    hg_for_two_sided(1.1, 0.95, 0.3),
+    hg_for_two_sided(1.05, 1.0, MU_LEVELS),
 ]
 
 
 @pytest.mark.parametrize("dim", [32, 64, 256])
 def test_phi_tables_are_bit_identical_to_per_level_evaluation(dim):
-    for model in MODELS:
+    for model in MODELS + [custom_hg(pair) for pair in PAIRS]:
         table = sf_table(model, dim)
         assert table == [sf_eval(model, n) for n in range(dim + 1)], model.label
         assert build_ladder(model, dim).phi.tolist() == table
-        if model.hg is not None:
-            assert sf_from_hg(model.hg, dim) == table[-1]
+    for pair in PAIRS:
+        assert sf_from_hg(pair, dim) == sf_table(custom_hg(pair), dim)[-1]
 
 
 # every variant, over q, p log-uniform in [1e-3, 1e3] and mu in [-1, 1]

@@ -5,7 +5,17 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from defosc.cli import MODELS, main
-from defosc.structure import _LEVELS
+from defosc.structure import (
+    StructureFunctionModel,
+    arik_coon,
+    biedenharn_macfarlane,
+    chakrabarti_jagannathan,
+    harmonic,
+    jannussis_mu,
+    nonstd_q,
+    nonstd_qp,
+    two_sided_equal_hg,
+)
 from link_oracle import assert_rows_are_rounded_exact_values
 
 
@@ -125,12 +135,21 @@ def test_model_config_echo_and_missing_flags(model):
 
 
 def test_model_table_reaches_every_catalog_variant():
-    variants = {
-        constructor(*(1.5 if default is None else default for _, default in flags))
-        .variant
-        for constructor, flags in MODELS.values()
+    reached = set()
+    for constructor, flags in MODELS.values():
+        model = constructor(*(1.5 if default is None else default for _, default in flags))
+        assert isinstance(model, StructureFunctionModel)
+        reached.add(constructor)
+    assert reached == {
+        harmonic,
+        arik_coon,
+        biedenharn_macfarlane,
+        chakrabarti_jagannathan,
+        jannussis_mu,
+        nonstd_q,
+        nonstd_qp,
+        two_sided_equal_hg,
     }
-    assert variants == set(_LEVELS) - {"custom-hg"}
 
 
 @pytest.mark.parametrize("command", ["sf", "spectrum"])

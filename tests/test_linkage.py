@@ -377,6 +377,20 @@ def test_recipe_depth_trim_survives_overflowing_powers(qb, level, depth):
 
 
 @pytest.mark.parametrize(
+    "qb, pb, p, level, depth", [(0.1, 0.01, 10.0, 40, 1), (0.5, 0.1, 10.0, 80, 0)]
+)
+def test_recipe_depth_trim_goes_below_two(qb, pb, p, level, depth):
+    # q = 5.0e200 at the first point: q**2 leaves double range while q and
+    # the exact gaps 0-6 do not; at the second q itself exceeds 1e300, and
+    # depth 0 leaves gap 7 out
+    report = check_link_consistency(qb, pb, p, level)
+    assert report.passed
+    assert report.dim == depth
+    assert report.per_state == [(k, 0.0) for k in range(7 + (depth > 0))]
+    assert all(row["consistent"] for row in link_table(qb, pb, p, level))
+
+
+@pytest.mark.parametrize(
     "qb, p, level, message",
     [
         (2.0, 1.0, 600, "linkage value leaves the double range at level=600"),

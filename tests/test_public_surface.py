@@ -1,7 +1,9 @@
 """The public names of the package: each exported once and importable."""
 
+import dataclasses
+
 import defosc
-from defosc import DeformationParams, FockRep
+from defosc import FockRep, StructureFunctionModel
 
 
 def test_every_exported_name_resolves_once():
@@ -30,4 +32,14 @@ def test_unused_api_stays_removed():
         assert not hasattr(defosc, name)
     assert not hasattr(defosc.linkage, "LinkInput")  # formulas take plain arguments
     assert not hasattr(defosc.qp, "generalized_factorial")  # the recipe runs products
-    assert not hasattr(DeformationParams, "Q")
+    for name in ("DeformationParams", "nonstd_qp_sf_explicit"):
+        assert not hasattr(defosc, name)
+
+
+def test_a_model_is_its_label_and_its_levels():
+    assert not hasattr(defosc.qp, "DeformationParams")  # constructors check parameters
+    assert not hasattr(defosc.structure, "_LEVELS")  # a model carries its builder
+    assert not hasattr(defosc.structure, "nonstd_qp_sf_explicit")  # a test oracle now
+    fields = [field.name for field in dataclasses.fields(StructureFunctionModel)]
+    assert fields == ["label", "levels"]
+    assert not hasattr(defosc.harmonic(), "variant")

@@ -1,7 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defosc import DeformationParams, DomainError, EvaluationOverflowError, qp_number
+from defosc import (
+    DomainError,
+    EvaluationOverflowError,
+    arik_coon,
+    chakrabarti_jagannathan,
+    jannussis_mu,
+    qp_number,
+    sf_table,
+    two_sided_equal_hg,
+)
 from defosc.qp import relative_gap, require_nonnegative
 
 GRID = (0.5, 0.9, 1.1, 2.0)
@@ -88,14 +97,18 @@ def test_domain_errors():
 
 
 def test_deformation_params():
-    params = DeformationParams(q=2.0, p=0.5, mu=0.3)
-    assert (params.q, params.p, params.mu) == (2.0, 0.5, 0.3)
-    assert DeformationParams(q=1.5).p == 1.0
-    assert DeformationParams(q=1.5).mu == 0.0
-    with pytest.raises(DomainError):
-        DeformationParams(q=-1.0)
-    with pytest.raises(DomainError):
-        DeformationParams(q=1.0, p=0.0)
+    # each constructor checks its own parameters and keeps them in its label
+    assert chakrabarti_jagannathan(2.0, 0.5).label == "chakrabarti-jagannathan(q=2.0,p=0.5)"
+    assert jannussis_mu(0.3).label == "jannussis-mu(mu_tilde=0.3)"
+    assert sf_table(chakrabarti_jagannathan(1.5), 40) == sf_table(
+        chakrabarti_jagannathan(1.5, 1.0), 40
+    )
+    with pytest.raises(DomainError, match=r"^parameter q must be > 0, got -1$"):
+        arik_coon(-1)
+    with pytest.raises(DomainError, match=r"^parameter p must be > 0, got 0$"):
+        chakrabarti_jagannathan(1, 0)
+    with pytest.raises(DomainError, match=r"^parameter p must be > 0, got 0$"):
+        two_sided_equal_hg(1, 0)  # its check names q and p, not qb and pb
 
 
 def test_qp_number_types_an_overflow():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from defosc import (
@@ -17,7 +19,6 @@ from defosc import (
     jannussis_mu,
     nonstd_q,
     nonstd_qp,
-    nonstd_qp_sf_explicit,
     qp_number,
     sf_eval,
     sf_from_hg,
@@ -26,6 +27,7 @@ from defosc import (
     two_sided_equal_hg,
     two_sided_equal_sf,
 )
+from sf_oracle import nonstd_qp_sf_explicit
 
 GRID = (0.5, 0.9, 1.1, 2.0)
 
@@ -152,6 +154,17 @@ def test_equal_case_overflow_is_typed():
             fn(40)
 
 
+def test_equal_case_functions_never_return_inf():
+    # from n = 13 a product of finite powers passes the largest double,
+    # which a float product turns into inf where a power would raise
+    for fn in equal_hg_special_case(1e3, 1e-3):
+        assert math.isfinite(fn(12))
+        for n in (13, 25):
+            message = rf"^equal-coefficient special case overflowed at n={n}, qb=1000\.0,"
+            with pytest.raises(EvaluationOverflowError, match=message):
+                fn(n)
+
+
 def test_negative_level_rejected():
     with pytest.raises(DomainError):
         sf_eval(harmonic(), -1)
@@ -207,6 +220,42 @@ def test_recipe_overflow_at_the_first_level_is_typed():
     # h(0) = qb (1 + qb**2) / 2 overflows before any level is formed
     with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=1"):
         sf_from_hg(hg_for_two_sided(1e200, 1.0, 0.0), 1)
+
+
+CATCHING_UP = [
+    nonstd_q(1.3),
+    nonstd_q(0.7),
+    custom_hg(hg_for_two_sided(1.1, 0.95, 0.3)),
+    custom_hg(hg_for_two_sided(1.05, 1.0, equal_hg_special_case(1.05, 1.0)[0])),
+]
+
+
+@pytest.mark.parametrize("model", CATCHING_UP, ids=lambda model: model.label)
+def test_each_level_builder_catches_up(model):
+    # a level function carrying running values takes any n, not only n + 1
+    table = [value.hex() for value in sf_table(model, 19)]
+    level = model.levels()
+    assert [level(7).hex(), level(19).hex()] == [table[7], table[19]]
+    assert model.levels()(19).hex() == table[19]
+
+
+def test_recipe_range_checks_the_levels_it_passes_over():
+    # q-ha at q = 0.1 leaves double range at level 155, and g(162)
+    # underflows to 0.0 later: sf_eval stops where the table stops
+    model = custom_hg(hg_for_q_ha(0.1))
+    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=155$"):
+        sf_table(model, 400)
+    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=400$"):
+        sf_eval(model, 400)
+    with pytest.raises(OverflowError):
+        model.levels()(400)
+    # Phi(1) = 1/h(0) is already inf here, before g(1) = 0 is reached
+    tiny = custom_hg(HGPair(lambda n: 1e-320, lambda n: 0.0 if n == 1 else 1.0))
+    for call in (lambda: sf_table(tiny, 5), lambda: sf_eval(tiny, 1)):
+        with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=1$"):
+            call()
+    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=5$"):
+        sf_eval(tiny, 5)
 
 
 def test_recipe_stays_in_range_far_from_the_undeformed_point():
