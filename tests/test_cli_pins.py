@@ -3,7 +3,9 @@
 Each value is the sha256 of repr((exit code, stdout, stderr)) for the argv
 its key spells (split on spaces).  The argv cover sf and spectrum for every
 model, every verify relation, link and limits, each with its error paths
-(missing flags, bad domains, values past double range).  A refactor that
+(missing flags, bad domains, values past double range), plus --help for
+the program and each subcommand, an unknown relation, flags a command
+ignores but echoes, and flags a model ignores.  A refactor that
 keeps the CLI's output keeps every hash; a change that moves output on
 purpose re-pins exactly the argv it moves.
 """
@@ -157,6 +159,26 @@ PINS = {
         "3240939c9f3345cff98ea19ad25d93a731f8571b11985ab14d0837709b5930a1",
     "limits --format json --tolerance 1e-12":
         "14f7e6ab8446890694b27feea8c95fa5f0ab4255150da637e2784fc8a41e7e5e",
+    "--help":
+        "99e610ef3202d8f0aa4eda433324e36696cf8edd55836026876b3c37b3aa127c",
+    "sf --help":
+        "2c7c582041545f5a0155655278f0762481eee36327529a190c089f3ceb15e1fd",
+    "spectrum --help":
+        "b5f5eee8de71453f9b735ff7957390adfc0b9ce35e6e2427ec00496068a7745d",
+    "verify --help":
+        "08bd3a2d1d837862e794d2f39e23a819198e171aa6f3aa38310a718cf982636e",
+    "link --help":
+        "0bd7ffb563012f5735a469dba0b927ef1b4e6d047373408b4d60479d34c2ae7c",
+    "limits --help":
+        "fabd31a158f48acb7bb88f0ff9e3644326274998fda90308018077207b58ca79",
+    "verify --relation nope":
+        "b934e972ca73c13171da35b5615a3bed1a066cd572a4f15d45029d502edca9c9",
+    "verify --relation q-ha --q 1.1 --p 3 --mu-tilde 0.2":
+        "0357ebebb12636ad0ee3209f2e503cc0c99bcc0387191580f34c44b64b0b94d4",
+    "verify --relation hg --pb 1 --dim 8":
+        "d96f413751e1ad6879e2f23c445ab14f69c4e2db5020621786eef25b76cf0168",
+    "sf --model harmonic --q 2":
+        "afe397b52cc73fa3f58f53466d70590d565d5a42784a1c32874dc2ee0944db61",
 }
 
 
