@@ -2,7 +2,9 @@
 
 Subcommands: sf (structure-function table), spectrum (energy levels),
 verify (relation residual report), link (per-level parameter linkage),
-limits (reduction suite).  Output is CSV (configuration echoed as
+limits (reduction suite).  Each command returns its config echo, table
+header, rows and verdict; main alone renders them, writes the text to
+--out or stdout and picks the exit code.  Output is CSV (configuration echoed as
 leading # comment lines) or JSON ({"config": ..., "rows": ...}); every
 numeric cell is rendered with 17 significant digits so values
 round-trip exactly and repeated runs are byte-identical.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .errors import DeformedAlgebraError, DomainError
@@ -61,8 +64,6 @@ MODELS = {
     "two-sided-equal": (two_sided_equal_hg, (("qb", None), ("pb", None))),
 }
 
-RELATION_CHOICES = ("q-ha", "qp-ha", "two-sided", "hg", "commutator-sf")
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -77,20 +78,14 @@ def _fmt(value) -> str:
 def _json_value(value, indent: int) -> str:
     pad = " " * indent
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = [
             f'{pad}  {json.dumps(k)}: {_json_value(v, indent + 2)}'
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
         items = [f"{pad}  {_json_value(v, indent + 2)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if value is None:
-        return "null"
     if isinstance(value, (bool, int, float)):
         return _fmt(value)
     return json.dumps(value)
@@ -106,92 +101,77 @@ def _render(config: dict, header: list[str], rows: list[dict], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _require(args: argparse.Namespace, names: list[str], context: str) -> None:
+def _require(values: dict, names: tuple[str, ...], context: str) -> None:
     for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
+        if values[name.replace("-", "_")] is None:
             raise DomainError(f"{context} requires --{name}")
 
 
 def _build_model(args: argparse.Namespace) -> tuple[StructureFunctionModel, dict]:
     """The model named by --model, and its config echo."""
-    if args.model is None:
-        raise DomainError("this command requires --model")
+    _require(vars(args), ("model",), "this command")
     constructor, flags = MODELS[args.model]
     values = {}
     for flag, default in flags:
         key = flag.replace("-", "_")
         values[key] = default if getattr(args, key) is None else getattr(args, key)
-        if values[key] is None:
-            raise DomainError(f"model '{args.model}' requires --{flag}")
+    _require(values, tuple(flag for flag, _ in flags), f"model {args.model!r}")
     return constructor(*values.values()), {"model": args.model, **values}
 
 
-def _cmd_sf(args: argparse.Namespace) -> int:
-    model, model_config = _build_model(args)
-    config = {"command": "sf", **model_config}
-    config.update({"n_max": args.n_max, "format": args.format})
-    rows = [{"n": n, "phi": phi} for n, phi in enumerate(sf_table(model, args.n_max))]
-    _emit(_render(config, ["n", "phi"], rows, args.format), args.out)
-    return 0
+def _cmd_table(column: str, table, args: argparse.Namespace):
+    model, config = _build_model(args)
+    config["n_max"] = args.n_max
+    rows = [{"n": n, column: value} for n, value in enumerate(table(model, args.n_max))]
+    return config, ["n", column], rows, True
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    model, model_config = _build_model(args)
-    config = {"command": "spectrum", **model_config}
-    config.update({"n_max": args.n_max, "format": args.format})
-    energies = spectrum(model, args.n_max)
-    rows = [{"n": n, "energy": e} for n, e in enumerate(energies)]
-    _emit(_render(config, ["n", "energy"], rows, args.format), args.out)
-    return 0
+def _verify_hg(args: argparse.Namespace):
+    if args.qb is not None or args.pb is not None:
+        _require(vars(args), ("qb", "pb"), "relation 'hg' with two-sided parameters")
+        pair = hg_for_two_sided(args.qb, args.pb, args.mu)
+    else:
+        _require(vars(args), ("q",), "relation 'hg'")
+        pair = hg_for_q_ha(args.q) if args.p is None else hg_for_qp_ha(args.q, args.p)
+    rep = build_ladder(custom_hg(pair), args.dim)
+    return verify_hg(rep, pair, tol=args.tolerance, margin=args.margin)
 
 
-def _verify_report(args: argparse.Namespace):
-    relation = args.relation
-    if relation == "q-ha":
-        _require(args, ["q"], "relation 'q-ha'")
-        return verify_q_ha(args.q, dim=args.dim, tol=args.tolerance, margin=args.margin)
-    if relation == "qp-ha":
-        _require(args, ["q", "p"], "relation 'qp-ha'")
-        return verify_qp_ha(
-            args.q, args.p, dim=args.dim, tol=args.tolerance, margin=args.margin
-        )
-    if relation == "two-sided":
-        _require(args, ["qb", "pb"], "relation 'two-sided'")
-        return verify_two_sided(
-            args.qb,
-            args.pb,
-            args.mu,
-            dim=args.dim,
-            tol=args.tolerance,
-            margin=args.margin,
-            alt_pairing=args.alt_pairing,
-        )
-    if relation == "hg":
-        if args.qb is not None or args.pb is not None:
-            _require(args, ["qb", "pb"], "relation 'hg' with two-sided parameters")
-            pair = hg_for_two_sided(args.qb, args.pb, args.mu)
-        else:
-            _require(args, ["q"], "relation 'hg'")
-            q, p = args.q, args.p
-            pair = hg_for_q_ha(q) if p is None else hg_for_qp_ha(q, p)
-        rep = build_ladder(custom_hg(pair), args.dim)
-        return verify_hg(rep, pair, tol=args.tolerance, margin=args.margin)
-    if relation == "commutator-sf":
-        rep = build_ladder(_build_model(args)[0], args.dim)
-        return verify_commutator_sf(rep, tol=args.tolerance, margin=args.margin)
-    raise DomainError(f"unknown relation {relation!r}")
+def _verify_commutator_sf(args: argparse.Namespace):
+    rep = build_ladder(_build_model(args)[0], args.dim)
+    return verify_commutator_sf(rep, tol=args.tolerance, margin=args.margin)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    report = _verify_report(args)
-    config = {"command": "verify", "relation": args.relation}
+# relation name -> (flags it requires, check(args) -> ResidualReport).  The
+# checks look the verify functions up when they run, so a rebinding of this
+# module's names (perfbench's tracer) reaches them; hg and commutator-sf
+# check their own flags, which depend on the flags given.
+RELATIONS = {
+    "q-ha": (
+        ("q",),
+        lambda a: verify_q_ha(a.q, dim=a.dim, tol=a.tolerance, margin=a.margin),
+    ),
+    "qp-ha": (
+        ("q", "p"),
+        lambda a: verify_qp_ha(a.q, a.p, dim=a.dim, tol=a.tolerance, margin=a.margin),
+    ),
+    "two-sided": (
+        ("qb", "pb"),
+        lambda a: verify_two_sided(
+            a.qb, a.pb, a.mu, dim=a.dim, tol=a.tolerance, margin=a.margin,
+            alt_pairing=a.alt_pairing,
+        ),
+    ),
+    "hg": ((), _verify_hg),
+    "commutator-sf": ((), _verify_commutator_sf),
+}
+
+
+def _cmd_verify(args: argparse.Namespace):
+    required, check = RELATIONS[args.relation]
+    _require(vars(args), required, f"relation {args.relation!r}")
+    report = check(args)
+    config = {"relation": args.relation}
     for key in ("model", "q", "p", "qb", "pb"):
         value = getattr(args, key)
         if value is not None:
@@ -202,41 +182,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         config["mu_tilde"] = args.mu_tilde
     if args.relation == "two-sided":
         config["alt_pairing"] = args.alt_pairing
-    config.update(
-        {
-            "dim": args.dim,
-            "margin": args.margin,
-            "tolerance": args.tolerance,
-            "format": args.format,
-        }
-    )
+    config.update(dim=args.dim, margin=args.margin, tolerance=args.tolerance)
     row = report.as_dict()
-    _emit(_render(config, list(row.keys()), [row], args.format), args.out)
-    return 0 if report.passed else 1
+    return config, list(row), [row], report.passed
 
 
-def _cmd_link(args: argparse.Namespace) -> int:
-    config = {
-        "command": "link",
-        "qb": args.qb,
-        "pb": args.pb,
-        "p": args.p,
-        "n_max": args.n_max,
-        "tolerance": args.tolerance,
-        "format": args.format,
-    }
+def _cmd_link(args: argparse.Namespace):
     rows = link_table(args.qb, args.pb, args.p, args.n_max, tol=args.tolerance)
+    config = {key: getattr(args, key) for key in ("qb", "pb", "p", "n_max", "tolerance")}
     header = ["n", "q", "mu_h_match", "mu_g_match", "mu_from_q", "p_pow_n", "consistent"]
-    _emit(_render(config, header, rows, args.format), args.out)
-    return 0 if all(row["consistent"] for row in rows) else 1
+    return config, header, rows, all(row["consistent"] for row in rows)
 
 
-def _cmd_limits(args: argparse.Namespace) -> int:
-    config = {
-        "command": "limits",
-        "tolerance": args.tolerance,
-        "format": args.format,
-    }
+def _cmd_limits(args: argparse.Namespace):
     checks = run_limit_suite(tolerance=args.tolerance)
     rows = [
         {
@@ -248,8 +206,7 @@ def _cmd_limits(args: argparse.Namespace) -> int:
         for c in checks
     ]
     header = ["check", "max_deviation", "tolerance", "pass"]
-    _emit(_render(config, header, rows, args.format), args.out)
-    return 0 if all(c.passed for c in checks) else 1
+    return {"tolerance": args.tolerance}, header, rows, all(c.passed for c in checks)
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -274,20 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sf = sub.add_parser("sf", help="tabulate Phi(n)")
-    _add_model_options(sf)
-    sf.add_argument("--n-max", type=int, default=10)
-    _add_output_options(sf)
-    sf.set_defaults(run=_cmd_sf)
-
-    sp = sub.add_parser("spectrum", help="tabulate E(n) = (Phi(n+1)+Phi(n))/2")
-    _add_model_options(sp)
-    sp.add_argument("--n-max", type=int, default=10)
-    _add_output_options(sp)
-    sp.set_defaults(run=_cmd_spectrum)
+    for name, column, table, help_text in (
+        ("sf", "phi", sf_table, "tabulate Phi(n)"),
+        ("spectrum", "energy", spectrum, "tabulate E(n) = (Phi(n+1)+Phi(n))/2"),
+    ):
+        cmd = sub.add_parser(name, help=help_text)
+        _add_model_options(cmd)
+        cmd.add_argument("--n-max", type=int, default=10)
+        _add_output_options(cmd)
+        cmd.set_defaults(run=partial(_cmd_table, column, table))
 
     ver = sub.add_parser("verify", help="relation residual report")
-    ver.add_argument("--relation", choices=RELATION_CHOICES, required=True)
+    ver.add_argument("--relation", choices=tuple(RELATIONS), required=True)
     _add_model_options(ver)
     ver.add_argument("--mu", type=float, default=0.0)
     ver.add_argument("--dim", type=int, default=32)
@@ -319,13 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        config, header, rows, passed = args.run(args)
     except DeformedAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    config = {"command": args.command, **config, "format": args.format}
+    text = _render(config, header, rows, args.format)
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
