@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DomainError, EvaluationOverflowError, NegativeStructureFunctionError
-from .qp import require_positive
+from .qp import require_nonnegative_int, require_positive
 from .structure import StructureFunctionModel, sf_table
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -52,6 +52,7 @@ def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
     """Build the dim-dimensional ladder realization from one sf_table pass."""
     if dim < 2:
         raise DomainError(f"dim must be >= 2, got {dim}")
+    require_nonnegative_int(dim=dim)
     phi = np.array(sf_table(model, dim), dtype=float)
     negative = np.nonzero(phi < 0)[0]
     if negative.size:

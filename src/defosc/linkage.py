@@ -16,13 +16,15 @@ integers [n] = (q**n - p**n)/(q - p).
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DomainError, EvaluationOverflowError, PoleError
-from .qp import deformed_integers, relative_gap, require_nonnegative, require_positive
+from .errors import EvaluationOverflowError, PoleError
+from .qp import (
+    deformed_integers, relative_gap, require_finite, require_nonnegative,
+    require_nonnegative_int, require_positive,
+)
 from .structure import HGPair, custom_hg, hg_for_two_sided, sf_table
 from .verify import ResidualReport
 
@@ -33,7 +35,7 @@ def mu_from_h_match(qb: float, pb: float, p: float, level: int) -> float:
     mu = qb Q**(2N) (1 + Q**(2N+2)) - 2 p**-N,  Q = qb/pb.
     """
     require_positive(qb=qb, pb=pb, p=p)
-    require_nonnegative(level=level)
+    require_nonnegative_int(level=level)
     ratio, n = qb / pb, level
     return qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - 2 * p ** (-n)
 
@@ -44,7 +46,7 @@ def mu_from_g_match(qb: float, pb: float, q: float, p: float, level: int) -> flo
     mu = 2 q p**-N - pb Q**(2N) (1 + Q**(2N-2)).
     """
     require_positive(qb=qb, pb=pb, p=p)
-    require_nonnegative(level=level)
+    require_nonnegative_int(level=level)
     ratio, n = qb / pb, level
     return 2 * q * p ** (-n) - pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2))
 
@@ -55,7 +57,7 @@ def mu_from_q(qb: float, pb: float, q: float, level: int) -> float:
     mu = pb Q**(2N) [Q**(2N-2) (q Q**5 - 1) + q Q - 1] / (1 + q).
     """
     require_positive(qb=qb, pb=pb)
-    require_nonnegative(level=level)
+    require_nonnegative_int(level=level)
     if q == -1:
         raise PoleError("mu_from_q has a pole at q = -1")
     ratio, n = qb / pb, level
@@ -69,7 +71,7 @@ def q_from_p(qb: float, pb: float, p: float, level: int) -> float:
     q = -1 + pb p**N Q**(2N) [1 + Q + Q**(2N-2) (1 + Q**5)] / 2.
     """
     require_positive(qb=qb, pb=pb, p=p)
-    require_nonnegative(level=level)
+    require_nonnegative_int(level=level)
     ratio, n = qb / pb, level
     bracket = 1 + ratio + ratio ** (2 * n - 2) * (1 + ratio**5)
     return -1 + pb / 2 * p**n * ratio ** (2 * n) * bracket
@@ -78,7 +80,7 @@ def q_from_p(qb: float, pb: float, p: float, level: int) -> float:
 def q_from_mu(qb: float, pb: float, p: float, mu: float, level: int) -> float:
     """Target q through mu: q = p**N [mu + pb Q**(2N) (1 + Q**(2N-2))] / 2."""
     require_positive(qb=qb, pb=pb, p=p)
-    require_nonnegative(level=level)
+    require_nonnegative_int(level=level)
     ratio, n = qb / pb, level
     return p**n / 2 * (mu + pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)))
 
@@ -90,7 +92,7 @@ def q_and_pn_from_mu(qb: float, pb: float, mu: float, level: int) -> tuple[float
     p**N = 2 / [pb Q**(2N+1) (1 + Q**(2N+2)) - mu].
     """
     require_positive(qb=qb, pb=pb)
-    require_nonnegative(level=level)
+    require_nonnegative_int(level=level)
     ratio, n = qb / pb, level
     denominator = pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2)) - mu
     if denominator == 0:
@@ -107,7 +109,7 @@ def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
     mu = -2 + pb Q**(2N+1) (1 + Q**(2N+2)).
     """
     require_positive(qb=qb, pb=pb)
-    require_nonnegative(level=level)
+    require_nonnegative_int(level=level)
     ratio, n = qb / pb, level
     return -2 + pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2))
 
@@ -120,9 +122,7 @@ SF_LEVELS = 12
 def _exact(**params: float) -> list[Fraction]:
     # Fraction() of nan or inf raises a bare ValueError or OverflowError
     require_positive(**params)
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise DomainError(f"parameter {name} must be finite, got {value!r}")
+    require_finite(**params)
     return [Fraction(value) for value in params.values()]
 
 
@@ -222,7 +222,11 @@ def check_link_consistency(
     positive.  A q beyond double range raises EvaluationOverflowError
     naming the level.
     """
-    columns, gaps = _row(*_exact(qb=qb, pb=pb, p=p), level)
+    exact = _exact(qb=qb, pb=pb, p=p)
+    require_nonnegative(tolerance=tol)
+    require_nonnegative_int(level=level)
+    # a Fraction's power with a numpy integer exponent wraps in int64
+    columns, gaps = _row(*exact, int(level))
     with _double_range(level):
         depth, recipe = _recipe_gap(float(columns["q"]), p)
     gaps += recipe
@@ -251,8 +255,9 @@ def link_table(
     column beyond double range raises EvaluationOverflowError naming the
     level.
     """
-    require_nonnegative(n_max=n_max)
+    require_nonnegative_int(n_max=n_max)
     exact = _exact(qb=qb, pb=pb, p=p)
+    require_nonnegative(tolerance=tol)
     rows = []
     for level in range(n_max + 1):
         columns, gaps = _row(*exact, level)

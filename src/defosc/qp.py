@@ -8,6 +8,7 @@ at q = p, where its value is m * q**(m - 1).
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 from .errors import DomainError, EvaluationOverflowError
@@ -25,10 +26,30 @@ def require_positive(**params: float) -> None:
 
 
 def require_nonnegative(**params: float) -> None:
-    """Raise DomainError naming the first parameter that is < 0."""
+    """Raise DomainError naming the first parameter that is < 0 or nan."""
     for name, value in params.items():
-        if value < 0:
+        if not value >= 0:
             raise DomainError(f"{name} must be >= 0, got {value}")
+
+
+def require_nonnegative_int(**params: int) -> None:
+    """Raise DomainError naming the first parameter that is not an integer
+    >= 0; numpy integers pass, a float does not."""
+    for name, value in params.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    require_nonnegative(**params)
+
+
+def require_finite(**params: float | None) -> None:
+    """Raise DomainError naming the first parameter that is nan or infinite;
+    None (not given) passes.  Compared, not math.isfinite(), which overflows
+    on a Fraction beyond double range."""
+    for name, value in params.items():
+        if value is not None and not -math.inf < value < math.inf:
+            raise DomainError(f"parameter {name} must be finite, got {value!r}")
 
 
 def relative_gap(a: float, b: float) -> float:

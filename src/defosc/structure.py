@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable
 
 from .errors import DomainError, EvaluationOverflowError, RecipeDivisionError
-from .qp import deformed_integers, require_nonnegative, require_positive
+from .qp import deformed_integers, require_finite, require_nonnegative_int, require_positive
 
 # |Q - 1| below this switches two_sided_equal_sf to its analytic limit
 # n / qb; the bracket term of the closed form is 0/0 at Q = 1.
@@ -91,6 +91,7 @@ def chakrabarti_jagannathan(q: float, p: float = 1.0) -> StructureFunctionModel:
 
 def jannussis_mu(mu_tilde: float) -> StructureFunctionModel:
     """Jannussis mu-oscillator, Phi(n) = n / (1 + mu_tilde * n)."""
+    require_finite(mu_tilde=mu_tilde)
     return StructureFunctionModel(
         f"jannussis-mu(mu_tilde={mu_tilde})", partial(_jannussis_mu_levels, mu_tilde)
     )
@@ -227,7 +228,7 @@ def sf_eval(model: StructureFunctionModel, n: int) -> float:
     A value beyond double range, or one the recipe passes on its way to n,
     raises EvaluationOverflowError naming n.
     """
-    require_nonnegative(n=n)
+    require_nonnegative_int(n=n)
     if n == 0:
         return 0.0
     try:
@@ -248,7 +249,7 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
     and nothing beyond level n_max is evaluated (the recipe consults h and
     g up to n_max - 1 only).
     """
-    require_nonnegative(n_max=n_max)
+    require_nonnegative_int(n_max=n_max)
     table = [0.0]
     if n_max == 0:
         return table
@@ -280,7 +281,7 @@ def sf_from_hg(hg: HGPair, n: int) -> float:
     entry of sf_table(custom_hg(hg), n), so every level up to n is
     range-checked.
     """
-    require_nonnegative(n=n)
+    require_nonnegative_int(n=n)
     return sf_table(custom_hg(hg), n)[-1]
 
 
@@ -344,11 +345,14 @@ def hg_for_two_sided(
     h(n) = qb Q**(2n) (1 + Q**(2n+2)) / 2 - mu/2,
     g(n) = pb Q**(2n) (1 + Q**(2n-2)) / 2 + mu/2,  Q = qb/pb.
 
-    mu may be a constant or a per-level function of n (the equal-coefficient
-    special case needs the latter).  A zero of h or g arising for specific
-    mu is reported by sf_from_hg when the recipe consumes the pair.
+    mu may be a constant, which must be finite, or a per-level function of
+    n (the equal-coefficient special case needs the latter).  A zero of h
+    or g arising for specific mu is reported by sf_from_hg when the recipe
+    consumes the pair.
     """
     require_positive(qb=qb, pb=pb)
+    if not callable(mu):
+        require_finite(mu=mu)
     tag = "mu(n)" if callable(mu) else f"mu={mu}"
     return _ratio_pair(qb, pb, mu, label=f"two-sided(qb={qb},pb={pb},{tag})")
 
@@ -398,7 +402,7 @@ def two_sided_equal_sf(qb: float, pb: float, n: int) -> float:
     with Q = qb/pb; for |Q - 1| below EQUAL_CASE_LIMIT_THRESHOLD the
     whole expression is 0/0-ridden and the analytic limit n/qb is used.
     """
-    require_nonnegative(n=n)
+    require_nonnegative_int(n=n)
     require_positive(qb=qb, pb=pb)
     if n == 0:
         return 0.0
@@ -424,6 +428,6 @@ def two_sided_equal_sf(qb: float, pb: float, n: int) -> float:
 
 def spectrum(model: StructureFunctionModel, n_max: int) -> list[float]:
     """Energy levels E(n) = (Phi(n+1) + Phi(n)) / 2 for n = 0..n_max."""
-    require_nonnegative(n_max=n_max)
+    require_nonnegative_int(n_max=n_max)
     phi = sf_table(model, n_max + 1)
     return [0.5 * (phi[n + 1] + phi[n]) for n in range(n_max + 1)]

@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fock import FockRep, build_ladder, build_xp, hamiltonian
+from .qp import require_finite, require_nonnegative, require_nonnegative_int
 from .structure import (
     HGPair,
     StructureFunctionModel,
@@ -96,6 +97,8 @@ def _interior_report(
     tolerance: float,
     per_state: bool,
 ) -> ResidualReport:
+    require_nonnegative_int(margin=margin)
+    require_nonnegative(tolerance=tolerance)
     dim = residual.shape[1]
     keep = dim - margin
     if keep < 1:
@@ -191,6 +194,7 @@ def verify_q_ha(
     check_q overrides the coefficient used in the checked relation only
     (negative controls); the realization itself is always built from q.
     """
+    require_finite(check_q=check_q)
     cq = q if check_q is None else check_q
     label = f"q-ha(q={q},check_q={cq})"
     return _xp_report(label, nonstd_q(q), q, 1.0, cq, None, dim, margin, tol, per_state)
@@ -207,6 +211,7 @@ def verify_qp_ha(
     per_state: bool = False,
 ) -> ResidualReport:
     """Check p X P - q P X = i on the nonstandard two-parameter realization."""
+    require_finite(check_q=check_q, check_p=check_p)
     cq = q if check_q is None else check_q
     cp = p if check_p is None else check_p
     label = f"qp-ha(q={q},p={p},check_q={cq},check_p={cp})"
@@ -239,6 +244,8 @@ def verify_two_sided(
     measurement rather than an assumption.  mu may be a constant or a
     per-level function, entering as a diagonal operator either way.
     """
+    if not callable(check_mu):
+        require_finite(check_mu=check_mu)
     model = custom_hg(hg_for_two_sided(qb, pb, mu))
     ratio = qb / pb
     coeffs = (ratio, 1.0) if alt_pairing else (1.0, ratio)

@@ -1,10 +1,11 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from defosc.cli import MODELS, main
+from defosc.cli import MODELS, RELATIONS, main
 from defosc.structure import (
     StructureFunctionModel,
     arik_coon,
@@ -350,6 +351,24 @@ def test_out_writes_the_file(tmp_path):
     assert target.read_text().endswith("2,2\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sf", "--model", "harmonic", "--n-max", "2"),
+        ("spectrum", "--model", "arik-coon", "--q", "1.3", "--format", "json"),
+        ("verify", "--relation", "two-sided", "--qb", "1.1", "--pb", "0.95",
+         "--mu", "0.3", "--alt-pairing"),
+        ("link", "--qb", "2", "--pb", "1", "--p", "1", "--n-max", "3"),
+        ("limits", "--tolerance", "0"),
+    ],
+)
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path):
+    code, out, err = run_cli(*argv)
+    target = tmp_path / "out.txt"
+    assert run_cli(*argv, "--out", str(target)) == (code, "", err)
+    assert target.read_bytes() == out.encode()
+
+
 def test_numeric_cells_round_trip_exactly():
     _, out, _ = run_cli("sf", "--model", "cj", "--q", "1.7", "--p", "0.3", "--n-max", "6")
     from defosc import chakrabarti_jagannathan, sf_eval
@@ -378,3 +397,54 @@ def test_repeated_runs_are_byte_identical(argv):
     second = run_cli(*argv)
     assert first == second
     assert first[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# the relation table and impossible parameters
+# ---------------------------------------------------------------------------
+
+MISSING_FLAG = [
+    (["q-ha"], "relation 'q-ha' requires --q"),
+    (["qp-ha", "--p", "0.9"], "relation 'qp-ha' requires --q"),
+    (["qp-ha", "--q", "1.2"], "relation 'qp-ha' requires --p"),
+    (["two-sided", "--pb", "1"], "relation 'two-sided' requires --qb"),
+    (["two-sided", "--qb", "1.1"], "relation 'two-sided' requires --pb"),
+    (["hg"], "relation 'hg' requires --q"),
+    (["hg", "--p", "0.9"], "relation 'hg' requires --q"),
+    (["hg", "--pb", "1"], "relation 'hg' with two-sided parameters requires --qb"),
+    (["hg", "--qb", "1.1"], "relation 'hg' with two-sided parameters requires --pb"),
+    (["commutator-sf"], "this command requires --model"),
+    (["commutator-sf", "--model", "nonstd-qp", "--q", "1.2"],
+     "model 'nonstd-qp' requires --p"),
+]
+
+
+def test_relation_table_keeps_the_relation_order():
+    assert list(RELATIONS) == ["q-ha", "qp-ha", "two-sided", "hg", "commutator-sf"]
+    assert {argv[0] for argv, _ in MISSING_FLAG} == set(RELATIONS)
+
+
+@pytest.mark.parametrize("argv, message", MISSING_FLAG)
+def test_each_relation_names_its_missing_flag(argv, message):
+    assert run_cli("verify", "--relation", *argv, "--dim", "8") == (
+        2, "", f"error: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, parameter",
+    [
+        ("verify --relation q-ha --q 1.1 --tolerance nan", "tolerance"),
+        ("verify --relation q-ha --q 1.1 --tolerance -1", "tolerance"),
+        ("verify --relation q-ha --q 1.1 --margin -1", "margin"),
+        ("link --qb 1.1 --pb 1 --p 1 --tolerance nan", "tolerance"),
+        ("limits --tolerance nan", "tolerance"),
+        ("verify --relation two-sided --qb 1.1 --pb 1 --mu nan", "mu"),
+        ("verify --relation two-sided --qb 1.1 --pb 1 --mu inf", "mu"),
+        ("sf --model jannussis-mu --mu-tilde inf", "mu_tilde"),
+    ],
+)
+def test_impossible_parameters_exit_two_naming_the_parameter(argv, parameter):
+    code, out, err = run_cli(*argv.split())
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"error: (parameter )?{parameter} must be [^\n]*\n", err)

@@ -5,9 +5,10 @@ its key spells (split on spaces).  The argv cover sf and spectrum for every
 model, every verify relation, link and limits, each with its error paths
 (missing flags, bad domains, values past double range), plus --help for
 the program and each subcommand, an unknown relation, flags a command
-ignores but echoes, and flags a model ignores.  A refactor that
-keeps the CLI's output keeps every hash; a change that moves output on
-purpose re-pins exactly the argv it moves.
+ignores but echoes, flags a model ignores, and an impossible tolerance,
+margin, mu or mu_tilde.  A refactor that keeps the CLI's output keeps every
+hash; a change that moves output on purpose re-pins exactly the argv it
+moves.
 """
 
 import hashlib
@@ -179,6 +180,22 @@ PINS = {
         "d96f413751e1ad6879e2f23c445ab14f69c4e2db5020621786eef25b76cf0168",
     "sf --model harmonic --q 2":
         "afe397b52cc73fa3f58f53466d70590d565d5a42784a1c32874dc2ee0944db61",
+    "verify --relation q-ha --q 1.1 --tolerance nan":
+        "edf6f6ff892a36da2b789be3653630c55ae98a045ce4be0c7187189daf80b560",
+    "verify --relation q-ha --q 1.1 --tolerance -1":
+        "28478275c8e65f9ff02ef8361082cbf8f0b167530e7ce94444acb0582fde6dfa",
+    "verify --relation q-ha --q 1.1 --margin -1":
+        "59f7584c9373604ab88341755bacfad62c92f757015f864f2af2e9940ba9cb32",
+    "link --qb 1.1 --pb 1 --p 1 --tolerance nan":
+        "edf6f6ff892a36da2b789be3653630c55ae98a045ce4be0c7187189daf80b560",
+    "limits --tolerance nan":
+        "edf6f6ff892a36da2b789be3653630c55ae98a045ce4be0c7187189daf80b560",
+    "verify --relation two-sided --qb 1.1 --pb 1 --mu nan":
+        "33536c66dc1171a551d6c6fd5587eeba7df12863a0ee842853d4cfb54b3c67e0",
+    "verify --relation two-sided --qb 1.1 --pb 1 --mu inf":
+        "74ef6f18c3cbc7ca36f77e9c2deccaf74dcfb079b809df2643eff9d9c0a20814",
+    "sf --model jannussis-mu --mu-tilde inf":
+        "66fe40811d7f17178ad1bb3a5eee445b9e420721205353d42ef99de9ae665927",
 }
 
 

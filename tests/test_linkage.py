@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from defosc import (
     q_and_pn_from_mu,
     q_from_mu,
     q_from_p,
+    run_limit_suite,
 )
 from defosc import linkage
 from link_oracle import assert_rows_are_rounded_exact_values
@@ -222,6 +224,28 @@ def test_non_finite_link_parameters_are_refused(bad, slot):
         check_link_consistency(*params, 0)
     with pytest.raises(DomainError, match=("qb", "pb", "p")[slot]):
         link_table(*params, 3)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_impossible_link_tolerance_is_a_domain_error(tol):
+    with pytest.raises(DomainError, match=r"^tolerance must be >= 0"):
+        check_link_consistency(1.1, 1.0, 1.0, 3, tol=tol)
+    with pytest.raises(DomainError, match=r"^tolerance must be >= 0"):
+        link_table(1.1, 1.0, 1.0, 3, tol=tol)
+    with pytest.raises(DomainError, match=r"^tolerance must be >= 0"):
+        run_limit_suite(tolerance=tol)
+
+
+def test_link_levels_are_integers():
+    with pytest.raises(DomainError, match=r"^level must be an integer, got 2.5$"):
+        check_link_consistency(1.1, 1.0, 1.0, 2.5)
+    with pytest.raises(DomainError, match=r"^n_max must be an integer, got 2.5$"):
+        link_table(1.1, 1.0, 1.0, 2.5)
+    for formula in (lambda n: q_from_p(2.0, 1.0, 1.0, n), lambda n: mu_from_q(2, 1, 3, n)):
+        with pytest.raises(DomainError, match=r"^level must be an integer"):
+            formula(1.0)
+    assert link_table(1.1, 1.0, 1.0, np.int64(3)) == link_table(1.1, 1.0, 1.0, 3)
+    assert check_link_consistency(1.1, 1.0, 1.0, np.int64(3)).passed
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,8 @@ def test_require_nonnegative_names_the_first_negative_parameter():
     require_nonnegative(n=0, level=3)
     with pytest.raises(DomainError, match=r"^level must be >= 0, got -2$"):
         require_nonnegative(n=1, level=-2, n_max=-1)
-    require_nonnegative(n=float("nan"))  # only a value below 0 is refused
+    with pytest.raises(DomainError, match=r"^n must be >= 0, got nan$"):
+        require_nonnegative(n=float("nan"))  # nan is not >= 0 either
 
 
 def test_relative_gap_is_floored_at_one():

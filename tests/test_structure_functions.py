@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from defosc import (
@@ -458,3 +460,47 @@ def test_scaled_harmonic_spectrum_spacing():
 def test_spectrum_validates_n_max():
     with pytest.raises(DomainError):
         spectrum(harmonic(), -1)
+
+
+# ---------------------------------------------------------------------------
+# levels are integers, mu and mu_tilde finite
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("level", [2.5, 3.0, float("nan")])
+def test_levels_are_integers(level):
+    recipe = custom_hg(hg_for_q_ha(1.1))
+    calls = [
+        ("n", lambda: sf_eval(recipe, level)),
+        ("n", lambda: sf_eval(arik_coon(1.1), level)),
+        ("n_max", lambda: sf_table(recipe, level)),
+        ("n_max", lambda: spectrum(harmonic(), level)),
+        ("n", lambda: sf_from_hg(hg_for_q_ha(1.1), level)),
+        ("n", lambda: two_sided_equal_sf(1.1, 0.9, level)),
+    ]
+    for name, call in calls:
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer, got {level!r}$"):
+            call()
+
+
+def test_numpy_integer_levels_pass():
+    model = custom_hg(hg_for_q_ha(1.1))
+    assert sf_table(model, np.int64(6)) == sf_table(model, 6)
+    assert sf_eval(model, np.int64(6)) == sf_eval(model, 6)
+    assert spectrum(model, np.int32(4)) == spectrum(model, 4)
+    assert two_sided_equal_sf(1.1, 0.9, np.int64(3)) == two_sided_equal_sf(1.1, 0.9, 3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_mu_and_mu_tilde_are_domain_errors(bad):
+    with pytest.raises(DomainError, match=r"^parameter mu must be finite"):
+        hg_for_two_sided(1.1, 1.0, bad)
+    with pytest.raises(DomainError, match=r"^parameter mu_tilde must be finite"):
+        jannussis_mu(bad)
+
+
+def test_a_huge_exact_mu_is_finite():
+    # math.isfinite() would overflow converting this Fraction to a double
+    mu = Fraction(10) ** 400
+    pair = hg_for_two_sided(Fraction(2), Fraction(1), mu)
+    assert pair.h(0) == 1 + 4 - mu / 2

@@ -179,6 +179,60 @@ def test_margin_exhausting_the_block_is_rejected():
         verify_q_ha(1.5, dim=8, margin=8)
 
 
+def _every_check(**bounds):
+    # one call per verify function, each on a valid construction
+    pair = hg_for_q_ha(1.1)
+    return [
+        lambda: verify_q_ha(1.1, dim=8, **bounds),
+        lambda: verify_qp_ha(1.1, 0.9, dim=8, **bounds),
+        lambda: verify_two_sided(1.1, 1.0, 0.2, dim=8, **bounds),
+        lambda: verify_hg(build_ladder(custom_hg(pair), 8), pair, **bounds),
+        lambda: verify_commutator_sf(build_ladder(arik_coon(1.1), 8), **bounds),
+    ]
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"tol": float("nan")}, r"^tolerance must be >= 0, got nan$"),
+        ({"tol": -1.0}, r"^tolerance must be >= 0, got -1.0$"),
+        ({"margin": -1}, r"^margin must be >= 0, got -1$"),
+        ({"margin": 1.5}, r"^margin must be an integer, got 1.5$"),
+    ],
+)
+def test_impossible_tolerance_or_margin_is_a_domain_error(bounds, message):
+    for check in _every_check(**bounds):
+        with pytest.raises(DomainError, match=message):
+            check()
+
+
+def test_numpy_integer_bounds_and_infinite_tolerance_pass():
+    for check in _every_check(margin=np.int64(2), tol=float("inf")):
+        assert check().passed
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_control_coefficients_are_domain_errors(bad):
+    calls = [
+        ("check_q", lambda: verify_q_ha(1.1, dim=8, check_q=bad)),
+        ("check_q", lambda: verify_qp_ha(1.1, 0.9, dim=8, check_q=bad)),
+        ("check_p", lambda: verify_qp_ha(1.1, 0.9, dim=8, check_p=bad)),
+        ("check_mu", lambda: verify_two_sided(1.1, 1.0, 0.2, dim=8, check_mu=bad)),
+        ("mu", lambda: verify_two_sided(1.1, 1.0, bad, dim=8)),
+    ]
+    for name, call in calls:
+        with pytest.raises(DomainError, match=rf"^parameter {name} must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("dim", [8.0, 8.5, float("nan")])
+def test_dimension_must_be_an_integer(dim):
+    with pytest.raises(DomainError, match=r"^dim must be an integer, got "):
+        verify_q_ha(1.1, dim=dim)
+    with pytest.raises(DomainError, match=r"^dim must be an integer, got "):
+        build_ladder(arik_coon(1.1), dim)
+
+
 def test_dimension_mismatch_is_rejected():
     pair = hg_for_q_ha(1.5)
     rep = build_ladder(custom_hg(pair), 8)
