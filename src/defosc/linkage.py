@@ -6,7 +6,9 @@ Matching the two-sided coefficient pair to the target (h, g) =
 held constant, the matching value of mu (and of q) changes with the
 level N.  The formulas below express mu and q through each other along
 every route the matching admits.  Each is written once, with int
-literals only, so on Fraction input it returns the exact Fraction.
+literals only, so on Fraction input it returns the exact Fraction; the
+level is used as a Python int, because a Fraction raised to a numpy
+integer computes its numerator and denominator in wrapping int64.
 link_table and check_link_consistency run every row once that way: the
 printed columns are float() of the exact values, correctly rounded, and
 the loop-closure gaps compare those same exact values, confirming that
@@ -36,7 +38,7 @@ def mu_from_h_match(qb: float, pb: float, p: float, level: int) -> float:
     """
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
-    ratio, n = qb / pb, level
+    ratio, n = qb / pb, int(level)
     return qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - 2 * p ** (-n)
 
 
@@ -47,7 +49,7 @@ def mu_from_g_match(qb: float, pb: float, q: float, p: float, level: int) -> flo
     """
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
-    ratio, n = qb / pb, level
+    ratio, n = qb / pb, int(level)
     return 2 * q * p ** (-n) - pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2))
 
 
@@ -60,7 +62,7 @@ def mu_from_q(qb: float, pb: float, q: float, level: int) -> float:
     require_nonnegative_int(level=level)
     if q == -1:
         raise PoleError("mu_from_q has a pole at q = -1")
-    ratio, n = qb / pb, level
+    ratio, n = qb / pb, int(level)
     bracket = ratio ** (2 * n - 2) * (q * ratio**5 - 1) + q * ratio - 1
     return pb * ratio ** (2 * n) * bracket / (1 + q)
 
@@ -72,7 +74,7 @@ def q_from_p(qb: float, pb: float, p: float, level: int) -> float:
     """
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
-    ratio, n = qb / pb, level
+    ratio, n = qb / pb, int(level)
     bracket = 1 + ratio + ratio ** (2 * n - 2) * (1 + ratio**5)
     return -1 + pb / 2 * p**n * ratio ** (2 * n) * bracket
 
@@ -81,7 +83,7 @@ def q_from_mu(qb: float, pb: float, p: float, mu: float, level: int) -> float:
     """Target q through mu: q = p**N [mu + pb Q**(2N) (1 + Q**(2N-2))] / 2."""
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
-    ratio, n = qb / pb, level
+    ratio, n = qb / pb, int(level)
     return p**n / 2 * (mu + pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)))
 
 
@@ -93,7 +95,7 @@ def q_and_pn_from_mu(qb: float, pb: float, mu: float, level: int) -> tuple[float
     """
     require_positive(qb=qb, pb=pb)
     require_nonnegative_int(level=level)
-    ratio, n = qb / pb, level
+    ratio, n = qb / pb, int(level)
     denominator = pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2)) - mu
     if denominator == 0:
         raise PoleError(
@@ -110,7 +112,7 @@ def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
     """
     require_positive(qb=qb, pb=pb)
     require_nonnegative_int(level=level)
-    ratio, n = qb / pb, level
+    ratio, n = qb / pb, int(level)
     return -2 + pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2))
 
 
@@ -225,8 +227,7 @@ def check_link_consistency(
     exact = _exact(qb=qb, pb=pb, p=p)
     require_nonnegative(tolerance=tol)
     require_nonnegative_int(level=level)
-    # a Fraction's power with a numpy integer exponent wraps in int64
-    columns, gaps = _row(*exact, int(level))
+    columns, gaps = _row(*exact, int(level))  # int: see the module docstring
     with _double_range(level):
         depth, recipe = _recipe_gap(float(columns["q"]), p)
     gaps += recipe

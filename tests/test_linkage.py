@@ -245,7 +245,11 @@ def test_link_levels_are_integers():
         with pytest.raises(DomainError, match=r"^level must be an integer"):
             formula(1.0)
     assert link_table(1.1, 1.0, 1.0, np.int64(3)) == link_table(1.1, 1.0, 1.0, 3)
-    assert check_link_consistency(1.1, 1.0, 1.0, np.int64(3)).passed
+    exact = (Fraction(11, 10), Fraction(1), Fraction(1))
+    assert q_from_p(*exact, np.int64(30)) == q_from_p(*exact, 30)
+    report = check_link_consistency(1.1, 1.0, 1.0, np.int64(3))
+    assert report == check_link_consistency(1.1, 1.0, 1.0, 3)
+    assert report.passed
 
 
 # ---------------------------------------------------------------------------
