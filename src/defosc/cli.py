@@ -126,8 +126,12 @@ def _cmd_table(column: str, table, args: argparse.Namespace):
     return config, ["n", column], rows, True
 
 
+def _hg_flags(args: argparse.Namespace) -> tuple[str, ...]:
+    return ("qb", "pb", "mu") if args.qb is not None or args.pb is not None else ("q", "p")
+
+
 def _verify_hg(args: argparse.Namespace):
-    if args.qb is not None or args.pb is not None:
+    if "qb" in _hg_flags(args):
         _require(vars(args), ("qb", "pb"), "relation 'hg' with two-sided parameters")
         pair = hg_for_two_sided(args.qb, args.pb, args.mu)
     else:
@@ -142,10 +146,11 @@ def _verify_commutator_sf(args: argparse.Namespace):
     return verify_commutator_sf(rep, tol=args.tolerance, margin=args.margin)
 
 
-# relation name -> (flags it requires, check(args) -> ResidualReport).  The
-# checks look the verify functions up when they run, so a rebinding of this
-# module's names (perfbench's tracer) reaches them; hg and commutator-sf
-# check their own flags, which depend on the flags given.
+# relation name -> (flags it reads, check(args) -> ResidualReport); the flags
+# are required, and echoed when given.  The flags hg and commutator-sf read
+# depend on the flags given: a function of args names them, and their checks
+# require them.  The checks look the verify functions up when they run, so a
+# rebinding of this module's names (perfbench's tracer) reaches them.
 RELATIONS = {
     "q-ha": (
         ("q",),
@@ -156,32 +161,31 @@ RELATIONS = {
         lambda a: verify_qp_ha(a.q, a.p, dim=a.dim, tol=a.tolerance, margin=a.margin),
     ),
     "two-sided": (
-        ("qb", "pb"),
+        ("qb", "pb", "mu", "alt-pairing"),
         lambda a: verify_two_sided(
             a.qb, a.pb, a.mu, dim=a.dim, tol=a.tolerance, margin=a.margin,
             alt_pairing=a.alt_pairing,
         ),
     ),
-    "hg": ((), _verify_hg),
-    "commutator-sf": ((), _verify_commutator_sf),
+    "hg": (_hg_flags, _verify_hg),
+    "commutator-sf": (
+        lambda a: ("model", *(flag for flag, _ in MODELS[a.model][1])),
+        _verify_commutator_sf,
+    ),
 }
 
 
 def _cmd_verify(args: argparse.Namespace):
-    required, check = RELATIONS[args.relation]
-    _require(vars(args), required, f"relation {args.relation!r}")
-    report = check(args)
+    flags, check = RELATIONS[args.relation]
+    if callable(flags):
+        report, flags = check(args), flags(args)
+    else:
+        _require(vars(args), flags, f"relation {args.relation!r}")
+        report = check(args)
     config = {"relation": args.relation}
-    for key in ("model", "q", "p", "qb", "pb"):
-        value = getattr(args, key)
-        if value is not None:
-            config[key] = value
-    if args.relation in ("two-sided", "hg"):
-        config["mu"] = args.mu
-    if args.mu_tilde is not None:
-        config["mu_tilde"] = args.mu_tilde
-    if args.relation == "two-sided":
-        config["alt_pairing"] = args.alt_pairing
+    for key in (flag.replace("-", "_") for flag in flags):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     config.update(dim=args.dim, margin=args.margin, tolerance=args.tolerance)
     row = report.as_dict()
     return config, list(row), [row], report.passed

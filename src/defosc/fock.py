@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError, EvaluationOverflowError, NegativeStructureFunctionError
+from .errors import DomainError, NegativeStructureFunctionError, double_range
 from .qp import require_nonnegative_int, require_positive
 from .structure import StructureFunctionModel, sf_table
 
@@ -75,12 +75,10 @@ def build_xp(rep: FockRep, ratio: float) -> FockRep:
     A power past the largest double raises EvaluationOverflowError.
     """
     require_positive(ratio=ratio)
-    try:
+    with double_range(
+        lambda: f"X/P dressing ratio**k overflowed for ratio={ratio}, dim={rep.dim}"
+    ):
         powers = np.fromiter(map(pow, repeat(ratio), range(2 * rep.dim - 1)), float)
-    except OverflowError as exc:
-        raise EvaluationOverflowError(
-            f"X/P dressing ratio**k overflowed for ratio={ratio}, dim={rep.dim}"
-        ) from exc
     dressing = powers * _INV_SQRT2
     f, g = dressing[: rep.dim], dressing[::2]
     roots = rep.ladder

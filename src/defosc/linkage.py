@@ -13,22 +13,25 @@ link_table and check_link_consistency run every row once that way: the
 printed columns are float() of the exact values, correctly rounded, and
 the loop-closure gaps compare those same exact values, confirming that
 the target pair with the level-consistent q reproduces the deformed
-integers [n] = (q**n - p**n)/(q - p).
+integers [n] = (q**n - p**n)/(q - p).  On floats, a value past double range
+raises EvaluationOverflowError naming the formula and the level.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterator
 
-from .errors import EvaluationOverflowError, PoleError
+from .errors import PoleError, double_range, finite
 from .qp import (
     deformed_integers, relative_gap, require_finite, require_nonnegative,
     require_nonnegative_int, require_positive,
 )
 from .structure import HGPair, custom_hg, hg_for_two_sided, sf_table
 from .verify import ResidualReport
+
+
+def _double_range(what: str, level: int):
+    return double_range(lambda: f"{what} leaves the double range at level={level}")
 
 
 def mu_from_h_match(qb: float, pb: float, p: float, level: int) -> float:
@@ -39,7 +42,8 @@ def mu_from_h_match(qb: float, pb: float, p: float, level: int) -> float:
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
-    return qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - 2 * p ** (-n)
+    with _double_range("mu_from_h_match", level):
+        return finite(qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - 2 * p**-n)
 
 
 def mu_from_g_match(qb: float, pb: float, q: float, p: float, level: int) -> float:
@@ -50,7 +54,8 @@ def mu_from_g_match(qb: float, pb: float, q: float, p: float, level: int) -> flo
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
-    return 2 * q * p ** (-n) - pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2))
+    with _double_range("mu_from_g_match", level):
+        return finite(2 * q * p**-n - pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)))
 
 
 def mu_from_q(qb: float, pb: float, q: float, level: int) -> float:
@@ -63,8 +68,9 @@ def mu_from_q(qb: float, pb: float, q: float, level: int) -> float:
     if q == -1:
         raise PoleError("mu_from_q has a pole at q = -1")
     ratio, n = qb / pb, int(level)
-    bracket = ratio ** (2 * n - 2) * (q * ratio**5 - 1) + q * ratio - 1
-    return pb * ratio ** (2 * n) * bracket / (1 + q)
+    with _double_range("mu_from_q", level):
+        bracket = ratio ** (2 * n - 2) * (q * ratio**5 - 1) + q * ratio - 1
+        return finite(pb * ratio ** (2 * n) * bracket / (1 + q))
 
 
 def q_from_p(qb: float, pb: float, p: float, level: int) -> float:
@@ -75,8 +81,9 @@ def q_from_p(qb: float, pb: float, p: float, level: int) -> float:
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
-    bracket = 1 + ratio + ratio ** (2 * n - 2) * (1 + ratio**5)
-    return -1 + pb / 2 * p**n * ratio ** (2 * n) * bracket
+    with _double_range("q_from_p", level):
+        bracket = 1 + ratio + ratio ** (2 * n - 2) * (1 + ratio**5)
+        return finite(-1 + pb / 2 * p**n * ratio ** (2 * n) * bracket)
 
 
 def q_from_mu(qb: float, pb: float, p: float, mu: float, level: int) -> float:
@@ -84,7 +91,8 @@ def q_from_mu(qb: float, pb: float, p: float, mu: float, level: int) -> float:
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
-    return p**n / 2 * (mu + pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)))
+    with _double_range("q_from_mu", level):
+        return finite(p**n / 2 * (mu + pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2))))
 
 
 def q_and_pn_from_mu(qb: float, pb: float, mu: float, level: int) -> tuple[float, float]:
@@ -96,13 +104,14 @@ def q_and_pn_from_mu(qb: float, pb: float, mu: float, level: int) -> tuple[float
     require_positive(qb=qb, pb=pb)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
-    denominator = pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2)) - mu
-    if denominator == 0:
-        raise PoleError(
-            f"q_and_pn_from_mu denominator vanishes at mu={mu}, level={level}"
-        )
-    numerator = pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu
-    return numerator / denominator, 2 / denominator
+    with _double_range("q_and_pn_from_mu", level):
+        denominator = pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2)) - mu
+        if denominator == 0:
+            raise PoleError(
+                f"q_and_pn_from_mu denominator vanishes at mu={mu}, level={level}"
+            )
+        numerator = pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu
+        return finite(numerator / denominator), finite(2 / denominator)
 
 
 def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
@@ -113,7 +122,8 @@ def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
     require_positive(qb=qb, pb=pb)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
-    return -2 + pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2))
+    with _double_range("mu_for_arik_coon_target", level):
+        return finite(-2 + pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2)))
 
 
 # Depth of the recipe check in check_link_consistency: Phi(0..SF_LEVELS)
@@ -156,20 +166,6 @@ def _row(
     columns = dict(q=q, mu_h_match=mu, mu_g_match=mu_g, mu_from_q=mu_q, p_pow_n=pn_back)
     # a closed loop gives equal normalized Fractions, compared without a gcd
     return columns, [0.0 if a == b else float(relative_gap(a, b)) for a, b in pairs]
-
-
-@contextmanager
-def _double_range(level: int) -> Iterator[None]:
-    # float() of an exact value, or a power of the target q in gap 7, past
-    # the largest double; the recipe's own typed error names its level
-    try:
-        yield
-    except EvaluationOverflowError:
-        raise
-    except OverflowError as exc:
-        raise EvaluationOverflowError(
-            f"linkage value leaves the double range at level={level}"
-        ) from exc
 
 
 def _exceeds_double_range(base: float, exponent: int) -> bool:
@@ -228,8 +224,9 @@ def check_link_consistency(
     require_nonnegative(tolerance=tol)
     require_nonnegative_int(level=level)
     columns, gaps = _row(*exact, int(level))  # int: see the module docstring
-    with _double_range(level):
-        depth, recipe = _recipe_gap(float(columns["q"]), p)
+    with _double_range("linkage value", level):
+        q = float(columns["q"])
+    depth, recipe = _recipe_gap(q, p)
     gaps += recipe
     worst = max(gaps)
     return ResidualReport(
@@ -262,9 +259,9 @@ def link_table(
     rows = []
     for level in range(n_max + 1):
         columns, gaps = _row(*exact, level)
-        with _double_range(level):
+        with _double_range("linkage value", level):
             row = {"n": level, **{key: float(value) for key, value in columns.items()}}
-            gaps += _recipe_gap(row["q"], p)[1]
+        gaps += _recipe_gap(row["q"], p)[1]
         row["consistent"] = max(gaps) <= tol
         rows.append(row)
     return rows

@@ -11,9 +11,9 @@ import math
 import operator
 from typing import Callable
 
-from .errors import DomainError, EvaluationOverflowError
+from .errors import DomainError, double_range, finite
 
-# Relative |q - p| gap below which qp_number switches to its analytic
+# Relative |q - p| gap at or below which qp_number switches to its analytic
 # limit, avoiding catastrophic cancellation in (q**m - p**m) / (q - p).
 SINGULARITY_THRESHOLD = 1e-9
 
@@ -61,7 +61,7 @@ def deformed_integers(q: float, p: float) -> Callable[[int], float]:
     """m -> [m] for fixed (q, p): the domain check, the singular-branch
     choice, the midpoint and the gap q - p are done once, not per m."""
     require_positive(q=q, p=p)
-    if abs(q - p) < SINGULARITY_THRESHOLD * max(q, p):
+    if abs(q - p) <= SINGULARITY_THRESHOLD * max(q, p):
         mid = 0.5 * (q + p)
         return lambda m: m * mid ** (m - 1) if m else 0.0
     gap = q - p
@@ -71,17 +71,12 @@ def deformed_integers(q: float, p: float) -> Callable[[int], float]:
 def qp_number(m: int, q: float, p: float) -> float:
     """Deformed integer [m] = (q**m - p**m) / (q - p).
 
-    Near the removable singularity q = p (relative gap below
+    Near the removable singularity q = p (relative gap at most
     SINGULARITY_THRESHOLD) returns the limit m * mid**(m - 1) evaluated
     at the midpoint mid = (q + p) / 2.  deformed_integers(q, p) is the
     same map with its per-(q, p) work done once.  A value beyond double
     range raises EvaluationOverflowError.
     """
     require_nonnegative(m=m)
-    try:
-        value = deformed_integers(q, p)(m)
-    except OverflowError:  # a power past the largest double
-        value = math.inf
-    if math.isfinite(value):
-        return value
-    raise EvaluationOverflowError(f"deformed integer [{m}] overflowed at q={q}, p={p}")
+    with double_range(lambda: f"deformed integer [{m}] overflowed at q={q}, p={p}"):
+        return finite(deformed_integers(q, p)(m))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .errors import DomainError, EvaluationOverflowError, RecipeDivisionError
+from .errors import DomainError, RecipeDivisionError, double_range, finite
 from .qp import deformed_integers, require_finite, require_nonnegative_int, require_positive
 
 # |Q - 1| below this switches two_sided_equal_sf to its analytic limit
@@ -37,7 +37,9 @@ class HGPair:
     """Coefficient functions of the relation h(N) a- a+ - g(N) a+ a- = 1.
 
     h(n) must be nonzero for n >= 0 and g(n) for n >= 1 on the range the
-    recipe evaluates; g(0) is never consulted.
+    recipe evaluates; g(0) is never consulted.  The hg_for_* pairs run once
+    per level inside the recipe loop, so they leave an overflow untyped for
+    their consumers (sf_table, sf_eval, verify_hg, the link check) to type.
     """
 
     h: Callable[[int], float]
@@ -213,31 +215,18 @@ def _recipe_levels(hg: HGPair) -> _Level:
     return level
 
 
-# nonstd-qp divides by p (q/p)**n: a power underflowing to 0.0 there is
-# the overflow of the reciprocal, and is typed as one
-_OVERFLOWS = (OverflowError, ZeroDivisionError)
-
-
-def _overflow(model: StructureFunctionModel, n: int) -> EvaluationOverflowError:
-    return EvaluationOverflowError(f"structure function {model.label} overflowed at n={n}")
-
-
 def sf_eval(model: StructureFunctionModel, n: int) -> float:
     """Phi(n) of a model, from a fresh model.levels(); Phi(0) = 0 for every model.
 
     A value beyond double range, or one the recipe passes on its way to n,
-    raises EvaluationOverflowError naming n.
+    or a divisor (nonstd-qp's p (q/p)**n) underflowing to 0.0, raises
+    EvaluationOverflowError naming n.
     """
     require_nonnegative_int(n=n)
     if n == 0:
         return 0.0
-    try:
-        value = model.levels()(n)
-    except _OVERFLOWS as exc:
-        raise _overflow(model, n) from exc
-    if not math.isfinite(value):
-        raise _overflow(model, n)
-    return value
+    with double_range(lambda: f"structure function {model.label} overflowed at n={n}"):
+        return finite(model.levels()(n))
 
 
 def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
@@ -253,18 +242,16 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
     table = [0.0]
     if n_max == 0:
         return table
-    try:
+    with double_range(
+        lambda: f"structure function {model.label} overflowed at n={len(table)}"
+    ):
         level = model.levels()
         for n in range(1, n_max + 1):
             value = level(n)
             if not math.isfinite(value):
-                break
+                raise OverflowError
             table.append(value)
-        else:
-            return table
-    except _OVERFLOWS as exc:
-        raise _overflow(model, len(table)) from exc
-    raise _overflow(model, len(table))
+    return table
 
 
 def sf_from_hg(hg: HGPair, n: int) -> float:
@@ -378,16 +365,11 @@ def equal_hg_special_case(
 
     def scaled(n: int, factor: float, sign: float) -> float:
         # factor pb Q**(2n) [Q + sign + Q**(2n-2) (Q**5 + sign)]
-        try:
+        with double_range(
+            lambda: f"equal-coefficient special case overflowed at n={n}, qb={qb}, pb={pb}"
+        ):
             tail = ratio ** (2 * n - 2) * (ratio**5 + sign)
-            value = factor * pb * ratio ** (2 * n) * ((ratio + sign) + tail)
-        except OverflowError:  # a power past the largest double
-            value = math.inf
-        if math.isfinite(value):  # a product past it is inf, not an error
-            return value
-        raise EvaluationOverflowError(
-            f"equal-coefficient special case overflowed at n={n}, qb={qb}, pb={pb}"
-        )
+            return finite(factor * pb * ratio ** (2 * n) * ((ratio + sign) + tail))
 
     return (lambda n: scaled(n, 0.5, -1.0)), (lambda n: scaled(n, 0.25, 1.0))
 
@@ -407,23 +389,18 @@ def two_sided_equal_sf(qb: float, pb: float, n: int) -> float:
     if n == 0:
         return 0.0
     ratio = qb / pb
-    if abs(ratio - 1.0) < EQUAL_CASE_LIMIT_THRESHOLD:
-        return n / qb
-    try:
+    with double_range(
+        lambda: f"equal-coefficient closed form overflowed at n={n}, qb={qb}, pb={pb}"
+    ):
+        if abs(ratio - 1.0) < EQUAL_CASE_LIMIT_THRESHOLD:
+            return finite(n / qb)
         head = 4.0 * ratio**2 / (pb * (1.0 + ratio**2) * (1.0 + ratio**3))
         bracket = (1.0 - ratio ** (2 - 2 * n)) / (1.0 - ratio**2)
         r5 = 1.0 + ratio**5
         base = ratio**2 * (1.0 + ratio)
         for j in range(1, n):
             bracket += r5 / (base + ratio ** (2 * j) * r5)
-        value = head - 4.0 / (pb * (1.0 + ratio)) * bracket
-    except OverflowError:  # a power past the largest double
-        value = math.inf
-    if not math.isfinite(value):
-        raise EvaluationOverflowError(
-            f"equal-coefficient closed form overflowed at n={n}, qb={qb}, pb={pb}"
-        )
-    return value
+        return finite(head - 4.0 / (pb * (1.0 + ratio)) * bracket)
 
 
 def spectrum(model: StructureFunctionModel, n_max: int) -> list[float]:

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, double_range
 from .fock import FockRep, build_ladder, build_xp, hamiltonian
 from .qp import require_finite, require_nonnegative, require_nonnegative_int
 from .structure import (
@@ -165,17 +165,19 @@ def verify_hg(
     margin: int = DEFAULT_MARGIN,
     per_state: bool = False,
 ) -> ResidualReport:
-    """Residual of h(N) a- a+ - g(N) a+ a- - 1 on the interior block."""
+    """Residual of h(N) a- a+ - g(N) a+ a- - 1 on the interior block; a power in
+    h(n) or g(n) past double range raises EvaluationOverflowError naming the pair."""
     dim = rep.dim
     if rep.ladder.shape != (dim - 1,):
         raise DomainError("ladder matrices do not match the declared dimension")
-    h = np.fromiter(map(hg.h, range(dim)), float, dim)
-    g = np.fromiter(map(hg.g, range(dim)), float, dim)
+    label = f"hg[{hg.label or 'custom'}]"
+    with double_range(lambda: f"coefficients of {label} overflowed at dim={dim}"):
+        h = np.fromiter(map(hg.h, range(dim)), float, dim)
+        g = np.fromiter(map(hg.g, range(dim)), float, dim)
     raise_side, lower_side = _ladder_products(rep)
     raise_then_lower = h * raise_side
     lower_then_raise = g * lower_side
     residual = raise_then_lower - lower_then_raise - _diagonal(np.ones(dim))
-    label = f"hg[{hg.label or 'custom'}]"
     return _interior_report(
         label, residual, [raise_then_lower, lower_then_raise], margin, tol, per_state
     )

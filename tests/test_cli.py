@@ -448,3 +448,34 @@ def test_impossible_parameters_exit_two_naming_the_parameter(argv, parameter):
     code, out, err = run_cli(*argv.split())
     assert (code, out) == (2, "")
     assert re.fullmatch(rf"error: (parameter )?{parameter} must be [^\n]*\n", err)
+
+
+def _echo(argv: str) -> list[str]:
+    code, out, _ = run_cli(*argv.split())
+    assert code == 0
+    return [line for line in out.splitlines() if line.startswith("#")]
+
+
+@pytest.mark.parametrize(
+    "argv, echo",
+    [
+        ("verify --relation q-ha --q 1.1 --p 3 --mu-tilde 0.2 --dim 8",
+         ["relation=q-ha", "q=1.1000000000000001"]),
+        ("verify --relation qp-ha --q 1.2 --p 0.9 --qb 2 --model harmonic --dim 8",
+         ["relation=qp-ha", "q=1.2", "p=0.90000000000000002"]),
+        ("verify --relation two-sided --qb 1.1 --pb 1 --q 3 --mu-tilde 0.2 --dim 8",
+         ["relation=two-sided", "qb=1.1000000000000001", "pb=1", "mu=0",
+          "alt_pairing=false"]),
+        ("verify --relation hg --q 0.9 --dim 8", ["relation=hg", "q=0.90000000000000002"]),
+        ("verify --relation hg --qb 1.1 --pb 1 --q 1.3 --mu 0.2 --dim 8",
+         ["relation=hg", "qb=1.1000000000000001", "pb=1", "mu=0.20000000000000001"]),
+        ("verify --relation commutator-sf --model harmonic --q 2 --mu-tilde 0.2 --dim 8",
+         ["relation=commutator-sf", "model=harmonic"]),
+        ("verify --relation commutator-sf --model jannussis-mu --mu-tilde 0.2 --q 2 "
+         "--dim 8",
+         ["relation=commutator-sf", "model=jannussis-mu", "mu_tilde=0.20000000000000001"]),
+    ],
+)
+def test_verify_echoes_only_the_flags_its_relation_reads(argv, echo):
+    tail = ["dim=8", "margin=2", "tolerance=1e-10", "format=csv"]
+    assert _echo(argv) == [f"# {item}" for item in ["command=verify", *echo, *tail]]

@@ -4,8 +4,8 @@ Each value is the sha256 of repr((exit code, stdout, stderr)) for the argv
 its key spells (split on spaces).  The argv cover sf and spectrum for every
 model, every verify relation, link and limits, each with its error paths
 (missing flags, bad domains, values past double range), plus --help for
-the program and each subcommand, an unknown relation, flags a command
-ignores but echoes, flags a model ignores, and an impossible tolerance,
+the program and each subcommand, an unknown relation, flags a relation
+or a model ignores (never echoed by verify), and an impossible tolerance,
 margin, mu or mu_tilde.  A refactor that keeps the CLI's output keeps every
 hash; a change that moves output on purpose re-pins exactly the argv it
 moves.
@@ -117,9 +117,9 @@ PINS = {
     "verify --relation two-sided --qb 1e200 --pb 1 --dim 8":
         "55001bac8b7a3ea26f1202809043165a807d3c64673e1273de402e882728d891",
     "verify --relation hg --q 0.9 --dim 64":
-        "d72d1379e65d84f88d48ff18372a5da58cd9ec6be5f11c51aafebccf8f3d55a7",
+        "7745ef02447a06a474fcaa72659b7f33617db547046b43c993721ab95978c087",
     "verify --relation hg --q 1.2 --p 0.9 --dim 8 --format json":
-        "65f7d38b8be34d3ef08d4533298d0d240214303cb0db673658db3b81dfcec9e0",
+        "e3ddb8ddffb8956a6c56108a3dfa0dc23755a09b4d2f91980cc16c548fdd7303",
     "verify --relation hg --qb 1.05 --pb 1 --mu -0.2 --dim 300":
         "9b8408703e37c1e313661892ecab0c35e0143bfb3b33f5c0c639950931e6b98d",
     "verify --relation hg --qb 1.05 --dim 8":
@@ -175,7 +175,7 @@ PINS = {
     "verify --relation nope":
         "b934e972ca73c13171da35b5615a3bed1a066cd572a4f15d45029d502edca9c9",
     "verify --relation q-ha --q 1.1 --p 3 --mu-tilde 0.2":
-        "0357ebebb12636ad0ee3209f2e503cc0c99bcc0387191580f34c44b64b0b94d4",
+        "20c9b74a0a2dada2b99227d51a490a2f8a475e094dfaf893e3c6e0e5f46ce9de",
     "verify --relation hg --pb 1 --dim 8":
         "d96f413751e1ad6879e2f23c445ab14f69c4e2db5020621786eef25b76cf0168",
     "sf --model harmonic --q 2":

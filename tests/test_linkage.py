@@ -450,3 +450,44 @@ def test_exact_certificate_never_prints_its_fractions():
     # mu has about 6,600 digits here, past the int-to-str limit of 4,300
     with pytest.raises(EvaluationOverflowError, match="level=64"):
         check_link_consistency(999.9, 0.0011, 0.0013, 64)
+
+
+@pytest.mark.parametrize(
+    "formula, call",
+    [
+        ("mu_from_h_match", lambda level: mu_from_h_match(2.0, 1.0, 1.0, level)),
+        ("mu_from_g_match", lambda level: mu_from_g_match(2.0, 1.0, 3.0, 1.0, level)),
+        ("mu_from_q", lambda level: mu_from_q(2.0, 1.0, 3.0, level)),
+        ("q_from_p", lambda level: q_from_p(2.0, 1.0, 1.0, level)),
+        ("q_from_mu", lambda level: q_from_mu(2.0, 1.0, 1.0, 0.5, level)),
+        ("q_and_pn_from_mu", lambda level: q_and_pn_from_mu(2.0, 1.0, 0.5, level)),
+        ("mu_for_arik_coon_target", lambda level: mu_for_arik_coon_target(2.0, 1.0, level)),
+    ],
+)
+def test_each_float_formula_types_its_overflow(formula, call):
+    assert np.isfinite(call(250)).all()  # Q**(4N + 2) = 2**1002 is still a double
+    message = f"^{formula} leaves the double range at level=600$"
+    with pytest.raises(EvaluationOverflowError, match=message) as exc:
+        call(600)
+    assert type(exc.value.__cause__) is OverflowError
+
+
+def test_float_formulas_type_inf_products_and_underflowed_divisors():
+    # finite powers whose product passes the largest double
+    match = "^mu_for_arik_coon_target leaves .* at level=0$"
+    with pytest.raises(EvaluationOverflowError, match=match) as exc:
+        mu_for_arik_coon_target(1e300, 1e150, 0)
+    assert type(exc.value.__cause__) is OverflowError
+    # Q = 1e-300 / 1e300 underflows to 0.0, and Q**(2N - 2) divides by it
+    match = "^mu_from_q leaves .* at level=0$"
+    with pytest.raises(EvaluationOverflowError, match=match) as exc:
+        mu_from_q(1e-300, 1e300, 3.0, 0)
+    assert type(exc.value.__cause__) is ZeroDivisionError
+
+
+def test_fraction_formulas_stay_exact_past_double_range():
+    qb, pb, p = Fraction(2), Fraction(1), Fraction(1, 16)
+    mu = mu_from_h_match(qb, pb, p, 600)
+    assert mu == 2 * 4**600 * (1 + 4**601) - 2 * 16**600
+    q = q_from_p(qb, pb, p, 600)
+    assert q == -1 + Fraction(3 + 33 * 4**599, 2) * 4**600 / 16**600

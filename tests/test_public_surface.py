@@ -1,6 +1,7 @@
 """The public names of the package: each exported once and importable."""
 
 import dataclasses
+from pathlib import Path
 
 import defosc
 from defosc import FockRep, StructureFunctionModel
@@ -43,3 +44,17 @@ def test_a_model_is_its_label_and_its_levels():
     fields = [field.name for field in dataclasses.fields(StructureFunctionModel)]
     assert fields == ["label", "levels"]
     assert not hasattr(defosc.harmonic(), "variant")
+
+
+def test_one_overflow_rule():
+    # EvaluationOverflowError is constructed in errors.double_range alone
+    package = Path(defosc.__file__).parent
+    sites = [
+        path.name for path in sorted(package.glob("*.py"))
+        if "EvaluationOverflowError(" in path.read_text()
+    ]
+    assert sites == ["errors.py"]
+    assert (package / "errors.py").read_text().count("raise EvaluationOverflowError(") == 1
+    for name in ("_OVERFLOWS", "_overflow"):
+        assert not hasattr(defosc.structure, name)
+    assert not hasattr(defosc.linkage, "contextmanager")  # no hand-written copy

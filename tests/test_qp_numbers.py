@@ -130,3 +130,10 @@ def test_relative_gap_is_floored_at_one():
     assert relative_gap(0.25, 0.5) == 0.25
     assert relative_gap(-4.0, 4.0) == 2.0
     assert relative_gap(3, 3) == 0
+
+
+def test_equal_subnormal_parameters_take_the_limit_branch():
+    # 1e-9 * max(q, p) underflows to 0.0 here, and q - p is exactly 0.0
+    assert qp_number(1, 5e-324, 5e-324) == 1.0
+    assert qp_number(0, 5e-324, 5e-324) == 0.0
+    assert qp_number(2, 5e-324, 5e-324) == 2 * 5e-324

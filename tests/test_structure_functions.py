@@ -156,6 +156,33 @@ def test_equal_case_overflow_is_typed():
             fn(40)
 
 
+def test_equal_case_types_an_underflowed_divisor_and_an_infinite_limit():
+    # Q = 1e-300 / 1e300 underflows to 0.0, which Q**(2 - 2n) divides by
+    message = r"^equal-coefficient closed form overflowed at n=3, qb=1e-300, pb=1e\+300$"
+    with pytest.raises(EvaluationOverflowError, match=message) as exc:
+        two_sided_equal_sf(1e-300, 1e300, 3)
+    assert type(exc.value.__cause__) is ZeroDivisionError
+    # the ratio-one limit n / qb passes the largest double
+    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=180, qb=1e-306,"):
+        two_sided_equal_sf(1e-306, 1e-306, 180)
+    assert two_sided_equal_sf(1e-306, 1e-306, 179) == 179 / 1e-306
+    mu_fn, _ = equal_hg_special_case(1e-300, 1e300)
+    with pytest.raises(EvaluationOverflowError, match=r"^equal-coefficient special case"):
+        mu_fn(0)
+
+
+def test_the_outermost_block_names_the_failure():
+    # the per-level mu raises its own typed error at n = 13, which Phi(14)
+    # consults; the table names the structure function and its level instead
+    mu_fn, _ = equal_hg_special_case(1e3, 1e-3)
+    model = custom_hg(hg_for_two_sided(1e3, 1e-3, mu_fn))
+    message = r"^structure function two-sided\(qb=1000\.0,pb=0\.001,mu\(n\)\) overflowed"
+    with pytest.raises(EvaluationOverflowError, match=message + " at n=14$") as exc:
+        sf_table(model, 60)
+    cause = str(exc.value.__cause__)
+    assert cause.startswith("equal-coefficient special case overflowed at n=13,")
+
+
 def test_equal_case_functions_never_return_inf():
     # from n = 13 a product of finite powers passes the largest double,
     # which a float product turns into inf where a power would raise

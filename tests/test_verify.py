@@ -5,11 +5,13 @@ import pytest
 
 from defosc import (
     DomainError,
+    EvaluationOverflowError,
     HGPair,
     arik_coon,
     build_ladder,
     custom_hg,
     equal_hg_special_case,
+    harmonic,
     hg_for_q_ha,
     hg_for_qp_ha,
     hg_for_two_sided,
@@ -254,3 +256,16 @@ def test_interior_residuals_are_margin_stable():
         for dim in (8, 32, 64)
     ]
     assert max(values) - min(values) <= 1e-12
+
+
+def test_verify_hg_types_an_overflowing_coefficient_pair():
+    # q**(2n+1) leaves double range at n = 512 on a dim-600 ladder
+    message = r"^coefficients of hg\[q-ha\(q=2\.0\)\] overflowed at dim=600$"
+    with pytest.raises(EvaluationOverflowError, match=message) as exc:
+        verify_hg(build_ladder(harmonic(), 600), hg_for_q_ha(2.0))
+    assert type(exc.value.__cause__) is OverflowError
+    # Q = 1e-300 / 1e300 underflows to 0.0, and g(0) raises it to the power -2
+    message = r"^coefficients of hg\[qp-ha\(q=1e-300,p=1e\+300\)\] overflowed at dim=8$"
+    with pytest.raises(EvaluationOverflowError, match=message) as exc:
+        verify_hg(build_ladder(harmonic(), 8), hg_for_qp_ha(1e-300, 1e300))
+    assert type(exc.value.__cause__) is ZeroDivisionError
