@@ -194,8 +194,7 @@ def _cmd_verify(args: argparse.Namespace):
 def _cmd_link(args: argparse.Namespace):
     rows = link_table(args.qb, args.pb, args.p, args.n_max, tol=args.tolerance)
     config = {key: getattr(args, key) for key in ("qb", "pb", "p", "n_max", "tolerance")}
-    header = ["n", "q", "mu_h_match", "mu_g_match", "mu_from_q", "p_pow_n", "consistent"]
-    return config, header, rows, all(row["consistent"] for row in rows)
+    return config, list(rows[0]), rows, all(row["consistent"] for row in rows)
 
 
 def _cmd_limits(args: argparse.Namespace):

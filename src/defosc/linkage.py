@@ -5,16 +5,17 @@ Matching the two-sided coefficient pair to the target (h, g) =
 (p**-N, q p**-N) fixes mu and q, but only per level: with qb, pb and p
 held constant, the matching value of mu (and of q) changes with the
 level N.  The formulas below express mu and q through each other along
-every route the matching admits.  Each is written once, with int
+every route the matching admits; that the routes agree is an identity,
+proved on Fractions in the tests.  Each is written once, with int
 literals only, so on Fraction input it returns the exact Fraction; the
 level is used as a Python int, because a Fraction raised to a numpy
 integer computes its numerator and denominator in wrapping int64.
-link_table and check_link_consistency run every row once that way: the
-printed columns are float() of the exact values, correctly rounded, and
-the loop-closure gaps compare those same exact values, confirming that
-the target pair with the level-consistent q reproduces the deformed
-integers [n] = (q**n - p**n)/(q - p).  On floats, a value past double range
-raises EvaluationOverflowError naming the formula and the level.
+link_table computes q, mu and p**N that way and prints float() of each,
+correctly rounded; check_link_consistency needs only q.  Both then check
+that the target pair with the level-consistent q reproduces the
+deformed integers [n] = (q**n - p**n)/(q - p).  A non-finite argument
+raises DomainError naming it; on floats, a value past double range raises
+EvaluationOverflowError naming the formula and the level.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .qp import (
     deformed_integers, relative_gap, require_finite, require_nonnegative,
     require_nonnegative_int, require_positive,
 )
-from .structure import HGPair, custom_hg, hg_for_two_sided, sf_table
+from .structure import HGPair, custom_hg, sf_table
 from .verify import ResidualReport
 
 
@@ -39,6 +40,7 @@ def mu_from_h_match(qb: float, pb: float, p: float, level: int) -> float:
 
     mu = qb Q**(2N) (1 + Q**(2N+2)) - 2 p**-N,  Q = qb/pb.
     """
+    require_finite(qb=qb, pb=pb, p=p)
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
@@ -51,6 +53,7 @@ def mu_from_g_match(qb: float, pb: float, q: float, p: float, level: int) -> flo
 
     mu = 2 q p**-N - pb Q**(2N) (1 + Q**(2N-2)).
     """
+    require_finite(qb=qb, pb=pb, q=q, p=p)
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
@@ -63,6 +66,7 @@ def mu_from_q(qb: float, pb: float, q: float, level: int) -> float:
 
     mu = pb Q**(2N) [Q**(2N-2) (q Q**5 - 1) + q Q - 1] / (1 + q).
     """
+    require_finite(qb=qb, pb=pb, q=q)
     require_positive(qb=qb, pb=pb)
     require_nonnegative_int(level=level)
     if q == -1:
@@ -78,6 +82,7 @@ def q_from_p(qb: float, pb: float, p: float, level: int) -> float:
 
     q = -1 + pb p**N Q**(2N) [1 + Q + Q**(2N-2) (1 + Q**5)] / 2.
     """
+    require_finite(qb=qb, pb=pb, p=p)
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
@@ -88,6 +93,7 @@ def q_from_p(qb: float, pb: float, p: float, level: int) -> float:
 
 def q_from_mu(qb: float, pb: float, p: float, mu: float, level: int) -> float:
     """Target q through mu: q = p**N [mu + pb Q**(2N) (1 + Q**(2N-2))] / 2."""
+    require_finite(qb=qb, pb=pb, p=p, mu=mu)
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
@@ -101,6 +107,7 @@ def q_and_pn_from_mu(qb: float, pb: float, mu: float, level: int) -> tuple[float
     q    = [pb Q**(2N) (1 + Q**(2N-2)) + mu] / [pb Q**(2N+1) (1 + Q**(2N+2)) - mu],
     p**N = 2 / [pb Q**(2N+1) (1 + Q**(2N+2)) - mu].
     """
+    require_finite(qb=qb, pb=pb, mu=mu)
     require_positive(qb=qb, pb=pb)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
@@ -119,6 +126,7 @@ def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
 
     mu = -2 + pb Q**(2N+1) (1 + Q**(2N+2)).
     """
+    require_finite(qb=qb, pb=pb)
     require_positive(qb=qb, pb=pb)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
@@ -138,36 +146,6 @@ def _exact(**params: float) -> list[Fraction]:
     return [Fraction(value) for value in params.values()]
 
 
-def _row(
-    qb: Fraction, pb: Fraction, p: Fraction, level: int
-) -> tuple[dict[str, Fraction], list[float]]:
-    # The matching value of mu is (huge coefficient term) - 2 p**-N; at
-    # deformed corners the two differ by more than 2**53, so a double
-    # rounds the small term away and the inversion back to (q, p**N)
-    # divides by pure cancellation noise.  Every formula is a rational
-    # function of exactly representable inputs, so the row is computed
-    # on Fractions: the exact columns, and gaps 0-6 between them.
-    q = q_from_p(qb, pb, p, level)
-    mu = mu_from_h_match(qb, pb, p, level)
-    mu_g = mu_from_g_match(qb, pb, q, p, level)
-    mu_q = mu_from_q(qb, pb, q, level)
-    q_back, pn_back = q_and_pn_from_mu(qb, pb, mu, level)
-    # a per-level mu keeps the label from printing mu, past 4300 digits a ValueError
-    pair = hg_for_two_sided(qb, pb, lambda n: mu)
-    pairs = (
-        (mu_g, mu),
-        (mu_q, mu),
-        (q_from_mu(qb, pb, p, mu, level), q),
-        (q_back, q),
-        (pn_back, p**level),
-        (pair.h(level), p**-level),
-        (pair.g(level), q * p**-level),
-    )
-    columns = dict(q=q, mu_h_match=mu, mu_g_match=mu_g, mu_from_q=mu_q, p_pow_n=pn_back)
-    # a closed loop gives equal normalized Fractions, compared without a gcd
-    return columns, [0.0 if a == b else float(relative_gap(a, b)) for a, b in pairs]
-
-
 def _exceeds_double_range(base: float, exponent: int) -> bool:
     try:
         return base**exponent > 1e300
@@ -175,63 +153,46 @@ def _exceeds_double_range(base: float, exponent: int) -> bool:
         return True
 
 
-def _recipe_gap(q: float, p: float) -> tuple[int, list[float]]:
-    # gap 7 and its depth; no gap when the target is no oscillator (q <= 0)
-    # or when max(q, p, 2) itself exceeds 1e300
+def _recipe_gaps(q: float, p: float) -> list[float]:
+    # the gap at each level n = 0..depth; none when the target is no
+    # oscillator (q <= 0) or when max(q, p, 2) itself exceeds 1e300
     depth = SF_LEVELS if q > 0 else 0
     while depth and _exceeds_double_range(max(q, p, 2.0), depth):
         depth -= 1
     if not depth:
-        return 0, []
+        return []
     target = HGPair(lambda n: p**-n, lambda n: q * p**-n, "oscillator-target")
     table = sf_table(custom_hg(target), depth)
     integers = deformed_integers(q, p)
-    return depth, [max(relative_gap(phi, integers(n)) for n, phi in enumerate(table))]
+    return [relative_gap(phi, integers(n)) for n, phi in enumerate(table)]
 
 
 def check_link_consistency(
     qb: float, pb: float, p: float, level: int, tol: float = 1e-10
 ) -> ResidualReport:
-    """Close the matching loop at one level and certify its consequences.
+    """Check that the level-consistent q makes the target an oscillator.
 
-    Starting from q along the mu-free route and mu from the h-side match,
-    the sub-checks recorded in per_state are, in order:
-
-      0  the g-side match reproduces mu
-      1  mu_from_q reproduces mu
-      2  q_from_mu reproduces q
-      3  q_and_pn_from_mu reproduces q
-      4  q_and_pn_from_mu reproduces p**level
-      5  two-sided h at this level equals p**-level
-      6  two-sided g at this level equals q p**-level
-      7  recipe over the target pair (p**-N, q p**-N) equals the deformed
-         integers [n] for n = 0..SF_LEVELS (level-consistent constant q)
-
-    The row is computed once, on Fractions (the link_table row), so gaps
-    0-6 are exact: mu absorbs terms whose spread exceeds the double
-    mantissa at deformed corners, and no float route can certify the
-    closure there.  Gap 7 exercises the float recipe, which carries no
-    cancellation, at float() of the exact q.  The matching q always
-    exceeds -1 but can reach zero or negative values; the target then no
-    longer describes an oscillator, so gap 7 only runs when q > 0.  All
-    gaps are relative against max(1, |values|); the depth of gap 7 is
-    trimmed while max(q, p, 2)**depth exceeds 1e300 or overflows, down
-    to 0, where gap 7 is left out.  qb, pb and p must be finite and
-    positive.  A q beyond double range raises EvaluationOverflowError
-    naming the level.
+    q is computed on Fractions along the mu-free route and rounded once.
+    The recipe over the target pair (p**-N, q p**-N) must then reproduce
+    the deformed integers [n] for n = 0..SF_LEVELS; per_state holds the
+    gap at each n, relative against max(1, |values|).  The matching q
+    always exceeds -1 but can reach zero or negative values; the target
+    then no longer describes an oscillator, so the recipe only runs when
+    q > 0.  Its depth (dim) is trimmed while max(q, p, 2)**depth exceeds
+    1e300 or overflows, down to 0, where per_state is empty.  qb, pb and
+    p must be finite and positive.  A q beyond double range raises
+    EvaluationOverflowError naming the level.
     """
     exact = _exact(qb=qb, pb=pb, p=p)
     require_nonnegative(tolerance=tol)
     require_nonnegative_int(level=level)
-    columns, gaps = _row(*exact, int(level))  # int: see the module docstring
     with _double_range("linkage value", level):
-        q = float(columns["q"])
-    depth, recipe = _recipe_gap(q, p)
-    gaps += recipe
-    worst = max(gaps)
+        q = float(q_from_p(*exact, int(level)))  # int: see the module docstring
+    gaps = _recipe_gaps(q, p)
+    worst = max(gaps, default=0.0)
     return ResidualReport(
         relation=f"link-consistency(qb={qb},pb={pb},p={p},level={level})",
-        dim=depth,
+        dim=max(len(gaps) - 1, 0),
         margin=0,
         max_abs_residual=worst,
         tolerance=tol,
@@ -246,10 +207,10 @@ def link_table(
     """Per-level linkage table for levels 0..n_max.
 
     Each row carries the level, the level-consistent q, mu along all
-    three routes, the reconstructed p**N, and the loop-closure verdict of
-    check_link_consistency.  The row is computed once, on Fractions, and
-    each column is float() of its exact value, so every printed value is
-    correctly rounded; `consistent` compares those same exact values.  A
+    three routes, p**N, and the recipe verdict of check_link_consistency.
+    q, mu and p**N are computed on Fractions and each column is float()
+    of its exact value, so every printed value is correctly rounded; the
+    three mu routes agree exactly, so mu is printed in all three.  A
     column beyond double range raises EvaluationOverflowError naming the
     level.
     """
@@ -258,10 +219,13 @@ def link_table(
     require_nonnegative(tolerance=tol)
     rows = []
     for level in range(n_max + 1):
-        columns, gaps = _row(*exact, level)
+        # mu is (huge coefficient term) - 2 p**-N; at deformed corners the
+        # two differ by more than 2**53, so only the exact value rounds right
         with _double_range("linkage value", level):
-            row = {"n": level, **{key: float(value) for key, value in columns.items()}}
-        gaps += _recipe_gap(row["q"], p)[1]
-        row["consistent"] = max(gaps) <= tol
+            q = float(q_from_p(*exact, level))
+            mu = float(mu_from_h_match(*exact, level))
+            p_pow_n = float(exact[-1] ** level)
+        row = dict(n=level, q=q, mu_h_match=mu, mu_g_match=mu, mu_from_q=mu, p_pow_n=p_pow_n)
+        row["consistent"] = max(_recipe_gaps(q, p), default=0.0) <= tol
         rows.append(row)
     return rows

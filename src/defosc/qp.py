@@ -53,7 +53,7 @@ def require_finite(**params: float | None) -> None:
 
 
 def relative_gap(a: float, b: float) -> float:
-    """|a - b| relative to max(1, |a|, |b|); exact when a and b are Fractions."""
+    """|a - b| relative to max(1, |a|, |b|)."""
     return abs(a - b) / max(1, abs(a), abs(b))
 
 

@@ -9,6 +9,15 @@ package did not compute.
 from fractions import Fraction
 
 
+def matching(qb, pb, X, P) -> tuple:
+    """(q, mu) along the mu-free route and the h-side match, written with
+    X = Q**(2N) and P = p**N, Q = qb/pb; on Fractions, exact."""
+    ratio = qb / pb
+    q = pb * P * X * (1 + ratio + X / ratio**2 * (1 + ratio**5)) / 2 - 1
+    mu = qb * X * (1 + ratio**2 * X) - 2 / P
+    return q, mu
+
+
 def exact_row(qb: float, pb: float, p: float, level: int) -> dict:
     """One table row: q along the mu-free route, mu from the h-side match.
 
@@ -16,10 +25,7 @@ def exact_row(qb: float, pb: float, p: float, level: int) -> dict:
     is p**N.
     """
     qb, pb, p, n = Fraction(qb), Fraction(pb), Fraction(p), level
-    ratio = qb / pb
-    power = ratio ** (2 * n)
-    q = pb * p**n * power * (1 + ratio + ratio ** (2 * n - 2) * (1 + ratio**5)) / 2 - 1
-    mu = qb * power * (1 + ratio ** (2 * n + 2)) - 2 / p**n
+    q, mu = matching(qb, pb, (qb / pb) ** (2 * n), p**n)
     return dict(q=q, mu_h_match=mu, mu_g_match=mu, mu_from_q=mu, p_pow_n=p**n)
 
 

@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import defosc
 from defosc import (
     DeformedAlgebraError,
     DomainError,
@@ -23,9 +25,11 @@ from defosc import (
     run_limit_suite,
 )
 from defosc import linkage
-from link_oracle import assert_rows_are_rounded_exact_values
+from link_oracle import assert_rows_are_rounded_exact_values, exact_row, matching
 
 GRID = (0.5, 0.9, 1.1, 2.0)
+# small positive rationals: exact rows stay a few hundred digits long
+RATIONAL = st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=16)
 
 
 def rel_gap(a: float, b: float) -> float:
@@ -82,9 +86,12 @@ def test_loop_closes_on_the_parameter_grid():
 
 
 def test_consistency_report_shape():
+    # per_state is (level, recipe gap) for levels 0..dim; q = 37/8 runs it
+    # to the full depth
     report = check_link_consistency(2.0, 1.0, 1.0, 0)
     assert report.passed
-    assert len(report.per_state) == 8
+    assert report.dim == linkage.SF_LEVELS
+    assert [n for n, _ in report.per_state] == list(range(report.dim + 1))
     assert report.max_abs_residual <= 1e-10
 
 
@@ -114,6 +121,27 @@ def test_n_dependence_witness():
                 mu0 = mu_from_h_match(qb, pb, p, 0)
                 mu1 = mu_from_h_match(qb, pb, p, 1)
                 assert abs(mu1 - mu0) > 1e-6
+
+
+@given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL)
+@example(qb=Fraction(2), pb=Fraction(2), p=Fraction(1, 2))  # Q = 1 alone
+@example(qb=Fraction(1, 2), pb=Fraction(1, 4), p=Fraction(1))  # p = 1 alone
+@example(qb=Fraction(2), pb=Fraction(1), p=Fraction(1, 4))  # 1/p = Q**2
+@settings(max_examples=200, deadline=None)
+def test_mu_depends_on_the_level_unless_undeformed(qb, pb, p):
+    # the paper's headline, exactly: mu(N) = qb X + qb Q**2 X**2 - 2/P with
+    # X = Q**(2N), P = p**N is a sum of at most 4 exponentials in N (bases
+    # Q**2, Q**4 and 1/p, and 1); unless it is constant it takes one value
+    # at no more than 3 levels, and it is constant only at Q = 1, p = 1
+    assume((qb / pb, p) != (1, 1))
+    assert len({mu_from_h_match(qb, pb, p, level) for level in range(4)}) >= 2
+
+
+@given(qb=RATIONAL)
+@settings(max_examples=20, deadline=None)
+def test_mu_is_constant_at_the_undeformed_point(qb):
+    for level in range(65):
+        assert mu_from_h_match(qb, qb, Fraction(1), level) == 2 * qb - 2
 
 
 def test_q_also_depends_on_the_level():
@@ -226,6 +254,35 @@ def test_non_finite_link_parameters_are_refused(bad, slot):
         link_table(*params, 3)
 
 
+# the arguments of each formula besides the level, and a value in its domain
+FORMULA_ARGS = {
+    "mu_from_h_match": dict(qb=2.0, pb=1.0, p=1.0),
+    "mu_from_g_match": dict(qb=2.0, pb=1.0, q=3.0, p=1.0),
+    "mu_from_q": dict(qb=2.0, pb=1.0, q=3.0),
+    "q_from_p": dict(qb=2.0, pb=1.0, p=1.0),
+    "q_from_mu": dict(qb=2.0, pb=1.0, p=1.0, mu=0.5),
+    "q_and_pn_from_mu": dict(qb=2.0, pb=1.0, mu=0.5),
+    "mu_for_arik_coon_target": dict(qb=2.0, pb=1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "formula, arg", [(formula, arg) for formula, args in FORMULA_ARGS.items() for arg in args]
+)
+def test_non_finite_formula_arguments_are_refused(formula, arg, bad):
+    params = {**FORMULA_ARGS[formula], arg: bad}
+    message = f"^parameter {arg} must be finite, got {re.escape(repr(bad))}$"
+    with pytest.raises(DomainError, match=message):
+        getattr(linkage, formula)(**params, level=1)
+
+
+def test_q_and_mu_may_take_either_sign():
+    assert mu_from_q(2.0, 1.0, -0.5, 0) < 0 < mu_from_q(2.0, 1.0, 0.5, 0)
+    assert q_from_mu(2.0, 1.0, 1.0, -30.0, 0) < 0 < q_from_mu(2.0, 1.0, 1.0, 30.0, 0)
+    assert q_and_pn_from_mu(2.0, 1.0, -8.0, 0) == (-0.375, 2 / 18)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), -1.0])
 def test_impossible_link_tolerance_is_a_domain_error(tol):
     with pytest.raises(DomainError, match=r"^tolerance must be >= 0"):
@@ -298,8 +355,82 @@ def test_link_table_passes_a_typed_overflow_through():
 
 
 # ---------------------------------------------------------------------------
-# the exact certificate runs the public formulas
+# the matching routes close exactly: a proof on Fractions
 # ---------------------------------------------------------------------------
+
+
+def assert_routes_close(qb, pb, p, level):
+    """q and mu are the transcribed matching values, and every other route
+    reproduces them exactly.  The public formulas are looked up on the
+    package, so a typo planted there shows."""
+    q = defosc.q_from_p(qb, pb, p, level)
+    mu = defosc.mu_from_h_match(qb, pb, p, level)
+    exact = exact_row(qb, pb, p, level)
+    assert (q, mu) == (exact["q"], exact["mu_h_match"])
+    assert defosc.mu_from_g_match(qb, pb, q, p, level) == mu
+    assert defosc.mu_from_q(qb, pb, q, level) == mu
+    assert defosc.q_from_mu(qb, pb, p, mu, level) == q
+    assert defosc.q_and_pn_from_mu(qb, pb, mu, level) == (q, p**level)
+    # a per-level mu keeps the label from printing mu
+    pair = defosc.hg_for_two_sided(qb, pb, lambda n: mu)
+    assert (pair.h(level), pair.g(level)) == (p**-level, q * p**-level)
+
+
+@given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL, level=st.integers(0, 64))
+@settings(max_examples=150, deadline=None)
+def test_matching_routes_close_exactly(qb, pb, p, level):
+    # each former runtime gap is a rational function of (qb, pb, p) at a
+    # fixed level; a nonzero one survives random rational points with
+    # negligible probability (Schwartz-Zippel), so exact zeros are a proof
+    assert_routes_close(qb, pb, p, level)
+
+
+def free_routes(qb, pb, X, P):
+    """Each route with Q**(2N) = X and p**N = P as free rationals,
+    transcribed from the formulas' docstrings, Q = qb/pb."""
+    Q = qb / pb
+    q, mu = matching(qb, pb, X, P)
+    denominator = pb * Q * X * (1 + Q**2 * X) - mu
+    return dict(
+        q_from_p=q,
+        mu_from_h_match=mu,
+        mu_from_g_match=2 * q / P - pb * X * (1 + X / Q**2),
+        mu_from_q=pb * X * (X / Q**2 * (q * Q**5 - 1) + q * Q - 1) / (1 + q),
+        q_from_mu=P / 2 * (mu + pb * X * (1 + X / Q**2)),
+        q_and_pn_from_mu=((pb * X * (1 + X / Q**2) + mu) / denominator, 2 / denominator),
+        hg_for_two_sided=(qb * X * (1 + Q**2 * X) / 2 - mu / 2, pb * X * (1 + X / Q**2) / 2 + mu / 2),
+    )
+
+
+@given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL, level=st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_free_transcription_is_the_public_formula(qb, pb, p, level):
+    free = free_routes(qb, pb, (qb / pb) ** (2 * level), p**level)
+    q, mu = free["q_from_p"], free["mu_from_h_match"]
+    pair = hg_for_two_sided(qb, pb, lambda n: mu)
+    assert free == dict(
+        q_from_p=q_from_p(qb, pb, p, level),
+        mu_from_h_match=mu_from_h_match(qb, pb, p, level),
+        mu_from_g_match=mu_from_g_match(qb, pb, q, p, level),
+        mu_from_q=mu_from_q(qb, pb, q, level),
+        q_from_mu=q_from_mu(qb, pb, p, mu, level),
+        q_and_pn_from_mu=q_and_pn_from_mu(qb, pb, mu, level),
+        hg_for_two_sided=(pair.h(level), pair.g(level)),
+    )
+
+
+@given(qb=RATIONAL, pb=RATIONAL, X=RATIONAL, P=RATIONAL)
+@settings(max_examples=150, deadline=None)
+def test_matching_routes_close_at_every_level(qb, pb, X, P):
+    # the routes depend on N only through X and P, so closing in free
+    # (X, P) closes them at every level, not just at levels 0-64
+    free = free_routes(qb, pb, X, P)
+    q, mu = free["q_from_p"], free["mu_from_h_match"]
+    assert free["mu_from_g_match"] == free["mu_from_q"] == mu
+    assert free["q_from_mu"] == q
+    assert free["q_and_pn_from_mu"] == (q, P)
+    assert free["hg_for_two_sided"] == (1 / P, q / P)
+
 
 PLANTED = 1 + Fraction(1, 10**6)
 
@@ -318,6 +449,9 @@ def _planted_typo(formula):
     return wrapper
 
 
+MILD = (Fraction(11, 10), Fraction(9, 10), Fraction(11, 10))
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -331,11 +465,29 @@ def _planted_typo(formula):
     ],
 )
 def test_planted_typo_fails_the_certificate(monkeypatch, name):
-    monkeypatch.setattr(linkage, name, _planted_typo(getattr(linkage, name)))
-    report = check_link_consistency(1.1, 0.9, 1.1, 3)
-    assert not report.passed
-    assert report.max_abs_residual > 1e-7
-    assert not any(row["consistent"] for row in link_table(1.1, 0.9, 1.1, 3))
+    typo = _planted_typo(getattr(defosc, name))
+    monkeypatch.setattr(defosc, name, typo)
+    with pytest.raises(AssertionError):
+        assert_routes_close(*MILD, 3)
+    if name in ("q_from_p", "mu_from_h_match"):  # the two link_table runs
+        monkeypatch.setattr(linkage, name, typo)
+        with pytest.raises(AssertionError):
+            assert_rows_are_rounded_exact_values(1.1, 0.9, 1.1, link_table(1.1, 0.9, 1.1, 3))
+
+
+def test_link_check_computes_only_what_it_prints(monkeypatch):
+    table = link_table(1.1, 0.9, 1.1, 8)
+    report = check_link_consistency(1.1, 0.9, 1.1, 8)
+
+    def refuse(*args):
+        raise AssertionError("the link check re-proves a matching identity")
+
+    for name in ("mu_from_g_match", "mu_from_q", "q_from_mu", "q_and_pn_from_mu"):
+        monkeypatch.setattr(linkage, name, refuse)
+    monkeypatch.setattr(linkage, "hg_for_two_sided", refuse, raising=False)
+    assert link_table(1.1, 0.9, 1.1, 8) == table
+    monkeypatch.setattr(linkage, "mu_from_h_match", refuse)  # the check needs q alone
+    assert check_link_consistency(1.1, 0.9, 1.1, 8) == report
 
 
 def test_formulas_stay_exact_on_fractions():
@@ -408,13 +560,13 @@ def test_recipe_depth_trim_survives_overflowing_powers(qb, level, depth):
     "qb, pb, p, level, depth", [(0.1, 0.01, 10.0, 40, 1), (0.5, 0.1, 10.0, 80, 0)]
 )
 def test_recipe_depth_trim_goes_below_two(qb, pb, p, level, depth):
-    # q = 5.0e200 at the first point: q**2 leaves double range while q and
-    # the exact gaps 0-6 do not; at the second q itself exceeds 1e300, and
-    # depth 0 leaves gap 7 out
+    # q = 5.0e200 at the first point: q**2 leaves double range while q does
+    # not; at the second q itself exceeds 1e300, and depth 0 leaves the
+    # recipe out
     report = check_link_consistency(qb, pb, p, level)
     assert report.passed
     assert report.dim == depth
-    assert report.per_state == [(k, 0.0) for k in range(7 + (depth > 0))]
+    assert report.per_state == ([(n, 0.0) for n in range(depth + 1)] if depth else [])
     assert all(row["consistent"] for row in link_table(qb, pb, p, level))
 
 
@@ -443,11 +595,13 @@ def test_link_check_reports_or_raises_a_typed_error(qb, pb, p, level):
         report = check_link_consistency(qb, pb, p, level)
     except DeformedAlgebraError:
         return
-    assert len(report.per_state) in (7, 8)
+    levels = [n for n, _ in report.per_state]
+    assert levels == (list(range(report.dim + 1)) if report.dim else [])
+    assert report.max_abs_residual == max((gap for _, gap in report.per_state), default=0.0)
 
 
 def test_exact_certificate_never_prints_its_fractions():
-    # mu has about 6,600 digits here, past the int-to-str limit of 4,300
+    # q has about 5,900 digits here, past the int-to-str limit of 4,300
     with pytest.raises(EvaluationOverflowError, match="level=64"):
         check_link_consistency(999.9, 0.0011, 0.0013, 64)
 

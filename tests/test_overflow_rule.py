@@ -120,9 +120,9 @@ def test_dressing_and_coefficient_checks(q, p, mu, dim):
         assert_finite_or_typed(lambda: verify_hg(rep, pair))
 
 
-# The exact certificate's Fractions at these corners grow with the level
-# (3 s at level 40), so the link check is swept over the first levels only.
-@given(qb=POSITIVE, pb=POSITIVE, p=POSITIVE, level=st.integers(0, 8))
+# The exact q at these corners grows with the level (0.6 s at level 200),
+# so the link check is swept over levels 0-64.
+@given(qb=POSITIVE, pb=POSITIVE, p=POSITIVE, level=st.integers(0, 64))
 @settings(max_examples=30, deadline=None)
 def test_link_check(qb, pb, p, level):
     assert_finite_or_typed(lambda: check_link_consistency(qb, pb, p, level))

@@ -32,6 +32,7 @@ def test_unused_api_stays_removed():
     for name in ("LinkInput", "generalized_factorial"):
         assert not hasattr(defosc, name)
     assert not hasattr(defosc.linkage, "LinkInput")  # formulas take plain arguments
+    assert not hasattr(defosc.linkage, "hg_for_two_sided")  # its closure is a test proof
     assert not hasattr(defosc.qp, "generalized_factorial")  # the recipe runs products
     for name in ("DeformationParams", "nonstd_qp_sf_explicit"):
         assert not hasattr(defosc, name)
