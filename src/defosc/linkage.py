@@ -8,18 +8,23 @@ level N.  The formulas below express mu and q through each other along
 every route the matching admits; that the routes agree is an identity,
 proved on Fractions in the tests.  Each is written once, with int
 literals only, so on Fraction input it returns the exact Fraction; the
-level is used as a Python int, because a Fraction raised to a numpy
-integer computes its numerator and denominator in wrapping int64.
-link_table computes q, mu and p**N that way and prints float() of each,
-correctly rounded; check_link_consistency needs only q.  Both then check
-that the target pair with the level-consistent q reproduces the
-deformed integers [n] = (q**n - p**n)/(q - p).  A non-finite argument
-raises DomainError naming it; on floats, a value past double range raises
-EvaluationOverflowError naming the formula and the level.
+level is used as a Python int, because a Fraction or an int raised to a
+numpy integer computes in wrapping int64.  link_table and
+check_link_consistency run none of them: one private kernel writes q,
+mu and p**N on Python ints over cleared denominators, carrying powers
+from level to level, and prints numerator / denominator of each,
+correctly rounded; the tests prove its values equal to q_from_p,
+mu_from_h_match and p**N on Fractions.  check_link_consistency needs
+only q.  Both then check that the target pair with the level-consistent
+q reproduces the deformed integers [n] = (q**n - p**n)/(q - p).  A
+non-finite argument raises DomainError naming it; on floats, a value
+past double range raises EvaluationOverflowError naming the formula and
+the level.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import PoleError, double_range, finite
@@ -40,7 +45,6 @@ def mu_from_h_match(qb: float, pb: float, p: float, level: int) -> float:
 
     mu = qb Q**(2N) (1 + Q**(2N+2)) - 2 p**-N,  Q = qb/pb.
     """
-    require_finite(qb=qb, pb=pb, p=p)
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
@@ -82,7 +86,6 @@ def q_from_p(qb: float, pb: float, p: float, level: int) -> float:
 
     q = -1 + pb p**N Q**(2N) [1 + Q + Q**(2N-2) (1 + Q**5)] / 2.
     """
-    require_finite(qb=qb, pb=pb, p=p)
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
@@ -126,7 +129,6 @@ def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
 
     mu = -2 + pb Q**(2N+1) (1 + Q**(2N+2)).
     """
-    require_finite(qb=qb, pb=pb)
     require_positive(qb=qb, pb=pb)
     require_nonnegative_int(level=level)
     ratio, n = qb / pb, int(level)
@@ -139,11 +141,48 @@ def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
 SF_LEVELS = 12
 
 
-def _exact(**params: float) -> list[Fraction]:
-    # Fraction() of nan or inf raises a bare ValueError or OverflowError
-    require_positive(**params)
-    require_finite(**params)
-    return [Fraction(value) for value in params.values()]
+def _exact_columns(qb: float, pb: float, p: float, first: int, q_only: bool = False):
+    """Exact q, mu and p**N at levels first, first + 1, ... on Python ints.
+
+    Yields, per level, the (numerator, denominator) pairs of q, mu and
+    p**N, or of q alone when q_only; numerator / denominator is the
+    correctly rounded value, the division float(Fraction) performs, and
+    raises OverflowError past double range as it does.  With
+    qb = alpha/eps, pb = beta/delta, p = c/gamma and Q = qb/pb = A/B in
+    lowest terms, X = Q**(2N) = a/b and P = p**N, the free forms
+
+        q + 1 = pb P (X + X Q + X**2/Q**2 + X**2 Q**3) / 2
+              = beta c**N [a b A**2 B**2 (A + B) + a**2 (A**5 + B**5)]
+                / (2 delta gamma**N b**2 A**2 B**3),
+        mu    = qb (X + Q**2 X**2) - 2/P
+              = [alpha c**N (a b B**2 + a**2 A**2) - 2 eps gamma**N b**2 B**2]
+                / (eps c**N b**2 B**2)
+
+    need no gcd.  a b, a**2, b**2, c**N and gamma**N start as direct powers
+    at the first level and are then carried by one small factor per level.
+    """
+    (alpha, eps), (beta, delta), (c, gamma) = (
+        Fraction(value).as_integer_ratio() for value in (qb, pb, p)
+    )
+    # reduced once: a factor common to A and B would grow with every power
+    common = math.gcd(alpha * delta, eps * beta)
+    A, B = alpha * delta // common, eps * beta // common
+    a, b = A ** (2 * first), B ** (2 * first)
+    ab, a2, b2, c_n, gamma_n = a * b, a * a, b * b, c**first, gamma**first
+    ab_step, a2_step, b2_step = (A * B) ** 2, A**4, B**4
+    A2, B2 = A * A, B * B
+    q_ab, q_a2, q_bottom = A2 * B2 * (A + B), A2 * A2 * A + B2 * B2 * B, 2 * delta * A2 * B2 * B
+    while True:
+        q_den = q_bottom * b2 * gamma_n
+        q = (beta * c_n * (ab * q_ab + a2 * q_a2) - q_den, q_den)
+        if q_only:
+            yield (q,)
+        else:
+            b2_B2 = b2 * B2
+            mu_num = alpha * c_n * (ab * B2 + a2 * A2) - 2 * eps * gamma_n * b2_B2
+            yield q, (mu_num, eps * c_n * b2_B2), (c_n, gamma_n)
+        ab, a2, b2 = ab * ab_step, a2 * a2_step, b2 * b2_step
+        c_n, gamma_n = c_n * c, gamma_n * gamma
 
 
 def _exceeds_double_range(base: float, exponent: int) -> bool:
@@ -172,22 +211,24 @@ def check_link_consistency(
 ) -> ResidualReport:
     """Check that the level-consistent q makes the target an oscillator.
 
-    q is computed on Fractions along the mu-free route and rounded once.
-    The recipe over the target pair (p**-N, q p**-N) must then reproduce
-    the deformed integers [n] for n = 0..SF_LEVELS; per_state holds the
-    gap at each n, relative against max(1, |values|).  The matching q
-    always exceeds -1 but can reach zero or negative values; the target
-    then no longer describes an oscillator, so the recipe only runs when
-    q > 0.  Its depth (dim) is trimmed while max(q, p, 2)**depth exceeds
-    1e300 or overflows, down to 0, where per_state is empty.  qb, pb and
-    p must be finite and positive.  A q beyond double range raises
+    q along the mu-free route is computed exactly by the integer kernel,
+    from direct powers at the level, and rounded once.  The recipe over
+    the target pair (p**-N, q p**-N) must then reproduce the deformed
+    integers [n] for n = 0..SF_LEVELS; per_state holds the gap at each n,
+    relative against max(1, |values|).  The matching q always exceeds -1
+    but can reach zero or negative values; the target then no longer
+    describes an oscillator, so the recipe only runs when q > 0.  Its
+    depth (dim) is trimmed while max(q, p, 2)**depth exceeds 1e300 or
+    overflows, down to 0, where per_state is empty.  qb, pb and p must be
+    finite and positive.  A q beyond double range raises
     EvaluationOverflowError naming the level.
     """
-    exact = _exact(qb=qb, pb=pb, p=p)
+    require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative(tolerance=tol)
     require_nonnegative_int(level=level)
+    ((top, bottom),) = next(_exact_columns(qb, pb, p, int(level), q_only=True))
     with _double_range("linkage value", level):
-        q = float(q_from_p(*exact, int(level)))  # int: see the module docstring
+        q = top / bottom
     gaps = _recipe_gaps(q, p)
     worst = max(gaps, default=0.0)
     return ResidualReport(
@@ -208,23 +249,24 @@ def link_table(
 
     Each row carries the level, the level-consistent q, mu along all
     three routes, p**N, and the recipe verdict of check_link_consistency.
-    q, mu and p**N are computed on Fractions and each column is float()
-    of its exact value, so every printed value is correctly rounded; the
-    three mu routes agree exactly, so mu is printed in all three.  A
+    q, mu and p**N are computed exactly by the integer kernel, which
+    carries its powers from level to level, and each column is its
+    numerator / denominator, so every printed value is correctly rounded;
+    the three mu routes agree exactly, so mu is printed in all three.  A
     column beyond double range raises EvaluationOverflowError naming the
     level.
     """
     require_nonnegative_int(n_max=n_max)
-    exact = _exact(qb=qb, pb=pb, p=p)
+    require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative(tolerance=tol)
     rows = []
+    columns = _exact_columns(qb, pb, p, 0)
     for level in range(n_max + 1):
         # mu is (huge coefficient term) - 2 p**-N; at deformed corners the
         # two differ by more than 2**53, so only the exact value rounds right
+        exact = next(columns)
         with _double_range("linkage value", level):
-            q = float(q_from_p(*exact, level))
-            mu = float(mu_from_h_match(*exact, level))
-            p_pow_n = float(exact[-1] ** level)
+            q, mu, p_pow_n = (top / bottom for top, bottom in exact)
         row = dict(n=level, q=q, mu_h_match=mu, mu_g_match=mu, mu_from_q=mu, p_pow_n=p_pow_n)
         row["consistent"] = max(_recipe_gaps(q, p), default=0.0) <= tol
         rows.append(row)

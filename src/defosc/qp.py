@@ -19,7 +19,9 @@ SINGULARITY_THRESHOLD = 1e-9
 
 
 def require_positive(**params: float) -> None:
-    """Raise DomainError naming the first parameter that is not > 0."""
+    """Raise DomainError naming the first parameter that is nan or infinite,
+    as require_finite does, else the first that is not > 0."""
+    require_finite(**params)
     for name, value in params.items():
         if not value > 0:
             raise DomainError(f"parameter {name} must be > 0, got {value!r}")

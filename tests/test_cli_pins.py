@@ -5,10 +5,10 @@ its key spells (split on spaces).  The argv cover sf and spectrum for every
 model, every verify relation, link and limits, each with its error paths
 (missing flags, bad domains, values past double range), plus --help for
 the program and each subcommand, an unknown relation, flags a relation
-or a model ignores (never echoed by verify), and an impossible tolerance,
-margin, mu or mu_tilde.  A refactor that keeps the CLI's output keeps every
-hash; a change that moves output on purpose re-pins exactly the argv it
-moves.
+or a model ignores (never echoed by verify), an impossible tolerance,
+margin, mu or mu_tilde, and a nan or infinite model or linkage parameter.
+A refactor that keeps the CLI's output keeps every hash; a change that
+moves output on purpose re-pins exactly the argv it moves.
 """
 
 import hashlib
@@ -83,7 +83,7 @@ PINS = {
     "sf --model two-sided-equal --qb 1 --pb 0 --n-max 3":
         "b5df1d7f1b85c3a95302e366bf85a6434a421b2638e8e7a60b31ff813375d0f8",
     "sf --model biedenharn-macfarlane --q nan --n-max 3":
-        "42b5b5f4160e6f50ef208d7cc2f7d78d7b9d8b02095bd09f70164340327de916",
+        "cf38413fdef72453e21ee90d2ea495f62a0a03e114eb18b4d3274d6c11594c5a",
     "sf --model harmonic --n-max -1":
         "a071b00f6b233dc0e2859d61c93c1211772c98c940e45d8c203ed6bd55fb1ebc",
     "spectrum --model harmonic --n-max -1":
@@ -196,6 +196,14 @@ PINS = {
         "74ef6f18c3cbc7ca36f77e9c2deccaf74dcfb079b809df2643eff9d9c0a20814",
     "sf --model jannussis-mu --mu-tilde inf":
         "66fe40811d7f17178ad1bb3a5eee445b9e420721205353d42ef99de9ae665927",
+    "link --qb nan --pb 1 --p 1":
+        "d2a9e1665eee795d1bb42791b290191e396083174241670efc592de6f73ef989",
+    "sf --model arik-coon --q inf --n-max 3":
+        "2eac17386362f5169d8fdd21806a59b2211ce5f62b5bd26c1f5ca1ed840984ca",
+    "verify --relation q-ha --q inf":
+        "2eac17386362f5169d8fdd21806a59b2211ce5f62b5bd26c1f5ca1ed840984ca",
+    "verify --relation two-sided --qb 1.1 --pb inf":
+        "70160d18e6ee8102670b345bd4f506df5aca223416574b9bb1d0da6d6b836036",
 }
 
 

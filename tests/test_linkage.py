@@ -1,5 +1,7 @@
+import hashlib
 import re
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from defosc import (
     EvaluationOverflowError,
     HGPair,
     PoleError,
+    ResidualReport,
     check_link_consistency,
     hg_for_two_sided,
     link_table,
@@ -246,11 +249,13 @@ def test_link_input_validation():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("slot", range(3))
 def test_non_finite_link_parameters_are_refused(bad, slot):
+    # finiteness is checked first, so a nan reads as it does for the formulas
     params = [2.0, 1.0, 1.0]
     params[slot] = bad
-    with pytest.raises(DomainError, match=("qb", "pb", "p")[slot]):
+    message = f"^parameter {('qb', 'pb', 'p')[slot]} must be finite, got {bad!r}$"
+    with pytest.raises(DomainError, match=message):
         check_link_consistency(*params, 0)
-    with pytest.raises(DomainError, match=("qb", "pb", "p")[slot]):
+    with pytest.raises(DomainError, match=message):
         link_table(*params, 3)
 
 
@@ -432,6 +437,52 @@ def test_matching_routes_close_at_every_level(qb, pb, X, P):
     assert free["hg_for_two_sided"] == (1 / P, q / P)
 
 
+def assert_kernel_is_the_formula(qb, pb, p, level):
+    """The integer kernel's exact q, mu and p**N are q_from_p,
+    mu_from_h_match and p**N on Fractions, both from direct powers at the
+    level and carried from level 0, and its q alone is the same q.  The
+    formulas are looked up on the package, so a typo planted there shows."""
+    direct = next(linkage._exact_columns(qb, pb, p, level))
+    carried = next(islice(linkage._exact_columns(qb, pb, p, 0), level, None))
+    (q_alone,) = next(linkage._exact_columns(qb, pb, p, level, q_only=True))
+    qb, pb, p = Fraction(qb), Fraction(pb), Fraction(p)
+    want = [defosc.q_from_p(qb, pb, p, level), defosc.mu_from_h_match(qb, pb, p, level), p**level]
+    for columns in (direct, carried):
+        assert [Fraction(*pair) for pair in columns] == want
+    assert Fraction(*q_alone) == want[0]
+
+
+@given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL, level=st.integers(0, 64))
+@example(qb=5e-324, pb=1.7e308, p=5e-324, level=64)  # the double-range corners
+@example(qb=1.7e308, pb=5e-324, p=1.7e308, level=64)
+@example(qb=5e-324, pb=5e-324, p=1.0, level=64)  # Q = 1 and p = 1
+@example(qb=Fraction(3, 2), pb=Fraction(3, 2), p=Fraction(5, 4), level=64)  # Q = 1
+@example(qb=Fraction(1, 3), pb=Fraction(7, 4), p=Fraction(1), level=64)  # p = 1
+@example(qb=1.1, pb=0.9, p=1.1, level=0)
+@settings(max_examples=100, deadline=None)
+def test_kernel_is_the_proven_formula(qb, pb, p, level):
+    assert_kernel_is_the_formula(qb, pb, p, level)
+
+
+@pytest.mark.parametrize(
+    "qb, pb, p",
+    [(5e-324, 5e-324, 1.0), (1.7e308, 1.7e308, 0.5), (5e-324, 1.7e308, 5e-324), (1.1, 0.9, 1.1)],
+)
+def test_kernel_integers_grow_with_the_reduced_ratio(qb, pb, p):
+    # with Q = A/B in lowest terms, the integers at level N stay within
+    # about 4N (bits of A and B) plus N (bits of p) and the parameters'
+    # own bits; an unreduced Q, which at the first two points carries a
+    # common factor of 2**1074 or 2**971, grows them by thousands of bits
+    # per level
+    def bits(value):
+        return sum(part.bit_length() for part in Fraction(value).as_integer_ratio())
+
+    ratio_bits, p_bits, own_bits = bits(Fraction(qb) / Fraction(pb)), bits(p), bits(qb) + bits(pb)
+    for level, columns in zip(range(65), linkage._exact_columns(qb, pb, p, 0)):
+        biggest = max(abs(part).bit_length() for pair in columns for part in pair)
+        assert biggest <= 2 * (4 * level + 6) * ratio_bits + level * p_bits + own_bits + 8
+
+
 PLANTED = 1 + Fraction(1, 10**6)
 
 
@@ -469,24 +520,24 @@ def test_planted_typo_fails_the_certificate(monkeypatch, name):
     monkeypatch.setattr(defosc, name, typo)
     with pytest.raises(AssertionError):
         assert_routes_close(*MILD, 3)
-    if name in ("q_from_p", "mu_from_h_match"):  # the two link_table runs
-        monkeypatch.setattr(linkage, name, typo)
+    if name in ("q_from_p", "mu_from_h_match"):  # the two columns the kernel computes
         with pytest.raises(AssertionError):
-            assert_rows_are_rounded_exact_values(1.1, 0.9, 1.1, link_table(1.1, 0.9, 1.1, 3))
+            assert_kernel_is_the_formula(*MILD, 3)
 
 
 def test_link_check_computes_only_what_it_prints(monkeypatch):
+    # the integer kernel alone computes the printed columns: no formula,
+    # not even the two it is proven equal to, runs in the link check
     table = link_table(1.1, 0.9, 1.1, 8)
     report = check_link_consistency(1.1, 0.9, 1.1, 8)
 
     def refuse(*args):
-        raise AssertionError("the link check re-proves a matching identity")
+        raise AssertionError("the link check runs a matching formula")
 
-    for name in ("mu_from_g_match", "mu_from_q", "q_from_mu", "q_and_pn_from_mu"):
+    for name in FORMULA_ARGS:
         monkeypatch.setattr(linkage, name, refuse)
     monkeypatch.setattr(linkage, "hg_for_two_sided", refuse, raising=False)
     assert link_table(1.1, 0.9, 1.1, 8) == table
-    monkeypatch.setattr(linkage, "mu_from_h_match", refuse)  # the check needs q alone
     assert check_link_consistency(1.1, 0.9, 1.1, 8) == report
 
 
@@ -598,6 +649,58 @@ def test_link_check_reports_or_raises_a_typed_error(qb, pb, p, level):
     levels = [n for n, _ in report.per_state]
     assert levels == (list(range(report.dim + 1)) if report.dim else [])
     assert report.max_abs_residual == max((gap for _, gap in report.per_state), default=0.0)
+
+
+CORNER = (5e-324, 1.7e308, 5e-324)
+
+
+def digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_link_rows_at_the_double_range_corner():
+    # a column leaves double range at level 0, whatever n_max; above it
+    # q rounds to -1.0, no oscillator, so the recipe does not run, and the
+    # check at level 200 computes its exact q in milliseconds
+    for n_max in (0, 3, 40):
+        with pytest.raises(EvaluationOverflowError, match="^linkage value .* at level=0$"):
+            link_table(*CORNER, n_max)
+    with pytest.raises(EvaluationOverflowError, match="^linkage value .* at level=0$"):
+        check_link_consistency(*CORNER, 0)
+    for level in (1, 40, 200):
+        report = check_link_consistency(*CORNER, level)
+        relation = f"link-consistency(qb=5e-324,pb=1.7e+308,p=5e-324,level={level})"
+        assert report == ResidualReport(relation, 0, 0, 0.0, 1e-10, True, [])
+
+
+def test_link_rows_at_the_last_level_before_overflow():
+    # p**-N = 16**256 leaves double range at level 256; the rows before
+    # it and the check past it are the values the Fraction rows printed
+    rows = link_table(2.0, 1.0, 0.0625, 255)
+    assert rows[-1] == dict(
+        n=255, q=3.125, mu_h_match=6.741349255733685e307, mu_g_match=6.741349255733685e307,
+        mu_from_q=6.741349255733685e307, p_pow_n=8.900295434028806e-308, consistent=True,
+    )
+    assert digest(rows) == "5675d383fd90ed59e743391080be4259751693e4bf919ea16dadc80f001c8bbe"
+    gaps = [0.0] * 5 + [1.4603138016700745e-16, 0.0, 1.1962890625015312e-16, 0.0,
+                        1.960000000000001e-16, 1.2544e-16, 1.605632e-16, 2.05520896e-16]
+    for level in (255, 256, 260):
+        report = check_link_consistency(2.0, 1.0, 0.0625, level)
+        assert (report.dim, report.passed) == (12, True)
+        assert report.per_state == list(enumerate(gaps))
+
+
+def test_link_rows_far_from_the_undeformed_point():
+    with pytest.raises(EvaluationOverflowError, match="^linkage value .* at level=13$"):
+        link_table(999.9, 0.0011, 0.0013, 64)
+    rows = link_table(999.9, 0.0011, 0.0013, 12)
+    assert (rows[-1]["q"], rows[-1]["mu_h_match"], rows[-1]["p_pow_n"]) == (
+        9.872814144256842e265, 8.475215102317814e300, 2.3298085122480986e-35
+    )
+    assert digest(rows) == "e5d518fec45c229fdba99e55e37e267e0c08b7d007be8ae7881aeafb2a4ad489"
+    assert check_link_consistency(999.9, 0.0011, 0.0013, 12).per_state == [(0, 0.0), (1, 0.0)]
+    report = check_link_consistency(999.9, 0.0011, 0.0013, 0)
+    assert (report.dim, report.max_abs_residual) == (12, 2.608900259805772e-16)
 
 
 def test_exact_certificate_never_prints_its_fractions():

@@ -526,6 +526,37 @@ def test_non_finite_mu_and_mu_tilde_are_domain_errors(bad):
         jannussis_mu(bad)
 
 
+# each constructor that takes a positive parameter, with the name its
+# DomainError gives each slot
+POSITIVE_SLOTS = [
+    (arik_coon, ["q"]),
+    (biedenharn_macfarlane, ["q"]),
+    (chakrabarti_jagannathan, ["q", "p"]),
+    (nonstd_q, ["q"]),
+    (nonstd_qp, ["q", "p"]),
+    (two_sided_equal_hg, ["q", "p"]),
+    (hg_for_q_ha, ["q"]),
+    (hg_for_qp_ha, ["q", "p"]),
+    (lambda qb, pb: hg_for_two_sided(qb, pb, 0.0), ["qb", "pb"]),
+    (equal_hg_special_case, ["qb", "pb"]),
+]
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), float("-inf")])
+@pytest.mark.parametrize(
+    "build, names, slot",
+    [(build, names, slot) for build, names in POSITIVE_SLOTS for slot in range(len(names))],
+)
+def test_non_finite_model_parameters_are_domain_errors(build, names, slot, bad):
+    # unchecked, an infinite q overflows inside the table or gives
+    # h(1) = inf; a nan reads as it does for the linkage formulas
+    params = [1.5, 1.25][: len(names)]
+    params[slot] = bad
+    message = rf"^parameter {names[slot]} must be finite, got {bad!r}$"
+    with pytest.raises(DomainError, match=message):
+        build(*params)
+
+
 def test_a_huge_exact_mu_is_finite():
     # math.isfinite() would overflow converting this Fraction to a double
     mu = Fraction(10) ** 400
