@@ -471,9 +471,9 @@ def test_kernel_is_the_proven_formula(qb, pb, p, level):
 def test_kernel_integers_grow_with_the_reduced_ratio(qb, pb, p):
     # with Q = A/B in lowest terms, the integers at level N stay within
     # about 4N (bits of A and B) plus N (bits of p) and the parameters'
-    # own bits; an unreduced Q, which at the first two points carries a
-    # common factor of 2**1074 or 2**971, grows them by thousands of bits
-    # per level
+    # own bits; unreduced, Q = 1 at the first two points is a ratio of two
+    # 1,075- or 1,024-bit integers and grows them by thousands of bits per
+    # level
     def bits(value):
         return sum(part.bit_length() for part in Fraction(value).as_integer_ratio())
 
