@@ -3,7 +3,7 @@
 Every deformation here degenerates into a simpler one when its
 parameters approach their undeformed values; each check below measures
 the worst deviation of such a reduction, either exactly at the limit
-point (where a dedicated branch or an algebraic identity applies) or at
+point (where an algebraic identity makes it exact) or at
 parameters offset by 1e-8 (where the deviation must stay below the
 suite tolerance, 1e-6 by default).
 """
@@ -33,7 +33,6 @@ from .structure import (
     sf_table,
     spectrum,
     two_sided_equal_hg,
-    two_sided_equal_sf,
 )
 
 DEFAULT_LIMIT_TOLERANCE = 1e-6
@@ -56,10 +55,6 @@ def _sf_gap(model_a: StructureFunctionModel, model_b: StructureFunctionModel) ->
     return max(relative_gap(a, b) for a, b in rows)
 
 
-def _check_qp_reduces_to_q_at_p_one() -> float:
-    return max(_sf_gap(nonstd_qp(q, 1.0), nonstd_q(q)) for q in _QGRID)
-
-
 def _check_qp_reduces_to_q_near_p_one() -> float:
     worst = 0.0
     for q in _QGRID:
@@ -71,8 +66,8 @@ def _check_qp_reduces_to_q_near_p_one() -> float:
 def _check_equal_ratio_gives_scaled_integers() -> float:
     worst = 0.0
     for q in _QGRID:
-        for n in range(_NMAX + 1):
-            worst = max(worst, relative_gap(two_sided_equal_sf(q, q, n), n / q))
+        for n, phi in enumerate(sf_table(two_sided_equal_hg(q, q), _NMAX)):
+            worst = max(worst, relative_gap(phi, n / q))
     return worst
 
 
@@ -154,7 +149,6 @@ def _check_equal_case_mu_vanishes_near_ratio_one() -> float:
 
 
 _CHECKS = (
-    ("qp-reduces-to-q-at-p-1", _check_qp_reduces_to_q_at_p_one),
     ("qp-reduces-to-q-near-p-1", _check_qp_reduces_to_q_near_p_one),
     ("equal-coefficient-sf-is-n-over-q", _check_equal_ratio_gives_scaled_integers),
     ("two-sided-mu-0-recipe-near-ratio-1", _check_two_sided_mu_zero_near_ratio_one),

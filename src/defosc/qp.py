@@ -1,8 +1,9 @@
 """Parameter checks and two-parameter deformed integers.
 
 The deformed integer [m] = (q**m - p**m) / (q - p) reduces to m at
-q = p = 1 and interpolates smoothly across the removable singularity
-at q = p, where its value is m * q**(m - 1).
+q = p = 1 and is smooth across the removable singularity at q = p,
+where its value is m * q**(m - 1).  It is evaluated in one form on both
+sides of that point, so nothing cancels near it.
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ import operator
 from typing import Callable
 
 from .errors import DomainError, double_range, finite
-
-# Relative |q - p| gap at or below which qp_number switches to its analytic
-# limit, avoiding catastrophic cancellation in (q**m - p**m) / (q - p).
-SINGULARITY_THRESHOLD = 1e-9
 
 
 def require_positive(**params: float) -> None:
@@ -60,24 +57,30 @@ def relative_gap(a: float, b: float) -> float:
 
 
 def deformed_integers(q: float, p: float) -> Callable[[int], float]:
-    """m -> [m] for fixed (q, p): the domain check, the singular-branch
-    choice, the midpoint and the gap q - p are done once, not per m."""
+    """m -> [m] for fixed (q, p), with its per-(q, p) work done once.
+
+    With big = max(q, p), e = (big - min(q, p)) / big and L = log1p(-e),
+    [m] = big**(m-1) * expm1(m L) / expm1(L).  big - min(q, p) is exact
+    near q = p and m L is never positive, so nothing cancels, and the
+    quotient keeps [1] = 1 exactly.  At e = 0, the point q = p itself,
+    [m] = m big**(m-1); at e = 1 (min(q, p) / big below 2**-53) log1p
+    has a pole, L = -inf and [m] = big**(m-1).
+    """
     require_positive(q=q, p=p)
-    if abs(q - p) <= SINGULARITY_THRESHOLD * max(q, p):
-        mid = 0.5 * (q + p)
-        return lambda m: m * mid ** (m - 1) if m else 0.0
-    gap = q - p
-    return lambda m: (q**m - p**m) / gap
+    big = max(q, p)
+    e = (big - min(q, p)) / big
+    if e == 0:
+        return lambda m: m * big ** (m - 1) if m else 0.0
+    log_ratio = math.log1p(-e) if e < 1 else -math.inf
+    scale = math.expm1(log_ratio)
+    return lambda m: big ** (m - 1) * (math.expm1(m * log_ratio) / scale) if m else 0.0
 
 
 def qp_number(m: int, q: float, p: float) -> float:
-    """Deformed integer [m] = (q**m - p**m) / (q - p).
+    """Deformed integer [m] = (q**m - p**m) / (q - p), m q**(m-1) at q = p.
 
-    Near the removable singularity q = p (relative gap at most
-    SINGULARITY_THRESHOLD) returns the limit m * mid**(m - 1) evaluated
-    at the midpoint mid = (q + p) / 2.  deformed_integers(q, p) is the
-    same map with its per-(q, p) work done once.  A value beyond double
-    range raises EvaluationOverflowError.
+    deformed_integers(q, p)(m), whose one form holds on both sides of
+    q = p.  A value beyond double range raises EvaluationOverflowError.
     """
     require_nonnegative(m=m)
     with double_range(lambda: f"deformed integer [{m}] overflowed at q={q}, p={p}"):

@@ -5,10 +5,11 @@ a+ a- = Phi(N) and a- a+ = Phi(N+1), so a model is a label and a way to
 build Phi: each constructor checks its parameters and stores the builder
 of its level function.  This module holds
 
-* the closed-form catalog: harmonic, Arik-Coon, Biedenharn-Macfarlane,
-  Chakrabarti-Jagannathan, the Jannussis mu-oscillator, the nonstandard
+* the catalog: harmonic, Arik-Coon, Biedenharn-Macfarlane,
+  Chakrabarti-Jagannathan, the Jannussis mu-oscillator and the nonstandard
   one- and two-parameter oscillators realizing deformed position-momentum
-  relations, and the equal-coefficient two-sided special case;
+  relations, each one formula valid on both sides of its undeformed point,
+  and the equal-coefficient two-sided special case, as its defining sum;
 * the reconstruction recipe recovering Phi(n) from a coefficient pair
   (h, g) satisfying h(N) a- a+ - g(N) a+ a- = 1;
 * the coefficient pairs belonging to each deformed Heisenberg relation;
@@ -24,10 +25,6 @@ from typing import Callable
 
 from .errors import DomainError, RecipeDivisionError, double_range, finite
 from .qp import deformed_integers, require_finite, require_nonnegative_int, require_positive
-
-# |Q - 1| below this switches two_sided_equal_sf to its analytic limit
-# n / qb; the bracket term of the closed form is 0/0 at Q = 1.
-EQUAL_CASE_LIMIT_THRESHOLD = 1e-6
 
 _Level = Callable[[int], float]
 
@@ -54,8 +51,8 @@ class StructureFunctionModel:
     levels() does the model's per-model work once (constants, domain
     checks, branch choices) and returns level(n) = Phi(n), n >= 1.  A
     level function that carries running values from level to level
-    (nonstd-q, the recipe) takes any first n, catching up over the levels
-    below it, and then n in non-decreasing order; sf_table calls it for
+    (two-sided-equal, the recipe) takes any first n, catching up over the
+    levels below it, and then n in non-decreasing order; sf_table calls it for
     n = 1, 2, ... in turn, one step per level.  A model equals only
     itself: its levels callable compares by identity.
     """
@@ -102,7 +99,7 @@ def jannussis_mu(mu_tilde: float) -> StructureFunctionModel:
 def nonstd_q(q: float) -> StructureFunctionModel:
     """Nonstandard oscillator realizing the relation X P - q P X = i."""
     require_positive(q=q)
-    return StructureFunctionModel(f"nonstd-q(q={q})", partial(_nonstd_q_levels, q))
+    return StructureFunctionModel(f"nonstd-q(q={q})", partial(_nonstd_qp_levels, q, 1.0))
 
 
 def nonstd_qp(q: float, p: float) -> StructureFunctionModel:
@@ -114,10 +111,14 @@ def nonstd_qp(q: float, p: float) -> StructureFunctionModel:
 
 
 def two_sided_equal_hg(qb: float, pb: float) -> StructureFunctionModel:
-    """Two-sided deformation in the special case of equal coefficient functions."""
-    require_positive(q=qb, p=pb)
+    """Two-sided deformation in the special case of equal coefficient functions.
+
+    Phi(n) = sum_{k<n} 1/h(k) with h the common coefficient of
+    equal_hg_special_case; at qb == pb every term is exactly 1/qb.
+    """
+    require_positive(qb=qb, pb=pb)
     return StructureFunctionModel(
-        f"two-sided-equal(qb={qb},pb={pb})", lambda: partial(two_sided_equal_sf, qb, pb)
+        f"two-sided-equal(qb={qb},pb={pb})", partial(_two_sided_equal_levels, qb, pb)
     )
 
 
@@ -144,25 +145,6 @@ def _jannussis_mu_levels(mu: float) -> _Level:
     return level
 
 
-def _nonstd_q_levels(q: float) -> _Level:
-    # (q**n - q**(1-n)) / (q - 1) is written through the geometric sum
-    # sum_{k<2n-1} q**k, so the q -> 1 point needs no limit branch; each
-    # level extends the sum of the one before by two terms.
-    total, power, terms = 0.0, 1.0, 0
-
-    def level(n: int) -> float:
-        nonlocal total, power, terms
-        while terms < 2 * n - 1:
-            total += power
-            power *= q
-            terms += 1
-        bracket = 1.0 + q ** (1 - n) * total
-        prefactor = 2.0 * q ** (-n) / ((1.0 + q ** (2 * n - 2)) * (1.0 + q ** (2 * n)))
-        return prefactor * bracket
-
-    return level
-
-
 def _nonstd_qp_levels(q: float, p: float) -> _Level:
     ratio = q / p
     odd = deformed_integers(ratio, 1.0)
@@ -172,6 +154,23 @@ def _nonstd_qp_levels(q: float, p: float) -> _Level:
         head = 2.0 / (p * ratio**n)
         tail = (1.0 + ratio ** (2 * n - 2)) * (1.0 + ratio ** (2 * n))
         return head / tail * bracket
+
+    return level
+
+
+def _two_sided_equal_levels(qb: float, pb: float) -> _Level:
+    # Phi(n) = S(n) / pb with S(n) = sum_{k<n} pb / h(k): each term is
+    # positive, so nothing cancels, and each is exactly 1 at Q = 1.  Each
+    # level extends the sum of the one before.
+    ratio = qb / pb
+    total, terms = 0.0, 0
+
+    def level(n: int) -> float:
+        nonlocal total, terms
+        while terms < n:
+            total += 1.0 / _equal_bracket(0.25, ratio, terms, 1.0)
+            terms += 1
+        return total / pb
 
     return level
 
@@ -352,55 +351,31 @@ def equal_hg_special_case(
     mu(n) = pb Q**(2n) [Q - 1 + Q**(2n-2) (Q**5 - 1)] / 2,
     h(n) = g(n) = pb Q**(2n) [Q + 1 + Q**(2n-2) (Q**5 + 1)] / 4,  Q = qb/pb.
 
-    Degenerate at qb = pb (mu vanishes identically); callers should use the
-    ratio-one branch instead.
+    Degenerate at qb = pb (mu vanishes identically), where
+    two_sided_equal_hg gives Phi(n) = n / qb.
     """
     require_positive(qb=qb, pb=pb)
     if qb == pb:
         raise DomainError(
             "equal-coefficient special case degenerates at qb == pb "
-            "(mu is identically zero); use the ratio-one branch"
+            "(mu is identically zero); there Phi(n) = n / qb"
         )
     ratio = qb / pb
 
     def scaled(n: int, factor: float, sign: float) -> float:
-        # factor pb Q**(2n) [Q + sign + Q**(2n-2) (Q**5 + sign)]
         with double_range(
             lambda: f"equal-coefficient special case overflowed at n={n}, qb={qb}, pb={pb}"
         ):
-            tail = ratio ** (2 * n - 2) * (ratio**5 + sign)
-            return finite(factor * pb * ratio ** (2 * n) * ((ratio + sign) + tail))
+            return finite(_equal_bracket(factor * pb, ratio, n, sign))
 
     return (lambda n: scaled(n, 0.5, -1.0)), (lambda n: scaled(n, 0.25, 1.0))
 
 
-def two_sided_equal_sf(qb: float, pb: float, n: int) -> float:
-    """Closed-form Phi(n) of the equal-coefficient two-sided oscillator.
-
-    Phi(n) = 4 Q**2 / (pb (1+Q**2)(1+Q**3))
-           - 4 / (pb (1+Q)) * [ (1 - Q**(2-2n)) / (1 - Q**2)
-             + sum_{j=1}^{n-1} (1+Q**5) / (Q**2 (1+Q) + Q**(2j) (1+Q**5)) ]
-
-    with Q = qb/pb; for |Q - 1| below EQUAL_CASE_LIMIT_THRESHOLD the
-    whole expression is 0/0-ridden and the analytic limit n/qb is used.
-    """
-    require_nonnegative_int(n=n)
-    require_positive(qb=qb, pb=pb)
-    if n == 0:
-        return 0.0
-    ratio = qb / pb
-    with double_range(
-        lambda: f"equal-coefficient closed form overflowed at n={n}, qb={qb}, pb={pb}"
-    ):
-        if abs(ratio - 1.0) < EQUAL_CASE_LIMIT_THRESHOLD:
-            return finite(n / qb)
-        head = 4.0 * ratio**2 / (pb * (1.0 + ratio**2) * (1.0 + ratio**3))
-        bracket = (1.0 - ratio ** (2 - 2 * n)) / (1.0 - ratio**2)
-        r5 = 1.0 + ratio**5
-        base = ratio**2 * (1.0 + ratio)
-        for j in range(1, n):
-            bracket += r5 / (base + ratio ** (2 * j) * r5)
-        return finite(head - 4.0 / (pb * (1.0 + ratio)) * bracket)
+def _equal_bracket(scale: float, ratio: float, n: int, sign: float) -> float:
+    # scale Q**(2n) [Q + sign + Q**(2n-2) (Q**5 + sign)]: mu(n) at scale pb/2
+    # and sign -1, the common coefficient h(n) = g(n) at pb/4 and sign +1
+    tail = ratio ** (2 * n - 2) * (ratio**5 + sign)
+    return scale * ratio ** (2 * n) * ((ratio + sign) + tail)
 
 
 def spectrum(model: StructureFunctionModel, n_max: int) -> list[float]:

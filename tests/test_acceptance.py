@@ -42,7 +42,6 @@ from defosc import (
     sf_eval,
     sf_from_hg,
     two_sided_equal_hg,
-    two_sided_equal_sf,
     verify_commutator_sf,
     verify_hg,
     verify_q_ha,
@@ -50,7 +49,7 @@ from defosc import (
     verify_two_sided,
 )
 from defosc.cli import main as cli_main
-from sf_oracle import nonstd_qp_sf_explicit
+from sf_oracle import nonstd_qp_sf_explicit, two_sided_equal_sf_closed_form
 
 GRID = (0.5, 0.9, 1.1, 2.0)
 DIMS = (8, 32, 64)
@@ -93,21 +92,27 @@ def test_c02_recipe_matches_two_parameter_closed_forms():
 
 
 def test_c03_two_sided_equal_coefficient_closed_form():
+    # the model's running sum, the paper's closed form and the recipe
     worst = 0.0
     for qb in GRID:
         for pb in GRID:
+            model = two_sided_equal_hg(qb, pb)
             if qb == pb:
                 for n in range(N_MAX + 1):
-                    assert two_sided_equal_sf(qb, pb, n) == n / qb
+                    assert sf_eval(model, n) == n / qb
                 continue
             _, hg_value = equal_hg_special_case(qb, pb)
             pair = HGPair(h=hg_value, g=hg_value)
             for n in range(N_MAX + 1):
-                worst = max(
-                    worst, rel_gap(two_sided_equal_sf(qb, pb, n), sf_from_hg(pair, n))
+                values = (
+                    sf_eval(model, n),
+                    two_sided_equal_sf_closed_form(n, qb, pb),
+                    sf_from_hg(pair, n),
                 )
+                for a, b in ((0, 1), (0, 2), (1, 2)):
+                    worst = max(worst, rel_gap(values[a], values[b]))
     assert worst <= 1e-10
-    announce("C3", f"equal-coefficient closed form vs recipe: worst {worst:.2e}")
+    announce("C3", f"equal-coefficient model vs closed form vs recipe: worst {worst:.2e}")
 
 
 def test_c04_symmetric_oscillator_recovery():

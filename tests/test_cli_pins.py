@@ -25,47 +25,47 @@ PINS = {
     "spectrum --model harmonic --n-max 7 --format json":
         "cfece8fc2cbab329728203cf091ea18b435ec4dd050b9ca3e49440e869c8b867",
     "sf --model arik-coon --q 1.3 --n-max 12":
-        "bce3b792f2d7d50fde38c441f8d1560bc1405dfaff2342771139b89ccb03a693",
+        "a6dd4fd4c7052de8d08d7821976dc7f978ab938cb4e1719c05120ebadd2e1ca4",
     "spectrum --model arik-coon --q 1.3 --n-max 7 --format json":
-        "a0bbef4dd4c4b01746b7b2ba952630d9e9c051ff233d5a2bb8eb734539609276",
+        "1b807175c1a1e57fbd75387067216b3fd7ed21c897b555190fa94e52854945b9",
     "sf --model biedenharn-macfarlane --q 0.8 --n-max 12":
-        "0f9a8ec4e08adcdc390419df29046d19554906ff314ec988b0c0649ff3dcbbb5",
+        "3adb4305d736223f7843f12d85a58028d7d9d02254c667686485a189a2394140",
     "spectrum --model biedenharn-macfarlane --q 0.8 --n-max 7 --format json":
-        "cdd8b01bf5df947a3ca97067814cadac34c1bb7ee9c9c055b815da05d139a0b5",
+        "d940b2b5bf58d6f18bd62bbd86c88f4af17256fe3d65fccb1269fbf400fd36c5",
     "sf --model cj --q 1.2 --p 0.7 --n-max 12":
-        "de95b3fc679bed191e3050b7fb88bcffd4239c6ea4892dc05d2fb3aa9f709f32",
+        "12d5be8e9a6f35a7ab4923bae97dc899f9a7869754a08a408639a530e5d7a0b5",
     "spectrum --model cj --q 1.2 --p 0.7 --n-max 7 --format json":
-        "074de38d5c784ddcb24def0b93c0ceb3a0d95f7f41ab9028792fb3df050d0ea3",
+        "1c927ad9ae9ed325ec7965b115a73a201be4d11b6af5fe84dba0f03846502fe6",
     "sf --model jannussis-mu --mu-tilde 0.2 --n-max 12":
         "e35690c2548e8b090d1e8a2b0ce001b7b9805068d2d273bf9139e650ecb88dc7",
     "spectrum --model jannussis-mu --mu-tilde 0.2 --n-max 7 --format json":
         "82ad5a9470e9c9f22f43860b773f389a69631d1a97403cbac60ad235940db769",
     "sf --model nonstd-q --q 1.1 --n-max 12":
-        "4bc761a4701d3dbcc935f3c8bdbe6bf2e17dd01a746dedc635631c45c16e3f72",
+        "0627ed14ec8c9838c28586e38505282e13de2ddd0dfe62406f4c45e9fe6b282d",
     "spectrum --model nonstd-q --q 1.1 --n-max 7 --format json":
-        "dbaaf12d03e8c710e58dd19ae8c29f4300c873a8714b943ae51efec288b10648",
+        "b847f5eeb500f1ea7964bc3b90c0a1a9e63e8fca8e175f4e59e52b9b3beafcc5",
     "sf --model nonstd-qp --q 1.2 --p 0.9 --n-max 12":
-        "9ade938bf72a1d26029db20a0a4e42656d8ee6eabd05577430b46f9f11c6aa4d",
+        "7bdbf761266d545c280ac31bc5f958d88db6122610080343f8898027c85f4b60",
     "spectrum --model nonstd-qp --q 1.2 --p 0.9 --n-max 7 --format json":
-        "ce063fb2332467dc14e67c044c8033fed08db8d7fa36570b2a5d5327a94fc9f9",
+        "bb37fbfdf9f983c43293e9b31f0a2cc77ea8b0be6b47e417ae19cc5a3b503890",
     "sf --model two-sided-equal --qb 1.1 --pb 1.0 --n-max 12":
-        "f4e8f327dee54d39569c3e045dbb0e2fca5a86855779ccf0c2f615e2d1d3f528",
+        "61693d9e4c248a978f33287cbda8f767f36d9ae7583ebee0dc2857433125fd55",
     "spectrum --model two-sided-equal --qb 1.1 --pb 1.0 --n-max 7 --format json":
-        "b0397ddf382e87bbaa5db26326b844a8aecd830bb0bacccff3f15e9a062abbf3",
+        "6ab7f9037d0d12b5700d1510d21d690d2dd614ac03894878f7d84a69328180b4",
     "sf --model arik-coon --q 2 --n-max 1100":
         "d947c58d45a37d598c8ecb1b3151d9b449a660c390e13bfae4b0f4bf12533e19",
     "sf --model arik-coon --q 1e-300 --n-max 3":
         "8c16f4063ee72e3424053141d3320e1b9e5e963c81a4cb1464b3781ac0531ccd",
     "sf --model arik-coon --q 1e300 --n-max 3":
-        "c674da1c8ce4eb45abcc86eb99642dd44928aac7dd7df23c0c33a8c9d1ece416",
+        "f56eb99cc00cb1f44ad61580f0a624dea4c8ada7e8b3aa0f2e6f90dd72ebf895",
     "sf --model arik-coon --q -1 --n-max 3":
         "87c9a90d77a6dc055016cb46761c974245cd6456cb6fa7d19a10fdef42b09882",
     "sf --model arik-coon --n-max 3":
         "4d81e85308d7d51efaf64af14488235f3c07176fa9f18917ca00ffc0bacf3b3d",
     "sf --model cj --q 1.1 --n-max 4":
-        "f990285ed0358d99bc12dd409e941a72cce127d6827f8118debd5718fb0a7ab5",
+        "da9b6eebc248688e22f668709697aadcf2d10f4a302e1da530ebeab6004d1707",
     "sf --model cj --q 1.1 --p 1.1000000000011 --n-max 30":
-        "8588f308920b207d51a121b8ba6685ba5435d20a2a4a8e79eee79991f754d27e",
+        "4936da612a80053997428a0469c95748c0ca48360b852e67709c9e90c1f8b297",
     "sf --model jannussis-mu --mu-tilde -0.3 --n-max 6":
         "babd32610de4795d2bb9196123666d0ee665d9180f1ff0a0d2d7396070edcfc4",
     "sf --model nonstd-q --q 1 --n-max 9 --format json":
@@ -81,7 +81,7 @@ PINS = {
     "sf --model two-sided-equal --qb 1e3 --pb 1e-3 --n-max 40":
         "4983345094e4517fac5f9f17afa1fe5da1d2f0971df6e6a623d88600c28ef7a6",
     "sf --model two-sided-equal --qb 1 --pb 0 --n-max 3":
-        "b5df1d7f1b85c3a95302e366bf85a6434a421b2638e8e7a60b31ff813375d0f8",
+        "0bc3834d02c944e46486ecc1f53252d691b42e78e4bf71eb99b1f6536734dfe1",
     "sf --model biedenharn-macfarlane --q nan --n-max 3":
         "cf38413fdef72453e21ee90d2ea495f62a0a03e114eb18b4d3274d6c11594c5a",
     "sf --model harmonic --n-max -1":
@@ -93,15 +93,15 @@ PINS = {
     "sf --model nope --n-max 3":
         "349d8e5564501c8acaa286dfff8552b5d0575377a1bf9af39bb8ea5d0dd32fe8",
     "verify --relation q-ha --q 1.05 --dim 8":
-        "f9c047586788275c1bc52fb4cc43e553785e3c2565728cfc04e7ecbced552b4d",
+        "7f4c2194cdc552bf269bdce91c361606b31cb171cd087613e6be129e61082d53",
     "verify --relation q-ha --q 2 --dim 300":
         "299d9dd88c4ccb919e2662029bc97407b669a4728235ac3003dbcfb34e1800df",
     "verify --relation q-ha --q 0.9 --dim 64 --format json":
-        "6147686e21e1f8bfad1ebd8f393b53c96aef8f94cb8d56f071bc96f5277020c2",
+        "482cf592770ddd4ed34805cf9619f6344473acb0234446553c29e2a2a60c5951",
     "verify --relation q-ha --dim 8":
         "31e501e04115a829e06de61a3951fccc0f8dcf0a4a65b82908615573b50d18a6",
     "verify --relation qp-ha --q 1.2 --p 0.9 --dim 64":
-        "2486f20abdf4c8847ea719b76575f7db047738499e3e359822b77c17ce2ecb79",
+        "6d26ad72e569b7515923f7e2bb85c80c10d25eec8fcb0c9f3256d42b285f4f96",
     "verify --relation qp-ha --q 2 --p 0.5 --dim 300":
         "958b201b315f499ea7ae1958981ad31c6b40b989364a9403bf7d39b4ffecbae5",
     "verify --relation qp-ha --q 1.2 --dim 8":
@@ -125,7 +125,7 @@ PINS = {
     "verify --relation hg --qb 1.05 --dim 8":
         "325c6c876c991d281deafdb1a9a57a68aa18053efe425114f8e805963446d57d",
     "verify --relation commutator-sf --model arik-coon --q 1.3 --dim 64":
-        "a7e06a12d97baab34218e1ec74e763d66b36434e90432faeb4322df37dc37412",
+        "2035a40e02634b68eb58577fd9c8b0888a412982473a3cca13e4dfb2203943d8",
     "verify --relation commutator-sf --model nonstd-q --q 0.7 --dim 8":
         "1c3c4b203bd0027b3d93066773c9bf4409fdfe3c7e608f730ed7e828e91701bc",
     "verify --relation commutator-sf --model jannussis-mu --mu-tilde -0.5 --dim 8":
@@ -157,9 +157,9 @@ PINS = {
     "link --qb 2 --pb 1 --p 1 --n-max -1":
         "a071b00f6b233dc0e2859d61c93c1211772c98c940e45d8c203ed6bd55fb1ebc",
     "limits":
-        "3240939c9f3345cff98ea19ad25d93a731f8571b11985ab14d0837709b5930a1",
+        "f5b4c030f665a8ac1c4f10ca54278cd47e9c3133592564bb956e12e8e6344e8b",
     "limits --format json --tolerance 1e-12":
-        "14f7e6ab8446890694b27feea8c95fa5f0ab4255150da637e2784fc8a41e7e5e",
+        "2054175bb533cf81b6a8719fb1e8cf97d76c1f13ebe784b1d8b17b17fd5b46a5",
     "--help":
         "99e610ef3202d8f0aa4eda433324e36696cf8edd55836026876b3c37b3aa127c",
     "sf --help":
@@ -175,7 +175,7 @@ PINS = {
     "verify --relation nope":
         "b934e972ca73c13171da35b5615a3bed1a066cd572a4f15d45029d502edca9c9",
     "verify --relation q-ha --q 1.1 --p 3 --mu-tilde 0.2":
-        "20c9b74a0a2dada2b99227d51a490a2f8a475e094dfaf893e3c6e0e5f46ce9de",
+        "08ec82b3a3262993fb40fa72d4945b1890e2a8b2601bd9889bfd9c595aede021",
     "verify --relation hg --pb 1 --dim 8":
         "d96f413751e1ad6879e2f23c445ab14f69c4e2db5020621786eef25b76cf0168",
     "sf --model harmonic --q 2":

@@ -36,7 +36,6 @@ from defosc import (
     sf_eval,
     sf_table,
     two_sided_equal_hg,
-    two_sided_equal_sf,
     verify_hg,
 )
 from defosc.linkage import (
@@ -72,7 +71,7 @@ def assert_finite_or_typed(call):
 @settings(max_examples=300, deadline=None)
 def test_deformed_integers_and_the_equal_case(q, p, n):
     assert_finite_or_typed(lambda: qp_number(n, q, p))
-    assert_finite_or_typed(lambda: two_sided_equal_sf(q, p, n))
+    assert_finite_or_typed(lambda: sf_eval(two_sided_equal_hg(q, p), n))
     for which in (0, 1):  # qb == pb is a DomainError
         assert_finite_or_typed(lambda: equal_hg_special_case(q, p)[which](n))
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import defosc
 from defosc import FockRep, StructureFunctionModel
+import sf_oracle
 
 
 def test_every_exported_name_resolves_once():
@@ -36,6 +37,22 @@ def test_unused_api_stays_removed():
     assert not hasattr(defosc.qp, "generalized_factorial")  # the recipe runs products
     for name in ("DeformationParams", "nonstd_qp_sf_explicit"):
         assert not hasattr(defosc, name)
+
+
+def test_one_formula_per_structure_function():
+    # no threshold switches a structure function to a limit branch, and
+    # nonstd-q is the two-parameter expression at p = 1
+    assert not hasattr(defosc.qp, "SINGULARITY_THRESHOLD")
+    assert not hasattr(defosc.structure, "EQUAL_CASE_LIMIT_THRESHOLD")
+    assert not hasattr(defosc.structure, "_nonstd_q_levels")
+    # the paper's equal-coefficient closed form is a test cross-check only
+    assert not hasattr(defosc, "two_sided_equal_sf")
+    assert not hasattr(defosc.structure, "two_sided_equal_sf")
+    assert sf_oracle.two_sided_equal_sf_closed_form.__module__ == "sf_oracle"
+    for path in Path(defosc.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "two_sided_equal_sf" not in text, path.name
+        assert "2 - 2 * n" not in text, path.name  # the closed form's Q**(2 - 2n)
 
 
 def test_a_model_is_its_label_and_its_levels():

@@ -60,6 +60,14 @@ def test_positive_for_positive_parameters(m, q, p):
     assert qp_number(m, q, p) > 0.0
 
 
+@given(q=positive_floats, p=positive_floats)
+@settings(deadline=None)
+def test_first_integer_is_exactly_one(q, p):
+    # expm1(L) / expm1(L): the quotient form keeps [1] = 1 on both sides of q = p
+    assert qp_number(1, q, p) == 1.0
+    assert qp_number(1, q, q * (1 + 1e-12)) == 1.0
+
+
 @pytest.mark.parametrize("q", [0.5, 0.9, 1.5, 2.0, 3.0])
 def test_single_parameter_reduction_is_exact(q):
     # [m]_{q,1} and the geometric-quotient form are the same expression
@@ -79,12 +87,12 @@ def test_continuity_across_the_singular_line(p):
 
 
 @pytest.mark.parametrize("p", GRID)
-def test_limit_branch_agrees_with_oracle(p):
-    q = p * (1.0 + 1e-10)  # inside the switch threshold
+def test_next_to_the_singular_line_agrees_with_oracle(p):
+    q = p * (1.0 + 1e-10)  # q - p is exact here, and nothing cancels
     for m in range(1, 25):
         want = polynomial_deformed_integer(m, q, p)
         got = qp_number(m, q, p)
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_domain_errors():
@@ -107,14 +115,14 @@ def test_deformation_params():
         arik_coon(-1)
     with pytest.raises(DomainError, match=r"^parameter p must be > 0, got 0$"):
         chakrabarti_jagannathan(1, 0)
-    with pytest.raises(DomainError, match=r"^parameter p must be > 0, got 0$"):
-        two_sided_equal_hg(1, 0)  # its check names q and p, not qb and pb
+    with pytest.raises(DomainError, match=r"^parameter pb must be > 0, got 0$"):
+        two_sided_equal_hg(1, 0)  # its check names the flags --qb and --pb
 
 
 def test_qp_number_types_an_overflow():
     with pytest.raises(EvaluationOverflowError, match=r"^deformed integer \[2000\]"):
         qp_number(2000, 2.0, 1.0)
-    with pytest.raises(EvaluationOverflowError):  # finite powers, infinite quotient
+    with pytest.raises(EvaluationOverflowError):  # finite power, infinite product
         qp_number(1100, 1.9, 1.9 * (1 + 2e-9))
 
 
@@ -132,8 +140,8 @@ def test_relative_gap_is_floored_at_one():
     assert relative_gap(3, 3) == 0
 
 
-def test_equal_subnormal_parameters_take_the_limit_branch():
-    # 1e-9 * max(q, p) underflows to 0.0 here, and q - p is exactly 0.0
+def test_equal_subnormal_parameters_take_the_equal_form():
+    # q - p is exactly 0.0, so [m] = m q**(m - 1)
     assert qp_number(1, 5e-324, 5e-324) == 1.0
     assert qp_number(0, 5e-324, 5e-324) == 0.0
     assert qp_number(2, 5e-324, 5e-324) == 2 * 5e-324

@@ -27,9 +27,9 @@ from defosc import (
     sf_table,
     spectrum,
     two_sided_equal_hg,
-    two_sided_equal_sf,
 )
-from sf_oracle import nonstd_qp_sf_explicit
+from defosc.qp import deformed_integers
+from sf_oracle import nonstd_qp_sf_explicit, two_sided_equal_sf_closed_form
 
 GRID = (0.5, 0.9, 1.1, 2.0)
 
@@ -147,9 +147,29 @@ def test_nonstd_qp_underflowing_power_is_a_typed_overflow():
     assert sf_table(model, 1) == [0.0, sf_eval(model, 1)]
 
 
+def test_arik_coon_far_from_one_overflows_where_its_value_does():
+    # [2] = q + 1 is 1e300 in doubles; no q**2 is formed on the way
+    assert sf_table(arik_coon(1e300), 2)[2] == 1e300
+    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=3$"):
+        sf_table(arik_coon(1e300), 3)
+
+
+def test_deformed_integers_with_a_negligible_smaller_parameter():
+    # min/max below 2**-53 rounds e to 1, where log1p(-e) has its pole:
+    # [m] = big**(m-1) (1 - (min/max)**m) / (1 - min/max) is big**(m-1)
+    for q, p in ((1.0, 1e-20), (2.0, 2.0**-54), (1e-300, 1e10), (5e-324, 1.0)):
+        integers = deformed_integers(q, p)
+        big = max(q, p)
+        assert integers(0) == 0.0
+        for m in (1, 2, 3, 7):
+            assert integers(m) == big ** (m - 1)
+
+
 def test_equal_case_overflow_is_typed():
-    with pytest.raises(EvaluationOverflowError, match=r"closed form overflowed at n=2000"):
-        two_sided_equal_sf(0.5, 1.0, 2000)
+    model = two_sided_equal_hg(0.5, 1.0)
+    message = r"^structure function two-sided-equal\(qb=0\.5,pb=1\.0\) overflowed at n=2000$"
+    with pytest.raises(EvaluationOverflowError, match=message):
+        sf_eval(model, 2000)
     mu_fn, hg_fn = equal_hg_special_case(1e3, 1e-3)
     for fn in (mu_fn, hg_fn):
         with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=40,"):
@@ -157,15 +177,16 @@ def test_equal_case_overflow_is_typed():
 
 
 def test_equal_case_types_an_underflowed_divisor_and_an_infinite_limit():
-    # Q = 1e-300 / 1e300 underflows to 0.0, which Q**(2 - 2n) divides by
-    message = r"^equal-coefficient closed form overflowed at n=3, qb=1e-300, pb=1e\+300$"
+    # Q = 1e-300 / 1e300 underflows to 0.0, which Q**(2k - 2) divides by
+    message = r"^structure function two-sided-equal\(qb=1e-300,pb=1e\+300\) overflowed at n=3$"
     with pytest.raises(EvaluationOverflowError, match=message) as exc:
-        two_sided_equal_sf(1e-300, 1e300, 3)
+        sf_eval(two_sided_equal_hg(1e-300, 1e300), 3)
     assert type(exc.value.__cause__) is ZeroDivisionError
-    # the ratio-one limit n / qb passes the largest double
-    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=180, qb=1e-306,"):
-        two_sided_equal_sf(1e-306, 1e-306, 180)
-    assert two_sided_equal_sf(1e-306, 1e-306, 179) == 179 / 1e-306
+    # at ratio one Phi(n) = n / qb passes the largest double
+    message = r"\(qb=1e-306,pb=1e-306\) overflowed at n=180$"
+    with pytest.raises(EvaluationOverflowError, match=message):
+        sf_eval(two_sided_equal_hg(1e-306, 1e-306), 180)
+    assert sf_eval(two_sided_equal_hg(1e-306, 1e-306), 179) == 179 / 1e-306
     mu_fn, _ = equal_hg_special_case(1e-300, 1e300)
     with pytest.raises(EvaluationOverflowError, match=r"^equal-coefficient special case"):
         mu_fn(0)
@@ -252,8 +273,8 @@ def test_recipe_overflow_at_the_first_level_is_typed():
 
 
 CATCHING_UP = [
-    nonstd_q(1.3),
-    nonstd_q(0.7),
+    two_sided_equal_hg(1.3, 1.0),
+    two_sided_equal_hg(0.7, 1.0),
     custom_hg(hg_for_two_sided(1.1, 0.95, 0.3)),
     custom_hg(hg_for_two_sided(1.05, 1.0, equal_hg_special_case(1.05, 1.0)[0])),
 ]
@@ -362,37 +383,41 @@ def test_equal_case_functions():
 
 
 # ---------------------------------------------------------------------------
-# the equal-coefficient closed form
+# the equal-coefficient two-sided oscillator
 # ---------------------------------------------------------------------------
 
 
-def test_equal_case_closed_form_matches_recipe():
+def test_equal_case_matches_recipe_and_closed_form():
     for qb in GRID:
         for pb in GRID:
             if qb == pb:
                 continue
             _, hg_fn = equal_hg_special_case(qb, pb)
             pair = HGPair(h=hg_fn, g=hg_fn)
+            table = sf_table(two_sided_equal_hg(qb, pb), 30)
             for n in range(31):
-                got = two_sided_equal_sf(qb, pb, n)
-                assert rel_gap(got, sf_from_hg(pair, n)) <= 1e-10
+                assert rel_gap(table[n], sf_from_hg(pair, n)) <= 1e-10
+                assert rel_gap(table[n], two_sided_equal_sf_closed_form(n, qb, pb)) <= 1e-10
 
 
 def test_equal_case_first_level_is_reciprocal_h():
     _, hg_fn = equal_hg_special_case(2.0, 1.0)
-    got = two_sided_equal_sf(2.0, 1.0, 1)
+    got = sf_eval(two_sided_equal_hg(2.0, 1.0), 1)
     assert rel_gap(got, 1.0 / hg_fn(0)) <= 1e-14
     assert got == pytest.approx(16.0 / 45.0, rel=1e-15)
 
 
-def test_equal_case_limit_branch_is_exact():
+def test_equal_case_at_ratio_one_is_exact():
+    # every term of the defining sum is exactly 1/qb there
     for q in GRID:
+        table = sf_table(two_sided_equal_hg(q, q), 30)
         for n in range(31):
-            assert two_sided_equal_sf(q, q, n) == n / q
+            assert sf_eval(two_sided_equal_hg(q, q), n) == n / q
+            assert table[n] == n / q
 
 
 def test_equal_case_zero_level():
-    assert two_sided_equal_sf(1.7, 0.3, 0) == 0.0
+    assert sf_eval(two_sided_equal_hg(1.7, 0.3), 0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +455,9 @@ def test_nonstd_qp_two_printed_forms_agree():
 
 
 def test_nonstd_qp_reduces_to_nonstd_q_at_p_one():
-    # two independent formulas compared numerically
-    for q in GRID:
-        for n in range(31):
-            assert rel_gap(sf_eval(nonstd_qp(q, 1.0), n), sf_eval(nonstd_q(q), n)) <= 1e-12
+    # nonstd-q is the two-parameter expression at p = 1, bit for bit
+    for q in (*GRID, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.7):
+        assert sf_table(nonstd_q(q), 40) == sf_table(nonstd_qp(q, 1.0), 40)
 
 
 def test_nonstd_qp_equal_parameters_is_n_over_q():
@@ -503,7 +527,7 @@ def test_levels_are_integers(level):
         ("n_max", lambda: sf_table(recipe, level)),
         ("n_max", lambda: spectrum(harmonic(), level)),
         ("n", lambda: sf_from_hg(hg_for_q_ha(1.1), level)),
-        ("n", lambda: two_sided_equal_sf(1.1, 0.9, level)),
+        ("n", lambda: sf_eval(two_sided_equal_hg(1.1, 0.9), level)),
     ]
     for name, call in calls:
         with pytest.raises(DomainError, match=rf"^{name} must be an integer, got {level!r}$"):
@@ -515,7 +539,8 @@ def test_numpy_integer_levels_pass():
     assert sf_table(model, np.int64(6)) == sf_table(model, 6)
     assert sf_eval(model, np.int64(6)) == sf_eval(model, 6)
     assert spectrum(model, np.int32(4)) == spectrum(model, 4)
-    assert two_sided_equal_sf(1.1, 0.9, np.int64(3)) == two_sided_equal_sf(1.1, 0.9, 3)
+    equal = two_sided_equal_hg(1.1, 0.9)
+    assert sf_eval(equal, np.int64(3)) == sf_eval(equal, 3)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -534,7 +559,7 @@ POSITIVE_SLOTS = [
     (chakrabarti_jagannathan, ["q", "p"]),
     (nonstd_q, ["q"]),
     (nonstd_qp, ["q", "p"]),
-    (two_sided_equal_hg, ["q", "p"]),
+    (two_sided_equal_hg, ["qb", "pb"]),
     (hg_for_q_ha, ["q"]),
     (hg_for_qp_ha, ["q", "p"]),
     (lambda qb, pb: hg_for_two_sided(qb, pb, 0.0), ["qb", "pb"]),

@@ -54,6 +54,14 @@ def test_qp_relation_reduces_to_q_at_p_one():
     assert a.passed and b.passed
 
 
+@pytest.mark.parametrize("d", [1e-5, 1e-7, 1e-8, 2e-9, 1e-12])
+def test_qp_relation_holds_next_to_the_undeformed_point(d):
+    # [m] near q = p cancels nowhere, so the residual stays at roundoff
+    report = verify_qp_ha(1.0 + d, 1.0, dim=64)
+    assert report.passed, report
+    assert report.max_abs_residual < 1e-14
+
+
 def test_qp_relation_at_equal_parameters():
     # scaled harmonic oscillator; the relation still holds
     assert verify_qp_ha(2.0, 2.0, dim=32).passed
