@@ -22,7 +22,7 @@ class PoleError(DomainError):
 
 
 class RecipeDivisionError(DomainError):
-    """A coefficient function hit zero inside the reconstruction recipe."""
+    """A coefficient h(j) the reconstruction recipe divides by is zero."""
 
 
 class NegativeStructureFunctionError(DomainError):

@@ -82,18 +82,6 @@ def _check_two_sided_mu_zero_near_ratio_one() -> float:
     return worst
 
 
-def _check_two_sided_mu_zero_matches_qp_pair() -> float:
-    worst = 0.0
-    for qb in _QGRID:
-        for pb in _QGRID:
-            two_sided = hg_for_two_sided(qb, pb, 0.0)
-            plain = hg_for_qp_ha(qb, pb)
-            for n in range(_NMAX + 1):
-                worst = max(worst, relative_gap(two_sided.h(n), plain.h(n)))
-                worst = max(worst, relative_gap(two_sided.g(n), plain.g(n)))
-    return worst
-
-
 def _classical_models(offset: float) -> list[StructureFunctionModel]:
     q = 1.0 + offset
     return [
@@ -152,7 +140,6 @@ _CHECKS = (
     ("qp-reduces-to-q-near-p-1", _check_qp_reduces_to_q_near_p_one),
     ("equal-coefficient-sf-is-n-over-q", _check_equal_ratio_gives_scaled_integers),
     ("two-sided-mu-0-recipe-near-ratio-1", _check_two_sided_mu_zero_near_ratio_one),
-    ("two-sided-mu-0-matches-qp-pair", _check_two_sided_mu_zero_matches_qp_pair),
     ("classical-limit-catalog", _check_classical_limit_catalog),
     ("classical-xp-forms", _check_classical_xp_forms),
     ("qp-equal-parameters-scaled-harmonic", _check_qp_equal_parameters_scaled_harmonic),

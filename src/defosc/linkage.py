@@ -137,7 +137,7 @@ def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
 
 
 # Depth of the recipe check in check_link_consistency: Phi(0..SF_LEVELS)
-# against the deformed integers, trimmed while q**depth leaves double range.
+# against the deformed integers, trimmed while its values leave double range.
 SF_LEVELS = 12
 
 
@@ -194,9 +194,15 @@ def _exceeds_double_range(base: float, exponent: int) -> bool:
 
 def _recipe_gaps(q: float, p: float) -> list[float]:
     # the gap at each level n = 0..depth; none when the target is no
-    # oscillator (q <= 0) or when max(q, p, 2) itself exceeds 1e300
+    # oscillator (q <= 0); the trim keeps below 1e300 the bounds of [n]
+    # (max(q, p, 2)**depth), h(n) (p**-depth) and g(n) Phi(n) / depth
+    # ((max(q, p, 2) / p)**(depth - 1)) for the levels n the recipe forms
+    big = max(q, p, 2.0)
     depth = SF_LEVELS if q > 0 else 0
-    while depth and _exceeds_double_range(max(q, p, 2.0), depth):
+    while depth and (
+        _exceeds_double_range(max(big, 1 / p), depth)
+        or _exceeds_double_range(big / p, depth - 1)
+    ):
         depth -= 1
     if not depth:
         return []
@@ -218,10 +224,10 @@ def check_link_consistency(
     relative against max(1, |values|).  The matching q always exceeds -1
     but can reach zero or negative values; the target then no longer
     describes an oscillator, so the recipe only runs when q > 0.  Its
-    depth (dim) is trimmed while max(q, p, 2)**depth exceeds 1e300 or
-    overflows, down to 0, where per_state is empty.  qb, pb and p must be
-    finite and positive.  A q beyond double range raises
-    EvaluationOverflowError naming the level.
+    depth (dim) is trimmed, down to 0, where per_state is empty, while
+    max(q, p, 2)**depth, p**-depth or (max(q, p, 2) / p)**(depth - 1)
+    exceeds 1e300 or overflows.  qb, pb and p must be finite and positive.
+    A q beyond double range raises EvaluationOverflowError naming the level.
     """
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative(tolerance=tol)

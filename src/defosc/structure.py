@@ -33,8 +33,8 @@ _Level = Callable[[int], float]
 class HGPair:
     """Coefficient functions of the relation h(N) a- a+ - g(N) a+ a- = 1.
 
-    h(n) must be nonzero for n >= 0 and g(n) for n >= 1 on the range the
-    recipe evaluates; g(0) is never consulted.  The hg_for_* pairs run once
+    h(n) must be nonzero for n >= 0 on the range the recipe evaluates; g
+    may vanish, and g(0) is never consulted.  The hg_for_* pairs run once
     per level inside the recipe loop, so they leave an overflow untyped for
     their consumers (sf_table, sf_eval, verify_hg, the link check) to type.
     """
@@ -50,9 +50,9 @@ class StructureFunctionModel:
 
     levels() does the model's per-model work once (constants, domain
     checks, branch choices) and returns level(n) = Phi(n), n >= 1.  A
-    level function that carries running values from level to level
-    (two-sided-equal, the recipe) takes any first n, catching up over the
-    levels below it, and then n in non-decreasing order; sf_table calls it for
+    level function that carries a running value (two-sided-equal's sum,
+    the recipe's Phi) takes any first n, catching up over the levels
+    below it, and then n in non-decreasing order; sf_table calls it for
     n = 1, 2, ... in turn, one step per level.  A model equals only
     itself: its levels callable compares by identity.
     """
@@ -168,7 +168,13 @@ def _two_sided_equal_levels(qb: float, pb: float) -> _Level:
     def level(n: int) -> float:
         nonlocal total, terms
         while terms < n:
-            total += 1.0 / _equal_bracket(0.25, ratio, terms, 1.0)
+            try:
+                total += 1.0 / _equal_bracket(0.25, ratio, terms, 1.0)
+            except OverflowError:
+                # for k > 0 a power overflows only at Q > 1, h(k) > 1.8e308/4,
+                # so the term is below 4/1.8e308; h(0) ~ Q**3/4 need not be
+                if not terms:
+                    raise
             terms += 1
         return total / pb
 
@@ -176,40 +182,27 @@ def _two_sided_equal_levels(qb: float, pb: float) -> _Level:
 
 
 def _recipe_levels(hg: HGPair) -> _Level:
-    # The running products of Phi(n) are the prefix of those of Phi(n + 1);
-    # level n consults g(n-1) and h(n-1).  A level passed over on the way to
-    # n is range-checked here, where sf_table would have stopped at it, so
+    # Phi(n+1) = (1 + g(n) Phi(n)) / h(n) from Phi(0) = 0, so Phi(1) = 1/h(0)
+    # and g(0) is never consulted.  A level passed over on the way to n is
+    # range-checked here, where sf_table would have stopped at it, so
     # level(n) fails exactly when the table up to n does.  Overflow
     # propagates untyped: the caller knows the level it asked for.
     h, g = hg.h, hg.g
-    h0 = h(0)
-    if h0 == 0:
-        raise RecipeDivisionError("recipe division by zero: h(0) = 0")
-    ratio = 1.0  # g(n-1)!/h(n-1)! as a product of per-level ratios
-    series = 1.0 / h0  # 1/h(0) + sum of h(j-1)!/g(j)!
-    term = 1.0  # running h(j-1)!/g(j)!
-    done = 1  # the level the running values stand at
-    if not math.isfinite(series):  # Phi(1) = 1/h(0)
-        raise OverflowError
+    phi, done = 0.0, 0  # Phi at the level the recursion stands at
 
     def level(n: int) -> float:
-        nonlocal ratio, series, term, done
+        nonlocal phi, done
         while done < n:
-            j = done
-            gj = g(j)
-            if gj == 0:
-                raise RecipeDivisionError(f"recipe division by zero: g({j}) = 0")
-            hj = h(j)
-            if hj == 0:
-                raise RecipeDivisionError(f"recipe division by zero: h({j}) = 0")
-            term /= gj
-            series += term
-            term *= hj
-            ratio *= gj / hj
-            done += 1
-            if done < n and not math.isfinite(ratio * series):
+            if not math.isfinite(phi):
                 raise OverflowError
-        return ratio * series
+            hj = h(done)
+            if not math.isfinite(hj):  # an infinite h would round Phi to 0.0
+                raise OverflowError
+            if hj == 0:
+                raise RecipeDivisionError(f"recipe division by zero: h({done}) = 0")
+            phi = (1.0 + g(done) * phi) / hj if done else 1.0 / hj
+            done += 1
+        return phi
 
     return level
 
@@ -254,18 +247,16 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
 
 
 def sf_from_hg(hg: HGPair, n: int) -> float:
-    """Reconstruct Phi(n) from a coefficient pair.
+    """Reconstruct Phi(n) from a coefficient pair by its defining recursion.
 
-        Phi(n) = (g(n-1)! / h(n-1)!) * (1/h(0) + sum_{j=1}^{n-1} h(j-1)!/g(j)!)
+        Phi(n+1) = (1 + g(n) Phi(n)) / h(n),  Phi(0) = 0,
 
-    with the descending factorial F(n)! = F(n)...F(1), F(0)! = 1, and
-    Phi(0) = 0 by convention.  Equivalent to solving the recursion
-    h(n) Phi(n+1) - g(n) Phi(n) = 1 from Phi(0) = 0.  All factorial
-    ratios are accumulated as running products, never as quotients of two
-    separately grown factorials, so evaluation stays in range for n up to
-    about a hundred even far from the undeformed point.  This is the last
-    entry of sf_table(custom_hg(hg), n), so every level up to n is
-    range-checked.
+    which is the relation h(N) a- a+ - g(N) a+ a- = 1 on the state |n>.
+    Phi(1) = 1/h(0), so g(0) is never consulted; a zero h(j) raises
+    RecipeDivisionError naming it, and a zero g(j) is a plain value.  Each
+    level costs one multiplication, one addition and one division.  This
+    is the last entry of sf_table(custom_hg(hg), n), so every level up to
+    n is range-checked.
     """
     require_nonnegative_int(n=n)
     return sf_table(custom_hg(hg), n)[-1]
@@ -333,7 +324,7 @@ def hg_for_two_sided(
 
     mu may be a constant, which must be finite, or a per-level function of
     n (the equal-coefficient special case needs the latter).  A zero of h
-    or g arising for specific mu is reported by sf_from_hg when the recipe
+    arising for specific mu is reported by sf_from_hg when the recipe
     consumes the pair.
     """
     require_positive(qb=qb, pb=pb)

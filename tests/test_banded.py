@@ -334,10 +334,9 @@ def _mismatched_dimension(m):
 
 ERRORS = {
     "h(0) = 0": lambda m: _ladder(m, h=lambda n: 0.0 if n == 0 else 1.0),
-    "g(dim-1) = 0": lambda m: _ladder(m, g=lambda n: 0.0 if n == DIM - 1 else 1.0),
     "h(dim-1) = 0": lambda m: _ladder(m, h=lambda n: 0.0 if n == DIM - 1 else 1.0),
     "negative phi": lambda m: _ladder(m, h=lambda n: -1.0),
-    "recipe overflow": lambda m: m.verify_two_sided(2.0, 1.0, 0.3, dim=256),
+    "recipe overflow": lambda m: m.verify_two_sided(2.0, 1.0, 0.3, dim=300),
     "closed-form overflow": lambda m: m.verify_qp_ha(2.05, 0.5, dim=256),
     "dimension mismatch": _mismatched_dimension,
     "margin = dim": lambda m: m.verify_q_ha(1.5, dim=8, margin=8),
@@ -352,6 +351,17 @@ def test_errors_match_the_dense_oracle(case):
     assert banded is not None
     assert issubclass(banded[0], defosc.DeformedAlgebraError)
     assert banded == _outcome(lambda: ERRORS[case](dense_oracle))
+
+
+def test_zero_g_is_a_plain_coefficient_on_both_paths():
+    # the recipe never divides by g, so g(dim-1) = 0 builds a ladder
+    pair = HGPair(h=lambda n: 1.0, g=lambda n: 0.0 if n == DIM - 1 else 1.0)
+    banded, dense = (
+        m.verify_hg(m.build_ladder(custom_hg(pair), DIM), pair, per_state=True)
+        for m in (defosc, dense_oracle)
+    )
+    assert banded == dense
+    assert banded.passed
 
 
 def test_zero_h_at_the_dimension_is_never_consulted():

@@ -326,7 +326,15 @@ def test_limits_default_run_passes():
     code, out, _ = run_cli("limits", "--format", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert len(rows) >= 8
+    assert [row["check"] for row in rows] == [
+        "qp-reduces-to-q-near-p-1",
+        "equal-coefficient-sf-is-n-over-q",
+        "two-sided-mu-0-recipe-near-ratio-1",
+        "classical-limit-catalog",
+        "classical-xp-forms",
+        "qp-equal-parameters-scaled-harmonic",
+        "equal-case-mu-vanishes-near-ratio-1",
+    ]
     assert all(row["pass"] for row in rows)
 
 

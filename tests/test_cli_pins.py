@@ -79,7 +79,7 @@ PINS = {
     "sf --model two-sided-equal --qb 0.5 --pb 1 --n-max 2000":
         "9f7e91793966426660631fdf2da140a9e2bdba45f743bac252bcd54a3e13e2d4",
     "sf --model two-sided-equal --qb 1e3 --pb 1e-3 --n-max 40":
-        "4983345094e4517fac5f9f17afa1fe5da1d2f0971df6e6a623d88600c28ef7a6",
+        "9336132bac031d061202f62ea9ce1beb43d29fd6ccc327a40dee156e38fc267c",
     "sf --model two-sided-equal --qb 1 --pb 0 --n-max 3":
         "0bc3834d02c944e46486ecc1f53252d691b42e78e4bf71eb99b1f6536734dfe1",
     "sf --model biedenharn-macfarlane --q nan --n-max 3":
@@ -107,21 +107,21 @@ PINS = {
     "verify --relation qp-ha --q 1.2 --dim 8":
         "8f62bc1dea863971b6a65d01f3a4c53d26326d1178b94c7d13e8ac69fee0e66c",
     "verify --relation two-sided --qb 1.1 --pb 0.95 --mu 0.3 --dim 64":
-        "4221cc76a93e3c14dc8674b06d3365f7c0b5012077c2e9cf8432ff687f34b7c9",
+        "6291be52041c031f285ba6f0165369f7370d268f7674e0b7c69eefcd14a790e3",
     "verify --relation two-sided --qb 1.1 --pb 0.95 --mu 0.3 --dim 64 --alt-pairing":
-        "27f1656723447b17866563848a97c23d7b26f3410e331980302ec282a44a066e",
+        "f991bdf5436fd81252a128511565fa6185e0fc07b41a65d7188ac764eb000869",
     "verify --relation two-sided --qb 1.01 --pb 1 --dim 300 --margin 5":
-        "c0047ab40bd8d3128c8973f063124b1922d1e1a2205a5079d5561c1d3272089a",
+        "a73e6e6c8a752170efccc8f20677a18ae1308d05b458581abf1c285b43edd33c",
     "verify --relation two-sided --qb 1.1 --pb -1 --dim 8":
         "79949dc11a2c25d3858cb5f73ca25a091dc914790975036fb2ac54a0201a898c",
     "verify --relation two-sided --qb 1e200 --pb 1 --dim 8":
         "55001bac8b7a3ea26f1202809043165a807d3c64673e1273de402e882728d891",
     "verify --relation hg --q 0.9 --dim 64":
-        "7745ef02447a06a474fcaa72659b7f33617db547046b43c993721ab95978c087",
+        "59baab2e7e22a81180d50dc538d4d312687de87a3911742a3bc1a1a16e2453dd",
     "verify --relation hg --q 1.2 --p 0.9 --dim 8 --format json":
         "e3ddb8ddffb8956a6c56108a3dfa0dc23755a09b4d2f91980cc16c548fdd7303",
     "verify --relation hg --qb 1.05 --pb 1 --mu -0.2 --dim 300":
-        "9b8408703e37c1e313661892ecab0c35e0143bfb3b33f5c0c639950931e6b98d",
+        "c8904f461681c1e147644fb7acf6e3c911e900f53e1abaf2b386fb068b064f1a",
     "verify --relation hg --qb 1.05 --dim 8":
         "325c6c876c991d281deafdb1a9a57a68aa18053efe425114f8e805963446d57d",
     "verify --relation commutator-sf --model arik-coon --q 1.3 --dim 64":
@@ -145,7 +145,7 @@ PINS = {
     "link --qb 2 --pb 1 --p 0.0625 --n-max 260":
         "6d851d7775f55ffceda692aa3c509830f076d9220ffc7655b94221bcccdfa0dd",
     "link --qb 1 --pb 1 --p 1e-30 --n-max 2":
-        "cce40f43bbea1abe9c7f9f602257d2c17739edfa0d67db64e7fc181b21357297",
+        "ec55d54d83789954c8ba03d11de460a0f16cd746026afc2f9150d9b8501d4127",
     "link --qb 0.1 --pb 0.01 --p 10 --n-max 40":
         "fdedd4a931c393c8a51ecfdca44346f5cccdd536a44479adea3bd4d57f3618fd",
     "link --qb 100 --pb 0.5 --p 0.1 --n-max 20":
@@ -157,9 +157,9 @@ PINS = {
     "link --qb 2 --pb 1 --p 1 --n-max -1":
         "a071b00f6b233dc0e2859d61c93c1211772c98c940e45d8c203ed6bd55fb1ebc",
     "limits":
-        "f5b4c030f665a8ac1c4f10ca54278cd47e9c3133592564bb956e12e8e6344e8b",
+        "c49afc758fc3ddc6848f3194767e2ea24fb943a9b05b647b922149f56b2183a6",
     "limits --format json --tolerance 1e-12":
-        "2054175bb533cf81b6a8719fb1e8cf97d76c1f13ebe784b1d8b17b17fd5b46a5",
+        "5030a1b9681f465a0ccc50e5eec0fffa305c697b7180a26a2971134283c91d5f",
     "--help":
         "99e610ef3202d8f0aa4eda433324e36696cf8edd55836026876b3c37b3aa127c",
     "sf --help":

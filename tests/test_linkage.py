@@ -352,11 +352,33 @@ def test_link_table_types_a_float_overflow_with_its_level():
     assert all(row["consistent"] for row in rows)
 
 
-def test_link_table_passes_a_typed_overflow_through():
-    # the recipe's own typed error reaches the caller with its message
-    message = "^structure function oscillator-target overflowed at n=12$"
-    with pytest.raises(EvaluationOverflowError, match=message):
-        link_table(1.0, 1.0, 1e-30, 2)
+def test_link_check_depth_is_trimmed_for_small_p():
+    # h(n) = p**-n = 1e30**n leaves 1e300 past level 10, before any
+    # max(q, p, 2)**n does: the check stops at depth 10 instead of
+    # overflowing at 12, and every printed column is in range
+    rows = link_table(1.0, 1.0, 1e-30, 2)
+    assert [row["consistent"] for row in rows] == [True, True, True]
+    report = check_link_consistency(1.0, 1.0, 1e-30, 0)
+    assert (report.dim, report.passed) == (10, True)
+    # here p**-2 = 1e400 already leaves double range: depth 1 at level 0,
+    # where q = 4.625
+    assert link_table(2.0, 1.0, 1e-200, 1)[-1]["consistent"]
+    assert check_link_consistency(2.0, 1.0, 1e-200, 0).dim == 1
+    # q = 2e20 at level 0: q**12 and p**-12 stay below 1e300, but the
+    # recipe's g(n) Phi(n) ~ (q / p)**n would pass the largest double at
+    # n = 9, so the check stops at depth 8
+    report = check_link_consistency(1e20, 1e20, 1e-20, 0)
+    assert (report.dim, report.passed) == (8, True)
+
+
+@given(
+    q=st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
+    p=st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
+)
+@settings(max_examples=300, deadline=None)
+def test_recipe_check_stays_in_double_range(q, p):
+    # the depth trim keeps every value the recipe forms in range
+    assert max(linkage._recipe_gaps(q, p), default=0.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +647,6 @@ def test_recipe_depth_trim_goes_below_two(qb, pb, p, level, depth):
     "qb, p, level, message",
     [
         (2.0, 1.0, 600, "linkage value leaves the double range at level=600"),
-        # the recipe's own typed error keeps its message
-        (1.0, 1e-30, 0, "structure function oscillator-target overflowed at n=12"),
     ],
 )
 def test_float_overflow_in_the_link_check_is_typed(qb, p, level, message):
@@ -682,8 +702,8 @@ def test_link_rows_at_the_last_level_before_overflow():
         mu_from_q=6.741349255733685e307, p_pow_n=8.900295434028806e-308, consistent=True,
     )
     assert digest(rows) == "5675d383fd90ed59e743391080be4259751693e4bf919ea16dadc80f001c8bbe"
-    gaps = [0.0] * 7 + [2.3925781250030624e-16, 0.0, 0.0, 1.2544e-16, 1.605632e-16,
-                        2.05520896e-16]
+    gaps = [0.0] * 5 + [1.4603138016700745e-16, 0.0, 1.1962890625015312e-16, 0.0,
+                        1.960000000000001e-16, 0.0, 0.0, 0.0]
     for level in (255, 256, 260):
         report = check_link_consistency(2.0, 1.0, 0.0625, level)
         assert (report.dim, report.passed) == (12, True)
@@ -700,7 +720,7 @@ def test_link_rows_far_from_the_undeformed_point():
     assert digest(rows) == "e5d518fec45c229fdba99e55e37e267e0c08b7d007be8ae7881aeafb2a4ad489"
     assert check_link_consistency(999.9, 0.0011, 0.0013, 12).per_state == [(0, 0.0), (1, 0.0)]
     report = check_link_consistency(999.9, 0.0011, 0.0013, 0)
-    assert (report.dim, report.max_abs_residual) == (12, 2.0886235920602915e-16)
+    assert (report.dim, report.max_abs_residual) == (12, 3.6337047462501067e-16)
 
 
 def test_exact_certificate_never_prints_its_fractions():

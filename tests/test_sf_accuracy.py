@@ -1,5 +1,5 @@
 """Structure functions near and away from the undeformed point, against
-50-digit mpmath.
+50-digit mpmath, and the reconstruction recipe against its exact recursion.
 
 The ratio Q is 1 exactly, or 1 +- d with d log-uniform over [1e-15, 1]
 (below 1, d stops at 10**-0.1, so Q >= 0.2); the base p lies in
@@ -11,8 +11,9 @@ ratio q/p alone moves Q**(4n) by up to 2n roundings.
 """
 
 import math
+from fractions import Fraction
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
@@ -20,9 +21,13 @@ from defosc import (
     arik_coon,
     biedenharn_macfarlane,
     chakrabarti_jagannathan,
+    custom_hg,
+    hg_for_q_ha,
+    hg_for_two_sided,
     nonstd_q,
     nonstd_qp,
     sf_eval,
+    sf_table,
     two_sided_equal_hg,
 )
 from sf_oracle import exact_phi
@@ -69,3 +74,33 @@ def test_structure_functions_match_mpmath(model, ratio, base, n):
     got = sf_eval(MODELS[model](q, p), n)
     error = abs(mpf(got) - exact) / exact
     assert error <= 4 * n * 2.0**-52, (model, q, p, n, float(error))
+
+
+@given(
+    qb=st.floats(0.25, 4.0),
+    pb=st.floats(0.25, 4.0),
+    mu=st.one_of(st.just(None), st.floats(-1.0, 1.0)),
+    n=st.integers(1, 300),
+)
+@settings(max_examples=100, deadline=None)
+@example(qb=2.0, pb=1.0, mu=0.0, n=120)
+@example(qb=0.9, pb=1.0, mu=None, n=300)
+def test_recipe_is_within_three_roundings_per_level(qb, pb, mu, n):
+    # Phi(k+1) = (1 + g(k) Phi(k)) / h(k) rounds three times per level;
+    # with positive coefficients nothing cancels, so the relative error
+    # grows by at most 3 * 2**-53 per level against the same recursion
+    # run exactly on the same float h and g
+    pair = hg_for_q_ha(qb) if mu is None else hg_for_two_sided(qb, pb, mu)
+    ratio = qb if mu is None else qb / pb
+    if ratio != 1.0:  # keep every power the pair forms in double range
+        n = max(1, min(n, int(160 / abs(math.log(ratio)))))
+    h = [pair.h(k) for k in range(n)]
+    g = [0.0] + [pair.g(k) for k in range(1, n)]
+    assume(all(1e-280 < value < 1e280 for value in h + g[1:]))
+    got = sf_table(custom_hg(pair), n)
+    phi = Fraction(0)
+    for k in range(n):
+        phi = (1 + Fraction(g[k]) * phi) / Fraction(h[k])
+        assume(Fraction(1, 10**280) < phi < 10**280)
+        error = abs(Fraction(got[k + 1]) - phi) / phi
+        assert error <= 3 * (k + 1) * Fraction(1, 2**53), (qb, pb, mu, k + 1, float(error))

@@ -29,7 +29,11 @@ from defosc import (
     two_sided_equal_hg,
 )
 from defosc.qp import deformed_integers
-from sf_oracle import nonstd_qp_sf_explicit, two_sided_equal_sf_closed_form
+from sf_oracle import (
+    exact_two_sided_equal,
+    nonstd_qp_sf_explicit,
+    two_sided_equal_sf_closed_form,
+)
 
 GRID = (0.5, 0.9, 1.1, 2.0)
 
@@ -176,6 +180,23 @@ def test_equal_case_overflow_is_typed():
             fn(40)
 
 
+@pytest.mark.parametrize("qb, pb, n", [(2.0, 1.0, 600), (1e3, 1e-3, 40)])
+def test_equal_case_sum_converges_past_the_largest_power(qb, pb, n):
+    # for Q > 1 the terms fall like Q**-4k; once a power of Q passes the
+    # largest double, the term is below 4 / 1.8e308 and adds nothing
+    table = sf_table(two_sided_equal_hg(qb, pb), n)
+    exact = exact_two_sided_equal(n, qb, pb)
+    assert abs(table[n] - exact) / exact <= 4 * n * 2.0**-52
+    assert table[n] == table[n - 1]
+
+
+def test_equal_case_first_term_keeps_its_overflow():
+    # h(0) ~ Q**3 / 4 is in range at Q = 1e100 although Q**5 is not, so
+    # Phi(1) ~ 4e-300 is not a negligible term: the overflow stays typed
+    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=1$"):
+        sf_eval(two_sided_equal_hg(1e100, 1.0), 1)
+
+
 def test_equal_case_types_an_underflowed_divisor_and_an_infinite_limit():
     # Q = 1e-300 / 1e300 underflows to 0.0, which Q**(2k - 2) divides by
     message = r"^structure function two-sided-equal\(qb=1e-300,pb=1e\+300\) overflowed at n=3$"
@@ -258,9 +279,9 @@ def test_recipe_division_errors_name_the_coefficient():
     bad_h = HGPair(h=lambda n: 0.0, g=lambda n: 1.0)
     with pytest.raises(RecipeDivisionError, match=r"h\(0\)"):
         sf_from_hg(bad_h, 1)
-    bad_g = HGPair(h=lambda n: 1.0, g=lambda n: 0.0 if n == 2 else 1.0)
-    with pytest.raises(RecipeDivisionError, match=r"g\(2\)"):
-        sf_from_hg(bad_g, 5)
+    # the recursion never divides by g: g(2) = 0 restarts it at Phi(3) = 1
+    zero_g = HGPair(h=lambda n: 1.0, g=lambda n: 0.0 if n == 2 else 1.0)
+    assert sf_table(custom_hg(zero_g), 5) == [0.0, 1.0, 2.0, 1.0, 2.0, 3.0]
     bad_h_inner = HGPair(h=lambda n: 0.0 if n == 3 else 1.0, g=lambda n: 1.0)
     with pytest.raises(RecipeDivisionError, match=r"h\(3\)"):
         sf_from_hg(bad_h_inner, 5)
@@ -290,8 +311,8 @@ def test_each_level_builder_catches_up(model):
 
 
 def test_recipe_range_checks_the_levels_it_passes_over():
-    # q-ha at q = 0.1 leaves double range at level 155, and g(162)
-    # underflows to 0.0 later: sf_eval stops where the table stops
+    # q-ha at q = 0.1 leaves double range at level 155: sf_eval stops
+    # where the table stops
     model = custom_hg(hg_for_q_ha(0.1))
     with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=155$"):
         sf_table(model, 400)
@@ -299,7 +320,7 @@ def test_recipe_range_checks_the_levels_it_passes_over():
         sf_eval(model, 400)
     with pytest.raises(OverflowError):
         model.levels()(400)
-    # Phi(1) = 1/h(0) is already inf here, before g(1) = 0 is reached
+    # Phi(1) = 1/h(0) is already inf here
     tiny = custom_hg(HGPair(lambda n: 1e-320, lambda n: 0.0 if n == 1 else 1.0))
     for call in (lambda: sf_table(tiny, 5), lambda: sf_eval(tiny, 1)):
         with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=1$"):
@@ -312,6 +333,18 @@ def test_recipe_stays_in_range_far_from_the_undeformed_point():
     pair = hg_for_q_ha(2.0)
     value = sf_from_hg(pair, 100)
     assert 0.0 < value < 1.0
+
+
+def test_recipe_stays_in_range_while_its_coefficients_do():
+    # two-sided(2, 1, mu=0): Phi(256) = 4.45e-308 is still a normal double;
+    # h(256) ~ 2**1026 is not, and would round Phi(257) to 0.0 (the
+    # factorial-ratio products this recursion replaced overflowed at 208)
+    model = custom_hg(hg_for_two_sided(2.0, 1.0, 0.0))
+    table = sf_table(model, 256)
+    assert all(0.0 < value < math.inf for value in table[1:])
+    assert table[256] == 4.450147717014403e-308
+    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=257$"):
+        sf_table(model, 257)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +388,13 @@ def test_qp_pair_first_value():
 
 
 def test_two_sided_pair_at_mu_zero_matches_qp_pair():
+    # bit-equal by construction (one shared pair builder), so this replaces
+    # the limit check that measured their deviation
     for qb in GRID:
         for pb in GRID:
             plain = hg_for_qp_ha(qb, pb)
             two = hg_for_two_sided(qb, pb, 0.0)
-            for n in range(12):
+            for n in range(21):
                 assert two.h(n) == plain.h(n)
                 assert two.g(n) == plain.g(n)
 

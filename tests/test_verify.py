@@ -72,6 +72,13 @@ def test_two_sided_relation_holds(mu):
     assert verify_two_sided(2.0, 0.5, mu, dim=32).passed
 
 
+def test_two_sided_relation_holds_where_g_vanishes():
+    # g(1) = pb Q**2 (1 + 1) / 2 + mu / 2 = 0 here; the recipe never
+    # divides by g, so the construction stands
+    assert hg_for_two_sided(0.5, 1.0, -0.5).g(1) == 0.0
+    assert verify_two_sided(0.5, 1.0, -0.5, dim=64).passed
+
+
 def test_two_sided_mu_zero_matches_plain_qp():
     a = verify_two_sided(2.0, 0.5, 0.0, dim=24)
     b = verify_qp_ha(2.0, 0.5, dim=24)
