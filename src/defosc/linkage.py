@@ -195,14 +195,9 @@ def _exceeds_double_range(base: float, exponent: int) -> bool:
 def _recipe_gaps(q: float, p: float) -> list[float]:
     # the gap at each level n = 0..depth; none when the target is no
     # oscillator (q <= 0); the trim keeps below 1e300 the bounds of [n]
-    # (max(q, p, 2)**depth), h(n) (p**-depth) and g(n) Phi(n) / depth
-    # ((max(q, p, 2) / p)**(depth - 1)) for the levels n the recipe forms
-    big = max(q, p, 2.0)
+    # (max(q, p, 2)**depth) and of h(n) (p**-depth)
     depth = SF_LEVELS if q > 0 else 0
-    while depth and (
-        _exceeds_double_range(max(big, 1 / p), depth)
-        or _exceeds_double_range(big / p, depth - 1)
-    ):
+    while depth and _exceeds_double_range(max(q, p, 2.0, 1 / p), depth):
         depth -= 1
     if not depth:
         return []
@@ -225,8 +220,7 @@ def check_link_consistency(
     but can reach zero or negative values; the target then no longer
     describes an oscillator, so the recipe only runs when q > 0.  Its
     depth (dim) is trimmed, down to 0, where per_state is empty, while
-    max(q, p, 2)**depth, p**-depth or (max(q, p, 2) / p)**(depth - 1)
-    exceeds 1e300 or overflows.  qb, pb and p must be finite and positive.
+    max(q, p, 2)**depth or p**-depth exceeds 1e300 or overflows.  qb, pb and p must be finite and positive.
     A q beyond double range raises EvaluationOverflowError naming the level.
     """
     require_positive(qb=qb, pb=pb, p=p)

@@ -183,10 +183,13 @@ def _two_sided_equal_levels(qb: float, pb: float) -> _Level:
 
 def _recipe_levels(hg: HGPair) -> _Level:
     # Phi(n+1) = (1 + g(n) Phi(n)) / h(n) from Phi(0) = 0, so Phi(1) = 1/h(0)
-    # and g(0) is never consulted.  A level passed over on the way to n is
-    # range-checked here, where sf_table would have stopped at it, so
-    # level(n) fails exactly when the table up to n does.  Overflow
-    # propagates untyped: the caller knows the level it asked for.
+    # and g(0) is never consulted.  It is formed as (g/h) Phi + 1/h, because
+    # g(n) Phi(n) alone can pass the largest double while Phi(n+1) is in
+    # range (for the link target g/h = q, and a level is p**n + q [n]).  A
+    # level passed over on the way to n is range-checked here, where
+    # sf_table would have stopped at it, so level(n) fails exactly when the
+    # table up to n does.  Overflow propagates untyped: the caller knows the
+    # level it asked for.
     h, g = hg.h, hg.g
     phi, done = 0.0, 0  # Phi at the level the recursion stands at
 
@@ -200,7 +203,7 @@ def _recipe_levels(hg: HGPair) -> _Level:
                 raise OverflowError
             if hj == 0:
                 raise RecipeDivisionError(f"recipe division by zero: h({done}) = 0")
-            phi = (1.0 + g(done) * phi) / hj if done else 1.0 / hj
+            phi = g(done) / hj * phi + 1.0 / hj if done else 1.0 / hj
             done += 1
         return phi
 
@@ -254,7 +257,8 @@ def sf_from_hg(hg: HGPair, n: int) -> float:
     which is the relation h(N) a- a+ - g(N) a+ a- = 1 on the state |n>.
     Phi(1) = 1/h(0), so g(0) is never consulted; a zero h(j) raises
     RecipeDivisionError naming it, and a zero g(j) is a plain value.  Each
-    level costs one multiplication, one addition and one division.  This
+    level is formed as (g(n) / h(n)) Phi(n) + 1 / h(n), so no intermediate
+    product leaves double range before Phi(n+1) does.  This
     is the last entry of sf_table(custom_hg(hg), n), so every level up to
     n is range-checked.
     """

@@ -5,8 +5,8 @@ are computed with a fixed sequence of floating-point operations.  These
 values (float.hex, and a sha256 of whole bands) were captured before the
 per-model work of the level loops was hoisted out of them, and re-pinned
 where [m] took its one branch-free form, two-sided-equal its running
-sum and the recipe its defining recursion; a rewrite that reorders or regroups an operation moves the last bits
-and fails here.
+sum and the recipe its defining recursion; a rewrite that reorders or
+regroups an operation moves the last bits and fails here.
 """
 
 import hashlib
@@ -101,13 +101,13 @@ PHI_PINS = {
         lambda: custom_hg(hg_for_two_sided(1.05, 0.95, 0.3)),
         (),
         ("0x1.f7c4460d893e9p-1", "0x1.94a4b9e8c1a86p+0",
-         "0x1.00bf6999ac8a5p+0", "0x1.45395f6c0bbd4p-13"),
+         "0x1.00bf6999ac8a5p+0", "0x1.45395f6c0bbd6p-13"),
     ),
     "recipe-two-sided-per-level-mu": (
         lambda: custom_hg(hg_for_two_sided(1.05, 0.95, lambda n: 0.2 / (1 + n))),
         (),
-        ("0x1.e0253dbf4b1d2p-1", "0x1.6102c76851d77p+0",
-         "0x1.85ec584901a6dp-1", "0x1.38a244c0801d3p-13"),
+        ("0x1.e0253dbf4b1d2p-1", "0x1.6102c76851d76p+0",
+         "0x1.85ec584901a6cp-1", "0x1.38a244c0801d2p-13"),
     ),
 }
 
@@ -140,4 +140,4 @@ def test_xp_band_bits_are_pinned():
 
 def test_two_sided_residual_bits_are_pinned():
     report = verify_two_sided(1.05, 0.95, 0.3, dim=64)
-    assert report.max_abs_residual.hex() == "0x1.2c770fb8f7ecfp-51"
+    assert report.max_abs_residual.hex() == "0x1.5ab0c35f4573ep-51"

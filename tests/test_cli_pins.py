@@ -107,11 +107,11 @@ PINS = {
     "verify --relation qp-ha --q 1.2 --dim 8":
         "8f62bc1dea863971b6a65d01f3a4c53d26326d1178b94c7d13e8ac69fee0e66c",
     "verify --relation two-sided --qb 1.1 --pb 0.95 --mu 0.3 --dim 64":
-        "6291be52041c031f285ba6f0165369f7370d268f7674e0b7c69eefcd14a790e3",
+        "b57acaedd29ee30ba4bfe1a26b401cda1d7165ba66c04ae651eaa802c685f16a",
     "verify --relation two-sided --qb 1.1 --pb 0.95 --mu 0.3 --dim 64 --alt-pairing":
-        "f991bdf5436fd81252a128511565fa6185e0fc07b41a65d7188ac764eb000869",
+        "65fca0b1313254823806c540073d746d31dc6b8002e6dfeb28ae7c5bb4698730",
     "verify --relation two-sided --qb 1.01 --pb 1 --dim 300 --margin 5":
-        "a73e6e6c8a752170efccc8f20677a18ae1308d05b458581abf1c285b43edd33c",
+        "5f6e034a489c38d72daf0ca469e994480c507a09ed947166efbcce737654c572",
     "verify --relation two-sided --qb 1.1 --pb -1 --dim 8":
         "79949dc11a2c25d3858cb5f73ca25a091dc914790975036fb2ac54a0201a898c",
     "verify --relation two-sided --qb 1e200 --pb 1 --dim 8":
@@ -121,7 +121,7 @@ PINS = {
     "verify --relation hg --q 1.2 --p 0.9 --dim 8 --format json":
         "e3ddb8ddffb8956a6c56108a3dfa0dc23755a09b4d2f91980cc16c548fdd7303",
     "verify --relation hg --qb 1.05 --pb 1 --mu -0.2 --dim 300":
-        "c8904f461681c1e147644fb7acf6e3c911e900f53e1abaf2b386fb068b064f1a",
+        "3bf13e9bdeb31cfaa4085ee3e119cda5190a27fff06f8774b6a83f14a302fd1c",
     "verify --relation hg --qb 1.05 --dim 8":
         "325c6c876c991d281deafdb1a9a57a68aa18053efe425114f8e805963446d57d",
     "verify --relation commutator-sf --model arik-coon --q 1.3 --dim 64":
@@ -157,9 +157,9 @@ PINS = {
     "link --qb 2 --pb 1 --p 1 --n-max -1":
         "a071b00f6b233dc0e2859d61c93c1211772c98c940e45d8c203ed6bd55fb1ebc",
     "limits":
-        "c49afc758fc3ddc6848f3194767e2ea24fb943a9b05b647b922149f56b2183a6",
+        "cbbf2f6082ce19be2cf4dbc05db4395123278c4d35d03376e8fa0501523d763d",
     "limits --format json --tolerance 1e-12":
-        "5030a1b9681f465a0ccc50e5eec0fffa305c697b7180a26a2971134283c91d5f",
+        "d4a70f420049e337475380f5c10c624bcc7361663684da1ced20862a7829532b",
     "--help":
         "99e610ef3202d8f0aa4eda433324e36696cf8edd55836026876b3c37b3aa127c",
     "sf --help":

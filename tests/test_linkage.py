@@ -364,11 +364,11 @@ def test_link_check_depth_is_trimmed_for_small_p():
     # where q = 4.625
     assert link_table(2.0, 1.0, 1e-200, 1)[-1]["consistent"]
     assert check_link_consistency(2.0, 1.0, 1e-200, 0).dim == 1
-    # q = 2e20 at level 0: q**12 and p**-12 stay below 1e300, but the
-    # recipe's g(n) Phi(n) ~ (q / p)**n would pass the largest double at
-    # n = 9, so the check stops at depth 8
+    # q = 2e20 at level 0: q**12 and p**-12 stay below 1e300; g(n) Phi(n)
+    # ~ (q / p)**n would pass the largest double at n = 9, but the recipe
+    # forms (g/h) Phi + 1/h = q [n] + p**n, so the check keeps depth 12
     report = check_link_consistency(1e20, 1e20, 1e-20, 0)
-    assert (report.dim, report.passed) == (8, True)
+    assert (report.dim, report.passed) == (12, True)
 
 
 @given(
@@ -720,7 +720,7 @@ def test_link_rows_far_from_the_undeformed_point():
     assert digest(rows) == "e5d518fec45c229fdba99e55e37e267e0c08b7d007be8ae7881aeafb2a4ad489"
     assert check_link_consistency(999.9, 0.0011, 0.0013, 12).per_state == [(0, 0.0), (1, 0.0)]
     report = check_link_consistency(999.9, 0.0011, 0.0013, 0)
-    assert (report.dim, report.max_abs_residual) == (12, 3.6337047462501067e-16)
+    assert (report.dim, report.max_abs_residual) == (12, 2.0886235920602915e-16)
 
 
 def test_exact_certificate_never_prints_its_fractions():

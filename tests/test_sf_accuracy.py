@@ -86,10 +86,11 @@ def test_structure_functions_match_mpmath(model, ratio, base, n):
 @example(qb=2.0, pb=1.0, mu=0.0, n=120)
 @example(qb=0.9, pb=1.0, mu=None, n=300)
 def test_recipe_is_within_three_roundings_per_level(qb, pb, mu, n):
-    # Phi(k+1) = (1 + g(k) Phi(k)) / h(k) rounds three times per level;
-    # with positive coefficients nothing cancels, so the relative error
-    # grows by at most 3 * 2**-53 per level against the same recursion
-    # run exactly on the same float h and g
+    # Phi(k+1) = (g(k) / h(k)) Phi(k) + 1 / h(k): the first term rounds
+    # twice, the second once and their sum once; with positive
+    # coefficients nothing cancels, so the relative error grows by at most
+    # 3 * 2**-53 per level (first order) against the same recursion run
+    # exactly on the same float h and g
     pair = hg_for_q_ha(qb) if mu is None else hg_for_two_sided(qb, pb, mu)
     ratio = qb if mu is None else qb / pb
     if ratio != 1.0:  # keep every power the pair forms in double range

@@ -39,11 +39,12 @@ GRID = (0.5, 0.9, 1.1, 2.0)
 
 
 def sf_by_recursion(pair: HGPair, n: int) -> float:
-    # independent oracle: h(j) Phi(j+1) - g(j) Phi(j) = 1 solved upward from 0
-    phi = 0.0
+    # independent oracle: h(j) Phi(j+1) - g(j) Phi(j) = 1 solved upward
+    # from 0 exactly on the float coefficients, rounded once
+    phi = Fraction(0)
     for j in range(n):
-        phi = (1.0 + pair.g(j) * phi) / pair.h(j)
-    return phi
+        phi = (1 + Fraction(pair.g(j)) * phi) / Fraction(pair.h(j))
+    return float(phi)
 
 
 def rel_gap(a: float, b: float) -> float:

@@ -1,15 +1,16 @@
 """Record perfbench runs of a parent and a change commit as BENCH_<pr>.json.
 
     python tools/bench_record.py run PARENT_DIR CHANGE_DIR LOG_DIR \\
-        [--pairs 3] [--seconds 20] [--seed 1] [--call EXPR ...]
+        [--pairs 10] [--seed 1] [--call EXPR ...]
     python tools/bench_record.py record LOG_DIR BENCH_<pr>.json --what TEXT \\
         [--note TEXT ...] [--parent-commit SHA] [--change-commit SHA]
 
 PARENT_DIR and CHANGE_DIR are clean exports of the two commits (for
 example `git archive <sha> | tar -x -C DIR`), each with its own
 perfbench/ and src/.  `run` runs every workload in PAIRS alternating
-pairs of untraced runs (the parent first in even-numbered pairs,
-counting from 0), then one traced run of each side, and keeps the
+pairs of untraced runs of BENCHMARK.json's run_seconds each (the parent
+first in even-numbered pairs, counting from 0), then one traced run of
+each side, and keeps the
 stdout of each run as LOG_DIR/<side>-<workload>-<run>.out.  With
 --call it also times each Python expression in each checkout, after
 `from defosc import *`: the minimum of 7 repeats in one interpreter.
@@ -32,6 +33,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = ("dense-verify", "cli-sweep", "link-limits")
 SIDES = ("parent", "change")
 CALL_REPEATS = 7
@@ -49,9 +51,9 @@ print(json.dumps(times))
 """ % CALL_REPEATS
 
 
-def _perfbench(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> str:
+def _perfbench(checkout: str, workload: str, seed: int, trace: int) -> str:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)]
     return subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout
 
 
@@ -62,10 +64,10 @@ def run(args) -> None:
     for workload in WORKLOADS:
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                out = _perfbench(checkouts[side], workload, args.seed, args.seconds, 0)
+                out = _perfbench(checkouts[side], workload, args.seed, 0)
                 (logs / f"{side}-{workload}-pair{pair}.out").write_text(out)
         for side in SIDES:
-            out = _perfbench(checkouts[side], workload, args.seed, args.seconds, 1)
+            out = _perfbench(checkouts[side], workload, args.seed, 1)
             (logs / f"{side}-{workload}-trace.out").write_text(out)
     if args.call:
         calls = {
@@ -104,7 +106,7 @@ def _compare(spec: dict, parent: list[float], change: list[float]) -> dict:
 
 def record(args) -> None:
     logs = Path(args.logs)
-    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    specs = BENCHMARK["end_to_end"]
     commits = {"parent": args.parent_commit, "change": args.change_commit}
     end_to_end, traced, host = {}, {}, {}
     for workload in WORKLOADS:
@@ -163,8 +165,7 @@ def main(argv=None) -> None:
     runner.add_argument("parent")
     runner.add_argument("change")
     runner.add_argument("logs")
-    runner.add_argument("--pairs", type=int, default=3, choices=range(2, 101), metavar="N>=2")
-    runner.add_argument("--seconds", type=float, default=20.0)
+    runner.add_argument("--pairs", type=int, default=10, choices=range(2, 101), metavar="N>=2")
     runner.add_argument("--seed", type=int, default=1)
     runner.add_argument("--call", action="append", default=[])
     recorder = commands.add_parser("record", help="write BENCH_<pr>.json from kept output")
