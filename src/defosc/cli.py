@@ -22,8 +22,6 @@ from functools import partial
 from pathlib import Path
 
 from .errors import DeformedAlgebraError, DomainError
-from .fock import build_ladder
-from .limits import run_limit_suite
 from .linkage import link_table
 from .structure import (
     StructureFunctionModel,
@@ -41,13 +39,6 @@ from .structure import (
     hg_for_qp_ha,
     hg_for_two_sided,
     custom_hg,
-)
-from .verify import (
-    verify_commutator_sf,
-    verify_hg,
-    verify_q_ha,
-    verify_qp_ha,
-    verify_two_sided,
 )
 
 # model name -> (constructor, ((flag, default), ...)); the flags are the
@@ -130,7 +121,9 @@ def _hg_flags(args: argparse.Namespace) -> tuple[str, ...]:
     return ("qb", "pb", "mu") if args.qb is not None or args.pb is not None else ("q", "p")
 
 
-def _verify_hg(args: argparse.Namespace):
+def _verify_hg(verify, args: argparse.Namespace):
+    from .fock import build_ladder
+
     if "qb" in _hg_flags(args):
         _require(vars(args), ("qb", "pb"), "relation 'hg' with two-sided parameters")
         pair = hg_for_two_sided(args.qb, args.pb, args.mu)
@@ -138,31 +131,35 @@ def _verify_hg(args: argparse.Namespace):
         _require(vars(args), ("q",), "relation 'hg'")
         pair = hg_for_q_ha(args.q) if args.p is None else hg_for_qp_ha(args.q, args.p)
     rep = build_ladder(custom_hg(pair), args.dim)
-    return verify_hg(rep, pair, tol=args.tolerance, margin=args.margin)
+    return verify.verify_hg(rep, pair, tol=args.tolerance, margin=args.margin)
 
 
-def _verify_commutator_sf(args: argparse.Namespace):
+def _verify_commutator_sf(verify, args: argparse.Namespace):
+    from .fock import build_ladder
+
     rep = build_ladder(_build_model(args)[0], args.dim)
-    return verify_commutator_sf(rep, tol=args.tolerance, margin=args.margin)
+    return verify.verify_commutator_sf(rep, tol=args.tolerance, margin=args.margin)
 
 
-# relation name -> (flags it reads, check(args) -> ResidualReport); the flags
-# are required, and echoed when given.  The flags hg and commutator-sf read
-# depend on the flags given: a function of args names them, and their checks
-# require them.  The checks look the verify functions up when they run, so a
-# rebinding of this module's names (perfbench's tracer) reaches them.
+# relation name -> (flags it reads, check(verify, args) -> ResidualReport); the
+# flags are required, and echoed when given.  The flags hg and commutator-sf
+# read depend on the flags given: a function of args names them, and their
+# checks require them.  The checks are given the verify module, imported only
+# by this command because it loads numpy, and look its functions (and fock's)
+# up when they run, so a rebinding of those modules' names (perfbench's
+# tracer) reaches them.
 RELATIONS = {
     "q-ha": (
         ("q",),
-        lambda a: verify_q_ha(a.q, dim=a.dim, tol=a.tolerance, margin=a.margin),
+        lambda v, a: v.verify_q_ha(a.q, dim=a.dim, tol=a.tolerance, margin=a.margin),
     ),
     "qp-ha": (
         ("q", "p"),
-        lambda a: verify_qp_ha(a.q, a.p, dim=a.dim, tol=a.tolerance, margin=a.margin),
+        lambda v, a: v.verify_qp_ha(a.q, a.p, dim=a.dim, tol=a.tolerance, margin=a.margin),
     ),
     "two-sided": (
         ("qb", "pb", "mu", "alt-pairing"),
-        lambda a: verify_two_sided(
+        lambda v, a: v.verify_two_sided(
             a.qb, a.pb, a.mu, dim=a.dim, tol=a.tolerance, margin=a.margin,
             alt_pairing=a.alt_pairing,
         ),
@@ -176,12 +173,14 @@ RELATIONS = {
 
 
 def _cmd_verify(args: argparse.Namespace):
+    from . import verify
+
     flags, check = RELATIONS[args.relation]
     if callable(flags):
-        report, flags = check(args), flags(args)
+        report, flags = check(verify, args), flags(args)
     else:
         _require(vars(args), flags, f"relation {args.relation!r}")
-        report = check(args)
+        report = check(verify, args)
     config = {"relation": args.relation}
     for key in (flag.replace("-", "_") for flag in flags):
         if getattr(args, key) is not None:
@@ -198,6 +197,8 @@ def _cmd_link(args: argparse.Namespace):
 
 
 def _cmd_limits(args: argparse.Namespace):
+    from .limits import run_limit_suite
+
     checks = run_limit_suite(tolerance=args.tolerance)
     rows = [
         {

@@ -32,8 +32,8 @@ from .qp import (
     deformed_integers, relative_gap, require_finite, require_nonnegative,
     require_nonnegative_int, require_positive,
 )
+from .report import ResidualReport
 from .structure import HGPair, custom_hg, sf_table
-from .verify import ResidualReport
 
 
 def _double_range(what: str, level: int):

@@ -172,10 +172,14 @@ def _two_sided_equal_levels(qb: float, pb: float) -> _Level:
                 total += 1.0 / _equal_bracket(0.25, ratio, terms, 1.0)
             except OverflowError:
                 # for k > 0 a power overflows only at Q > 1, h(k) > 1.8e308/4,
-                # so the term is below 4/1.8e308; h(0) ~ Q**3/4 need not be
+                # so the term is below 4/1.8e308 and is dropped, as is every
+                # later one, whose powers are larger and overflow too: the
+                # sum is complete.  h(0) ~ Q**3/4 need not be large.
                 if not terms:
                     raise
-            terms += 1
+                terms = math.inf
+            else:
+                terms += 1
         return total / pb
 
     return level

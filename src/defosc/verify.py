@@ -30,7 +30,6 @@ growing ones it keeps "pure roundoff" meaning what it says.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,6 +37,7 @@ import numpy as np
 from .errors import DomainError, double_range
 from .fock import FockRep, build_ladder, build_xp, hamiltonian
 from .qp import require_finite, require_nonnegative, require_nonnegative_int
+from .report import ResidualReport
 from .structure import (
     HGPair,
     StructureFunctionModel,
@@ -49,29 +49,6 @@ from .structure import (
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MARGIN = 2
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Interior residual of one relation check against a tolerance."""
-
-    relation: str
-    dim: int
-    margin: int
-    max_abs_residual: float
-    tolerance: float
-    passed: bool
-    per_state: list[tuple[int, float]] | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "dim": self.dim,
-            "margin": self.margin,
-            "max_abs_residual": self.max_abs_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -385,13 +385,8 @@ def test_dimensions_beyond_dense_storage():
     assert out.getvalue().splitlines()[-1].endswith(",true")
 
 
-def test_import_loads_no_new_module():
-    probe = (
-        "import json, sys\n"
-        "before = set(sys.modules)\n"
-        "import defosc\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
-    )
+def _fresh(probe: str):
+    """The JSON a probe prints in a fresh interpreter that imports src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -401,16 +396,39 @@ def test_import_loads_no_new_module():
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    loaded = json.loads(result.stdout)
-    assert not any(name.split(".")[0] == "scipy" for name in loaded)
+    return json.loads(result.stdout)
+
+
+def test_import_loads_no_new_module():
+    # the package namespace is lazy: no submodule, and so no numpy, loads
+    loaded = _fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import defosc\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
     third_party = {name.split(".")[0] for name in loaded} - set(sys.stdlib_module_names)
-    assert third_party == {"defosc", "numpy"}
-    assert {name for name in loaded if name.startswith("defosc.")} == {
-        "defosc.errors",
-        "defosc.fock",
-        "defosc.limits",
-        "defosc.linkage",
-        "defosc.qp",
-        "defosc.structure",
-        "defosc.verify",
-    }
+    assert third_party == {"defosc"}
+    assert [name for name in loaded if name.startswith("defosc.")] == []
+
+
+def test_commands_without_bands_load_no_numpy():
+    # sf, spectrum and link compute on floats and Fractions; verify builds
+    # bands, so it loads numpy (the control)
+    loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from defosc.cli import main\n"
+        "argvs = (\n"
+        "    ['sf', '--model', 'arik-coon', '--q', '1.1'],\n"
+        "    ['spectrum', '--model', 'two-sided-equal', '--qb', '1.2', '--pb', '0.9'],\n"
+        "    ['link', '--qb', '1.1', '--pb', '0.9', '--p', '1.1'],\n"
+        "    ['verify', '--relation', 'q-ha', '--q', '1.1'],\n"
+        ")\n"
+        "loaded = []\n"
+        "for argv in argvs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert loaded == [False, False, False, True]

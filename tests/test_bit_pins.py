@@ -10,6 +10,7 @@ regroups an operation moves the last bits and fails here.
 """
 
 import hashlib
+import struct
 
 import pytest
 
@@ -128,6 +129,25 @@ def test_phi_bits_are_pinned(name):
     table = sf_table(model, max(LEVELS))
     assert tuple(table[n].hex() for n in LEVELS) == pins
     assert tuple(sf_eval(model, n).hex() for n in LEVELS) == pins
+
+
+# sha256 of the packed doubles of sf_table(two_sided_equal_hg(Q, 1), 5000);
+# for Q > 1 the terms' powers overflow from some k on (Q = 2: k = 512)
+TWO_SIDED_EQUAL_SHA256 = {
+    1.0001: "b63ecdad4037881dc9b2e439e1809acfc0c4ca41d60cd4aa15c604b621ab2793",
+    1.5: "7fb3ae20fb2bdb3516e39ee905231c709d4af08bf9a2979bcb76a15fa9a1cb74",
+    2.0: "974e373ad8d4ef7e4ca512ce67bbf0285107a941fccafa3093e558c192395582",
+    4.0: "61b654f22679aa0b56ed094f49f877d129c38f6fa593159ebe70261f6ac83f59",
+}
+
+
+@pytest.mark.parametrize("ratio", list(TWO_SIDED_EQUAL_SHA256))
+def test_two_sided_equal_bits_past_the_overflow_are_pinned(ratio):
+    model = two_sided_equal_hg(ratio, 1.0)
+    table = sf_table(model, 5000)
+    digest = hashlib.sha256(struct.pack(f"{len(table)}d", *table)).hexdigest()
+    assert digest == TWO_SIDED_EQUAL_SHA256[ratio]
+    assert sf_eval(model, 5000) == table[5000]
 
 
 def test_xp_band_bits_are_pinned():

@@ -1,6 +1,10 @@
 """The public names of the package: each exported once and importable."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import defosc
@@ -12,6 +16,36 @@ def test_every_exported_name_resolves_once():
     assert len(defosc.__all__) == len(set(defosc.__all__))
     for name in defosc.__all__:
         assert hasattr(defosc, name), name
+
+
+def test_the_lazy_namespace_in_a_fresh_interpreter():
+    # before any submodule is imported: dir lists every export, submodules
+    # resolve as attributes, and an unknown name is still missing, so the
+    # hasattr(defosc, ...) checks below stay meaningful
+    probe = (
+        "import json, defosc\n"
+        "print(json.dumps({\n"
+        "    'missing_from_dir': sorted(set(defosc.__all__) - set(dir(defosc))),\n"
+        "    'submodules': [defosc.linkage.__name__, defosc.qp.__name__],\n"
+        "    'unknown': hasattr(defosc, 'LinkInput'),\n"
+        "    'cached': 'sf_table' in vars(defosc),\n"
+        "    'bound': defosc.sf_table is defosc.structure.sf_table\n"
+        "             and 'sf_table' in vars(defosc),\n"
+        "}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert json.loads(result.stdout) == {
+        "missing_from_dir": [],
+        "submodules": ["defosc.linkage", "defosc.qp"],
+        "unknown": False,
+        "cached": False,
+        "bound": True,
+    }
 
 
 def test_star_import_binds_exactly_the_exported_names():
