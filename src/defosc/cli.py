@@ -21,6 +21,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
+# fock, verify and limits load numpy: the commands that build bands import
+# them when they run, so sf, spectrum and link start without it
 from .errors import DeformedAlgebraError, DomainError
 from .linkage import link_table
 from .structure import (
@@ -144,10 +146,9 @@ def _verify_commutator_sf(verify, args: argparse.Namespace):
 # relation name -> (flags it reads, check(verify, args) -> ResidualReport); the
 # flags are required, and echoed when given.  The flags hg and commutator-sf
 # read depend on the flags given: a function of args names them, and their
-# checks require them.  The checks are given the verify module, imported only
-# by this command because it loads numpy, and look its functions (and fock's)
-# up when they run, so a rebinding of those modules' names (perfbench's
-# tracer) reaches them.
+# checks require them.  The checks are given the verify module and look its
+# functions (and fock's) up when they run, so a rebinding of those modules'
+# names (perfbench's tracer) reaches them.
 RELATIONS = {
     "q-ha": (
         ("q",),

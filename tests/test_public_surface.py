@@ -28,7 +28,7 @@ def test_the_lazy_namespace_in_a_fresh_interpreter():
         "    'missing_from_dir': sorted(set(defosc.__all__) - set(dir(defosc))),\n"
         "    'submodules': [defosc.linkage.__name__, defosc.qp.__name__],\n"
         "    'unknown': hasattr(defosc, 'LinkInput'),\n"
-        "    'cached': 'sf_table' in vars(defosc),\n"
+        "    'bound_before_use': 'sf_table' in vars(defosc),\n"
         "    'bound': defosc.sf_table is defosc.structure.sf_table\n"
         "             and 'sf_table' in vars(defosc),\n"
         "}))\n"
@@ -43,7 +43,7 @@ def test_the_lazy_namespace_in_a_fresh_interpreter():
         "missing_from_dir": [],
         "submodules": ["defosc.linkage", "defosc.qp"],
         "unknown": False,
-        "cached": False,
+        "bound_before_use": False,
         "bound": True,
     }
 
