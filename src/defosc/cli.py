@@ -18,13 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache
 from pathlib import Path
 
-# fock, verify and limits load numpy: the commands that build bands import
-# them when they run, so sf, spectrum and link start without it
+# fock, verify and limits (numpy) and linkage (fractions, decimal) are imported
+# by the commands that use them, so sf and spectrum start without any of them
 from .errors import DeformedAlgebraError, DomainError
-from .linkage import link_table
 from .structure import (
     StructureFunctionModel,
     arik_coon,
@@ -112,7 +111,9 @@ def _build_model(args: argparse.Namespace) -> tuple[StructureFunctionModel, dict
     return constructor(*values.values()), {"model": args.model, **values}
 
 
-def _cmd_table(column: str, table, args: argparse.Namespace):
+def _cmd_table(args: argparse.Namespace):
+    # looked up here, not held by the parser: _parser outlives a rebinding (a tracer's)
+    column, table = ("phi", sf_table) if args.command == "sf" else ("energy", spectrum)
     model, config = _build_model(args)
     config["n_max"] = args.n_max
     rows = [{"n": n, column: value} for n, value in enumerate(table(model, args.n_max))]
@@ -192,6 +193,8 @@ def _cmd_verify(args: argparse.Namespace):
 
 
 def _cmd_link(args: argparse.Namespace):
+    from .linkage import link_table
+
     rows = link_table(args.qb, args.pb, args.p, args.n_max, tol=args.tolerance)
     config = {key: getattr(args, key) for key in ("qb", "pb", "p", "n_max", "tolerance")}
     return config, list(rows[0]), rows, all(row["consistent"] for row in rows)
@@ -236,15 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, column, table, help_text in (
-        ("sf", "phi", sf_table, "tabulate Phi(n)"),
-        ("spectrum", "energy", spectrum, "tabulate E(n) = (Phi(n+1)+Phi(n))/2"),
+    for name, help_text in (
+        ("sf", "tabulate Phi(n)"),
+        ("spectrum", "tabulate E(n) = (Phi(n+1)+Phi(n))/2"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         _add_model_options(cmd)
         cmd.add_argument("--n-max", type=int, default=10)
         _add_output_options(cmd)
-        cmd.set_defaults(run=partial(_cmd_table, column, table))
+        cmd.set_defaults(run=_cmd_table)
 
     ver = sub.add_parser("verify", help="relation residual report")
     ver.add_argument("--relation", choices=tuple(RELATIONS), required=True)
@@ -278,8 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config, header, rows, passed = args.run(args)
     except DeformedAlgebraError as exc:
@@ -288,7 +294,11 @@ def main(argv: list[str] | None = None) -> int:
     config = {"command": args.command, **config, "format": args.format}
     text = _render(config, header, rows, args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if passed else 1
