@@ -10,7 +10,7 @@ numeric cell is rendered with 17 significant digits so values
 round-trip exactly and repeated runs are byte-identical.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or parameter-domain error.
+2 usage, parameter-domain or --out write error.
 """
 
 from __future__ import annotations

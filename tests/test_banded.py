@@ -414,7 +414,8 @@ def test_import_loads_no_new_module():
 
 def test_commands_without_bands_load_no_numpy():
     # sf, spectrum and link compute on floats and Fractions; verify builds
-    # bands, so it loads numpy (the control)
+    # bands, so it loads numpy (the control).  Only link runs the exact
+    # linkage, so only it loads defosc.linkage
     loaded = _fresh(
         "import contextlib, io, json, sys\n"
         "from defosc.cli import main\n"
@@ -428,7 +429,7 @@ def test_commands_without_bands_load_no_numpy():
         "for argv in argvs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0\n"
-        "    loaded.append('numpy' in sys.modules)\n"
+        "    loaded.append([name in sys.modules for name in ('numpy', 'defosc.linkage')])\n"
         "print(json.dumps(loaded))\n"
     )
-    assert loaded == [False, False, False, True]
+    assert loaded == [[False, False], [False, False], [False, True], [True, True]]

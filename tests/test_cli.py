@@ -1,10 +1,14 @@
+import hashlib
 import io
 import json
 import re
+import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from defosc import cli
 from defosc.cli import MODELS, RELATIONS, main
 from defosc.structure import (
     StructureFunctionModel,
@@ -18,6 +22,7 @@ from defosc.structure import (
     two_sided_equal_hg,
 )
 from link_oracle import assert_rows_are_rounded_exact_values
+from test_cli_pins import PINS, _run as run_argv  # run_argv keeps argparse's exits
 
 
 def run_cli(*argv):
@@ -374,6 +379,86 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path):
     target = tmp_path / "out.txt"
     assert run_cli(*argv, "--out", str(target)) == (code, "", err)
     assert target.read_bytes() == out.encode()
+
+
+def test_out_write_failure_exits_two_with_one_error_line(tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli("sf", "--model", "harmonic", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"error: \[Errno \d+\] [^\n]*'{re.escape(str(target))}'\n", err)
+    assert not target.parent.exists()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+MIXED_ARGV = [
+    ["sf", "--model", "cj", "--q", "1.2", "--p", "0.7", "--n-max", "6"],
+    ["spectrum", "--model", "arik-coon", "--q", "1.3", "--n-max", "4", "--format", "json"],
+    ["verify", "--relation", "q-ha", "--q", "1.1", "--dim", "16"],
+    ["verify", "--relation", "two-sided", "--qb", "2", "--pb", "1", "--mu", "0.3",
+     "--alt-pairing"],
+    ["link", "--qb", "1.1", "--pb", "0.9", "--p", "1.1", "--n-max", "4", "--format", "json"],
+    ["limits", "--tolerance", "0"],
+    ["sf", "--model", "nonstd-q", "--q", "-1"],
+    ["sf", "--model", "not-a-model"],
+    ["verify", "--relation", "hg", "--qb", "1.1", "--dim", "8", "--format", "json"],
+    ["spectrum", "--help"],
+]
+
+
+def test_one_parser_serves_a_mixed_sequence_in_either_order():
+    first = []
+    for argv in MIXED_ARGV:
+        cli._parser.cache_clear()
+        first.append(run_argv(argv))
+    assert [code for code, _, _ in first] == [0, 0, 0, 1, 0, 1, 2, 2, 2, 0]
+    assert [run_argv(argv) for argv in MIXED_ARGV] == first
+    assert [run_argv(argv) for argv in reversed(MIXED_ARGV)] == first[::-1]
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_commands_reach_layer_functions_rebound_after_the_parser_is_built(monkeypatch):
+    # a tracer or a monkeypatch rebinds a layer function in every module that
+    # holds it, after the process's one parser exists; each command must still
+    # reach the rebound function
+    from defosc import linkage, structure, verify
+
+    assert run_cli("sf", "--model", "harmonic", "--n-max", "1")[0] == 0
+    built = cli._parser.cache_info().misses
+    calls = Counter()
+    modules = [sys.modules[name] for name in sorted(sys.modules) if name.split(".")[0] == "defosc"]
+    for fn in (structure.sf_table, structure.spectrum, linkage.link_table, verify.verify_q_ha):
+        def counting(*args, fn=fn, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        for module in modules:
+            if vars(module).get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting)
+    for name, argv in (
+        ("sf_table", ["sf", "--model", "harmonic", "--n-max", "2"]),
+        ("spectrum", ["spectrum", "--model", "harmonic", "--n-max", "2"]),
+        ("link_table", ["link", "--qb", "1.1", "--pb", "0.9", "--p", "1.1", "--n-max", "2"]),
+        ("verify_q_ha", ["verify", "--relation", "q-ha", "--q", "1.1", "--dim", "8"]),
+    ):
+        before = calls[name]
+        assert run_cli(*argv)[0] == 0
+        assert calls[name] == before + 1, name
+    assert cli._parser.cache_info().misses == built
+
+
+def test_the_cached_parser_wraps_usage_at_the_width_it_formats_with(monkeypatch):
+    argv = "verify --relation nope"
+    cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = run_argv(argv.split())
+    monkeypatch.setenv("COLUMNS", "80")
+    wide = run_argv(argv.split())
+    assert cli._parser.cache_info().misses == 1
+    assert narrow[0] == wide[0] == 2 and narrow != wide
+    assert hashlib.sha256(repr(wide).encode()).hexdigest() == PINS[argv]
 
 
 def test_numeric_cells_round_trip_exactly():
