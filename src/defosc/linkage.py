@@ -10,21 +10,22 @@ proved on Fractions in the tests.  Each is written once, with int
 literals only, so on Fraction input it returns the exact Fraction; the
 level is used as a Python int, because a Fraction or an int raised to a
 numpy integer computes in wrapping int64.  link_table and
-check_link_consistency run none of them: one private kernel writes q,
-mu and p**N on Python ints over cleared denominators, carrying powers
-from level to level, and prints numerator / denominator of each,
-correctly rounded; the tests prove its values equal to q_from_p,
-mu_from_h_match and p**N on Fractions.  check_link_consistency needs
-only q.  Both then check that the target pair with the level-consistent
-q reproduces the deformed integers [n] = (q**n - p**n)/(q - p).  A
-non-finite argument raises DomainError naming it; on floats, a value
-past double range raises EvaluationOverflowError naming the formula and
-the level.
+check_link_consistency run none of them.  They print q, mu and p**N
+correctly rounded, each decided from a 128-bit interval carried from
+level to level; only where an interval cannot decide does the exact
+kernel, proved equal to q_from_p, mu_from_h_match and p**N on Fractions
+in the tests, write the level on Python ints.  Both then check that the
+target pair with the level-consistent q reproduces the deformed integers
+[n] = (q**n - p**n)/(q - p).  A non-finite argument raises DomainError
+naming it; on floats, a value past double range raises
+EvaluationOverflowError naming the formula and the level.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 from .errors import PoleError, double_range, finite
@@ -185,6 +186,80 @@ def _exact_columns(qb: float, pb: float, p: float, first: int, q_only: bool = Fa
         c_n, gamma_n = c_n * c, gamma_n * gamma
 
 
+# The fast path's intervals (lo, hi, e) = [lo, hi] * 2**e keep hi to _WIDTH bits,
+# lo rounded down and hi up; any width is right, a narrow one falls back more.
+_WIDTH = 128
+_ONE = (1, 1, 0)
+
+
+def _mul(x, y):  # x, y >= 0
+    lo, hi = x[0] * y[0], x[1] * y[1]
+    shift = max(hi.bit_length() - _WIDTH, 0)
+    return lo >> shift, -(-hi >> shift), x[2] + y[2] + shift
+
+
+def _div(x, y):  # y > 0
+    shift = _WIDTH + y[1].bit_length()
+    return (x[0] << shift) // y[1], -(-(x[1] << shift) // y[0]), x[2] - y[2] - shift
+
+
+def _at(x, e: int) -> tuple[int, int]:
+    shift = e - x[2]
+    return (x[0] >> shift, -(-x[1] >> shift)) if shift > 0 else (x[0] << -shift, x[1] << -shift)
+
+
+def _sum(x, y, z=(0, 0, 0)):  # x + y - z; the default z = 0 suits x = 1
+    e = max(x[2], y[2], z[2]) - _WIDTH
+    (xl, xh), (yl, yh), (zl, zh) = _at(x, e), _at(y, e), _at(z, e)
+    return xl + yl - zh, xh + yh - zl, e
+
+
+def _to_float(m: int, e: int) -> float:
+    # m 2**e, +-inf past double range; ldexp rounds it once where the double
+    # is normal, and never builds 2**e (m stays far below 2**1024)
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _columns(qb: float, pb: float, p: float, first: int, q_only: bool = False):
+    """The doubles _exact_columns rounds to, from intervals where they decide.
+
+    Its q + 1 and mu are sums of terms c f**N, direct powers at the first
+    level carried by f: pb/2 (1 + Q) (p Q**2)**N + pb/2 (1 + Q**5)/Q**2
+    (p Q**4)**N and qb (Q**2)**N + qb Q**2 (Q**4)**N - 2 (1/p)**N.  Ends
+    that round to one normal double decide the value between them, since
+    rounding is monotone, and ends past double range its overflow; a level
+    where any cannot (a near-tie, a zero, a subnormal) is rounded exactly.
+    """
+    args = qb, pb, p
+    qb, pb, p = (_div((n, n, 0), (d, d, 0))
+                 for n, d in (Fraction(value).as_integer_ratio() for value in args))
+    ratio, inverse = _div(qb, pb), _div(pb, qb)
+    step, half_pb = _mul(ratio, ratio), pb[:2] + (pb[2] - 1,)
+    square = _mul(step, step)
+    terms = [(_mul(half_pb, _sum(_ONE, ratio)), _mul(p, step)), (_mul(
+        _mul(half_pb, _mul(inverse, inverse)), _sum(_ONE, _mul(square, ratio))), _mul(p, square))]
+    if not q_only:
+        terms += [(qb, step), (_mul(qb, step), square), ((2, 2, 0), _div(_ONE, p)), (_ONE, p)]
+    values = [_mul(c, (f[0] ** first, f[1] ** first, f[2] * first)) for c, f in terms]
+    for level in itertools.count(first):
+        q = _sum(values[0], values[1], _ONE)
+        rounded = [low if (low := _to_float(lo, e)) == _to_float(hi, e)
+                   and abs(low) >= sys.float_info.min else None
+                   for lo, hi, e in ((q,) if q_only else (q, _sum(*values[2:5]), values[5]))]
+        if None in rounded:
+            rounded = [top / bottom for top, bottom in next(_exact_columns(*args, level, q_only))]
+        elif math.inf in map(abs, rounded):
+            raise OverflowError
+        yield rounded
+        # each factor has at least _WIDTH bits, so no shift is negative
+        values = [(v_lo * f_lo >> (shift := (hi := v_hi * f_hi).bit_length() - _WIDTH),
+                   -(-hi >> shift), v_e + f_e + shift)
+                  for (v_lo, v_hi, v_e), (_, (f_lo, f_hi, f_e)) in zip(values, terms)]
+
+
 def _exceeds_double_range(base: float, exponent: int) -> bool:
     try:
         return base**exponent > 1e300
@@ -212,23 +287,22 @@ def check_link_consistency(
 ) -> ResidualReport:
     """Check that the level-consistent q makes the target an oscillator.
 
-    q along the mu-free route is computed exactly by the integer kernel,
-    from direct powers at the level, and rounded once.  The recipe over
-    the target pair (p**-N, q p**-N) must then reproduce the deformed
-    integers [n] for n = 0..SF_LEVELS; per_state holds the gap at each n,
-    relative against max(1, |values|).  The matching q always exceeds -1
-    but can reach zero or negative values; the target then no longer
-    describes an oscillator, so the recipe only runs when q > 0.  Its
-    depth (dim) is trimmed, down to 0, where per_state is empty, while
-    max(q, p, 2)**depth or p**-depth exceeds 1e300 or overflows.  qb, pb and p must be finite and positive.
+    q along the mu-free route is the correctly rounded exact value, decided
+    at the level as in link_table.  The recipe over the target pair
+    (p**-N, q p**-N) must then reproduce the deformed integers [n] for
+    n = 0..SF_LEVELS; per_state holds the gap at each n, relative against
+    max(1, |values|).  The matching q always exceeds -1 but can reach zero
+    or negative values; the target then no longer describes an oscillator,
+    so the recipe only runs when q > 0.  Its depth (dim) is trimmed, down
+    to 0, where per_state is empty, while max(q, p, 2)**depth or p**-depth
+    exceeds 1e300 or overflows.  qb, pb and p must be finite and positive.
     A q beyond double range raises EvaluationOverflowError naming the level.
     """
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative(tolerance=tol)
     require_nonnegative_int(level=level)
-    ((top, bottom),) = next(_exact_columns(qb, pb, p, int(level), q_only=True))
     with _double_range("linkage value", level):
-        q = top / bottom
+        (q,) = next(_columns(qb, pb, p, int(level), q_only=True))
     gaps = _recipe_gaps(q, p)
     worst = max(gaps, default=0.0)
     return ResidualReport(
@@ -249,24 +323,20 @@ def link_table(
 
     Each row carries the level, the level-consistent q, mu along all
     three routes, p**N, and the recipe verdict of check_link_consistency.
-    q, mu and p**N are computed exactly by the integer kernel, which
-    carries its powers from level to level, and each column is its
-    numerator / denominator, so every printed value is correctly rounded;
-    the three mu routes agree exactly, so mu is printed in all three.  A
-    column beyond double range raises EvaluationOverflowError naming the
-    level.
+    Every printed value is the correctly rounded exact value: a 128-bit
+    interval carried from level to level decides it, and the exact integer
+    kernel runs only at a level where one cannot.  The three mu routes
+    agree exactly, so mu is printed in all three.  A column beyond double
+    range raises EvaluationOverflowError naming the level.
     """
     require_nonnegative_int(n_max=n_max)
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative(tolerance=tol)
     rows = []
-    columns = _exact_columns(qb, pb, p, 0)
+    columns = _columns(qb, pb, p, 0)
     for level in range(n_max + 1):
-        # mu is (huge coefficient term) - 2 p**-N; at deformed corners the
-        # two differ by more than 2**53, so only the exact value rounds right
-        exact = next(columns)
         with _double_range("linkage value", level):
-            q, mu, p_pow_n = (top / bottom for top, bottom in exact)
+            q, mu, p_pow_n = next(columns)
         row = dict(n=level, q=q, mu_h_match=mu, mu_g_match=mu, mu_from_q=mu, p_pow_n=p_pow_n)
         row["consistent"] = max(_recipe_gaps(q, p), default=0.0) <= tol
         rows.append(row)

@@ -275,6 +275,10 @@ def sf_from_hg(hg: HGPair, n: int) -> float:
 # --------------------------------------------------------------------------
 
 
+def _underflowed() -> float:  # an h that is a positive product rounded to 0
+    raise OverflowError("h underflowed to 0")
+
+
 def hg_for_q_ha(q: float) -> HGPair:
     """Coefficient pair realizing X P - q P X = i.
 
@@ -283,7 +287,8 @@ def hg_for_q_ha(q: float) -> HGPair:
     require_positive(q=q)
 
     def h(n: int) -> float:
-        return 0.5 * q ** (2 * n + 1) * (1.0 + q ** (2 * n + 2))
+        value = 0.5 * q ** (2 * n + 1) * (1.0 + q ** (2 * n + 2))
+        return value if value else _underflowed()
 
     def g(n: int) -> float:
         return 0.5 * q ** (2 * n) * (1.0 + q ** (2 * n - 2))
@@ -305,7 +310,8 @@ def _ratio_pair(
 
     else:  # a constant mu costs no call per evaluation
         def h(n: int) -> float:
-            return half_qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - mu / 2
+            value = half_qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - mu / 2
+            return value if value or mu else _underflowed()
         def g(n: int) -> float:
             return half_pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu / 2
 

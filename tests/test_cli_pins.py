@@ -204,6 +204,13 @@ PINS = {
         "2eac17386362f5169d8fdd21806a59b2211ce5f62b5bd26c1f5ca1ed840984ca",
     "verify --relation two-sided --qb 1.1 --pb inf":
         "70160d18e6ee8102670b345bd4f506df5aca223416574b9bb1d0da6d6b836036",
+    # h(1) underflows to 0 at mu = 0: an overflow at n = 2, not a division by zero
+    "verify --relation two-sided --qb 1e-300 --pb 1 --mu 0":
+        "287306afa6018b857b2505d6df066560e7c5bcd6f34174d0ee7e5b361a3f5682",
+    "verify --relation hg --q 1e-300":
+        "c309f33ef9ed2b7e740e119f698841ba38b89afc5bc91c02beef65ef82190be5",
+    "verify --relation hg --q 1e-300 --p 1":
+        "e786ab204c8860b44d099aaacb31784a38f4ca90d7260d102ebfba7868be6526",
 }
 
 

@@ -279,8 +279,9 @@ def test_verify_hg_types_an_overflowing_coefficient_pair():
     with pytest.raises(EvaluationOverflowError, match=message) as exc:
         verify_hg(build_ladder(harmonic(), 600), hg_for_q_ha(2.0))
     assert type(exc.value.__cause__) is OverflowError
-    # Q = 1e-300 / 1e300 underflows to 0.0, and g(0) raises it to the power -2
+    # Q = 1e-300 / 1e300 underflows to 0.0, so h(1) underflows to 0 at mu = 0
+    # (h is evaluated before g, whose g(0) raises Q to the power -2)
     message = r"^coefficients of hg\[qp-ha\(q=1e-300,p=1e\+300\)\] overflowed at dim=8$"
     with pytest.raises(EvaluationOverflowError, match=message) as exc:
         verify_hg(build_ladder(harmonic(), 8), hg_for_qp_ha(1e-300, 1e300))
-    assert type(exc.value.__cause__) is ZeroDivisionError
+    assert type(exc.value.__cause__) is OverflowError

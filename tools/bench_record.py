@@ -2,8 +2,8 @@
 
     python tools/bench_record.py run PARENT_DIR CHANGE_DIR LOG_DIR \\
         [--pairs 10] [--seed 1] [--call EXPR ...]
-    python tools/bench_record.py record LOG_DIR BENCH_<pr>.json --what TEXT \\
-        [--note TEXT ...] [--parent-commit SHA] [--change-commit SHA]
+    python tools/bench_record.py record LOG_DIR [LOG_DIR ...] BENCH_<pr>.json \\
+        --what TEXT [--note TEXT ...] [--parent-commit SHA] [--change-commit SHA]
 
 PARENT_DIR and CHANGE_DIR are clean exports of the two commits (for
 example `git archive <sha> | tar -x -C DIR`), each with its own
@@ -12,15 +12,20 @@ pairs of untraced runs of BENCHMARK.json's run_seconds each (the parent
 first in even-numbered pairs, counting from 0), then one traced run of
 each side, and keeps the
 stdout of each run as LOG_DIR/<side>-<workload>-<run>.out.  With
---call it also times each Python expression in each checkout, after
-`from defosc import *`: the minimum of 7 repeats in one interpreter.
+--call it also times each Python expression in one interpreter per
+checkout, after `from defosc import *`: 7 repeats per side, taken
+parent, change, parent, ... so that host drift falls on both sides, and
+the minimum of each side's repeats.
 
 `record` reads the last two lines of each kept output (perfbench's
-provenance and result JSON lines) and writes, per workload, the median,
+provenance and result JSON lines) of every LOG_DIR, one `run` each (for
+example one per seed), and writes, per workload and seed, the median,
 quartiles and runs of every end-to-end metric of BENCHMARK.json for
 both sides, the pairs the change wins, the relative change of the
 median and the parent's interquartile range, then the per-layer metrics
-of the traced runs, the host and the timed calls.
+of the traced runs, the host and the timed calls.  A side whose
+provenance names no commit (an export has no git_sha) needs
+--parent-commit or --change-commit.
 """
 
 from __future__ import annotations
@@ -38,17 +43,48 @@ WORKLOADS = ("dense-verify", "cli-sweep", "link-limits")
 SIDES = ("parent", "change")
 CALL_REPEATS = 7
 
-_TIME_CALLS = """
+# one interpreter per checkout: reads a JSON expression per line and
+# answers the milliseconds one call of it takes, over autorange's count
+_CALL_WORKER = """
 import json, sys, timeit
 sys.path.insert(0, "src")
 from defosc import *
-times = {}
-for expr in sys.argv[1:]:
-    timer = timeit.Timer(expr, globals=globals())
-    number, _ = timer.autorange()
-    times[expr] = min(timer.repeat(%d, number)) / number * 1e3
-print(json.dumps(times))
-""" % CALL_REPEATS
+numbers = {}
+for line in sys.stdin:
+    timer = timeit.Timer(json.loads(line), globals=globals())
+    number = numbers.setdefault(line, timer.autorange()[0])
+    print(timer.timeit(number) / number * 1e3, flush=True)
+"""
+
+
+def _alternate(time_call, exprs) -> dict:
+    """Per side and expression, the minimum of CALL_REPEATS calls of
+    time_call(side, expr), taken parent, change, parent, ..."""
+    times = {side: {} for side in SIDES}
+    for expr in exprs:
+        for _ in range(CALL_REPEATS):
+            for side in SIDES:
+                ms = time_call(side, expr)
+                times[side][expr] = min(times[side].get(expr, ms), ms)
+    return times
+
+
+def _time_calls(checkouts: dict, exprs) -> dict:
+    workers = {side: subprocess.Popen([sys.executable, "-c", _CALL_WORKER], cwd=checkouts[side],
+                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+               for side in SIDES}
+
+    def time_call(side, expr):
+        workers[side].stdin.write(json.dumps(expr) + "\n")
+        workers[side].stdin.flush()
+        return float(workers[side].stdout.readline())
+
+    try:
+        return _alternate(time_call, exprs)
+    finally:
+        for worker in workers.values():
+            worker.stdin.close()
+            worker.wait()
 
 
 def _perfbench(checkout: str, workload: str, seed: int, trace: int) -> str:
@@ -70,12 +106,7 @@ def run(args) -> None:
             out = _perfbench(checkouts[side], workload, args.seed, 1)
             (logs / f"{side}-{workload}-trace.out").write_text(out)
     if args.call:
-        calls = {
-            side: json.loads(subprocess.run(
-                [sys.executable, "-c", _TIME_CALLS, *args.call], cwd=checkouts[side],
-                capture_output=True, text=True, check=True).stdout)
-            for side in SIDES
-        }
+        calls = _time_calls(checkouts, args.call)
         (logs / "calls.json").write_text(json.dumps(calls, indent=1) + "\n")
 
 
@@ -105,36 +136,43 @@ def _compare(spec: dict, parent: list[float], change: list[float]) -> dict:
 
 
 def record(args) -> None:
-    logs = Path(args.logs)
     specs = BENCHMARK["end_to_end"]
     commits = {"parent": args.parent_commit, "change": args.change_commit}
-    end_to_end, traced, host = {}, {}, {}
-    for workload in WORKLOADS:
-        runs = {side: sorted(logs.glob(f"{side}-{workload}-pair*.out")) for side in SIDES}
-        read = {side: [_read(path) for path in runs[side]] for side in SIDES}
-        if len(runs["parent"]) != len(runs["change"]) or len(runs["parent"]) < 2:
-            sys.exit(f"error: {workload} needs at least two complete pairs in {logs}")
-        provenance = read["parent"][0][0]
-        host = {key: provenance[key] for key in ("python", "numpy", "blas", "blas_threads", "nproc")}
-        for side in SIDES:
-            commits[side] = commits[side] or read[side][0][0]["git_sha"]
-        entry = {
-            "seed": provenance["seed"], "seconds": provenance["seconds"],
-            "pairs": len(runs["parent"]),
-            "correct": [all(result["correct"] for _, result in read[side]) for side in SIDES],
-        }
-        for spec in specs:
-            values = {side: [result["metrics"][spec["name"]]["value"] for _, result in read[side]]
-                      for side in SIDES}
-            entry[spec["name"]] = _compare(spec, values["parent"], values["change"])
-        end_to_end[f"{workload} seed {provenance['seed']}"] = entry
-        traced[workload] = {}
-        for side in SIDES:
-            provenance, result = _read(logs / f"{side}-{workload}-trace.out")
-            traced[workload][side] = {
-                "commit": commits[side], "workload": workload, "seed": provenance["seed"],
-                "metrics": {name: metric["value"] for name, metric in result["metrics"].items()},
+    end_to_end, traced, host, calls = {}, {}, {}, None
+    for logs in map(Path, args.logs):
+        for workload in WORKLOADS:
+            runs = {side: sorted(logs.glob(f"{side}-{workload}-pair*.out")) for side in SIDES}
+            read = {side: [_read(path) for path in runs[side]] for side in SIDES}
+            if len(runs["parent"]) != len(runs["change"]) or len(runs["parent"]) < 2:
+                sys.exit(f"error: {workload} needs at least two complete pairs in {logs}")
+            provenance = read["parent"][0][0]
+            host = {key: provenance[key] for key in ("python", "numpy", "blas", "blas_threads", "nproc")}
+            for side in SIDES:
+                commits[side] = commits[side] or read[side][0][0]["git_sha"]
+            key = f"{workload} seed {provenance['seed']}"
+            if key in end_to_end:
+                sys.exit(f"error: {key} appears in more than one LOG_DIR")
+            entry = end_to_end[key] = {
+                "seed": provenance["seed"], "seconds": provenance["seconds"],
+                "pairs": len(runs["parent"]),
+                "correct": [all(result["correct"] for _, result in read[side]) for side in SIDES],
             }
+            for spec in specs:
+                values = {side: [result["metrics"][spec["name"]]["value"] for _, result in read[side]]
+                          for side in SIDES}
+                entry[spec["name"]] = _compare(spec, values["parent"], values["change"])
+            traced[key] = {}
+            for side in SIDES:
+                provenance, result = _read(logs / f"{side}-{workload}-trace.out")
+                traced[key][side] = {
+                    "commit": commits[side], "workload": workload, "seed": provenance["seed"],
+                    "metrics": {name: metric["value"] for name, metric in result["metrics"].items()},
+                }
+        if (logs / "calls.json").is_file():
+            calls = json.loads((logs / "calls.json").read_text())
+    for side in SIDES:
+        if not commits[side]:
+            sys.exit(f"error: no git_sha in the {side} provenance; pass --{side}-commit")
     out = {
         "what": args.what,
         "parent_commit": commits["parent"],
@@ -146,13 +184,11 @@ def record(args) -> None:
         "traced": traced,
         "host": host,
     }
-    calls = logs / "calls.json"
-    if calls.is_file():
-        times = json.loads(calls.read_text())
+    if calls:
         out["calls_ms"] = {
-            "how": f"minimum of {CALL_REPEATS} repeats in one interpreter per commit, "
-                   "after the perfbench runs; milliseconds per call",
-            **{expr: {side: times[side][expr] for side in SIDES} for expr in times["parent"]},
+            "how": f"minimum of {CALL_REPEATS} repeats in one interpreter per commit, the "
+                   "commits alternating, after the perfbench runs; milliseconds per call",
+            **{expr: {side: calls[side][expr] for side in SIDES} for expr in calls["parent"]},
         }
     out["notes"] = args.note
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
@@ -169,7 +205,7 @@ def main(argv=None) -> None:
     runner.add_argument("--seed", type=int, default=1)
     runner.add_argument("--call", action="append", default=[])
     recorder = commands.add_parser("record", help="write BENCH_<pr>.json from kept output")
-    recorder.add_argument("logs")
+    recorder.add_argument("logs", nargs="+", metavar="LOG_DIR")
     recorder.add_argument("out")
     recorder.add_argument("--what", required=True)
     recorder.add_argument("--note", action="append", default=[])
