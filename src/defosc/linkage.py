@@ -198,12 +198,19 @@ def _mul(x, y):  # x, y >= 0
     return lo >> shift, -(-hi >> shift), x[2] + y[2] + shift
 
 
+def _pow(x, n: int):  # by squaring, so a deep level costs log2(n) products
+    power = _ONE
+    while n:
+        power, x, n = _mul(power, x) if n & 1 else power, _mul(x, x), n >> 1
+    return power
+
+
 def _div(x, y):  # y > 0
     shift = _WIDTH + y[1].bit_length()
     return (x[0] << shift) // y[1], -(-(x[1] << shift) // y[0]), x[2] - y[2] - shift
 
 
-def _at(x, e: int) -> tuple[int, int]:
+def _at(x, e: int) -> tuple[int, int]:  # the ends in units of 2**e, rounded outward
     shift = e - x[2]
     return (x[0] >> shift, -(-x[1] >> shift)) if shift > 0 else (x[0] << -shift, x[1] << -shift)
 
@@ -223,15 +230,21 @@ def _to_float(m: int, e: int) -> float:
         return math.copysign(math.inf, m)
 
 
+def _decided(lo: int, hi: int, e: int) -> float:
+    # the double both ends round to where it is normal or infinite, else nan
+    low = _to_float(lo, e)
+    return low if low == _to_float(hi, e) and abs(low) >= sys.float_info.min else math.nan
+
+
 def _columns(qb: float, pb: float, p: float, first: int, q_only: bool = False):
     """The doubles _exact_columns rounds to, from intervals where they decide.
 
-    Its q + 1 and mu are sums of terms c f**N, direct powers at the first
-    level carried by f: pb/2 (1 + Q) (p Q**2)**N + pb/2 (1 + Q**5)/Q**2
+    Its q + 1 and mu are sums of terms c f**N, powers at the first level
+    then carried by f: pb/2 (1 + Q) (p Q**2)**N + pb/2 (1 + Q**5)/Q**2
     (p Q**4)**N and qb (Q**2)**N + qb Q**2 (Q**4)**N - 2 (1/p)**N.  Ends
     that round to one normal double decide the value between them, since
     rounding is monotone, and ends past double range its overflow; a level
-    where any cannot (a near-tie, a zero, a subnormal) is rounded exactly.
+    where one cannot (a near-tie, a zero, a subnormal) is rounded exactly.
     """
     args = qb, pb, p
     qb, pb, p = (_div((n, n, 0), (d, d, 0))
@@ -239,20 +252,22 @@ def _columns(qb: float, pb: float, p: float, first: int, q_only: bool = False):
     ratio, inverse = _div(qb, pb), _div(pb, qb)
     step, half_pb = _mul(ratio, ratio), pb[:2] + (pb[2] - 1,)
     square = _mul(step, step)
-    terms = [(_mul(half_pb, _sum(_ONE, ratio)), _mul(p, step)), (_mul(
-        _mul(half_pb, _mul(inverse, inverse)), _sum(_ONE, _mul(square, ratio))), _mul(p, square))]
+    terms = [  # (c, f), in the order q + 1, mu and p**N take them
+        (_mul(half_pb, _sum(_ONE, ratio)), _mul(p, step)),
+        (_mul(_mul(half_pb, _mul(inverse, inverse)), _sum(_ONE, _mul(square, ratio))),
+         _mul(p, square)),
+    ]
     if not q_only:
         terms += [(qb, step), (_mul(qb, step), square), ((2, 2, 0), _div(_ONE, p)), (_ONE, p)]
-    values = [_mul(c, (f[0] ** first, f[1] ** first, f[2] * first)) for c, f in terms]
+    values = [_mul(c, _pow(f, first)) for c, f in terms]
     for level in itertools.count(first):
         q = _sum(values[0], values[1], _ONE)
-        rounded = [low if (low := _to_float(lo, e)) == _to_float(hi, e)
-                   and abs(low) >= sys.float_info.min else None
-                   for lo, hi, e in ((q,) if q_only else (q, _sum(*values[2:5]), values[5]))]
-        if None in rounded:
-            rounded = [top / bottom for top, bottom in next(_exact_columns(*args, level, q_only))]
-        elif math.inf in map(abs, rounded):
+        intervals = (q,) if q_only else (q, _sum(*values[2:5]), values[5])
+        rounded = [_decided(*interval) for interval in intervals]
+        if math.inf in map(abs, rounded):
             raise OverflowError
+        if any(map(math.isnan, rounded)):
+            rounded = [top / bottom for top, bottom in next(_exact_columns(*args, level, q_only))]
         yield rounded
         # each factor has at least _WIDTH bits, so no shift is negative
         values = [(v_lo * f_lo >> (shift := (hi := v_hi * f_hi).bit_length() - _WIDTH),

@@ -1,7 +1,9 @@
 import hashlib
 import re
+import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -615,6 +617,119 @@ def test_mild_parameters_print_exact_columns_to_level_64():
     assert len(rows) == 65
     assert all(row["consistent"] for row in rows)
     assert_rows_are_rounded_exact_values(1.1, 0.9, 1.1, rows)
+
+
+# ---------------------------------------------------------------------------
+# the interval fast path prints what the exact kernel rounds to
+# ---------------------------------------------------------------------------
+
+# log-uniform over the positive doubles, 2**-1074 = 5e-324 to 1.7e308
+WHOLE_RANGE = st.floats(-1074, 1023.9).map(lambda k: 2.0**k)
+COLUMNS = ("q", "mu_h_match", "p_pow_n")
+EXACT_COLUMNS = linkage._exact_columns  # the oracle, whatever a test patches
+
+
+def exact_levels(qb, pb, p, n_max):
+    """repr of each level's columns, top / bottom of _exact_columns, up to
+    the first level where one leaves double range (returned, else None)."""
+    levels = []
+    for level, columns in zip(range(n_max + 1), EXACT_COLUMNS(qb, pb, p, 0)):
+        try:
+            levels.append([repr(top / bottom) for top, bottom in columns])
+        except OverflowError:
+            return levels, level
+    return levels, None
+
+
+def exact_q(qb, pb, p, level):
+    ((top, bottom),) = next(EXACT_COLUMNS(qb, pb, p, level, q_only=True))
+    return repr(top / bottom)
+
+
+def check_q(qb, pb, p, level):
+    """The q check_link_consistency hands to its recipe check."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linkage, "_recipe_gaps", lambda q, p: seen.append(q) or [])
+        check_link_consistency(qb, pb, p, level)
+    return repr(seen[0])
+
+
+def assert_fast_path_is_exact(qb, pb, p, n_max):
+    want, overflow = exact_levels(qb, pb, p, n_max)
+    message = f"^linkage value leaves the double range at level={overflow}$"
+    if overflow is None:
+        rows = link_table(qb, pb, p, n_max)
+        assert [[repr(row[key]) for key in COLUMNS] for row in rows] == want
+        assert all(row["mu_g_match"] == row["mu_from_q"] == row["mu_h_match"] for row in rows)
+    else:
+        with pytest.raises(EvaluationOverflowError, match=message):
+            link_table(qb, pb, p, n_max)
+        columns = linkage._columns(qb, pb, p, 0)
+        assert [[repr(value) for value in next(columns)] for _ in range(overflow)] == want
+    try:
+        want_q = exact_q(qb, pb, p, n_max)
+    except OverflowError:
+        with pytest.raises(EvaluationOverflowError, match=f"level={n_max}$"):
+            check_link_consistency(qb, pb, p, n_max)
+    else:
+        assert check_q(qb, pb, p, n_max) == want_q
+
+
+@given(qb=WHOLE_RANGE, pb=WHOLE_RANGE, p=WHOLE_RANGE, n_max=st.integers(0, 200))
+@example(qb=5e-324, pb=1.7e308, p=5e-324, n_max=200)
+@example(qb=1.7e308, pb=5e-324, p=1.7e308, n_max=0)
+@example(qb=5e-324, pb=5e-324, p=1.0, n_max=200)  # Q = 1 and p = 1
+@example(qb=1.7e308, pb=1.7e308, p=0.5, n_max=200)  # p**N leaves range at 1075
+@example(qb=0.5, pb=0.5, p=1.0, n_max=3)  # q = 0 exactly at level 0
+@example(qb=2.0, pb=1.0, p=0.0625, n_max=200)
+@settings(max_examples=150, deadline=None)
+def test_every_column_is_the_exact_kernels_double(qb, pb, p, n_max):
+    # bit for bit (repr, so -0.0 counts) against top / bottom of the exact
+    # kernel, and an overflow at the same level
+    assert_fast_path_is_exact(qb, pb, p, n_max)
+
+
+@pytest.mark.parametrize(
+    "qb, pb, p, n_max",
+    [(1.1, 0.9, 1.1, 40), (2.0, 1.0, 0.0625, 260), (999.9, 0.0011, 0.0013, 16),
+     (5e-324, 1.7e308, 5e-324, 3), (0.5, 0.5, 1.0, 6), (1e-300, 1.1e-300, 0.99, 24)],
+)
+def test_a_narrow_interval_falls_back_to_the_same_table(monkeypatch, qb, pb, p, n_max):
+    # a few bits decide almost nothing, so nearly every level is rounded by
+    # the exact kernel at direct powers, and the table must not change
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args)
+        return EXACT_COLUMNS(*args)
+
+    monkeypatch.setattr(linkage, "_exact_columns", counted)
+    monkeypatch.setattr(linkage, "_WIDTH", 4)
+    assert_fast_path_is_exact(qb, pb, p, n_max)
+    levels = len(exact_levels(qb, pb, p, n_max)[0]) + 1  # the table's, and the check's level
+    assert len(fallbacks) >= levels
+
+
+def test_the_benchmarks_linkage_never_falls_back(monkeypatch):
+    # every linkage operation of the link-limits cycle, nominal and range,
+    # is decided by its intervals alone
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    pytest.importorskip("mpmath")
+    sys.path.insert(0, perfbench)  # ops imports its sibling oracle
+    try:
+        import ops
+    finally:
+        sys.path.remove(perfbench)
+    fallbacks = []
+    monkeypatch.setattr(linkage, "_exact_columns", lambda *args: fallbacks.append(args))
+    linked = 0
+    for seed in (1, 2, 3):
+        for op in ops.build("link-limits", seed):
+            if op.entry == "linkage" and op.stratum != "domain":
+                op.run()
+                linked += 1
+    assert linked == 3 * 33 and fallbacks == []
 
 
 # ---------------------------------------------------------------------------
