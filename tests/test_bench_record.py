@@ -89,7 +89,8 @@ def test_record_puts_one_run_per_seed_into_one_file(tmp_path):
 def test_record_refuses_a_null_commit(tmp_path):
     # an export has no git_sha, so its commit must be named by hand
     logs, out = _keep_run(tmp_path / "logs", sha=False), tmp_path / "BENCH.json"
-    with pytest.raises(SystemExit, match="no git_sha in the parent provenance; pass --parent-commit"):
+    missing = "no git_sha in the parent provenance; pass --parent-commit"
+    with pytest.raises(SystemExit, match=missing):
         bench_record.main(["record", str(logs), str(out), "--what", "w"])
     with pytest.raises(SystemExit, match="pass --change-commit"):
         bench_record.main(["record", str(logs), str(out), "--what", "w", "--parent-commit", "p"])

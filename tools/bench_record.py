@@ -52,8 +52,9 @@ from defosc import *
 numbers = {}
 for line in sys.stdin:
     timer = timeit.Timer(json.loads(line), globals=globals())
-    number = numbers.setdefault(line, timer.autorange()[0])
-    print(timer.timeit(number) / number * 1e3, flush=True)
+    if line not in numbers:
+        numbers[line] = timer.autorange()[0]
+    print(timer.timeit(numbers[line]) / numbers[line] * 1e3, flush=True)
 """
 
 
@@ -146,7 +147,8 @@ def record(args) -> None:
             if len(runs["parent"]) != len(runs["change"]) or len(runs["parent"]) < 2:
                 sys.exit(f"error: {workload} needs at least two complete pairs in {logs}")
             provenance = read["parent"][0][0]
-            host = {key: provenance[key] for key in ("python", "numpy", "blas", "blas_threads", "nproc")}
+            host = {key: provenance[key]
+                    for key in ("python", "numpy", "blas", "blas_threads", "nproc")}
             for side in SIDES:
                 commits[side] = commits[side] or read[side][0][0]["git_sha"]
             key = f"{workload} seed {provenance['seed']}"
@@ -158,15 +160,16 @@ def record(args) -> None:
                 "correct": [all(result["correct"] for _, result in read[side]) for side in SIDES],
             }
             for spec in specs:
-                values = {side: [result["metrics"][spec["name"]]["value"] for _, result in read[side]]
-                          for side in SIDES}
+                values = {side: [result["metrics"][spec["name"]]["value"]
+                                 for _, result in read[side]] for side in SIDES}
                 entry[spec["name"]] = _compare(spec, values["parent"], values["change"])
             traced[key] = {}
             for side in SIDES:
                 provenance, result = _read(logs / f"{side}-{workload}-trace.out")
                 traced[key][side] = {
                     "commit": commits[side], "workload": workload, "seed": provenance["seed"],
-                    "metrics": {name: metric["value"] for name, metric in result["metrics"].items()},
+                    "metrics": {name: metric["value"]
+                                for name, metric in result["metrics"].items()},
                 }
         if (logs / "calls.json").is_file():
             calls = json.loads((logs / "calls.json").read_text())
