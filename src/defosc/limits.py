@@ -2,20 +2,16 @@
 
 Every deformation here degenerates into a simpler one when its
 parameters approach their undeformed values; each check below measures
-the worst deviation of such a reduction, either exactly at the limit
-point (where an algebraic identity makes it exact) or at
-parameters offset by 1e-8 (where the deviation must stay below the
-suite tolerance, 1e-6 by default).
+the worst deviation of such a reduction, at the limit point itself or at
+parameters offset by 1e-8, where it must stay below the suite
+tolerance, 1e-6 by default.  Each is computed through a float path that
+a fault in defosc.structure would move.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .fock import build_ladder, build_xp
 from .qp import relative_gap, require_nonnegative
 from .structure import (
     StructureFunctionModel,
@@ -25,7 +21,6 @@ from .structure import (
     custom_hg,
     equal_hg_special_case,
     harmonic,
-    hg_for_qp_ha,
     hg_for_two_sided,
     jannussis_mu,
     nonstd_q,
@@ -63,14 +58,6 @@ def _check_qp_reduces_to_q_near_p_one() -> float:
     return worst
 
 
-def _check_equal_ratio_gives_scaled_integers() -> float:
-    worst = 0.0
-    for q in _QGRID:
-        for n, phi in enumerate(sf_table(two_sided_equal_hg(q, q), _NMAX)):
-            worst = max(worst, relative_gap(phi, n / q))
-    return worst
-
-
 def _check_two_sided_mu_zero_near_ratio_one() -> float:
     # the mu = 0 pair evaluated through the recipe, against n/qb
     worst = 0.0
@@ -92,9 +79,7 @@ def _classical_models(offset: float) -> list[StructureFunctionModel]:
         chakrabarti_jagannathan(q, 1.0 / q),
         jannussis_mu(offset),
         nonstd_q(q),
-        nonstd_qp(q, 1.0),
         two_sided_equal_hg(q, 1.0),
-        custom_hg(hg_for_qp_ha(q, 1.0)),
     ]
 
 
@@ -105,14 +90,6 @@ def _check_classical_limit_catalog() -> float:
             for n, phi in enumerate(sf_table(model, _NMAX)):
                 worst = max(worst, relative_gap(phi, float(n)))
     return worst
-
-
-def _check_classical_xp_forms() -> float:
-    # X = (a+ + a-)/sqrt(2), P = i (a+ - a-)/sqrt(2), off-diagonal by off-diagonal
-    rep = build_xp(build_ladder(harmonic(), 12), 1.0)
-    entry = rep.ladder * (1.0 / math.sqrt(2.0))
-    x_gap = np.abs(rep.x - entry).max()
-    return float(max(x_gap, np.abs(rep.p - [entry, -entry]).max()))
 
 
 def _check_qp_equal_parameters_scaled_harmonic() -> float:
@@ -138,10 +115,8 @@ def _check_equal_case_mu_vanishes_near_ratio_one() -> float:
 
 _CHECKS = (
     ("qp-reduces-to-q-near-p-1", _check_qp_reduces_to_q_near_p_one),
-    ("equal-coefficient-sf-is-n-over-q", _check_equal_ratio_gives_scaled_integers),
     ("two-sided-mu-0-recipe-near-ratio-1", _check_two_sided_mu_zero_near_ratio_one),
     ("classical-limit-catalog", _check_classical_limit_catalog),
-    ("classical-xp-forms", _check_classical_xp_forms),
     ("qp-equal-parameters-scaled-harmonic", _check_qp_equal_parameters_scaled_harmonic),
     ("equal-case-mu-vanishes-near-ratio-1", _check_equal_case_mu_vanishes_near_ratio_one),
 )

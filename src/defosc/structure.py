@@ -6,12 +6,13 @@ build Phi: each constructor checks its parameters and stores the builder
 of its level function.  This module holds
 
 * the catalog: harmonic, Arik-Coon, Biedenharn-Macfarlane,
-  Chakrabarti-Jagannathan, the Jannussis mu-oscillator and the nonstandard
-  one- and two-parameter oscillators realizing deformed position-momentum
-  relations, each one formula valid on both sides of its undeformed point,
-  and the equal-coefficient two-sided special case, as its defining sum;
+  Chakrabarti-Jagannathan and the Jannussis mu-oscillator, each one
+  formula valid on both sides of its undeformed point, and the
+  equal-coefficient two-sided special case, as its defining sum;
 * the reconstruction recipe recovering Phi(n) from a coefficient pair
-  (h, g) satisfying h(N) a- a+ - g(N) a+ a- = 1;
+  (h, g) satisfying h(N) a- a+ - g(N) a+ a- = 1, which also builds the
+  nonstandard one- and two-parameter oscillators realizing the deformed
+  position-momentum relations, from the qp-ha pair;
 * the coefficient pairs belonging to each deformed Heisenberg relation;
 * energy spectra E(n) = (Phi(n+1) + Phi(n)) / 2.
 """
@@ -97,16 +98,16 @@ def jannussis_mu(mu_tilde: float) -> StructureFunctionModel:
 
 
 def nonstd_q(q: float) -> StructureFunctionModel:
-    """Nonstandard oscillator realizing the relation X P - q P X = i."""
-    require_positive(q=q)
-    return StructureFunctionModel(f"nonstd-q(q={q})", partial(_nonstd_qp_levels, q, 1.0))
+    """Nonstandard oscillator realizing X P - q P X = i: the recipe over its pair."""
+    return StructureFunctionModel(
+        f"nonstd-q(q={q})", partial(_recipe_levels, hg_for_qp_ha(q, 1.0))
+    )
 
 
 def nonstd_qp(q: float, p: float) -> StructureFunctionModel:
-    """Nonstandard oscillator realizing the relation p X P - q P X = i."""
-    require_positive(q=q, p=p)
+    """Nonstandard oscillator realizing p X P - q P X = i: the recipe over its pair."""
     return StructureFunctionModel(
-        f"nonstd-qp(q={q},p={p})", partial(_nonstd_qp_levels, q, p)
+        f"nonstd-qp(q={q},p={p})", partial(_recipe_levels, hg_for_qp_ha(q, p))
     )
 
 
@@ -141,19 +142,6 @@ def _jannussis_mu_levels(mu: float) -> _Level:
                 f"(mu_tilde={mu}, n={n})"
             )
         return n / denom
-
-    return level
-
-
-def _nonstd_qp_levels(q: float, p: float) -> _Level:
-    ratio = q / p
-    odd = deformed_integers(ratio, 1.0)
-
-    def level(n: int) -> float:
-        bracket = 1.0 + ratio ** (1 - n) * odd(2 * n - 1)
-        head = 2.0 / (p * ratio**n)
-        tail = (1.0 + ratio ** (2 * n - 2)) * (1.0 + ratio ** (2 * n))
-        return head / tail * bracket
 
     return level
 
@@ -218,7 +206,7 @@ def sf_eval(model: StructureFunctionModel, n: int) -> float:
     """Phi(n) of a model, from a fresh model.levels(); Phi(0) = 0 for every model.
 
     A value beyond double range, or one the recipe passes on its way to n,
-    or a divisor (nonstd-qp's p (q/p)**n) underflowing to 0.0, raises
+    or a recipe coefficient h underflowing to 0.0, raises
     EvaluationOverflowError naming n.
     """
     require_nonnegative_int(n=n)
@@ -280,26 +268,18 @@ def _underflowed() -> float:  # an h that is a positive product rounded to 0
 
 
 def hg_for_q_ha(q: float) -> HGPair:
-    """Coefficient pair realizing X P - q P X = i.
+    """Coefficient pair realizing X P - q P X = i: the qp-ha pair at p = 1.
 
     h(n) = q**(2n+1) (1 + q**(2n+2)) / 2,  g(n) = q**(2n) (1 + q**(2n-2)) / 2.
     """
     require_positive(q=q)
-
-    def h(n: int) -> float:
-        value = 0.5 * q ** (2 * n + 1) * (1.0 + q ** (2 * n + 2))
-        return value if value else _underflowed()
-
-    def g(n: int) -> float:
-        return 0.5 * q ** (2 * n) * (1.0 + q ** (2 * n - 2))
-
-    return HGPair(h, g, label=f"q-ha(q={q})")
+    return _ratio_pair(q, 1, 0.0, label=f"q-ha(q={q})")
 
 
 def _ratio_pair(
     qb: float, pb: float, mu: float | Callable[[int], float], label: str
 ) -> HGPair:
-    # shared by hg_for_qp_ha and hg_for_two_sided, so neither calls the other
+    # shared by hg_for_q_ha, hg_for_qp_ha and hg_for_two_sided, so none calls another
     # int literals only, so Fraction arguments give exact Fraction values
     ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
     if callable(mu):

@@ -413,15 +413,16 @@ def test_import_loads_no_new_module():
 
 
 def test_commands_without_bands_load_no_numpy():
-    # sf, spectrum and link compute on floats and Fractions; verify builds
-    # bands, so it loads numpy (the control).  Only link runs the exact
-    # linkage, so only it loads defosc.linkage
+    # sf, spectrum, limits and link compute on floats and Fractions; verify
+    # builds bands, so it loads numpy (the control).  Only link runs the
+    # exact linkage, so only it loads defosc.linkage
     loaded = _fresh(
         "import contextlib, io, json, sys\n"
         "from defosc.cli import main\n"
         "argvs = (\n"
         "    ['sf', '--model', 'arik-coon', '--q', '1.1'],\n"
         "    ['spectrum', '--model', 'two-sided-equal', '--qb', '1.2', '--pb', '0.9'],\n"
+        "    ['limits'],\n"
         "    ['link', '--qb', '1.1', '--pb', '0.9', '--p', '1.1'],\n"
         "    ['verify', '--relation', 'q-ha', '--q', '1.1'],\n"
         ")\n"
@@ -432,4 +433,6 @@ def test_commands_without_bands_load_no_numpy():
         "    loaded.append([name in sys.modules for name in ('numpy', 'defosc.linkage')])\n"
         "print(json.dumps(loaded))\n"
     )
-    assert loaded == [[False, False], [False, False], [False, True], [True, True]]
+    assert loaded == [
+        [False, False], [False, False], [False, False], [False, True], [True, True]
+    ]

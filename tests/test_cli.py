@@ -22,6 +22,7 @@ from defosc.structure import (
     two_sided_equal_hg,
 )
 from link_oracle import assert_rows_are_rounded_exact_values
+from sf_oracle import exact_nonstd_qp
 from test_cli_pins import PINS, _run as run_argv  # run_argv keeps argparse's exits
 
 
@@ -83,6 +84,16 @@ def test_sf_nonstd_qp_underflowing_power_exits_two():
     )
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.rstrip().endswith("overflowed at n=2")
+
+
+def test_sf_nonstd_q_deep_levels_stay_normal_doubles():
+    # at q = 2, Phi(217) ~ 4.06e-261 is a normal double; the recipe prints it
+    code, out, _ = run_cli("sf", "--model", "nonstd-q", "--q", "2", "--n-max", "240")
+    assert code == 0
+    rows = dict(line.split(",") for line in out.splitlines() if line[0].isdigit())
+    n = 217
+    exact = exact_nonstd_qp(n, 2, 1)
+    assert abs(float(rows[str(n)]) - exact) <= 4 * n * 2.0**-52 * exact
 
 
 def test_sf_names_the_missing_parameter():
@@ -333,10 +344,8 @@ def test_limits_default_run_passes():
     rows = json.loads(out)["rows"]
     assert [row["check"] for row in rows] == [
         "qp-reduces-to-q-near-p-1",
-        "equal-coefficient-sf-is-n-over-q",
         "two-sided-mu-0-recipe-near-ratio-1",
         "classical-limit-catalog",
-        "classical-xp-forms",
         "qp-equal-parameters-scaled-harmonic",
         "equal-case-mu-vanishes-near-ratio-1",
     ]

@@ -41,13 +41,13 @@ PINS = {
     "spectrum --model jannussis-mu --mu-tilde 0.2 --n-max 7 --format json":
         "82ad5a9470e9c9f22f43860b773f389a69631d1a97403cbac60ad235940db769",
     "sf --model nonstd-q --q 1.1 --n-max 12":
-        "0627ed14ec8c9838c28586e38505282e13de2ddd0dfe62406f4c45e9fe6b282d",
+        "ad33ca260daa8532fe445f75f961d585dba42076d80794609d7526c6ee9d2e8c",
     "spectrum --model nonstd-q --q 1.1 --n-max 7 --format json":
-        "b847f5eeb500f1ea7964bc3b90c0a1a9e63e8fca8e175f4e59e52b9b3beafcc5",
+        "399b1f08288237680f850b824d1c8cfff2a7ef5db2fc17fad4c9d33bc61c7df9",
     "sf --model nonstd-qp --q 1.2 --p 0.9 --n-max 12":
-        "7bdbf761266d545c280ac31bc5f958d88db6122610080343f8898027c85f4b60",
+        "dcc76bc78311fbfb07e083c4132c881c9db2f3224de2fb360704f08d5679329f",
     "spectrum --model nonstd-qp --q 1.2 --p 0.9 --n-max 7 --format json":
-        "bb37fbfdf9f983c43293e9b31f0a2cc77ea8b0be6b47e417ae19cc5a3b503890",
+        "36b1c616ad59cc81cbf71c102a673921c75e7ddc8e596686becb4afeb1cbb9b2",
     "sf --model two-sided-equal --qb 1.1 --pb 1.0 --n-max 12":
         "61693d9e4c248a978f33287cbda8f767f36d9ae7583ebee0dc2857433125fd55",
     "spectrum --model two-sided-equal --qb 1.1 --pb 1.0 --n-max 7 --format json":
@@ -95,15 +95,15 @@ PINS = {
     "verify --relation q-ha --q 1.05 --dim 8":
         "7f4c2194cdc552bf269bdce91c361606b31cb171cd087613e6be129e61082d53",
     "verify --relation q-ha --q 2 --dim 300":
-        "299d9dd88c4ccb919e2662029bc97407b669a4728235ac3003dbcfb34e1800df",
+        "e842ae357d228d003ae574a3571eae9c8b82db037ab7fe1ae50f7c6b9f6168f4",
     "verify --relation q-ha --q 0.9 --dim 64 --format json":
-        "482cf592770ddd4ed34805cf9619f6344473acb0234446553c29e2a2a60c5951",
+        "96097eab18fefad0af14b2d8dbc5e6bd9ea3f5f07e69fa784176597a78595991",
     "verify --relation q-ha --dim 8":
         "31e501e04115a829e06de61a3951fccc0f8dcf0a4a65b82908615573b50d18a6",
     "verify --relation qp-ha --q 1.2 --p 0.9 --dim 64":
-        "6d26ad72e569b7515923f7e2bb85c80c10d25eec8fcb0c9f3256d42b285f4f96",
+        "2486f20abdf4c8847ea719b76575f7db047738499e3e359822b77c17ce2ecb79",
     "verify --relation qp-ha --q 2 --p 0.5 --dim 300":
-        "958b201b315f499ea7ae1958981ad31c6b40b989364a9403bf7d39b4ffecbae5",
+        "490312d340ec67f79a5bee3030919c6376d32a781ebe1db122525b163097a06e",
     "verify --relation qp-ha --q 1.2 --dim 8":
         "8f62bc1dea863971b6a65d01f3a4c53d26326d1178b94c7d13e8ac69fee0e66c",
     "verify --relation two-sided --qb 1.1 --pb 0.95 --mu 0.3 --dim 64":
@@ -117,7 +117,7 @@ PINS = {
     "verify --relation two-sided --qb 1e200 --pb 1 --dim 8":
         "55001bac8b7a3ea26f1202809043165a807d3c64673e1273de402e882728d891",
     "verify --relation hg --q 0.9 --dim 64":
-        "59baab2e7e22a81180d50dc538d4d312687de87a3911742a3bc1a1a16e2453dd",
+        "9995d042aec2e159b3ae10ed89cba69cff59ed141a720bcbb5c265de8a15f19e",
     "verify --relation hg --q 1.2 --p 0.9 --dim 8 --format json":
         "e3ddb8ddffb8956a6c56108a3dfa0dc23755a09b4d2f91980cc16c548fdd7303",
     "verify --relation hg --qb 1.05 --pb 1 --mu -0.2 --dim 300":
@@ -157,9 +157,9 @@ PINS = {
     "link --qb 2 --pb 1 --p 1 --n-max -1":
         "a071b00f6b233dc0e2859d61c93c1211772c98c940e45d8c203ed6bd55fb1ebc",
     "limits":
-        "cbbf2f6082ce19be2cf4dbc05db4395123278c4d35d03376e8fa0501523d763d",
+        "e9cac1e44a4fa25cff577ef1fd918bab941948966ec9c552cd1a6739a17235d9",
     "limits --format json --tolerance 1e-12":
-        "d4a70f420049e337475380f5c10c624bcc7361663684da1ced20862a7829532b",
+        "13674fbf4fd2f3e3c5d827e9d94e9ce3ab4d58724785b773530ef652cc57cdda",
     "--help":
         "99e610ef3202d8f0aa4eda433324e36696cf8edd55836026876b3c37b3aa127c",
     "sf --help":
@@ -175,7 +175,7 @@ PINS = {
     "verify --relation nope":
         "b934e972ca73c13171da35b5615a3bed1a066cd572a4f15d45029d502edca9c9",
     "verify --relation q-ha --q 1.1 --p 3 --mu-tilde 0.2":
-        "08ec82b3a3262993fb40fa72d4945b1890e2a8b2601bd9889bfd9c595aede021",
+        "3a1bad57f5c2b276fa4b4410952360d5f7436ed0b1f838ec1aaec6f636856d1b",
     "verify --relation hg --pb 1 --dim 8":
         "d96f413751e1ad6879e2f23c445ab14f69c4e2db5020621786eef25b76cf0168",
     "sf --model harmonic --q 2":

@@ -143,7 +143,8 @@ def test_overflow_is_reported():
 
 
 def test_nonstd_qp_underflowing_power_is_a_typed_overflow():
-    # (q/p)**2 = 1e-600 underflows to 0.0 in the denominator p (q/p)**n
+    # h(1) = q Q**2 (1 + Q**4) / 2 underflows to 0.0 (Q**2 = 1e-600), which
+    # the recipe reports as an overflow of the level it was forming
     model = nonstd_qp(1e-300, 1.0)
     with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=2$"):
         sf_table(model, 3)
@@ -457,30 +458,19 @@ def test_equal_case_zero_level():
 
 
 # ---------------------------------------------------------------------------
-# the two nonstandard closed forms
+# the two nonstandard oscillators: the recipe over the qp-ha pair
 # ---------------------------------------------------------------------------
 
 
-def test_nonstd_q_matches_recipe_over_its_pair():
+def test_nonstd_q_matches_its_printed_form():
+    # the paper's printed two-parameter form at p = 1
     for q in GRID:
-        pair = hg_for_q_ha(q)
         model = nonstd_q(q)
         for n in range(31):
-            assert rel_gap(sf_eval(model, n), sf_from_hg(pair, n)) <= 1e-10
+            assert rel_gap(sf_eval(model, n), nonstd_qp_sf_explicit(n, q, 1.0)) <= 1e-10
 
 
-def test_nonstd_qp_matches_recipe_over_its_pair():
-    for q in GRID:
-        for p in GRID:
-            if q == p:
-                continue
-            pair = hg_for_qp_ha(q, p)
-            model = nonstd_qp(q, p)
-            for n in range(31):
-                assert rel_gap(sf_eval(model, n), sf_from_hg(pair, n)) <= 1e-10
-
-
-def test_nonstd_qp_two_printed_forms_agree():
+def test_nonstd_qp_matches_its_printed_form():
     for q in GRID:
         for p in GRID:
             if q == p:
@@ -491,7 +481,7 @@ def test_nonstd_qp_two_printed_forms_agree():
 
 
 def test_nonstd_qp_reduces_to_nonstd_q_at_p_one():
-    # nonstd-q is the two-parameter expression at p = 1, bit for bit
+    # nonstd-q is the two-parameter recipe at p = 1, bit for bit
     for q in (*GRID, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.7):
         assert sf_table(nonstd_q(q), 40) == sf_table(nonstd_qp(q, 1.0), 40)
 

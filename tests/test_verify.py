@@ -1,9 +1,13 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defosc import (
+    DeformedAlgebraError,
     DomainError,
     EvaluationOverflowError,
     HGPair,
@@ -46,6 +50,31 @@ def test_q_relation_holds(q):
 @pytest.mark.parametrize("p", [0.9, 2.0])
 def test_qp_relation_holds(q, p):
     assert verify_qp_ha(q, p, dim=32).passed
+
+
+def _log_uniform(low: float, high: float):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+@given(
+    ratio=_log_uniform(0.3, 4.5),
+    p=_log_uniform(0.3, 3.0),
+    dim=_log_uniform(4, 3000).map(round),
+)
+@settings(max_examples=100, deadline=None)
+def test_true_constructions_never_fail(ratio, p, dim):
+    # each realization is exact, so a FAIL would be false; far from Q = 1 the
+    # float Phi may leave double range, which is a typed error, never a FAIL
+    checks = (
+        lambda: verify_qp_ha(ratio * p, p, dim=dim),
+        lambda: verify_q_ha(ratio, dim=dim),
+    )
+    for check in checks:
+        try:
+            report = check()
+        except DeformedAlgebraError:
+            continue
+        assert report.passed, (ratio, p, dim, report.max_abs_residual)
 
 
 def test_qp_relation_reduces_to_q_at_p_one():
