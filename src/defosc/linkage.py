@@ -282,6 +282,15 @@ def _exceeds_double_range(base: float, exponent: int) -> bool:
         return True
 
 
+def _target_pair(q: float, p: float) -> HGPair:
+    # (h, g) = (p**-N, q p**-N), with lists from one list of powers
+    def lists(m: int) -> tuple[list[float], list[float]]:
+        h = list(map(pow, itertools.repeat(p), range(0, -m, -1)))
+        return h, [q * power for power in h]
+
+    return HGPair(lambda n: p**-n, lambda n: q * p**-n, "oscillator-target", lists)
+
+
 def _recipe_gaps(q: float, p: float) -> list[float]:
     # the gap at each level n = 0..depth; none when the target is no
     # oscillator (q <= 0); the trim keeps below 1e300 the bounds of [n]
@@ -291,8 +300,7 @@ def _recipe_gaps(q: float, p: float) -> list[float]:
         depth -= 1
     if not depth:
         return []
-    target = HGPair(lambda n: p**-n, lambda n: q * p**-n, "oscillator-target")
-    table = sf_table(custom_hg(target), depth)
+    table = sf_table(custom_hg(_target_pair(q, p)), depth)
     integers = deformed_integers(q, p)
     return [relative_gap(phi, integers(n)) for n, phi in enumerate(table)]
 

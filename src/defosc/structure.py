@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Callable
 
 from .errors import DomainError, RecipeDivisionError, double_range, finite
@@ -38,11 +39,16 @@ class HGPair:
     may vanish, and g(0) is never consulted.  The hg_for_* pairs run once
     per level inside the recipe loop, so they leave an overflow untyped for
     their consumers (sf_table, sf_eval, verify_hg, the link check) to type.
+    lists, where given, returns [h(0..m-1)] and [g(0..m-1)] in one pass.
+    Where it returns and holds no zero h, h(n) and g(n) return the same
+    values bit for bit for every n < m.  sf_table and verify_hg read the
+    pair through it, and level by level where it raises or holds a zero h.
     """
 
     h: Callable[[int], float]
     g: Callable[[int], float]
     label: str = ""
+    lists: Callable[[int], tuple[list[float], list[float]]] | None = None
 
 
 @dataclass(frozen=True)
@@ -151,13 +157,21 @@ def _two_sided_equal_levels(qb: float, pb: float) -> _Level:
     # positive, so nothing cancels, and each is exactly 1 at Q = 1.  Each
     # level extends the sum of the one before.
     ratio = qb / pb
-    total, terms = 0.0, 0
+    total, terms, carried = 0.0, 0, False
 
     def level(n: int) -> float:
-        nonlocal total, terms
+        nonlocal total, terms, carried
         while terms < n:
+            if carried:
+                # 1/h(k) = (Q**-k / pb) Q**-k 4 / B(k), B(k) = Q + 1 + Q**(2k-2) (Q**5 + 1):
+                # Q < 1 here, and Q**-k / pb is normal while Phi is in range
+                power = ratio**-terms
+                bracket = (ratio + 1) + ratio ** (2 * terms - 2) * (ratio**5 + 1)
+                total += power / pb * power * (4.0 / bracket)
+                terms += 1
+                continue
             try:
-                total += 1.0 / _equal_bracket(0.25, ratio, terms, 1.0)
+                term = 1.0 / _equal_bracket(0.25, ratio, terms, 1.0)
             except OverflowError:
                 # for k > 0 a power overflows only at Q > 1, h(k) > 1.8e308/4,
                 # so the term is below 4/1.8e308 and is dropped, as is every
@@ -167,8 +181,14 @@ def _two_sided_equal_levels(qb: float, pb: float) -> _Level:
                     raise
                 terms = math.inf
             else:
+                if pb > 1 and total + term == math.inf:
+                    # S = pb Phi passes the largest double before Phi does
+                    # (only at Q < 1): carry Phi itself from this term on
+                    total, carried = total / pb, True
+                    continue
+                total += term
                 terms += 1
-        return total / pb
+        return total if carried else total / pb
 
     return level
 
@@ -220,15 +240,21 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
     """Phi(0..n_max) in one pass; entry n equals sf_eval(model, n) bit for bit.
 
     model.levels() does the per-model work once, and a plain loop calls
-    the level function it returns for n = 1..n_max.  Each entry is
-    range-checked as in sf_eval, an error names the first failing level,
-    and nothing beyond level n_max is evaluated (the recipe consults h and
-    g up to n_max - 1 only).
+    the level function it returns for n = 1..n_max.  A recipe model whose
+    pair gives lists runs that loop over h(0..n_max-1) and g(0..n_max-1)
+    read in one pass, in the same operations, and falls back to the level
+    loop wherever it would raise.  Each entry is range-checked as in
+    sf_eval, an error names the first failing level, and nothing beyond
+    level n_max is evaluated (the recipe consults h, g and a per-level mu
+    up to n_max - 1 only).
     """
     require_nonnegative_int(n_max=n_max)
     table = [0.0]
     if n_max == 0:
         return table
+    one_pass = _recipe_table(model, n_max)
+    if one_pass is not None:
+        return one_pass
     with double_range(
         lambda: f"structure function {model.label} overflowed at n={len(table)}"
     ):
@@ -239,6 +265,30 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
                 raise OverflowError
             table.append(value)
     return table
+
+
+def _recipe_table(model: StructureFunctionModel, n_max: int) -> list[float] | None:
+    # Phi(0..n_max) of a recipe model whose pair gives its lists: the level
+    # loop of _recipe_levels in one pass over them, in the same operations.
+    # None wherever the loop might raise (the lists raise, an h is zero or
+    # not finite, a Phi is not finite): sf_table then runs the loop, which
+    # decides, and raises what it meets typed and at its level.
+    levels = model.levels
+    if not (isinstance(levels, partial) and levels.func is _recipe_levels):
+        return None
+    lists = levels.args[0].lists
+    if lists is None:
+        return None
+    try:
+        h, g = lists(n_max)
+        if not all(map(math.isfinite, h)):
+            return None
+        phi = 1.0 / h[0]
+        table = [0.0, phi]
+        table += [phi := gj / hj * phi + 1.0 / hj for hj, gj in zip(h[1:], g[1:])]
+    except Exception:  # a per-level mu may raise anything; the loop meets it in order
+        return None
+    return table if all(map(math.isfinite, table)) else None
 
 
 def sf_from_hg(hg: HGPair, n: int) -> float:
@@ -295,7 +345,18 @@ def _ratio_pair(
         def g(n: int) -> float:
             return half_pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu / 2
 
-    return HGPair(h, g, label=label)
+    def lists(m: int) -> tuple[list[float], list[float]]:
+        # h and g in the same operations, each power ratio**(2n) taken once
+        # and each mu(n) read once: power[n] = ratio**(2n - 2), so level n
+        # reads power[n..n+2]
+        power = list(map(pow, repeat(ratio), range(-2, 2 * m + 1, 2)))
+        below, at, above = power[:m], power[1:], power[2:]
+        halves = [mu(n) / 2 for n in range(m)] if callable(mu) else [mu / 2] * m
+        h = [half_qb * a * (1 + b) - half for a, b, half in zip(at, above, halves)]
+        g = [half_pb * a * (1 + b) + half for b, a, half in zip(below, at, halves)]
+        return h, g
+
+    return HGPair(h, g, label=label, lists=lists)
 
 
 def hg_for_qp_ha(q: float, p: float) -> HGPair:

@@ -30,6 +30,7 @@ growing ones it keeps "pure roundoff" meaning what it says.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from typing import Callable
 
 import numpy as np
@@ -135,6 +136,19 @@ def _xp_report(
     return _interior_report(relation, residual, [xp, px, rhs], margin, tol, per_state)
 
 
+def _coefficients(hg: HGPair, dim: int):
+    # h(0..dim-1) and g(0..dim-1) from the pair's one-pass lists; level by
+    # level where those raise (a per-level mu may raise anything) or hold a
+    # zero h (which h itself may refuse), so that an error is the one h or g
+    # raises first
+    if hg.lists is not None:
+        with suppress(Exception):
+            h, g = hg.lists(dim)
+            if 0 not in h:
+                return h, g
+    return map(hg.h, range(dim)), map(hg.g, range(dim))
+
+
 def verify_hg(
     rep: FockRep,
     hg: HGPair,
@@ -149,8 +163,8 @@ def verify_hg(
         raise DomainError("ladder matrices do not match the declared dimension")
     label = f"hg[{hg.label or 'custom'}]"
     with double_range(lambda: f"coefficients of {label} overflowed at dim={dim}"):
-        h = np.fromiter(map(hg.h, range(dim)), float, dim)
-        g = np.fromiter(map(hg.g, range(dim)), float, dim)
+        h, g = _coefficients(hg, dim)
+        h, g = np.fromiter(h, float, dim), np.fromiter(g, float, dim)
     raise_side, lower_side = _ladder_products(rep)
     raise_then_lower = h * raise_side
     lower_then_raise = g * lower_side

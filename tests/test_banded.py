@@ -289,6 +289,52 @@ def test_sf_table_consults_h_and_g_below_n_max_only():
         sf_table(harmonic(), -1)
 
 
+def test_sf_table_reads_a_per_level_mu_below_n_max_once_per_level():
+    seen = []
+
+    def mu(n):
+        seen.append(n)
+        return 0.25 / (1 + n)
+
+    pair = hg_for_two_sided(1.1, 0.95, mu)
+    table = sf_table(custom_hg(pair), 10)
+    assert seen == list(range(10))
+    seen.clear()
+    verify.verify_hg(build_ladder(harmonic(), 10), pair)
+    assert seen == list(range(10))
+    assert table == [sf_eval(custom_hg(pair), n) for n in range(11)]
+
+
+VERIFY_HG_PAIRS = [
+    *PAIRS,
+    PAIR,
+    hg_for_q_ha(1e-150),  # h(1) underflows to 0.0 at mu = 0: a typed overflow
+    hg_for_q_ha(1e-300),  # ratio**-2 in g(0) passes the largest double
+    hg_for_q_ha(4.0),  # a power passes the largest double below dim 600
+    hg_for_two_sided(2.0, 1.0, 10.0),  # h(0) = 0 at mu != 0: a plain value
+    hg_for_two_sided(1e3, 1e-3, equal_hg_special_case(1e3, 1e-3)[0]),  # mu raises at 13
+    hg_for_two_sided(1.1, 0.95, lambda n: 1e300 * n),  # h passes to -inf
+    hg_for_qp_ha(1e200, 1e-200),  # an infinite ratio
+]
+
+
+@pytest.mark.parametrize("dim", [2, 5, 32, 600])
+@pytest.mark.parametrize("pair", VERIFY_HG_PAIRS, ids=lambda pair: pair.label)
+def test_verify_hg_reads_its_lists_as_h_and_g_one_by_one(pair, dim):
+    # the reference maps h and g over the levels, as verify_hg did
+    rep = build_ladder(nonstd_q(1.05), dim)
+    reference = dataclasses.replace(pair, lists=None)
+
+    def report(hg):  # repr, so that a nan residual equals itself
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                return repr(verify.verify_hg(rep, hg, margin=0, per_state=True))
+        except defosc.DeformedAlgebraError as exc:
+            return type(exc), str(exc)
+
+    assert report(pair) == report(reference)
+
+
 @pytest.mark.parametrize(
     "model,ratio",
     [

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from defosc import (
     spectrum,
     two_sided_equal_hg,
 )
+from defosc import linkage
 from defosc.qp import deformed_integers
 from sf_oracle import (
     exact_two_sided_equal,
@@ -190,6 +192,37 @@ def test_equal_case_sum_converges_past_the_largest_power(qb, pb, n):
     exact = exact_two_sided_equal(n, qb, pb)
     assert abs(table[n] - exact) / exact <= 4 * n * 2.0**-52
     assert table[n] == table[n - 1]
+
+
+def test_equal_case_carries_phi_where_the_scaled_sum_passes_the_largest_double():
+    # at pb > 1 the running sum S = pb Phi passes the largest double at
+    # n = 1185, where Phi ~ 3e129; from there the sum carries Phi itself
+    qb, pb = 6.902575343100492e178, 9.310462553417841e178
+    table = sf_table(two_sided_equal_hg(qb, pb), 1300)
+    ratio, total = qb / pb, 0.0
+
+    def term(k):  # pb / h(k)
+        tail = ratio ** (2 * k - 2) * (ratio**5 + 1.0)
+        return 1.0 / (0.25 * ratio ** (2 * k) * ((ratio + 1.0) + tail))
+
+    for k in range(1184):  # below, the entries are S / pb as before, bit for bit
+        total += term(k)
+        assert table[k + 1] == total / pb
+    assert total + term(1184) == math.inf
+    for n in (1184, 1185, 1186, 1250, 1300):
+        exact = exact_two_sided_equal(n, qb, pb)
+        assert abs(table[n] - exact) / exact <= 4 * n * 2.0**-52
+
+
+def test_equal_case_carried_phi_overflows_where_its_exact_value_does():
+    qb, pb = 0.5e10, 1e10  # S passes the largest double near n = 512, Phi near 530
+    model = two_sided_equal_hg(qb, pb)
+    with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=(\d+)$") as exc:
+        sf_table(model, 600)
+    stop = int(str(exc.value).rsplit("=", 1)[1])
+    assert exact_two_sided_equal(stop - 1, qb, pb) <= sys.float_info.max
+    assert exact_two_sided_equal(stop, qb, pb) > sys.float_info.max
+    assert sf_table(model, stop - 1)[-1] == sf_eval(model, stop - 1)
 
 
 def test_equal_case_first_term_keeps_its_overflow():
@@ -406,6 +439,76 @@ def test_two_sided_pair_direct_value():
     assert hg_for_two_sided(2.0, 1.0, 8.0).h(0) == 1.0
 
 
+# the pairs' one-pass lists against h and g, out to the edges of double range
+EDGES = (
+    5e-324, 1e-300, 1e-154, 0.5, 1.0 - 1e-12, 1.0, 1.03, 2.0, 1e154, 1e300,
+    1.7976931348623157e308,
+)
+EDGE_MU = (0.0, -0.0, -0.75, 1e-300, -1.7976931348623157e308)
+
+
+def _ratio_pairs(qb, pb, mu):
+    yield hg_for_q_ha(qb)
+    yield hg_for_qp_ha(qb, pb)
+    yield hg_for_two_sided(qb, pb, mu)
+    yield hg_for_two_sided(qb, pb, lambda n: mu / (1 + n))
+
+
+def _per_level(pair, m):
+    # h(0..m-1) and g(0..m-1) evaluated one by one, or None where one raises
+    try:
+        return [pair.h(n) for n in range(m)], [pair.g(n) for n in range(m)]
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
+def assert_lists_are_h_and_g(pair, m):
+    # repr tells -0.0 from 0.0, nan from nan, and a Fraction from a float
+    expected = _per_level(pair, m)
+    try:
+        h, g = pair.lists(m)
+    except (OverflowError, ZeroDivisionError):
+        assert expected is None, pair.label
+        return
+    if expected is None:  # h(n) refuses a zero the lists keep
+        assert 0 in h, pair.label
+        return
+    assert (list(map(repr, h)), list(map(repr, g))) == tuple(
+        list(map(repr, values)) for values in expected
+    ), pair.label
+
+
+@pytest.mark.parametrize("qb", EDGES)
+@pytest.mark.parametrize("pb", EDGES)
+def test_pair_lists_are_h_and_g_bit_for_bit(qb, pb):
+    for mu in EDGE_MU:
+        for pair in _ratio_pairs(qb, pb, mu):
+            for m in (1, 2, 7, 300):
+                assert_lists_are_h_and_g(pair, m)
+
+
+def test_pair_lists_are_h_and_g_on_fractions():
+    huge = Fraction(10) ** 400  # as in test_a_huge_exact_mu_is_finite
+    ratios = ((Fraction(2), Fraction(1)), (Fraction(3, 7), Fraction(5, 4)), (Fraction(1), 1))
+    for qb, pb in ratios:
+        for mu in (Fraction(0), Fraction(-1, 3), huge, -huge):
+            for pair in _ratio_pairs(qb, pb, mu):
+                assert_lists_are_h_and_g(pair, 40)
+        assert_lists_are_h_and_g(hg_for_two_sided(qb, pb, lambda n: huge * n), 40)
+    pair = hg_for_two_sided(Fraction(2), Fraction(1), huge)
+    assert pair.lists(3)[0][0] == 1 + 4 - huge / 2
+    # sf_table reads the lists, sf_eval the level loop
+    model = custom_hg(hg_for_two_sided(Fraction(2), Fraction(1), Fraction(1, 3)))
+    assert sf_table(model, 5) == [sf_eval(model, n) for n in range(6)]
+
+
+def test_link_target_lists_are_h_and_g_bit_for_bit():
+    for q in (*EDGES, Fraction(3, 2)):
+        for p in (*EDGES, Fraction(2, 3)):
+            for m in (1, 2, 13, 300):
+                assert_lists_are_h_and_g(linkage._target_pair(q, p), m)
+
+
 def test_equal_case_functions():
     mu_fn, hg_fn = equal_hg_special_case(2.0, 1.0)
     assert mu_fn(0) == 4.375
@@ -481,9 +584,13 @@ def test_nonstd_qp_matches_its_printed_form():
 
 
 def test_nonstd_qp_reduces_to_nonstd_q_at_p_one():
-    # nonstd-q is the two-parameter recipe at p = 1, bit for bit
+    # both are the recipe over one pair, so each is measured against the
+    # paper's printed form at p = 1 instead of against the other
     for q in (*GRID, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.7):
-        assert sf_table(nonstd_q(q), 40) == sf_table(nonstd_qp(q, 1.0), 40)
+        for model in (nonstd_q(q), nonstd_qp(q, 1.0)):
+            table = sf_table(model, 40)
+            for n in range(41):
+                assert rel_gap(table[n], nonstd_qp_sf_explicit(n, q, 1.0)) <= 1e-10
 
 
 def test_nonstd_qp_equal_parameters_is_n_over_q():
