@@ -313,7 +313,7 @@ VERIFY_HG_PAIRS = [
     hg_for_q_ha(4.0),  # a power passes the largest double below dim 600
     hg_for_two_sided(2.0, 1.0, 10.0),  # h(0) = 0 at mu != 0: a plain value
     hg_for_two_sided(1e3, 1e-3, equal_hg_special_case(1e3, 1e-3)[0]),  # mu raises at 13
-    hg_for_two_sided(1.1, 0.95, lambda n: 1e300 * n),  # h passes to -inf
+    hg_for_two_sided(1.1, 0.95, lambda n: 1e308 * n),  # mu(n) = inf from n = 2
     hg_for_qp_ha(1e200, 1e-200),  # an infinite ratio
 ]
 
