@@ -19,22 +19,11 @@ _EXPORTS = {
         "DomainError",
         "EvaluationOverflowError",
         "NegativeStructureFunctionError",
-        "PoleError",
         "RecipeDivisionError",
     ),
     "fock": ("FockRep", "build_ladder", "build_xp", "hamiltonian"),
     "limits": ("LimitCheck", "run_limit_suite"),
-    "linkage": (
-        "check_link_consistency",
-        "link_table",
-        "mu_for_arik_coon_target",
-        "mu_from_g_match",
-        "mu_from_h_match",
-        "mu_from_q",
-        "q_and_pn_from_mu",
-        "q_from_mu",
-        "q_from_p",
-    ),
+    "linkage": ("check_link_consistency", "link_table"),
     "qp": ("qp_number",),
     "report": ("ResidualReport",),
     "structure": (

@@ -17,10 +17,6 @@ class DomainError(DeformedAlgebraError, ValueError):
     """A parameter lies outside the domain where the formulas are defined."""
 
 
-class PoleError(DomainError):
-    """A formula was evaluated at a pole of one of its denominators."""
-
-
 class RecipeDivisionError(DomainError):
     """A coefficient h(j) the reconstruction recipe divides by is zero."""
 

@@ -4,21 +4,16 @@ symmetric two-parameter oscillator a- a+ - q a+ a- = p**N.
 Matching the two-sided coefficient pair to the target (h, g) =
 (p**-N, q p**-N) fixes mu and q, but only per level: with qb, pb and p
 held constant, the matching value of mu (and of q) changes with the
-level N.  The formulas below express mu and q through each other along
-every route the matching admits; that the routes agree is an identity,
-proved on Fractions in the tests.  Each is written once, with int
-literals only, so on Fraction input it returns the exact Fraction; the
-level is used as a Python int, because a Fraction or an int raised to a
-numpy integer computes in wrapping int64.  link_table and
-check_link_consistency run none of them.  They print q, mu and p**N
-correctly rounded, each decided from a 128-bit interval carried from
-level to level; only where an interval cannot decide does the exact
-kernel, proved equal to q_from_p, mu_from_h_match and p**N on Fractions
-in the tests, write the level on Python ints.  Both then check that the
-target pair with the level-consistent q reproduces the deformed integers
-[n] = (q**n - p**n)/(q - p).  A non-finite argument raises DomainError
-naming it; on floats, a value past double range raises
-EvaluationOverflowError naming the formula and the level.
+level N.  This module prints those per-level values.  link_table and
+check_link_consistency give q, mu and p**N correctly rounded, each
+decided from a 128-bit interval carried from level to level; only where
+an interval cannot decide does the exact kernel write the level on
+Python ints.  The tests prove the kernel equal, on Fractions, to the
+matching conditions along every route they admit.  Both functions then
+check that the target pair with the level-consistent q reproduces the
+deformed integers [n] = (q**n - p**n)/(q - p).  A non-finite argument
+raises DomainError naming it; a value past double range raises
+EvaluationOverflowError naming the level.
 """
 
 from __future__ import annotations
@@ -28,113 +23,17 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import PoleError, double_range, finite
+from .errors import double_range
 from .qp import (
-    deformed_integers, relative_gap, require_finite, require_nonnegative,
-    require_nonnegative_int, require_positive,
+    deformed_integers, relative_gap, require_nonnegative, require_nonnegative_int,
+    require_positive,
 )
 from .report import ResidualReport
 from .structure import HGPair, custom_hg, sf_table
 
 
-def _double_range(what: str, level: int):
-    return double_range(lambda: f"{what} leaves the double range at level={level}")
-
-
-def mu_from_h_match(qb: float, pb: float, p: float, level: int) -> float:
-    """mu forced by matching the a- a+ coefficient: h(N) = p**-N.
-
-    mu = qb Q**(2N) (1 + Q**(2N+2)) - 2 p**-N,  Q = qb/pb.
-    """
-    require_positive(qb=qb, pb=pb, p=p)
-    require_nonnegative_int(level=level)
-    ratio, n = qb / pb, int(level)
-    with _double_range("mu_from_h_match", level):
-        return finite(qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - 2 * p**-n)
-
-
-def mu_from_g_match(qb: float, pb: float, q: float, p: float, level: int) -> float:
-    """mu forced by matching the a+ a- coefficient: g(N) = q p**-N.
-
-    mu = 2 q p**-N - pb Q**(2N) (1 + Q**(2N-2)).
-    """
-    require_finite(qb=qb, pb=pb, q=q, p=p)
-    require_positive(qb=qb, pb=pb, p=p)
-    require_nonnegative_int(level=level)
-    ratio, n = qb / pb, int(level)
-    with _double_range("mu_from_g_match", level):
-        return finite(2 * q * p**-n - pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)))
-
-
-def mu_from_q(qb: float, pb: float, q: float, level: int) -> float:
-    """mu through q alone, p eliminated between the two matching routes.
-
-    mu = pb Q**(2N) [Q**(2N-2) (q Q**5 - 1) + q Q - 1] / (1 + q).
-    """
-    require_finite(qb=qb, pb=pb, q=q)
-    require_positive(qb=qb, pb=pb)
-    require_nonnegative_int(level=level)
-    if q == -1:
-        raise PoleError("mu_from_q has a pole at q = -1")
-    ratio, n = qb / pb, int(level)
-    with _double_range("mu_from_q", level):
-        bracket = ratio ** (2 * n - 2) * (q * ratio**5 - 1) + q * ratio - 1
-        return finite(pb * ratio ** (2 * n) * bracket / (1 + q))
-
-
-def q_from_p(qb: float, pb: float, p: float, level: int) -> float:
-    """Target q through p, mu eliminated.
-
-    q = -1 + pb p**N Q**(2N) [1 + Q + Q**(2N-2) (1 + Q**5)] / 2.
-    """
-    require_positive(qb=qb, pb=pb, p=p)
-    require_nonnegative_int(level=level)
-    ratio, n = qb / pb, int(level)
-    with _double_range("q_from_p", level):
-        bracket = 1 + ratio + ratio ** (2 * n - 2) * (1 + ratio**5)
-        return finite(-1 + pb / 2 * p**n * ratio ** (2 * n) * bracket)
-
-
-def q_from_mu(qb: float, pb: float, p: float, mu: float, level: int) -> float:
-    """Target q through mu: q = p**N [mu + pb Q**(2N) (1 + Q**(2N-2))] / 2."""
-    require_finite(qb=qb, pb=pb, p=p, mu=mu)
-    require_positive(qb=qb, pb=pb, p=p)
-    require_nonnegative_int(level=level)
-    ratio, n = qb / pb, int(level)
-    with _double_range("q_from_mu", level):
-        return finite(p**n / 2 * (mu + pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2))))
-
-
-def q_and_pn_from_mu(qb: float, pb: float, mu: float, level: int) -> tuple[float, float]:
-    """Target (q, p**N) from the two-sided parameters alone.
-
-    q    = [pb Q**(2N) (1 + Q**(2N-2)) + mu] / [pb Q**(2N+1) (1 + Q**(2N+2)) - mu],
-    p**N = 2 / [pb Q**(2N+1) (1 + Q**(2N+2)) - mu].
-    """
-    require_finite(qb=qb, pb=pb, mu=mu)
-    require_positive(qb=qb, pb=pb)
-    require_nonnegative_int(level=level)
-    ratio, n = qb / pb, int(level)
-    with _double_range("q_and_pn_from_mu", level):
-        denominator = pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2)) - mu
-        if denominator == 0:
-            raise PoleError(
-                f"q_and_pn_from_mu denominator vanishes at mu={mu}, level={level}"
-            )
-        numerator = pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu
-        return finite(numerator / denominator), finite(2 / denominator)
-
-
-def mu_for_arik_coon_target(qb: float, pb: float, level: int) -> float:
-    """mu matching the one-parameter target h = 1, g = q (p-power absent).
-
-    mu = -2 + pb Q**(2N+1) (1 + Q**(2N+2)).
-    """
-    require_positive(qb=qb, pb=pb)
-    require_nonnegative_int(level=level)
-    ratio, n = qb / pb, int(level)
-    with _double_range("mu_for_arik_coon_target", level):
-        return finite(-2 + pb * ratio ** (2 * n + 1) * (1 + ratio ** (2 * n + 2)))
+def _double_range(level: int):
+    return double_range(lambda: f"linkage value leaves the double range at level={level}")
 
 
 # Depth of the recipe check in check_link_consistency: Phi(0..SF_LEVELS)
@@ -324,7 +223,7 @@ def check_link_consistency(
     require_positive(qb=qb, pb=pb, p=p)
     require_nonnegative(tolerance=tol)
     require_nonnegative_int(level=level)
-    with _double_range("linkage value", level):
+    with _double_range(level):
         (q,) = next(_columns(qb, pb, p, int(level), q_only=True))
     gaps = _recipe_gaps(q, p)
     worst = max(gaps, default=0.0)
@@ -358,7 +257,7 @@ def link_table(
     rows = []
     columns = _columns(qb, pb, p, 0)
     for level in range(n_max + 1):
-        with _double_range("linkage value", level):
+        with _double_range(level):
             q, mu, p_pow_n = next(columns)
         row = dict(n=level, q=q, mu_h_match=mu, mu_g_match=mu, mu_from_q=mu, p_pow_n=p_pow_n)
         row["consistent"] = max(_recipe_gaps(q, p), default=0.0) <= tol

@@ -29,6 +29,7 @@ growing ones it keeps "pure roundoff" meaning what it says.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import suppress
 from typing import Callable
@@ -156,8 +157,9 @@ def verify_hg(
     margin: int = DEFAULT_MARGIN,
     per_state: bool = False,
 ) -> ResidualReport:
-    """Residual of h(N) a- a+ - g(N) a+ a- - 1 on the interior block; a power in
-    h(n) or g(n) past double range raises EvaluationOverflowError naming the pair."""
+    """Residual of h(N) a- a+ - g(N) a+ a- - 1 on the interior block; an h(n)
+    or g(n) past double range, a power or an infinite product, raises
+    EvaluationOverflowError naming the pair."""
     dim = rep.dim
     if rep.ladder.shape != (dim - 1,):
         raise DomainError("ladder matrices do not match the declared dimension")
@@ -165,6 +167,8 @@ def verify_hg(
     with double_range(lambda: f"coefficients of {label} overflowed at dim={dim}"):
         h, g = _coefficients(hg, dim)
         h, g = np.fromiter(h, float, dim), np.fromiter(g, float, dim)
+        if not (np.isfinite(h).all() and np.isfinite(g).all()):  # an inf product
+            raise OverflowError
     raise_side, lower_side = _ladder_products(rep)
     raise_then_lower = h * raise_side
     lower_then_raise = g * lower_side
@@ -239,6 +243,8 @@ def verify_two_sided(
     """
     if not callable(check_mu):
         require_finite(check_mu=check_mu)
+    if callable(mu):  # the pair and 1 + mu H read each level once
+        mu = functools.cache(mu)
     model = custom_hg(hg_for_two_sided(qb, pb, mu))
     ratio = qb / pb
     coeffs = (ratio, 1.0) if alt_pairing else (1.0, ratio)

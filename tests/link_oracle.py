@@ -18,6 +18,36 @@ def matching(qb, pb, X, P) -> tuple:
     return q, mu
 
 
+def free_routes(qb, pb, X, P) -> dict:
+    """Every route the matching admits, with Q**(2N) = X and p**N = P as
+    free rationals, Q = qb/pb: mu and q through each other, the inversion
+    to (q, p**N), the two-sided pair at the matching mu, and the mu that
+    matches the one-parameter target h = 1, g = q instead."""
+    Q = qb / pb
+    q, mu = matching(qb, pb, X, P)
+    denominator = pb * Q * X * (1 + Q**2 * X) - mu
+    return dict(
+        q_from_p=q,
+        mu_from_h_match=mu,
+        mu_from_g_match=2 * q / P - pb * X * (1 + X / Q**2),
+        mu_from_q=pb * X * (X / Q**2 * (q * Q**5 - 1) + q * Q - 1) / (1 + q),
+        q_from_mu=P / 2 * (mu + pb * X * (1 + X / Q**2)),
+        q_and_pn_from_mu=((pb * X * (1 + X / Q**2) + mu) / denominator, 2 / denominator),
+        hg_for_two_sided=(qb * X * (1 + Q**2 * X) / 2 - mu / 2, pb * X * (1 + X / Q**2) / 2 + mu / 2),
+        mu_for_arik_coon_target=pb * Q * X * (1 + Q**2 * X) - 2,
+    )
+
+
+def routes_at_q(qb, pb, level, q) -> dict:
+    """free_routes at the level, with p**N chosen so that the matching q is
+    the given q (> -1): the routes that take q as an input read it there."""
+    Q = qb / pb
+    X = Q ** (2 * level)
+    free = free_routes(qb, pb, X, 2 * (q + 1) / (pb * X * (1 + Q + X / Q**2 * (1 + Q**5))))
+    assert free["q_from_p"] == q
+    return free
+
+
 def exact_row(qb: float, pb: float, p: float, level: int) -> dict:
     """One table row: q along the mu-free route, mu from the h-side match.
 

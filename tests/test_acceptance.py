@@ -14,6 +14,7 @@ import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 from defosc import (
     HGPair,
@@ -31,12 +32,9 @@ from defosc import (
     hg_for_qp_ha,
     hg_for_two_sided,
     jannussis_mu,
-    mu_for_arik_coon_target,
-    mu_from_h_match,
-    mu_from_q,
+    link_table,
     nonstd_q,
     nonstd_qp,
-    q_from_p,
     qp_number,
     run_limit_suite,
     sf_eval,
@@ -49,6 +47,7 @@ from defosc import (
     verify_two_sided,
 )
 from defosc.cli import main as cli_main
+from link_oracle import free_routes, routes_at_q
 from sf_oracle import nonstd_qp_sf_explicit, two_sided_equal_sf_closed_form
 
 GRID = (0.5, 0.9, 1.1, 2.0)
@@ -230,9 +229,11 @@ def test_c07_linkage_loop_closure():
                     assert report.passed, (qb, pb, p, level, report.per_state)
                     worst = max(worst, report.max_abs_residual)
     # the worked point: q = 37/8 and mu = 8 close the loop exactly
-    assert q_from_p(2.0, 1.0, 1.0, 0) == 37.0 / 8.0
-    assert mu_from_h_match(2.0, 1.0, 1.0, 0) == 8.0
-    assert mu_from_q(2.0, 1.0, 37.0 / 8.0, 0) == 8.0
+    free = free_routes(Fraction(2), Fraction(1), 1, 1)
+    assert free["q_from_p"] == Fraction(37, 8)
+    assert free["mu_from_h_match"] == free["mu_from_q"] == 8
+    (row,) = link_table(2.0, 1.0, 1.0, 0)
+    assert (row["q"], row["mu_h_match"], row["mu_from_q"]) == (37.0 / 8.0, 8.0, 8.0)
     announce("C7", f"576 loop closures at 1e-10 (worst {worst:.2e}); worked point exact")
 
 
@@ -243,53 +244,53 @@ def test_c08_n_dependence_witness():
             if qb == pb:
                 continue
             for p in GRID:
-                mu0 = mu_from_h_match(qb, pb, p, 0)
-                mu1 = mu_from_h_match(qb, pb, p, 1)
-                gap = abs(mu1 - mu0)
+                row0, row1 = link_table(qb, pb, p, 1)
+                gap = abs(row1["mu_h_match"] - row0["mu_h_match"])
                 smallest = min(smallest, gap)
                 assert gap > 1e-6
     announce("C8", f"mu moves with the level at every deformed point (min {smallest:.2e})")
 
 
 def test_c09_reduced_cases():
+    # the matching routes on Fractions, at X = Q**(2N) and P = p**N
+    def routes(qb, pb, p, level):
+        return free_routes(qb, pb, (qb / pb) ** (2 * level), p**level)
+
     worst = 0.0
+    qb = Fraction(14, 10)
+    near_one = (1 + Fraction(1, 10**8), 1 - Fraction(1, 10**8))
     # ratio -> 1 of the mu-through-q route: mu = 2 qb (q - 1)/(q + 1)
-    for q in (0.7, 1.3, 2.0):
-        qb = 1.4
-        for eps in (1e-8, -1e-8):
-            pb = qb / (1.0 + eps)
-            want = 2.0 * qb * (q - 1.0) / (q + 1.0)
-            worst = max(worst, rel_gap(mu_from_q(qb, pb, q, 3), want))
+    for q in (Fraction(7, 10), Fraction(13, 10), Fraction(2)):
+        for ratio in near_one:
+            want = 2 * qb * (q - 1) / (q + 1)
+            worst = max(worst, rel_gap(routes_at_q(qb, qb / ratio, 3, q)["mu_from_q"], want))
     # ratio -> 1 of the q-through-p route: q = -1 + 2 qb p**N
-    for p in (0.5, 2.0):
-        qb = 1.4
-        pb = qb / (1.0 + 1e-8)
+    for p in (Fraction(1, 2), Fraction(2)):
         for level in (0, 2, 5):
-            want = -1.0 + 2.0 * qb * p**level
-            worst = max(worst, rel_gap(q_from_p(qb, pb, p, level), want))
-    # combining both at ratio one: mu = 2 (qb - p**-N)
-    qb = 1.3
-    for p in (0.5, 2.0):
+            want = -1 + 2 * qb * p**level
+            worst = max(worst, rel_gap(routes(qb, qb / near_one[0], p, level)["q_from_p"], want))
+    # combining both at ratio one: mu = 2 (qb - p**-N), exactly
+    qb = Fraction(13, 10)
+    for p in (Fraction(1, 2), Fraction(2)):
         for level in range(4):
-            mu = mu_from_h_match(qb, qb, p, level)
-            worst = max(worst, rel_gap(mu, 2.0 * (qb - p**-level)))
-    # q equal to the reciprocal ratio
-    for qb, pb in [(2.0, 1.0), (0.5, 2.0), (1.1, 0.9)]:
+            assert routes(qb, qb, p, level)["mu_from_h_match"] == 2 * (qb - p**-level)
+    grid = [(Fraction(2), Fraction(1)), (Fraction(1, 2), Fraction(2)),
+            (Fraction(11, 10), Fraction(9, 10))]
+    # q equal to the reciprocal ratio, exactly
+    for qb, pb in grid:
         ratio = qb / pb
         for level in range(4):
-            want = qb * (ratio - 1.0) * (ratio**2 + 1.0) * ratio ** (4 * level - 2)
-            worst = max(worst, rel_gap(mu_from_q(qb, pb, 1.0 / ratio, level), want))
-    # the one-parameter oscillator target
-    for qb, pb in [(2.0, 1.0), (0.5, 2.0), (1.1, 0.9)]:
+            want = qb * (ratio - 1) * (ratio**2 + 1) * ratio ** (4 * level - 2)
+            assert routes_at_q(qb, pb, level, 1 / ratio)["mu_from_q"] == want
+    # the one-parameter oscillator target, exactly: its mu flattens h to one
+    for qb, pb in grid:
         ratio = qb / pb
         for level in range(4):
-            want = -2.0 + pb * ratio ** (2 * level + 1) * (1.0 + ratio ** (2 * level + 2))
-            got = mu_for_arik_coon_target(qb, pb, level)
-            worst = max(worst, rel_gap(got, want))
-            pair = hg_for_two_sided(qb, pb, got)
-            worst = max(worst, rel_gap(pair.h(level), 1.0))
+            got = routes(qb, pb, 1, level)["mu_for_arik_coon_target"]
+            assert got == -2 + pb * ratio ** (2 * level + 1) * (1 + ratio ** (2 * level + 2))
+            assert hg_for_two_sided(qb, pb, got).h(level) == 1
     assert worst <= 1e-6
-    announce("C9", f"reduced-case formulas agree at 1e-6 (worst {worst:.2e})")
+    announce("C9", f"reduced-case formulas agree at 1e-6 (worst {float(worst):.2e}), the rest exactly")
 
 
 def test_c10_cli_determinism():

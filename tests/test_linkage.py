@@ -1,5 +1,4 @@
 import hashlib
-import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -15,30 +14,31 @@ from defosc import (
     DomainError,
     EvaluationOverflowError,
     HGPair,
-    PoleError,
     ResidualReport,
     check_link_consistency,
     hg_for_two_sided,
     link_table,
-    mu_for_arik_coon_target,
-    mu_from_g_match,
-    mu_from_h_match,
-    mu_from_q,
-    q_and_pn_from_mu,
-    q_from_mu,
-    q_from_p,
     run_limit_suite,
 )
 from defosc import linkage
-from link_oracle import assert_rows_are_rounded_exact_values, exact_row, matching
+from link_oracle import (
+    assert_rows_are_rounded_exact_values, free_routes, matching, routes_at_q,
+)
 
 GRID = (0.5, 0.9, 1.1, 2.0)
 # small positive rationals: exact rows stay a few hundred digits long
 RATIONAL = st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=16)
+MU_COLUMNS = ("mu_h_match", "mu_g_match", "mu_from_q")
 
 
 def rel_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def routes(qb, pb, p, level):
+    """free_routes at a level: X = Q**(2N) and P = p**N, on Fractions."""
+    qb, pb, p = Fraction(qb), Fraction(pb), Fraction(p)
+    return free_routes(qb, pb, (qb / pb) ** (2 * level), p**level)
 
 
 # ---------------------------------------------------------------------------
@@ -47,20 +47,21 @@ def rel_gap(a: float, b: float) -> float:
 
 
 def test_worked_point_q():
-    assert q_from_p(2.0, 1.0, 1.0, 0) == 4.625  # 37/8
+    assert routes(2, 1, 1, 0)["q_from_p"] == Fraction(37, 8)
+    assert link_table(2.0, 1.0, 1.0, 0)[0]["q"] == 4.625
 
 
 def test_worked_point_mu_along_every_route():
-    assert mu_from_h_match(2.0, 1.0, 1.0, 0) == 8.0
-    assert mu_from_g_match(2.0, 1.0, 4.625, 1.0, 0) == 8.0
-    assert mu_from_q(2.0, 1.0, 4.625, 0) == 8.0
-    assert q_from_mu(2.0, 1.0, 1.0, 8.0, 0) == 4.625
+    free = routes(2, 1, 1, 0)
+    assert free["mu_from_h_match"] == free["mu_from_g_match"] == free["mu_from_q"] == 8
+    assert free["q_from_mu"] == Fraction(37, 8)
+    (row,) = link_table(2.0, 1.0, 1.0, 0)
+    assert [row[key] for key in MU_COLUMNS] == [8.0, 8.0, 8.0]
 
 
 def test_worked_point_inversion():
-    q, pn = q_and_pn_from_mu(2.0, 1.0, 8.0, 0)
-    assert q == 4.625
-    assert pn == 1.0
+    assert routes(2, 1, 1, 0)["q_and_pn_from_mu"] == (Fraction(37, 8), 1)
+    assert link_table(2.0, 1.0, 1.0, 0)[0]["p_pow_n"] == 1.0
 
 
 def test_worked_point_reaches_the_oscillator_target():
@@ -70,10 +71,8 @@ def test_worked_point_reaches_the_oscillator_target():
 
 
 def test_undeformed_point_gives_zero_mu():
-    assert mu_from_h_match(1.0, 1.0, 1.0, 3) == 0.0
-    q, pn = q_and_pn_from_mu(1.0, 1.0, 0.0, 0)
-    assert q == 1.0
-    assert pn == 1.0
+    assert [row[key] for row in link_table(1.0, 1.0, 1.0, 3) for key in MU_COLUMNS] == [0.0] * 12
+    assert routes(1, 1, 1, 0)["q_and_pn_from_mu"] == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +99,8 @@ def test_consistency_report_shape():
     assert report.max_abs_residual <= 1e-10
 
 
-def test_float_routes_agree_where_well_conditioned():
-    # moderate deformation: the float formulas close the loop on their own
-    for qb, pb, p in [(1.1, 0.9, 1.1), (0.9, 1.1, 0.5), (2.0, 1.0, 1.0)]:
-        for level in range(4):
-            q = q_from_p(qb, pb, p, level)
-            mu = mu_from_h_match(qb, pb, p, level)
-            assert rel_gap(mu_from_g_match(qb, pb, q, p, level), mu) <= 1e-10
-            assert rel_gap(mu_from_q(qb, pb, q, level), mu) <= 1e-10
-            assert rel_gap(q_from_mu(qb, pb, p, mu, level), q) <= 1e-10
-            q47, pn47 = q_and_pn_from_mu(qb, pb, mu, level)
-            assert rel_gap(q47, q) <= 1e-10
-            assert rel_gap(pn47, p**level) <= 1e-10
-
-
 def test_n_dependence_witness():
-    # with the ratio away from one, the matching mu genuinely moves with
+    # with the ratio away from one, the printed mu genuinely moves with
     # the level: the constant-mu reading of the two-sided relation cannot
     # reproduce the symmetric oscillator
     for qb in GRID:
@@ -123,9 +108,13 @@ def test_n_dependence_witness():
             if qb == pb:
                 continue
             for p in GRID:
-                mu0 = mu_from_h_match(qb, pb, p, 0)
-                mu1 = mu_from_h_match(qb, pb, p, 1)
-                assert abs(mu1 - mu0) > 1e-6
+                row0, row1 = link_table(qb, pb, p, 1)
+                for key in MU_COLUMNS:
+                    assert abs(row1[key] - row0[key]) > 1e-6
+
+
+def mu_at(qb, pb, p, level):
+    return matching(qb, pb, (qb / pb) ** (2 * level), p**level)[1]
 
 
 @given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL)
@@ -139,119 +128,101 @@ def test_mu_depends_on_the_level_unless_undeformed(qb, pb, p):
     # Q**2, Q**4 and 1/p, and 1); unless it is constant it takes one value
     # at no more than 3 levels, and it is constant only at Q = 1, p = 1
     assume((qb / pb, p) != (1, 1))
-    assert len({mu_from_h_match(qb, pb, p, level) for level in range(4)}) >= 2
+    assert len({mu_at(qb, pb, p, level) for level in range(4)}) >= 2
 
 
 @given(qb=RATIONAL)
 @settings(max_examples=20, deadline=None)
 def test_mu_is_constant_at_the_undeformed_point(qb):
     for level in range(65):
-        assert mu_from_h_match(qb, qb, Fraction(1), level) == 2 * qb - 2
+        assert mu_at(qb, qb, Fraction(1), level) == 2 * qb - 2
 
 
 def test_q_also_depends_on_the_level():
     for qb, pb in [(2.0, 1.0), (0.5, 2.0)]:
-        assert abs(q_from_p(qb, pb, 1.0, 1) - q_from_p(qb, pb, 1.0, 0)) > 1e-6
+        row0, row1 = link_table(qb, pb, 1.0, 1)
+        assert abs(row1["q"] - row0["q"]) > 1e-6
 
 
 # ---------------------------------------------------------------------------
-# reduced cases
+# reduced cases, on Fractions
 # ---------------------------------------------------------------------------
+
+QB = Fraction(14, 10)
+NEAR_ONE = (1 + Fraction(1, 10**8), 1 - Fraction(1, 10**8))  # ratios next to Q = 1
 
 
 def test_ratio_one_limit_of_mu_from_q():
     # mu -> 2 qb (q - 1)/(q + 1)
-    qb = 1.4
-    for q in (0.7, 1.3, 2.0):
-        for eps in (1e-8, -1e-8):
-            pb = qb / (1.0 + eps)
-            want = 2.0 * qb * (q - 1.0) / (q + 1.0)
-            assert rel_gap(mu_from_q(qb, pb, q, 3), want) <= 1e-6
+    for q in (Fraction(7, 10), Fraction(13, 10), Fraction(2)):
+        for ratio in NEAR_ONE:
+            want = 2 * QB * (q - 1) / (q + 1)
+            assert rel_gap(routes_at_q(QB, QB / ratio, 3, q)["mu_from_q"], want) <= 1e-6
 
 
 def test_ratio_one_limit_of_q_from_p():
     # q -> -1 + 2 qb p**N
-    qb = 1.4
-    for p in (0.5, 2.0):
+    for p in (Fraction(1, 2), Fraction(2)):
         for level in (0, 2, 5):
-            pb = qb / (1.0 + 1e-8)
-            want = -1.0 + 2.0 * qb * p**level
-            assert rel_gap(q_from_p(qb, pb, p, level), want) <= 1e-6
+            want = -1 + 2 * QB * p**level
+            assert rel_gap(routes(QB, QB / NEAR_ONE[0], p, level)["q_from_p"], want) <= 1e-6
 
 
 def test_ratio_one_mu_through_p_alone():
-    # combining both ratio-one limits: mu = 2 (qb - p**-N)
-    qb = 1.3
-    for p in (0.5, 2.0):
+    # combining both ratio-one limits: mu = 2 (qb - p**-N), exactly
+    qb = Fraction(13, 10)
+    for p in (Fraction(1, 2), Fraction(2)):
         for level in range(4):
-            mu = mu_from_h_match(qb, qb, p, level)
-            want = 2.0 * (qb - p ** (-level))
-            assert rel_gap(mu, want) <= 1e-12
+            assert routes(qb, qb, p, level)["mu_from_h_match"] == 2 * (qb - p**-level)
 
 
 def test_mu_vanishes_when_the_target_is_undeformed():
-    # p**-N -> qb together with ratio one sends mu to zero
-    qb = pb = 1.3
-    level = 2
-    p = qb ** (-1.0 / level)
-    q = q_from_p(qb, pb, p, level)
-    mu = mu_from_h_match(qb, pb, p, level)
-    assert abs(mu) <= 1e-12
-    assert rel_gap(q, 1.0) <= 1e-12
+    # p**-N = qb together with ratio one sends mu to zero and q to one;
+    # P = p**N is free, so no irrational p = qb**(-1/N) is formed
+    qb = Fraction(13, 10)
+    free = free_routes(qb, qb, 1, 1 / qb)
+    assert (free["mu_from_h_match"], free["q_from_p"]) == (0, 1)
 
 
 def test_reciprocal_ratio_simplification():
     # q = 1/ratio collapses mu to qb (ratio - 1)(ratio**2 + 1) ratio**(4N-2)
-    for qb, pb in [(2.0, 1.0), (0.5, 2.0), (1.1, 0.9)]:
-        ratio = qb / pb
+    for qb, pb in [(2, 1), (Fraction(1, 2), 2), (Fraction(11, 10), Fraction(9, 10))]:
+        ratio = Fraction(qb) / pb
         for level in range(4):
-            got = mu_from_q(qb, pb, 1.0 / ratio, level)
-            want = qb * (ratio - 1.0) * (ratio**2 + 1.0) * ratio ** (4 * level - 2)
-            assert rel_gap(got, want) <= 1e-12
+            got = routes_at_q(qb, pb, level, 1 / ratio)["mu_from_q"]
+            assert got == qb * (ratio - 1) * (ratio**2 + 1) * ratio ** (4 * level - 2)
 
 
 def test_arik_coon_target():
-    assert mu_for_arik_coon_target(2.0, 1.0, 0) == 8.0
-    assert mu_for_arik_coon_target(1.0, 1.0, 5) == 0.0
+    assert routes(2, 1, 1, 0)["mu_for_arik_coon_target"] == 8
+    assert routes(1, 1, 1, 5)["mu_for_arik_coon_target"] == 0
     # the matching mu really flattens h to one
-    for qb, pb in [(2.0, 1.0), (0.5, 2.0), (1.1, 0.9)]:
+    for qb, pb in [(2, 1), (Fraction(1, 2), 2), (Fraction(11, 10), Fraction(9, 10))]:
         for level in range(5):
-            mu = mu_for_arik_coon_target(qb, pb, level)
-            pair = hg_for_two_sided(qb, pb, mu)
-            assert rel_gap(pair.h(level), 1.0) <= 1e-12
+            mu = routes(qb, pb, 1, level)["mu_for_arik_coon_target"]
+            assert hg_for_two_sided(Fraction(qb), Fraction(pb), mu).h(level) == 1
 
 
 # ---------------------------------------------------------------------------
-# poles and validation
+# validation
 # ---------------------------------------------------------------------------
-
-
-def test_mu_from_q_pole():
-    with pytest.raises(PoleError):
-        mu_from_q(2.0, 1.0, -1.0, 0)
-
-
-def test_inversion_pole():
-    # mu equal to the denominator term hits the declared singularity
-    mu = 1.0 * 2.0 * (1.0 + 4.0)  # pb ratio (1 + ratio**2) at level 0
-    with pytest.raises(PoleError):
-        q_and_pn_from_mu(2.0, 1.0, mu, 0)
 
 
 def test_link_input_validation():
     for qb, pb, p, level in [(0.0, 1.0, 1.0, 0), (1.0, 1.0, 0.0, 0), (1.0, 1.0, 1.0, -1)]:
         with pytest.raises(DomainError):
-            mu_from_h_match(qb, pb, p, level)
+            check_link_consistency(qb, pb, p, level)
         with pytest.raises(DomainError):
-            mu_from_g_match(qb, pb, 1.0, p, level)
+            link_table(qb, pb, p, level)
     with pytest.raises(DomainError):
-        q_from_p(1.0, 1.0, 1.0, -2)
+        check_link_consistency(1.0, 1.0, 1.0, -2)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("slot", range(3))
 def test_non_finite_link_parameters_are_refused(bad, slot):
-    # finiteness is checked first, so a nan reads as it does for the formulas
+    # finiteness is checked first, so a nan is named as not finite rather
+    # than as not positive
     params = [2.0, 1.0, 1.0]
     params[slot] = bad
     message = f"^parameter {('qb', 'pb', 'p')[slot]} must be finite, got {bad!r}$"
@@ -259,35 +230,6 @@ def test_non_finite_link_parameters_are_refused(bad, slot):
         check_link_consistency(*params, 0)
     with pytest.raises(DomainError, match=message):
         link_table(*params, 3)
-
-
-# the arguments of each formula besides the level, and a value in its domain
-FORMULA_ARGS = {
-    "mu_from_h_match": dict(qb=2.0, pb=1.0, p=1.0),
-    "mu_from_g_match": dict(qb=2.0, pb=1.0, q=3.0, p=1.0),
-    "mu_from_q": dict(qb=2.0, pb=1.0, q=3.0),
-    "q_from_p": dict(qb=2.0, pb=1.0, p=1.0),
-    "q_from_mu": dict(qb=2.0, pb=1.0, p=1.0, mu=0.5),
-    "q_and_pn_from_mu": dict(qb=2.0, pb=1.0, mu=0.5),
-    "mu_for_arik_coon_target": dict(qb=2.0, pb=1.0),
-}
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize(
-    "formula, arg", [(formula, arg) for formula, args in FORMULA_ARGS.items() for arg in args]
-)
-def test_non_finite_formula_arguments_are_refused(formula, arg, bad):
-    params = {**FORMULA_ARGS[formula], arg: bad}
-    message = f"^parameter {arg} must be finite, got {re.escape(repr(bad))}$"
-    with pytest.raises(DomainError, match=message):
-        getattr(linkage, formula)(**params, level=1)
-
-
-def test_q_and_mu_may_take_either_sign():
-    assert mu_from_q(2.0, 1.0, -0.5, 0) < 0 < mu_from_q(2.0, 1.0, 0.5, 0)
-    assert q_from_mu(2.0, 1.0, 1.0, -30.0, 0) < 0 < q_from_mu(2.0, 1.0, 1.0, 30.0, 0)
-    assert q_and_pn_from_mu(2.0, 1.0, -8.0, 0) == (-0.375, 2 / 18)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0])
@@ -305,15 +247,15 @@ def test_link_levels_are_integers():
         check_link_consistency(1.1, 1.0, 1.0, 2.5)
     with pytest.raises(DomainError, match=r"^n_max must be an integer, got 2.5$"):
         link_table(1.1, 1.0, 1.0, 2.5)
-    for formula in (lambda n: q_from_p(2.0, 1.0, 1.0, n), lambda n: mu_from_q(2, 1, 3, n)):
-        with pytest.raises(DomainError, match=r"^level must be an integer"):
-            formula(1.0)
+    with pytest.raises(DomainError, match=r"^level must be an integer, got 1.0$"):
+        check_link_consistency(1.1, 1.0, 1.0, 1.0)
     assert link_table(1.1, 1.0, 1.0, np.int64(3)) == link_table(1.1, 1.0, 1.0, 3)
-    exact = (Fraction(11, 10), Fraction(1), Fraction(1))
-    assert q_from_p(*exact, np.int64(30)) == q_from_p(*exact, 30)
-    report = check_link_consistency(1.1, 1.0, 1.0, np.int64(3))
-    assert report == check_link_consistency(1.1, 1.0, 1.0, 3)
-    assert report.passed
+    # the level is a Python int in the kernel: an int raised to a numpy
+    # integer computes in wrapping int64
+    for level in (3, 30):
+        report = check_link_consistency(1.1, 1.0, 1.0, np.int64(level))
+        assert report == check_link_consistency(1.1, 1.0, 1.0, level)
+        assert report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +286,7 @@ def test_link_table_is_consistent_across_levels():
 
 
 def test_link_table_types_a_float_overflow_with_its_level():
-    # p**(-n) = 16**256 leaves the double range in mu_from_h_match
+    # p**(-n) = 16**256 leaves the double range in the mu columns
     with pytest.raises(EvaluationOverflowError, match=r"level=256$") as exc:
         link_table(2.0, 1.0, 0.0625, 260)
     assert isinstance(exc.value, DeformedAlgebraError)
@@ -389,20 +331,21 @@ def test_recipe_check_stays_in_double_range(q, p):
 
 
 def assert_routes_close(qb, pb, p, level):
-    """q and mu are the transcribed matching values, and every other route
-    reproduces them exactly.  The public formulas are looked up on the
-    package, so a typo planted there shows."""
-    q = defosc.q_from_p(qb, pb, p, level)
-    mu = defosc.mu_from_h_match(qb, pb, p, level)
-    exact = exact_row(qb, pb, p, level)
-    assert (q, mu) == (exact["q"], exact["mu_h_match"])
-    assert defosc.mu_from_g_match(qb, pb, q, p, level) == mu
-    assert defosc.mu_from_q(qb, pb, q, level) == mu
-    assert defosc.q_from_mu(qb, pb, p, mu, level) == q
-    assert defosc.q_and_pn_from_mu(qb, pb, mu, level) == (q, p**level)
+    """Every route reproduces the matching q and mu exactly at the level,
+    and the package's two-sided pair at that mu is the oscillator target.
+    hg_for_two_sided is looked up on the package, so a typo planted there
+    shows."""
+    qb, pb, p = Fraction(qb), Fraction(pb), Fraction(p)
+    X, P = (qb / pb) ** (2 * level), p**level
+    q, mu = matching(qb, pb, X, P)
+    free = free_routes(qb, pb, X, P)
+    assert (free["q_from_p"], free["mu_from_h_match"]) == (q, mu)
+    assert free["mu_from_g_match"] == free["mu_from_q"] == mu
+    assert free["q_from_mu"] == q
+    assert free["q_and_pn_from_mu"] == (q, P)
     # a per-level mu keeps the label from printing mu
     pair = defosc.hg_for_two_sided(qb, pb, lambda n: mu)
-    assert (pair.h(level), pair.g(level)) == (p**-level, q * p**-level)
+    assert (pair.h(level), pair.g(level)) == (1 / P, q / P)
 
 
 @given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL, level=st.integers(0, 64))
@@ -414,38 +357,14 @@ def test_matching_routes_close_exactly(qb, pb, p, level):
     assert_routes_close(qb, pb, p, level)
 
 
-def free_routes(qb, pb, X, P):
-    """Each route with Q**(2N) = X and p**N = P as free rationals,
-    transcribed from the formulas' docstrings, Q = qb/pb."""
-    Q = qb / pb
-    q, mu = matching(qb, pb, X, P)
-    denominator = pb * Q * X * (1 + Q**2 * X) - mu
-    return dict(
-        q_from_p=q,
-        mu_from_h_match=mu,
-        mu_from_g_match=2 * q / P - pb * X * (1 + X / Q**2),
-        mu_from_q=pb * X * (X / Q**2 * (q * Q**5 - 1) + q * Q - 1) / (1 + q),
-        q_from_mu=P / 2 * (mu + pb * X * (1 + X / Q**2)),
-        q_and_pn_from_mu=((pb * X * (1 + X / Q**2) + mu) / denominator, 2 / denominator),
-        hg_for_two_sided=(qb * X * (1 + Q**2 * X) / 2 - mu / 2, pb * X * (1 + X / Q**2) / 2 + mu / 2),
-    )
-
-
 @given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL, level=st.integers(0, 8))
 @settings(max_examples=60, deadline=None)
 def test_free_transcription_is_the_public_formula(qb, pb, p, level):
-    free = free_routes(qb, pb, (qb / pb) ** (2 * level), p**level)
-    q, mu = free["q_from_p"], free["mu_from_h_match"]
-    pair = hg_for_two_sided(qb, pb, lambda n: mu)
-    assert free == dict(
-        q_from_p=q_from_p(qb, pb, p, level),
-        mu_from_h_match=mu_from_h_match(qb, pb, p, level),
-        mu_from_g_match=mu_from_g_match(qb, pb, q, p, level),
-        mu_from_q=mu_from_q(qb, pb, q, level),
-        q_from_mu=q_from_mu(qb, pb, p, mu, level),
-        q_and_pn_from_mu=q_and_pn_from_mu(qb, pb, mu, level),
-        hg_for_two_sided=(pair.h(level), pair.g(level)),
-    )
+    free = routes(qb, pb, p, level)
+    pair = hg_for_two_sided(qb, pb, lambda n: free["mu_from_h_match"])
+    assert free["hg_for_two_sided"] == (pair.h(level), pair.g(level))
+    # the one-parameter target's mu flattens the public h to one
+    assert hg_for_two_sided(qb, pb, free["mu_for_arik_coon_target"]).h(level) == 1
 
 
 @given(qb=RATIONAL, pb=RATIONAL, X=RATIONAL, P=RATIONAL)
@@ -462,15 +381,15 @@ def test_matching_routes_close_at_every_level(qb, pb, X, P):
 
 
 def assert_kernel_is_the_formula(qb, pb, p, level):
-    """The integer kernel's exact q, mu and p**N are q_from_p,
-    mu_from_h_match and p**N on Fractions, both from direct powers at the
-    level and carried from level 0, and its q alone is the same q.  The
-    formulas are looked up on the package, so a typo planted there shows."""
+    """The integer kernel's exact q, mu and p**N are the matching q and mu
+    and p**N on Fractions, both from direct powers at the level and carried
+    from level 0, and its q alone is the same q.  The kernel is looked up
+    on the module, so a typo planted there shows."""
     direct = next(linkage._exact_columns(qb, pb, p, level))
     carried = next(islice(linkage._exact_columns(qb, pb, p, 0), level, None))
     (q_alone,) = next(linkage._exact_columns(qb, pb, p, level, q_only=True))
     qb, pb, p = Fraction(qb), Fraction(pb), Fraction(p)
-    want = [defosc.q_from_p(qb, pb, p, level), defosc.mu_from_h_match(qb, pb, p, level), p**level]
+    want = [*matching(qb, pb, (qb / pb) ** (2 * level), p**level), p**level]
     for columns in (direct, carried):
         assert [Fraction(*pair) for pair in columns] == want
     assert Fraction(*q_alone) == want[0]
@@ -510,16 +429,22 @@ def test_kernel_integers_grow_with_the_reduced_ratio(qb, pb, p):
 PLANTED = 1 + Fraction(1, 10**6)
 
 
-def _planted_typo(formula):
-    # scale every value the formula returns by 1 + 1e-6, as a typo would
+def _planted_pair(formula):
+    # scale h and g of the pair by 1 + 1e-6, as a typo would
     def wrapper(*args):
         out = formula(*args)
-        if isinstance(out, HGPair):
-            h, g = out.h, out.g
-            return HGPair(lambda n: h(n) * PLANTED, lambda n: g(n) * PLANTED, out.label)
-        if isinstance(out, tuple):
-            return tuple(value * PLANTED for value in out)
-        return out * PLANTED
+        h, g = out.h, out.g
+        return HGPair(lambda n: h(n) * PLANTED, lambda n: g(n) * PLANTED, out.label)
+
+    return wrapper
+
+
+def _planted_columns(kernel):
+    # scale every exact value the kernel yields by 1 + 1e-6, as a typo would
+    def wrapper(*args, **kwargs):
+        for columns in kernel(*args, **kwargs):
+            yield tuple((top * PLANTED.numerator, bottom * PLANTED.denominator)
+                        for top, bottom in columns)
 
     return wrapper
 
@@ -527,65 +452,55 @@ def _planted_typo(formula):
 MILD = (Fraction(11, 10), Fraction(9, 10), Fraction(11, 10))
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "q_from_p",
-        "mu_from_h_match",
-        "mu_from_g_match",
-        "mu_from_q",
-        "q_from_mu",
-        "q_and_pn_from_mu",
-        "hg_for_two_sided",
-    ],
-)
+# the package function a typo is planted in, and the certificate that must catch it
+PLANTS = {
+    "hg_for_two_sided": (defosc, _planted_pair, assert_routes_close),
+    "_exact_columns": (linkage, _planted_columns, assert_kernel_is_the_formula),
+}
+
+
+@pytest.mark.parametrize("name", PLANTS)
 def test_planted_typo_fails_the_certificate(monkeypatch, name):
-    typo = _planted_typo(getattr(defosc, name))
-    monkeypatch.setattr(defosc, name, typo)
+    module, plant, certificate = PLANTS[name]
+    certificate(*MILD, 3)
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
     with pytest.raises(AssertionError):
-        assert_routes_close(*MILD, 3)
-    if name in ("q_from_p", "mu_from_h_match"):  # the two columns the kernel computes
-        with pytest.raises(AssertionError):
-            assert_kernel_is_the_formula(*MILD, 3)
+        certificate(*MILD, 3)
 
 
 def test_link_check_computes_only_what_it_prints(monkeypatch):
-    # the integer kernel alone computes the printed columns: no formula,
-    # not even the two it is proven equal to, runs in the link check
+    # the integer kernel alone computes the printed columns: the two-sided
+    # pair, which the proofs read, never runs in the link check
     table = link_table(1.1, 0.9, 1.1, 8)
     report = check_link_consistency(1.1, 0.9, 1.1, 8)
 
     def refuse(*args):
-        raise AssertionError("the link check runs a matching formula")
+        raise AssertionError("the link check builds the two-sided pair")
 
-    for name in FORMULA_ARGS:
-        monkeypatch.setattr(linkage, name, refuse)
     monkeypatch.setattr(linkage, "hg_for_two_sided", refuse, raising=False)
     assert link_table(1.1, 0.9, 1.1, 8) == table
     assert check_link_consistency(1.1, 0.9, 1.1, 8) == report
 
 
 def test_formulas_stay_exact_on_fractions():
-    qb, pb, p = Fraction(2), Fraction(1), Fraction(1)
-    q = q_from_p(qb, pb, p, 0)
-    mu = mu_from_h_match(qb, pb, p, 0)
-    q_back, pn = q_and_pn_from_mu(qb, pb, mu, 0)
-    pair = hg_for_two_sided(qb, pb, mu)
+    # the oracle's routes and the package's two-sided pair, on Fractions
+    free = routes(2, 1, 1, 0)
+    q, mu = free["q_from_p"], free["mu_from_h_match"]
+    pair = hg_for_two_sided(Fraction(2), Fraction(1), mu)
     values = [
         q,
         mu,
-        mu_from_g_match(qb, pb, q, p, 0),
-        mu_from_q(qb, pb, q, 0),
-        q_from_mu(qb, pb, p, mu, 0),
-        q_back,
-        pn,
-        mu_for_arik_coon_target(qb, pb, 0),
+        free["mu_from_g_match"],
+        free["mu_from_q"],
+        free["q_from_mu"],
+        *free["q_and_pn_from_mu"],
+        free["mu_for_arik_coon_target"],
         pair.h(0),
         pair.g(0),
     ]
     assert all(type(value) is Fraction for value in values)
-    assert (q, mu, pn) == (Fraction(37, 8), 8, 1)
-    assert values[2:7] == [8, 8, Fraction(37, 8), Fraction(37, 8), 1]
+    assert (q, mu) == (Fraction(37, 8), 8)
+    assert values[2:8] == [8, 8, Fraction(37, 8), Fraction(37, 8), 1, 8]
     assert (pair.h(0), pair.g(0)) == (1, Fraction(37, 8))
 
 
@@ -612,7 +527,7 @@ def test_every_printed_column_is_the_rounded_exact_value(qb, pb, p, n_max):
 
 def test_mild_parameters_print_exact_columns_to_level_64():
     # a float route prints p_pow_n off by 41 % at level 40 here, and at
-    # level 42 divides by cancellation noise into a false PoleError
+    # level 42 divides by cancellation noise into a false pole
     rows = link_table(1.1, 0.9, 1.1, 64)
     assert len(rows) == 65
     assert all(row["consistent"] for row in rows)
@@ -845,42 +760,9 @@ def test_exact_certificate_never_prints_its_fractions():
         check_link_consistency(999.9, 0.0011, 0.0013, 64)
 
 
-@pytest.mark.parametrize(
-    "formula, call",
-    [
-        ("mu_from_h_match", lambda level: mu_from_h_match(2.0, 1.0, 1.0, level)),
-        ("mu_from_g_match", lambda level: mu_from_g_match(2.0, 1.0, 3.0, 1.0, level)),
-        ("mu_from_q", lambda level: mu_from_q(2.0, 1.0, 3.0, level)),
-        ("q_from_p", lambda level: q_from_p(2.0, 1.0, 1.0, level)),
-        ("q_from_mu", lambda level: q_from_mu(2.0, 1.0, 1.0, 0.5, level)),
-        ("q_and_pn_from_mu", lambda level: q_and_pn_from_mu(2.0, 1.0, 0.5, level)),
-        ("mu_for_arik_coon_target", lambda level: mu_for_arik_coon_target(2.0, 1.0, level)),
-    ],
-)
-def test_each_float_formula_types_its_overflow(formula, call):
-    assert np.isfinite(call(250)).all()  # Q**(4N + 2) = 2**1002 is still a double
-    message = f"^{formula} leaves the double range at level=600$"
-    with pytest.raises(EvaluationOverflowError, match=message) as exc:
-        call(600)
-    assert type(exc.value.__cause__) is OverflowError
-
-
-def test_float_formulas_type_inf_products_and_underflowed_divisors():
-    # finite powers whose product passes the largest double
-    match = "^mu_for_arik_coon_target leaves .* at level=0$"
-    with pytest.raises(EvaluationOverflowError, match=match) as exc:
-        mu_for_arik_coon_target(1e300, 1e150, 0)
-    assert type(exc.value.__cause__) is OverflowError
-    # Q = 1e-300 / 1e300 underflows to 0.0, and Q**(2N - 2) divides by it
-    match = "^mu_from_q leaves .* at level=0$"
-    with pytest.raises(EvaluationOverflowError, match=match) as exc:
-        mu_from_q(1e-300, 1e300, 3.0, 0)
-    assert type(exc.value.__cause__) is ZeroDivisionError
-
-
 def test_fraction_formulas_stay_exact_past_double_range():
-    qb, pb, p = Fraction(2), Fraction(1), Fraction(1, 16)
-    mu = mu_from_h_match(qb, pb, p, 600)
-    assert mu == 2 * 4**600 * (1 + 4**601) - 2 * 16**600
-    q = q_from_p(qb, pb, p, 600)
-    assert q == -1 + Fraction(3 + 33 * 4**599, 2) * 4**600 / 16**600
+    # the exact kernel at level 600, where p**-N = 16**600 is far past double range
+    q, mu, p_pow_n = next(linkage._exact_columns(2.0, 1.0, 0.0625, 600))
+    assert Fraction(*mu) == 2 * 4**600 * (1 + 4**601) - 2 * 16**600
+    assert Fraction(*q) == -1 + Fraction(3 + 33 * 4**599, 2) * 4**600 / 16**600
+    assert Fraction(*p_pow_n) == Fraction(1, 16**600)

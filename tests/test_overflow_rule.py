@@ -38,15 +38,6 @@ from defosc import (
     two_sided_equal_hg,
     verify_hg,
 )
-from defosc.linkage import (
-    mu_for_arik_coon_target,
-    mu_from_g_match,
-    mu_from_h_match,
-    mu_from_q,
-    q_and_pn_from_mu,
-    q_from_mu,
-    q_from_p,
-)
 
 # numpy warns where a band product passes the largest double; the property
 # judges what each call returns or raises
@@ -74,21 +65,6 @@ def test_deformed_integers_and_the_equal_case(q, p, n):
     assert_finite_or_typed(lambda: sf_eval(two_sided_equal_hg(q, p), n))
     for which in (0, 1):  # qb == pb is a DomainError
         assert_finite_or_typed(lambda: equal_hg_special_case(q, p)[which](n))
-
-
-@given(qb=POSITIVE, pb=POSITIVE, q=POSITIVE, p=POSITIVE, mu=POSITIVE, level=LEVEL)
-@settings(max_examples=300, deadline=None)
-def test_linkage_formulas_on_floats(qb, pb, q, p, mu, level):
-    for call in (
-        lambda: mu_from_h_match(qb, pb, p, level),
-        lambda: mu_from_g_match(qb, pb, q, p, level),
-        lambda: mu_from_q(qb, pb, q, level),
-        lambda: q_from_p(qb, pb, p, level),
-        lambda: q_from_mu(qb, pb, p, mu, level),
-        lambda: q_and_pn_from_mu(qb, pb, mu, level),
-        lambda: mu_for_arik_coon_target(qb, pb, level),
-    ):
-        assert_finite_or_typed(call)
 
 
 @given(q=POSITIVE, p=POSITIVE, mu=POSITIVE, n=LEVEL)

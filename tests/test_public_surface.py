@@ -71,6 +71,15 @@ def test_unused_api_stays_removed():
     assert not hasattr(defosc.qp, "generalized_factorial")  # the recipe runs products
     for name in ("DeformationParams", "nonstd_qp_sf_explicit"):
         assert not hasattr(defosc, name)
+    # the float route formulas: the link check prints the exact kernel's
+    # values, and the routes are the test oracle's (link_oracle.free_routes)
+    for name in (
+        "mu_from_h_match", "mu_from_g_match", "mu_from_q", "q_from_p", "q_from_mu",
+        "q_and_pn_from_mu", "mu_for_arik_coon_target", "PoleError",
+    ):
+        for module in (defosc, defosc.linkage, defosc.errors):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert defosc._EXPORTS["linkage"] == ("check_link_consistency", "link_table")
 
 
 def test_one_formula_per_structure_function():

@@ -19,6 +19,7 @@ from defosc import (
     hg_for_q_ha,
     hg_for_qp_ha,
     hg_for_two_sided,
+    nonstd_q,
     verify_commutator_sf,
     verify_hg,
     verify_q_ha,
@@ -314,3 +315,29 @@ def test_verify_hg_types_an_overflowing_coefficient_pair():
     with pytest.raises(EvaluationOverflowError, match=message) as exc:
         verify_hg(build_ladder(harmonic(), 8), hg_for_qp_ha(1e-300, 1e300))
     assert type(exc.value.__cause__) is OverflowError
+    # an infinite product raises on no power, and would give a nan residual
+    # and a spurious FAIL: Q = 1e200 / 1e-200 is inf, and mu(n) = 1e308 n is
+    # inf from n = 2 on
+    rep = build_ladder(nonstd_q(1.05), 8)
+    for pair, label in [
+        (hg_for_qp_ha(1e200, 1e-200), r"qp-ha\(q=1e\+200,p=1e-200\)"),
+        (hg_for_two_sided(1.1, 0.95, lambda n: 1e308 * n), r"two-sided\(qb=1\.1,pb=0\.95,mu\(n\)\)"),
+    ]:
+        message = rf"^coefficients of hg\[{label}\] overflowed at dim=8$"
+        with pytest.raises(EvaluationOverflowError, match=message) as exc:
+            verify_hg(rep, pair)
+        assert type(exc.value.__cause__) is OverflowError
+
+
+def test_two_sided_reads_each_level_of_mu_once():
+    # the pair's Phi and the right side 1 + mu H share one read of each mu(n)
+    calls = []
+
+    def mu(n):
+        calls.append(n)
+        return 0.1
+
+    report = verify_two_sided(1.05, 1.0, mu, dim=64)
+    assert sorted(calls) == list(range(64))
+    constant = verify_two_sided(1.05, 1.0, 0.1, dim=64)
+    assert report == dataclasses.replace(constant, relation=report.relation)
