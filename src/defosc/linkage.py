@@ -224,6 +224,7 @@ def check_link_consistency(
     require_nonnegative(tolerance=tol)
     require_nonnegative_int(level=level)
     with _double_range(level):
+        # a Python int: an int raised to a numpy integer computes in wrapping int64
         (q,) = next(_columns(qb, pb, p, int(level), q_only=True))
     gaps = _recipe_gaps(q, p)
     worst = max(gaps, default=0.0)

@@ -1,9 +1,10 @@
-"""Exact linkage rows transcribed from the matching conditions.
+"""Exact linkage rows and routes transcribed from the matching conditions.
 
 Independent of defosc.linkage: the row is derived here on Fractions from
 the two matching conditions alone, so a table that prints
 float(exact value) in every column is checked against values the
-package did not compute.
+package did not compute.  free_routes writes every route between q and
+mu that the matching admits; the tests prove that they agree.
 """
 
 from fractions import Fraction
@@ -36,6 +37,12 @@ def free_routes(qb, pb, X, P) -> dict:
         hg_for_two_sided=(qb * X * (1 + Q**2 * X) / 2 - mu / 2, pb * X * (1 + X / Q**2) / 2 + mu / 2),
         mu_for_arik_coon_target=pb * Q * X * (1 + Q**2 * X) - 2,
     )
+
+
+def routes_at(qb, pb, p, level) -> dict:
+    """free_routes at the level: X = Q**(2N) and P = p**N, on Fractions."""
+    qb, pb, p = Fraction(qb), Fraction(pb), Fraction(p)
+    return free_routes(qb, pb, (qb / pb) ** (2 * level), p**level)
 
 
 def routes_at_q(qb, pb, level, q) -> dict:

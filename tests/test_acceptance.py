@@ -47,7 +47,7 @@ from defosc import (
     verify_two_sided,
 )
 from defosc.cli import main as cli_main
-from link_oracle import free_routes, routes_at_q
+from link_oracle import free_routes, routes_at, routes_at_q
 from sf_oracle import nonstd_qp_sf_explicit, two_sided_equal_sf_closed_form
 
 GRID = (0.5, 0.9, 1.1, 2.0)
@@ -252,10 +252,7 @@ def test_c08_n_dependence_witness():
 
 
 def test_c09_reduced_cases():
-    # the matching routes on Fractions, at X = Q**(2N) and P = p**N
-    def routes(qb, pb, p, level):
-        return free_routes(qb, pb, (qb / pb) ** (2 * level), p**level)
-
+    # the matching routes on Fractions
     worst = 0.0
     qb = Fraction(14, 10)
     near_one = (1 + Fraction(1, 10**8), 1 - Fraction(1, 10**8))
@@ -268,12 +265,13 @@ def test_c09_reduced_cases():
     for p in (Fraction(1, 2), Fraction(2)):
         for level in (0, 2, 5):
             want = -1 + 2 * qb * p**level
-            worst = max(worst, rel_gap(routes(qb, qb / near_one[0], p, level)["q_from_p"], want))
+            got = routes_at(qb, qb / near_one[0], p, level)["q_from_p"]
+            worst = max(worst, rel_gap(got, want))
     # combining both at ratio one: mu = 2 (qb - p**-N), exactly
     qb = Fraction(13, 10)
     for p in (Fraction(1, 2), Fraction(2)):
         for level in range(4):
-            assert routes(qb, qb, p, level)["mu_from_h_match"] == 2 * (qb - p**-level)
+            assert routes_at(qb, qb, p, level)["mu_from_h_match"] == 2 * (qb - p**-level)
     grid = [(Fraction(2), Fraction(1)), (Fraction(1, 2), Fraction(2)),
             (Fraction(11, 10), Fraction(9, 10))]
     # q equal to the reciprocal ratio, exactly
@@ -286,11 +284,13 @@ def test_c09_reduced_cases():
     for qb, pb in grid:
         ratio = qb / pb
         for level in range(4):
-            got = routes(qb, pb, 1, level)["mu_for_arik_coon_target"]
+            got = routes_at(qb, pb, 1, level)["mu_for_arik_coon_target"]
             assert got == -2 + pb * ratio ** (2 * level + 1) * (1 + ratio ** (2 * level + 2))
             assert hg_for_two_sided(qb, pb, got).h(level) == 1
     assert worst <= 1e-6
-    announce("C9", f"reduced-case formulas agree at 1e-6 (worst {float(worst):.2e}), the rest exactly")
+    announce(
+        "C9", f"reduced-case formulas agree at 1e-6 (worst {float(worst):.2e}), the rest exactly"
+    )
 
 
 def test_c10_cli_determinism():

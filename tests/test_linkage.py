@@ -22,7 +22,7 @@ from defosc import (
 )
 from defosc import linkage
 from link_oracle import (
-    assert_rows_are_rounded_exact_values, free_routes, matching, routes_at_q,
+    assert_rows_are_rounded_exact_values, free_routes, matching, routes_at, routes_at_q,
 )
 
 GRID = (0.5, 0.9, 1.1, 2.0)
@@ -35,24 +35,18 @@ def rel_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def routes(qb, pb, p, level):
-    """free_routes at a level: X = Q**(2N) and P = p**N, on Fractions."""
-    qb, pb, p = Fraction(qb), Fraction(pb), Fraction(p)
-    return free_routes(qb, pb, (qb / pb) ** (2 * level), p**level)
-
-
 # ---------------------------------------------------------------------------
 # the worked point: qb=2, pb=1, p=1, level 0
 # ---------------------------------------------------------------------------
 
 
 def test_worked_point_q():
-    assert routes(2, 1, 1, 0)["q_from_p"] == Fraction(37, 8)
+    assert routes_at(2, 1, 1, 0)["q_from_p"] == Fraction(37, 8)
     assert link_table(2.0, 1.0, 1.0, 0)[0]["q"] == 4.625
 
 
 def test_worked_point_mu_along_every_route():
-    free = routes(2, 1, 1, 0)
+    free = routes_at(2, 1, 1, 0)
     assert free["mu_from_h_match"] == free["mu_from_g_match"] == free["mu_from_q"] == 8
     assert free["q_from_mu"] == Fraction(37, 8)
     (row,) = link_table(2.0, 1.0, 1.0, 0)
@@ -60,7 +54,7 @@ def test_worked_point_mu_along_every_route():
 
 
 def test_worked_point_inversion():
-    assert routes(2, 1, 1, 0)["q_and_pn_from_mu"] == (Fraction(37, 8), 1)
+    assert routes_at(2, 1, 1, 0)["q_and_pn_from_mu"] == (Fraction(37, 8), 1)
     assert link_table(2.0, 1.0, 1.0, 0)[0]["p_pow_n"] == 1.0
 
 
@@ -72,7 +66,7 @@ def test_worked_point_reaches_the_oscillator_target():
 
 def test_undeformed_point_gives_zero_mu():
     assert [row[key] for row in link_table(1.0, 1.0, 1.0, 3) for key in MU_COLUMNS] == [0.0] * 12
-    assert routes(1, 1, 1, 0)["q_and_pn_from_mu"] == (1, 1)
+    assert routes_at(1, 1, 1, 0)["q_and_pn_from_mu"] == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +159,7 @@ def test_ratio_one_limit_of_q_from_p():
     for p in (Fraction(1, 2), Fraction(2)):
         for level in (0, 2, 5):
             want = -1 + 2 * QB * p**level
-            assert rel_gap(routes(QB, QB / NEAR_ONE[0], p, level)["q_from_p"], want) <= 1e-6
+            assert rel_gap(routes_at(QB, QB / NEAR_ONE[0], p, level)["q_from_p"], want) <= 1e-6
 
 
 def test_ratio_one_mu_through_p_alone():
@@ -173,7 +167,7 @@ def test_ratio_one_mu_through_p_alone():
     qb = Fraction(13, 10)
     for p in (Fraction(1, 2), Fraction(2)):
         for level in range(4):
-            assert routes(qb, qb, p, level)["mu_from_h_match"] == 2 * (qb - p**-level)
+            assert routes_at(qb, qb, p, level)["mu_from_h_match"] == 2 * (qb - p**-level)
 
 
 def test_mu_vanishes_when_the_target_is_undeformed():
@@ -194,12 +188,12 @@ def test_reciprocal_ratio_simplification():
 
 
 def test_arik_coon_target():
-    assert routes(2, 1, 1, 0)["mu_for_arik_coon_target"] == 8
-    assert routes(1, 1, 1, 5)["mu_for_arik_coon_target"] == 0
+    assert routes_at(2, 1, 1, 0)["mu_for_arik_coon_target"] == 8
+    assert routes_at(1, 1, 1, 5)["mu_for_arik_coon_target"] == 0
     # the matching mu really flattens h to one
     for qb, pb in [(2, 1), (Fraction(1, 2), 2), (Fraction(11, 10), Fraction(9, 10))]:
         for level in range(5):
-            mu = routes(qb, pb, 1, level)["mu_for_arik_coon_target"]
+            mu = routes_at(qb, pb, 1, level)["mu_for_arik_coon_target"]
             assert hg_for_two_sided(Fraction(qb), Fraction(pb), mu).h(level) == 1
 
 
@@ -360,7 +354,7 @@ def test_matching_routes_close_exactly(qb, pb, p, level):
 @given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL, level=st.integers(0, 8))
 @settings(max_examples=60, deadline=None)
 def test_free_transcription_is_the_public_formula(qb, pb, p, level):
-    free = routes(qb, pb, p, level)
+    free = routes_at(qb, pb, p, level)
     pair = hg_for_two_sided(qb, pb, lambda n: free["mu_from_h_match"])
     assert free["hg_for_two_sided"] == (pair.h(level), pair.g(level))
     # the one-parameter target's mu flattens the public h to one
@@ -484,7 +478,7 @@ def test_link_check_computes_only_what_it_prints(monkeypatch):
 
 def test_formulas_stay_exact_on_fractions():
     # the oracle's routes and the package's two-sided pair, on Fractions
-    free = routes(2, 1, 1, 0)
+    free = routes_at(2, 1, 1, 0)
     q, mu = free["q_from_p"], free["mu_from_h_match"]
     pair = hg_for_two_sided(Fraction(2), Fraction(1), mu)
     values = [

@@ -321,7 +321,8 @@ def test_verify_hg_types_an_overflowing_coefficient_pair():
     rep = build_ladder(nonstd_q(1.05), 8)
     for pair, label in [
         (hg_for_qp_ha(1e200, 1e-200), r"qp-ha\(q=1e\+200,p=1e-200\)"),
-        (hg_for_two_sided(1.1, 0.95, lambda n: 1e308 * n), r"two-sided\(qb=1\.1,pb=0\.95,mu\(n\)\)"),
+        (hg_for_two_sided(1.1, 0.95, lambda n: 1e308 * n),
+         r"two-sided\(qb=1\.1,pb=0\.95,mu\(n\)\)"),
     ]:
         message = rf"^coefficients of hg\[{label}\] overflowed at dim=8$"
         with pytest.raises(EvaluationOverflowError, match=message) as exc:
