@@ -93,6 +93,29 @@ def test_consistency_report_shape():
     assert report.max_abs_residual <= 1e-10
 
 
+def assert_every_route_rounds_to_the_row(qb, pb, p, row):
+    """Each route at the row's level, on Fractions and rounded once, is the
+    printed column it computes."""
+    free = routes_at(qb, pb, p, row["n"])
+    q, p_pow_n = free["q_and_pn_from_mu"]
+    for value in (free["q_from_p"], free["q_from_mu"], q):
+        assert float(value) == row["q"], (row, value)
+    for key, route in zip(MU_COLUMNS, ("mu_from_h_match", "mu_from_g_match", "mu_from_q")):
+        assert float(free[route]) == row[key], (row, route)
+    assert float(p_pow_n) == row["p_pow_n"]
+
+
+@pytest.mark.parametrize("qb", GRID)
+@pytest.mark.parametrize("pb", GRID)
+@pytest.mark.parametrize("p", GRID)
+def test_every_route_rounds_to_the_printed_row(qb, pb, p):
+    # every route between q and mu, exact, is the printed table at each of
+    # the grid's points: the package prints one value per column, and no
+    # route rounds to another
+    for row in link_table(qb, pb, p, 8):
+        assert_every_route_rounds_to_the_row(qb, pb, p, row)
+
+
 def test_n_dependence_witness():
     # with the ratio away from one, the printed mu genuinely moves with
     # the level: the constant-mu reading of the two-sided relation cannot
@@ -195,6 +218,42 @@ def test_arik_coon_target():
         for level in range(5):
             mu = routes_at(qb, pb, 1, level)["mu_for_arik_coon_target"]
             assert hg_for_two_sided(Fraction(qb), Fraction(pb), mu).h(level) == 1
+
+
+# ---------------------------------------------------------------------------
+# poles and signs
+# ---------------------------------------------------------------------------
+
+
+@given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL, level=st.integers(0, 64))
+@settings(max_examples=100, deadline=None)
+def test_mu_from_q_pole(qb, pb, p, level):
+    # mu_from_q divides by 1 + q, and the matching q stays above -1 by
+    # pb p**N Q**(2N) (1 + Q + ...)/2 > 0: the pole is never reached
+    q = routes_at(qb, pb, p, level)["q_from_p"]
+    Q, X = qb / pb, (qb / pb) ** (2 * level)
+    assert q + 1 == pb * p**level * X * (1 + Q + X / Q**2 * (1 + Q**5)) / 2 > 0
+
+
+@given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL, level=st.integers(0, 64))
+@settings(max_examples=100, deadline=None)
+def test_inversion_pole(qb, pb, p, level):
+    # the inversion to (q, p**N) divides by pb Q X (1 + Q**2 X) - mu, which
+    # is 2 / p**N at the matching mu: positive, never the pole
+    mu = routes_at(qb, pb, p, level)["mu_from_h_match"]
+    Q, X = qb / pb, (qb / pb) ** (2 * level)
+    assert pb * Q * X * (1 + Q**2 * X) - mu == 2 / p**level > 0
+
+
+def test_q_and_mu_may_take_either_sign():
+    # q ranges over (-1, inf) and mu over the reals: the table prints both
+    # signs, and the printed q stays above the pole at -1
+    (below,) = link_table(0.25, 0.25, 1.0, 0)
+    (above,) = link_table(2.0, 1.0, 1.0, 0)
+    assert (below["q"], below["mu_h_match"]) == (-0.5, -1.5)
+    assert (above["q"], above["mu_h_match"]) == (4.625, 8.0)
+    assert below["consistent"] and above["consistent"]
+    assert routes_at(0.25, 0.25, 1, 0)["q_and_pn_from_mu"] == (Fraction(-1, 2), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +396,12 @@ def assert_routes_close(qb, pb, p, level):
     assert free["mu_from_g_match"] == free["mu_from_q"] == mu
     assert free["q_from_mu"] == q
     assert free["q_and_pn_from_mu"] == (q, P)
+    assert free["hg_for_two_sided"] == (1 / P, q / P)
     # a per-level mu keeps the label from printing mu
     pair = defosc.hg_for_two_sided(qb, pb, lambda n: mu)
     assert (pair.h(level), pair.g(level)) == (1 / P, q / P)
+    # the one-parameter target's mu flattens the package's h to one
+    assert defosc.hg_for_two_sided(qb, pb, free["mu_for_arik_coon_target"]).h(level) == 1
 
 
 @given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL, level=st.integers(0, 64))
@@ -443,23 +505,63 @@ def _planted_columns(kernel):
     return wrapper
 
 
+def _planted_route(route):
+    # scale one route of the oracle by 1 + 1e-6, as a transcription typo would
+    def plant(routes):
+        def wrapper(*args):
+            free = routes(*args)
+            value = free[route]
+            if isinstance(value, tuple):
+                free[route] = tuple(part * PLANTED for part in value)
+            else:
+                free[route] = value * PLANTED
+            return free
+
+        return wrapper
+
+    return plant
+
+
+def _planted_matching(formula):
+    # scale the matching q and mu by 1 + 1e-6
+    def wrapper(*args):
+        q, mu = formula(*args)
+        return q * PLANTED, mu * PLANTED
+
+    return wrapper
+
+
 MILD = (Fraction(11, 10), Fraction(9, 10), Fraction(11, 10))
+HERE = sys.modules[__name__]
+ROUTES = tuple(routes_at(*MILD, 0))
 
-
-# the package function a typo is planted in, and the certificate that must catch it
+# what a typo is planted in (module, name), how, and the certificates that
+# must each catch it: the package's pair and kernel, the matching both are
+# proved against, and each route of the oracle's one transcription
 PLANTS = {
-    "hg_for_two_sided": (defosc, _planted_pair, assert_routes_close),
-    "_exact_columns": (linkage, _planted_columns, assert_kernel_is_the_formula),
+    "hg_for_two_sided": ((defosc, "hg_for_two_sided"), _planted_pair, [assert_routes_close]),
+    "_exact_columns": ((linkage, "_exact_columns"), _planted_columns, [assert_kernel_is_the_formula]),
+    "matching": (
+        (HERE, "matching"), _planted_matching, [assert_routes_close, assert_kernel_is_the_formula]
+    ),
+    **{
+        route if route != "hg_for_two_sided" else "hg_for_two_sided_route": (
+            (HERE, "free_routes"), _planted_route(route), [assert_routes_close]
+        )
+        for route in ROUTES
+    },
 }
 
 
 @pytest.mark.parametrize("name", PLANTS)
 def test_planted_typo_fails_the_certificate(monkeypatch, name):
-    module, plant, certificate = PLANTS[name]
-    certificate(*MILD, 3)
-    monkeypatch.setattr(module, name, plant(getattr(module, name)))
-    with pytest.raises(AssertionError):
+    (module, attribute), plant, certificates = PLANTS[name]
+    for certificate in certificates:
         certificate(*MILD, 3)
+    monkeypatch.setattr(module, attribute, plant(getattr(module, attribute)))
+    for certificate in certificates:
+        with pytest.raises(AssertionError):
+            certificate(*MILD, 3)
 
 
 def test_link_check_computes_only_what_it_prints(monkeypatch):
@@ -752,6 +854,59 @@ def test_exact_certificate_never_prints_its_fractions():
     # q has about 5,900 digits here, past the int-to-str limit of 4,300
     with pytest.raises(EvaluationOverflowError, match="level=64"):
         check_link_consistency(999.9, 0.0011, 0.0013, 64)
+
+
+# at qb = 2, pb = 1, p = 1, level 600: X = 4**600, and every mu route is
+# qb X (1 + Q**2 X) - 2
+Q600 = Fraction(4**600 * (3 + 33 * 4**599), 2) - 1
+MU600 = 2 * 4**600 * (1 + 4**601) - 2
+AT_600 = dict(
+    q_from_p=Q600, mu_from_h_match=MU600, mu_from_g_match=MU600, mu_from_q=MU600,
+    q_from_mu=Q600, q_and_pn_from_mu=(Q600, 1), hg_for_two_sided=(1, Q600),
+    mu_for_arik_coon_target=MU600,
+)
+# the link table's column for each route it prints
+ROUTE_COLUMNS = dict(
+    q_from_p=("q",), mu_from_h_match=("mu_h_match",), mu_from_g_match=("mu_g_match",),
+    mu_from_q=("mu_from_q",), q_from_mu=("q",), q_and_pn_from_mu=("q", "p_pow_n"),
+)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_route_stays_exact_past_double_range(route):
+    # Q**(4N + 2) = 2**1002 is a double at level 250, and 2**2402 at level
+    # 600 is not: the exact route is its closed value at both, the table
+    # prints it rounded at 250 and types the overflow past 255
+    assert routes_at(2, 1, 1, 600)[route] == AT_600[route]
+    value = routes_at(2, 1, 1, 250)[route]
+    if route in ROUTE_COLUMNS:
+        row = link_table(2.0, 1.0, 1.0, 250)[-1]
+        values = value if isinstance(value, tuple) else (value,)
+        assert [float(part) for part in values] == [row[key] for key in ROUTE_COLUMNS[route]]
+        with pytest.raises(EvaluationOverflowError, match="^linkage value .* at level=256$"):
+            link_table(2.0, 1.0, 1.0, 600)
+    else:  # the package's two-sided pair, on Fractions
+        for level in (250, 600):
+            free = routes_at(2, 1, 1, level)
+            pair = hg_for_two_sided(Fraction(2), Fraction(1), free["mu_for_arik_coon_target"])
+            assert pair.h(level) == 1
+            pair = hg_for_two_sided(Fraction(2), Fraction(1), lambda n: free["mu_from_h_match"])
+            assert (pair.h(level), pair.g(level)) == free["hg_for_two_sided"]
+
+
+@pytest.mark.parametrize("qb, pb", [(1e300, 1e150), (1e-300, 1e300)])
+def test_link_types_inf_products_and_underflowed_ratios(qb, pb):
+    # a float Q = 1e150 makes pb Q (1 + Q**2) inf from finite factors, and
+    # Q = 1e-300 / 1e300 underflows to 0.0 and divides q; the exact kernel
+    # forms both, and the table types the double it cannot print
+    q, mu, _ = next(linkage._exact_columns(qb, pb, 1.0, 0))
+    Q = Fraction(qb) / Fraction(pb)
+    assert Fraction(*mu) == Fraction(qb) * (1 + Q**2) - 2
+    assert Fraction(*q) == Fraction(pb) * (1 + Q + (1 + Q**5) / Q**2) / 2 - 1
+    for call in (lambda: link_table(qb, pb, 1.0, 3), lambda: check_link_consistency(qb, pb, 1.0, 0)):
+        with pytest.raises(EvaluationOverflowError, match="^linkage value .* at level=0$") as exc:
+            call()
+        assert type(exc.value.__cause__) is OverflowError
 
 
 def test_fraction_formulas_stay_exact_past_double_range():
