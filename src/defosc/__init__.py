@@ -3,8 +3,8 @@
 The package namespace is lazy (PEP 562): `import defosc` loads no
 submodule, and a public name imports the submodule that owns it on first
 access and is then bound here.  numpy loads only with the layers that
-build bands (fock, verify, limits), so structure functions, spectra and
-the linkage run without it.
+build bands (fock, verify), so structure functions, spectra, the limit
+suite and the linkage run without it.
 """
 
 import importlib

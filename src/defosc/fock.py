@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NegativeStructureFunctionError, double_range
 from .qp import require_nonnegative_int, require_positive
-from .structure import StructureFunctionModel, sf_table
+from .structure import StructureFunctionModel, _coefficient, _recursion, sf_table
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -50,10 +51,19 @@ class FockRep:
 
 def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
     """Build the dim-dimensional ladder realization from one sf_table pass."""
+    _require_dim(dim)
+    return _ladder(model, sf_table(model, dim))
+
+
+def _require_dim(dim: int) -> None:
     if dim < 2:
         raise DomainError(f"dim must be >= 2, got {dim}")
     require_nonnegative_int(dim=dim)
-    phi = np.array(sf_table(model, dim), dtype=float)
+
+
+def _ladder(model: StructureFunctionModel, table: list[float]) -> FockRep:
+    # the realization of Phi(0..dim) = table, which must not be negative
+    phi = np.array(table, dtype=float)
     negative = np.nonzero(phi < 0)[0]
     if negative.size:
         level = int(negative[0])
@@ -61,7 +71,7 @@ def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
             f"Phi({level}) = {phi[level]} < 0 for {model.label}; "
             "ladder entries need real square roots"
         )
-    return FockRep(dim=dim, phi=phi, ladder=np.sqrt(phi[1:dim]))
+    return FockRep(dim=phi.size - 1, phi=phi, ladder=np.sqrt(phi[1:-1]))
 
 
 def build_xp(rep: FockRep, ratio: float) -> FockRep:
@@ -71,19 +81,74 @@ def build_xp(rep: FockRep, ratio: float) -> FockRep:
     serves the whole family: X P - q P X = i takes ratio = q,
     p X P - q P X = i takes q/p and the two-sided relation qb/pb.  Both
     dressings are read off one array of ratio**k / sqrt(2), k < 2 dim - 1,
-    whose powers are Python's pow (numpy's ** can differ in the last bit).
-    A power past the largest double raises EvaluationOverflowError.
+    whose powers are Python's pow bit for bit (see _powers).  A power past
+    the largest double raises EvaluationOverflowError.
     """
     require_positive(ratio=ratio)
     with double_range(
         lambda: f"X/P dressing ratio**k overflowed for ratio={ratio}, dim={rep.dim}"
     ):
-        powers = np.fromiter(map(pow, repeat(ratio), range(2 * rep.dim - 1)), float)
+        powers = _powers(ratio, 0, 2 * rep.dim - 1)
+        if not np.isfinite(powers).all():
+            raise OverflowError
+    return _dressed(rep, powers)
+
+
+def _powers(ratio: float, first: int, stop: int) -> np.ndarray:
+    # ratio**k, first <= k < stop: on a float np.float_power gives Python's
+    # pow bit for bit, and inf where pow raises (a test pins both; np.power
+    # differs in the last bit), and other numbers take pow itself
+    if isinstance(ratio, float):
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.float_power(ratio, np.arange(first, stop))
+    return np.fromiter(map(pow, repeat(ratio), range(first, stop)), float)
+
+
+def _dressed(rep: FockRep, powers: np.ndarray) -> FockRep:
+    # rep with X and P dressed by powers[k] = ratio**k, k < 2 dim - 1
     dressing = powers * _INV_SQRT2
     f, g = dressing[: rep.dim], dressing[::2]
     roots = rep.ladder
     x = np.stack([g[1:] * roots, f[:-1] * roots])
     return replace(rep, x=x, p=np.stack([f[1:] * roots, -(g[:-1] * roots)]))
+
+
+def _ratio_xp(
+    model: StructureFunctionModel,
+    ratio: float,
+    qb: float,
+    pb: float,
+    mu: float | Callable[[int], float],
+    dim: int,
+) -> tuple[FockRep, list | None]:
+    # build_xp(build_ladder(model, dim), ratio) for model the recipe over
+    # the ratio pair (qb, pb, mu) of ratio qb/pb, from one array of powers
+    # ratio**k, k = -2..2 dim: the pair's formula runs on its even entries,
+    # the recursion on their lists.  Where that cannot decide (not floats,
+    # a mu that raises, a power, h or Phi not finite, a zero h) the two
+    # calls run and raise what they meet.  Also gives the per-level mu
+    # values the array route read, else None.
+    _require_dim(dim)
+    half_qb, half_pb = qb / 2, pb / 2
+    mus = table = None
+    if all(isinstance(value, float) for value in (ratio, half_qb, half_pb)):
+        powers = _powers(ratio, -2, 2 * dim + 1)
+        below, at, above = powers[:-4:2], powers[2:-2:2], powers[4::2]
+        try:
+            if callable(mu):
+                mus = list(map(mu, range(dim)))
+                half = np.array([value / 2 for value in mus], float)
+            else:
+                half = float(mu / 2)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                h = _coefficient(half_qb, at, above, -half)
+                g = _coefficient(half_pb, at, below, half)
+            table = _recursion(h.tolist(), g.tolist())
+        except Exception:  # a per-level mu may raise anything; the calls meet it in order
+            pass
+    if table is None or not np.isfinite(powers).all():
+        return build_xp(build_ladder(model, dim), ratio), None
+    return _dressed(_ladder(model, table), powers[2:-2]), mus
 
 
 def hamiltonian(rep: FockRep) -> np.ndarray:

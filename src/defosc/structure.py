@@ -36,13 +36,15 @@ class HGPair:
     """Coefficient functions of the relation h(N) a- a+ - g(N) a+ a- = 1.
 
     h(n) must be nonzero for n >= 0 on the range the recipe evaluates; g
-    may vanish, and g(0) is never consulted.  The hg_for_* pairs run once
-    per level inside the recipe loop, so they leave an overflow untyped for
-    their consumers (sf_table, sf_eval, verify_hg, the link check) to type.
+    may vanish, and g(0) is never consulted.  The hg_for_* pairs' h and g
+    raise EvaluationOverflowError naming the pair and n where a power, or
+    the value, leaves double range; a layer that reads a pair (sf_table,
+    sf_eval, verify_hg) names the failure in its own terms instead.
     lists, where given, returns [h(0..m-1)] and [g(0..m-1)] in one pass.
-    Where it returns and holds no zero h, h(n) and g(n) return the same
-    values bit for bit for every n < m.  sf_table and verify_hg read the
-    pair through it, and level by level where it raises or holds a zero h.
+    Where it returns and holds no zero and no infinite value, h(n) and g(n)
+    return the same values bit for bit for every n < m.  sf_table and
+    verify_hg read the pair through it, and level by level where it raises
+    or holds such a value.
     """
 
     h: Callable[[int], float]
@@ -201,7 +203,7 @@ def _recipe_levels(hg: HGPair) -> _Level:
     # level passed over on the way to n is range-checked here, where
     # sf_table would have stopped at it, so level(n) fails exactly when the
     # table up to n does.  Overflow propagates untyped: the caller knows the
-    # level it asked for.
+    # level it asked for.  Int literals keep a Fraction pair exact.
     h, g = hg.h, hg.g
     phi, done = 0.0, 0  # Phi at the level the recursion stands at
 
@@ -215,7 +217,7 @@ def _recipe_levels(hg: HGPair) -> _Level:
                 raise OverflowError
             if hj == 0:
                 raise RecipeDivisionError(f"recipe division by zero: h({done}) = 0")
-            phi = g(done) / hj * phi + 1.0 / hj if done else 1.0 / hj
+            phi = g(done) / hj * phi + 1 / hj if done else 1 / hj
             done += 1
         return phi
 
@@ -268,11 +270,9 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
 
 
 def _recipe_table(model: StructureFunctionModel, n_max: int) -> list[float] | None:
-    # Phi(0..n_max) of a recipe model whose pair gives its lists: the level
-    # loop of _recipe_levels in one pass over them, in the same operations.
-    # None wherever the loop might raise (the lists raise, an h is zero or
-    # not finite, a Phi is not finite): sf_table then runs the loop, which
-    # decides, and raises what it meets typed and at its level.
+    # Phi(0..n_max) of a recipe model whose pair gives its lists, or None
+    # where they raise or _recursion gives up: sf_table then runs the level
+    # loop, which decides, and raises what it meets typed and at its level
     levels = model.levels
     if not (isinstance(levels, partial) and levels.func is _recipe_levels):
         return None
@@ -280,14 +280,21 @@ def _recipe_table(model: StructureFunctionModel, n_max: int) -> list[float] | No
     if lists is None:
         return None
     try:
-        h, g = lists(n_max)
-        if not all(map(math.isfinite, h)):
-            return None
-        phi = 1.0 / h[0]
-        table = [0.0, phi]
-        table += [phi := gj / hj * phi + 1.0 / hj for hj, gj in zip(h[1:], g[1:])]
+        return _recursion(*lists(n_max))
     except Exception:  # a per-level mu may raise anything; the loop meets it in order
         return None
+
+
+def _recursion(h: list[float], g: list[float]) -> list[float] | None:
+    # Phi(0..m) over h(0..m-1) and g(0..m-1) in one pass: the level loop of
+    # _recipe_levels in the same operations, so bit for bit the same values.
+    # None wherever that loop would raise (an h zero or not finite, a Phi
+    # not finite)
+    if not all(map(math.isfinite, h)) or 0 in h:
+        return None
+    phi = 1 / h[0]
+    table = [0.0, phi]
+    table += [phi := gj / hj * phi + 1 / hj for hj, gj in zip(h[1:], g[1:])]
     return table if all(map(math.isfinite, table)) else None
 
 
@@ -313,17 +320,21 @@ def sf_from_hg(hg: HGPair, n: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def _underflowed() -> float:  # an h that is a positive product rounded to 0
-    raise OverflowError("h underflowed to 0")
-
-
 def hg_for_q_ha(q: float) -> HGPair:
     """Coefficient pair realizing X P - q P X = i: the qp-ha pair at p = 1.
 
     h(n) = q**(2n+1) (1 + q**(2n+2)) / 2,  g(n) = q**(2n) (1 + q**(2n-2)) / 2.
     """
     require_positive(q=q)
-    return _ratio_pair(q, 1, 0.0, label=f"q-ha(q={q})")
+    return _ratio_pair(q, 1, 0 * q, label=f"q-ha(q={q})")  # mu = 0 of q's type
+
+
+def _coefficient(scale, at, beside, shift):
+    # the ratio pair's formula, in plain operators, so that it evaluates on
+    # floats, Fractions and numpy arrays alike: with Q = qb/pb,
+    # h(n) = _coefficient(qb/2, Q**(2n), Q**(2n+2), -mu(n)/2) and
+    # g(n) = _coefficient(pb/2, Q**(2n), Q**(2n-2), mu(n)/2)
+    return scale * at * (1 + beside) + shift
 
 
 def _ratio_pair(
@@ -332,28 +343,38 @@ def _ratio_pair(
     # shared by hg_for_q_ha, hg_for_qp_ha and hg_for_two_sided, so none calls another
     # int literals only, so Fraction arguments give exact Fraction values
     ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
-    if callable(mu):
-        def h(n: int) -> float:
-            return half_qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - mu(n) / 2
-        def g(n: int) -> float:
-            return half_pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu(n) / 2
+    half = (lambda n: mu(n) / 2) if callable(mu) else (lambda n, value=mu / 2: value)
+    zero_mu = not (callable(mu) or mu)  # where h vanishes only by underflow
 
-    else:  # a constant mu costs no call per evaluation
-        def h(n: int) -> float:
-            value = half_qb * ratio ** (2 * n) * (1 + ratio ** (2 * n + 2)) - mu / 2
-            return value if value or mu else _underflowed()
-        def g(n: int) -> float:
-            return half_pb * ratio ** (2 * n) * (1 + ratio ** (2 * n - 2)) + mu / 2
+    def h(n: int) -> float:
+        shift = -half(n)
+        try:
+            value = finite(_coefficient(half_qb, ratio ** (2 * n), ratio ** (2 * n + 2), shift))
+            if value or not zero_mu:
+                return value
+            raise OverflowError  # a positive product rounded to 0.0
+        except (OverflowError, ZeroDivisionError):
+            with double_range(lambda: f"coefficient h of {label} overflowed at n={n}"):
+                raise
+
+    def g(n: int) -> float:
+        shift = half(n)
+        try:
+            return finite(_coefficient(half_pb, ratio ** (2 * n), ratio ** (2 * n - 2), shift))
+        except (OverflowError, ZeroDivisionError):
+            with double_range(lambda: f"coefficient g of {label} overflowed at n={n}"):
+                raise
 
     def lists(m: int) -> tuple[list[float], list[float]]:
-        # h and g in the same operations, each power ratio**(2n) taken once
-        # and each mu(n) read once: power[n] = ratio**(2n - 2), so level n
-        # reads power[n..n+2]
+        # h and g as _coefficient gives them, inlined in one comprehension
+        # each (a call per level would cost about a third more), each power
+        # ratio**(2n) taken once and each mu(n) read once: power[n] =
+        # ratio**(2n - 2), so level n reads power[n..n+2]
         power = list(map(pow, repeat(ratio), range(-2, 2 * m + 1, 2)))
         below, at, above = power[:m], power[1:], power[2:]
-        halves = [mu(n) / 2 for n in range(m)] if callable(mu) else [mu / 2] * m
-        h = [half_qb * a * (1 + b) - half for a, b, half in zip(at, above, halves)]
-        g = [half_pb * a * (1 + b) + half for b, a, half in zip(below, at, halves)]
+        halves = list(map(half, range(m))) if callable(mu) else [half(0)] * m
+        h = [half_qb * a * (1 + b) - half_mu for a, b, half_mu in zip(at, above, halves)]
+        g = [half_pb * a * (1 + b) + half_mu for b, a, half_mu in zip(below, at, halves)]
         return h, g
 
     return HGPair(h, g, label=label, lists=lists)
@@ -366,7 +387,9 @@ def hg_for_qp_ha(q: float, p: float) -> HGPair:
     the two-sided pair at mu = 0.
     """
     require_positive(q=q, p=p)
-    return _ratio_pair(q, p, 0.0, label=f"qp-ha(q={q},p={p})")
+    # mu = 0 of q's type: 0.0 for a float q, so h and g stay float
+    # arithmetic, and an exact 0 for a Fraction pair, which stays exact
+    return _ratio_pair(q, p, 0 * q, label=f"qp-ha(q={q},p={p})")
 
 
 def hg_for_two_sided(

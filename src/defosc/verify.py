@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, double_range
-from .fock import FockRep, build_ladder, build_xp, hamiltonian
+from .fock import FockRep, _ratio_xp, hamiltonian
 from .qp import require_finite, require_nonnegative, require_nonnegative_int
 from .report import ResidualReport
 from .structure import (
@@ -110,28 +110,33 @@ def _xp_report(
     relation: str,
     model: StructureFunctionModel,
     ratio: float,
-    xp_coeff: float,
-    px_coeff: float,
-    mu: float | Callable[[int], float] | None,
+    qb: float,
+    pb: float,
+    mu: float | Callable[[int], float],
+    rhs_mu: float | Callable[[int], float] | None,
+    coeffs: tuple[float, float],
     dim: int,
     margin: int,
     tol: float,
     per_state: bool,
     scale: float = 1.0,
 ) -> ResidualReport:
-    # xp_coeff Xs Ps - px_coeff Ps Xs - i rhs(N) on the realization of model
-    # dressed by ratio, with Xs = scale X, Ps = scale P and rhs = 1 + mu H
-    # (rhs = 1 when mu is None); rhs joins the normalizing terms (no change
-    # when it is 1)
-    rep = build_xp(build_ladder(model, dim), ratio)
+    # coeffs[0] Xs Ps - coeffs[1] Ps Xs - i rhs(N) on the realization of
+    # model, the recipe over the ratio pair (qb, pb, mu), dressed by its
+    # ratio (qb/pb, or q itself for q-ha), with Xs = scale X, Ps = scale P
+    # and rhs = 1 + rhs_mu H (rhs = 1 when rhs_mu is None); rhs joins the
+    # normalizing terms (no change when it is 1)
+    rep, mus = _ratio_xp(model, ratio, qb, pb, mu, dim)
     rhs = np.ones(dim)
-    if callable(mu):
-        mu = np.fromiter(map(mu, range(dim)), float, dim)
-    if mu is not None:
-        rhs += mu * hamiltonian(rep)
+    if rhs_mu is mu and mus is not None:  # the levels the pair read
+        rhs_mu = np.array(mus, float)
+    elif callable(rhs_mu):
+        rhs_mu = np.fromiter(map(rhs_mu, range(dim)), float, dim)
+    if rhs_mu is not None:
+        rhs += rhs_mu * hamiltonian(rep)
     x, p = scale * rep.x, scale * rep.p
-    xp = xp_coeff * _product(x, p)
-    px = px_coeff * _product(p, x)
+    xp = coeffs[0] * _product(x, p)
+    px = coeffs[1] * _product(p, x)
     rhs = _diagonal(rhs)
     residual = xp - px - rhs
     return _interior_report(relation, residual, [xp, px, rhs], margin, tol, per_state)
@@ -194,7 +199,9 @@ def verify_q_ha(
     require_finite(check_q=check_q)
     cq = q if check_q is None else check_q
     label = f"q-ha(q={q},check_q={cq})"
-    return _xp_report(label, nonstd_q(q), q, 1.0, cq, None, dim, margin, tol, per_state)
+    return _xp_report(
+        label, nonstd_q(q), q, q, 1.0, 0.0, None, (1.0, cq), dim, margin, tol, per_state
+    )
 
 
 def verify_qp_ha(
@@ -213,7 +220,9 @@ def verify_qp_ha(
     cp = p if check_p is None else check_p
     label = f"qp-ha(q={q},p={p},check_q={cq},check_p={cp})"
     model = nonstd_qp(q, p)
-    return _xp_report(label, model, q / p, cp, cq, None, dim, margin, tol, per_state)
+    return _xp_report(
+        label, model, q / p, q, p, 0.0, None, (cp, cq), dim, margin, tol, per_state
+    )
 
 
 def verify_two_sided(
@@ -251,10 +260,10 @@ def verify_two_sided(
     tag = "alt-pairing" if alt_pairing else "ratio-pairing"
     mu_tag = "mu(n)" if callable(mu) else f"mu={mu}"
     label = f"two-sided(qb={qb},pb={pb},{mu_tag},{tag})"
-    mu_used = mu if check_mu is None else check_mu
-    scale = math.sqrt(pb)
+    rhs_mu = mu if check_mu is None else check_mu
     return _xp_report(
-        label, model, ratio, *coeffs, mu_used, dim, margin, tol, per_state, scale
+        label, model, ratio, qb, pb, mu, rhs_mu, coeffs, dim, margin, tol, per_state,
+        math.sqrt(pb),
     )
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import defosc
 import dense_oracle
-from defosc import verify
+from defosc import fock, verify
 from defosc import (
     HGPair,
     arik_coon,
@@ -333,6 +333,57 @@ def test_verify_hg_reads_its_lists_as_h_and_g_one_by_one(pair, dim):
             return type(exc), str(exc)
 
     assert report(pair) == report(reference)
+
+
+def _raises_at_five(n):
+    if n == 5:
+        raise ValueError("mu(5) is undefined")
+    return 0.1
+
+
+ROUTE_MU = (0.0, 0.3, -0.5, 10.0, 3, lambda n: 0.2 / (1 + n / 64), lambda n: 1e308 * n,
+            _raises_at_five)
+
+
+def _realization(build):
+    # the four arrays of a realization bit for bit, or its error
+    try:
+        rep = build()
+    except (defosc.DeformedAlgebraError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [array.tobytes() for array in (rep.phi, rep.ladder, rep.x, rep.p)]
+
+
+@pytest.mark.parametrize("dim", [2, 9, 300, 1024])
+@pytest.mark.parametrize("pb", [1.0, 0.95, 1e-300])
+@pytest.mark.parametrize("qb", [0.5, 1.05, 2.0, 4.0, 1e-300, 1e300])
+def test_the_xp_checks_one_array_of_powers_is_the_two_calls(qb, pb, dim):
+    # the X/P checks build their realization from one array of powers;
+    # it is build_xp(build_ladder(...)) bit for bit, or the same error
+    for mu in ROUTE_MU:
+        model = custom_hg(hg_for_two_sided(qb, pb, mu))
+        expected = _realization(lambda: build_xp(build_ladder(model, dim), qb / pb))
+        route = _realization(lambda: fock._ratio_xp(model, qb / pb, qb, pb, mu, dim)[0])
+        assert route == expected, mu
+
+
+def test_the_xp_checks_read_no_ladder_or_dressing_in_range(monkeypatch):
+    # in range the one array decides alone, and reads a per-level mu once
+    def refuse(*args):
+        raise AssertionError("the two calls ran")
+
+    monkeypatch.setattr(fock, "build_ladder", refuse)
+    monkeypatch.setattr(fock, "build_xp", refuse)
+    seen = []
+
+    def mu(n):
+        seen.append(n)
+        return 0.2 / (1 + n)
+
+    assert verify_two_sided(1.05, 0.95, mu, dim=512).passed
+    assert seen == list(range(512))
+    assert defosc.verify_q_ha(0.9, dim=1024).passed
+    assert defosc.verify_qp_ha(2.0, 1.5, dim=300).passed
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ from defosc import (
     spectrum,
     HGPair,
 )
+from defosc import fock
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -192,6 +194,34 @@ def test_build_xp_types_an_overflowing_dressing():
     # 5.0**k leaves double range from k = 442, below 2 dim - 1 = 2999
     with pytest.raises(EvaluationOverflowError, match=r"ratio=5.0, dim=1500$"):
         build_xp(build_ladder(harmonic(), 1500), 5.0)
+
+
+def _pow_or_inf(ratio: float, k: int) -> float:
+    try:
+        return ratio**k
+    except OverflowError:
+        return math.inf
+
+
+_DRAWS = random.Random(21)
+POWER_RATIOS = (
+    0.5, 2.0, 4.0, 1 + 1e-7, 1 - 1e-7, 0.9999, 1e3, 1e-3,
+    *(_DRAWS.uniform(0.2, 5.0) for _ in range(8)),
+)
+
+
+@pytest.mark.parametrize("ratio", POWER_RATIOS)
+def test_float_power_is_pythons_pow_bit_for_bit(ratio):
+    # build_xp and the X/P checks take their powers from np.float_power,
+    # and print them; it must equal Python's pow in every bit, with inf
+    # where pow raises (np.power's SIMD path differs in the last bit, on
+    # hundreds of these values at 1 +- 1e-7).  A numpy or libm change that
+    # breaks this must fail here, not move CLI bytes.
+    expected = np.array([_pow_or_inf(ratio, k) for k in range(-2, 20001)])
+    with np.errstate(over="ignore"):
+        powers = np.float_power(ratio, np.arange(-2, 20001))
+    assert powers.tobytes() == expected.tobytes()
+    assert fock._powers(ratio, -2, 20001).tobytes() == expected.tobytes()
 
 
 def test_build_xp_returns_a_new_rep():

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -470,8 +471,8 @@ def assert_lists_are_h_and_g(pair, m):
     except (OverflowError, ZeroDivisionError):
         assert expected is None, pair.label
         return
-    if expected is None:  # h(n) refuses a zero the lists keep
-        assert 0 in h, pair.label
+    if expected is None:  # h(n) or g(n) refuses a zero h or a value the lists keep
+        assert 0 in h or not all(-math.inf < value < math.inf for value in h + g), pair.label
         return
     assert (list(map(repr, h)), list(map(repr, g))) == tuple(
         list(map(repr, values)) for values in expected
@@ -507,6 +508,38 @@ def test_link_target_lists_are_h_and_g_bit_for_bit():
         for p in (*EDGES, Fraction(2, 3)):
             for m in (1, 2, 13, 300):
                 assert_lists_are_h_and_g(linkage._target_pair(q, p), m)
+
+
+def test_pair_coefficients_are_typed():
+    # Q = 1e-300/1e300 underflows to 0.0, which g(0) raises to the power -2;
+    # 2**1202 passes the largest double; Q = 1e300/1e-300 is inf
+    cases = [
+        ((1e-300, 1e300, 1.0), "g", 0),
+        ((2.0, 1.0, 1.0), "h", 600),
+        ((1e300, 1e-300, 1.0), "h", 0),
+    ]
+    for (qb, pb, mu), name, n in cases:
+        pair = hg_for_two_sided(qb, pb, mu)
+        message = rf"^coefficient {name} of {re.escape(pair.label)} overflowed at n={n}$"
+        with pytest.raises(EvaluationOverflowError, match=message):
+            getattr(pair, name)(n)
+    # a zero h at mu = 0 is an underflow, at mu != 0 a plain value
+    with pytest.raises(EvaluationOverflowError, match=r"^coefficient h of q-ha\(q=1e-150\)"):
+        hg_for_q_ha(1e-150).h(1)
+    assert hg_for_two_sided(2.0, 1.0, 10.0).h(0) == 0.0
+
+
+def test_the_recipe_is_exact_on_a_fraction_pair():
+    pair = hg_for_qp_ha(Fraction(3, 2), Fraction(1))
+    exact = [Fraction(0)]
+    for j in range(12):
+        exact.append((1 + pair.g(j) * exact[j]) / pair.h(j))
+    model = custom_hg(pair)
+    table = sf_table(model, 12)
+    assert table == exact
+    assert [sf_eval(model, n) for n in range(13)] == exact
+    assert all(type(value) is Fraction for value in table[1:])
+    assert all(type(sf_eval(model, n)) is Fraction for n in range(1, 13))
 
 
 def test_equal_case_functions():

@@ -304,17 +304,22 @@ def test_interior_residuals_are_margin_stable():
 
 
 def test_verify_hg_types_an_overflowing_coefficient_pair():
-    # q**(2n+1) leaves double range at n = 512 on a dim-600 ladder
+    # on a dim-600 ladder q**(2n+1) leaves double range at n = 512, and
+    # h(n) ~ q**(4n+3) / 2 already at n = 256, where the pair names it
     message = r"^coefficients of hg\[q-ha\(q=2\.0\)\] overflowed at dim=600$"
     with pytest.raises(EvaluationOverflowError, match=message) as exc:
         verify_hg(build_ladder(harmonic(), 600), hg_for_q_ha(2.0))
-    assert type(exc.value.__cause__) is OverflowError
+    cause = exc.value.__cause__
+    assert type(cause) is EvaluationOverflowError
+    assert str(cause) == "coefficient h of q-ha(q=2.0) overflowed at n=256"
     # Q = 1e-300 / 1e300 underflows to 0.0, so h(1) underflows to 0 at mu = 0
     # (h is evaluated before g, whose g(0) raises Q to the power -2)
     message = r"^coefficients of hg\[qp-ha\(q=1e-300,p=1e\+300\)\] overflowed at dim=8$"
     with pytest.raises(EvaluationOverflowError, match=message) as exc:
         verify_hg(build_ladder(harmonic(), 8), hg_for_qp_ha(1e-300, 1e300))
-    assert type(exc.value.__cause__) is OverflowError
+    cause = exc.value.__cause__
+    assert type(cause) is EvaluationOverflowError
+    assert str(cause) == "coefficient h of qp-ha(q=1e-300,p=1e+300) overflowed at n=1"
     # an infinite product raises on no power, and would give a nan residual
     # and a spurious FAIL: Q = 1e200 / 1e-200 is inf, and mu(n) = 1e308 n is
     # inf from n = 2 on
