@@ -290,11 +290,14 @@ def _recursion(h: list[float], g: list[float]) -> list[float] | None:
     # _recipe_levels in the same operations, so bit for bit the same values.
     # None wherever that loop would raise (an h zero or not finite, a Phi
     # not finite)
-    if not all(map(math.isfinite, h)) or 0 in h:
+    if not all(map(math.isfinite, h)):
         return None
-    phi = 1 / h[0]
-    table = [0.0, phi]
-    table += [phi := gj / hj * phi + 1 / hj for hj, gj in zip(h[1:], g[1:])]
+    try:
+        phi = 1 / h[0]
+        table = [0.0, phi]
+        table += [phi := gj / hj * phi + 1 / hj for hj, gj in zip(h[1:], g[1:])]
+    except ZeroDivisionError:
+        return None
     return table if all(map(math.isfinite, table)) else None
 
 
