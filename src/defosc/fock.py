@@ -135,6 +135,8 @@ def _ratio_xp(
         powers = _powers(ratio, -2, 2 * dim + 1)
         below, at, above = powers[:-4:2], powers[2:-2:2], powers[4::2]
         try:
+            if not np.isfinite(powers).all():
+                raise OverflowError  # the two calls name it
             if callable(mu):
                 mus = list(map(mu, range(dim)))
                 half = np.array([value / 2 for value in mus], float)
@@ -146,7 +148,7 @@ def _ratio_xp(
             table = _recursion(h.tolist(), g.tolist())
         except Exception:  # a per-level mu may raise anything; the calls meet it in order
             pass
-    if table is None or not np.isfinite(powers).all():
+    if table is None:
         return build_xp(build_ladder(model, dim), ratio), None
     return _dressed(_ladder(model, table), powers[2:-2]), mus
 

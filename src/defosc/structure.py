@@ -346,11 +346,12 @@ def _ratio_pair(
     # shared by hg_for_q_ha, hg_for_qp_ha and hg_for_two_sided, so none calls another
     # int literals only, so Fraction arguments give exact Fraction values
     ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
-    half = (lambda n: mu(n) / 2) if callable(mu) else (lambda n, value=mu / 2: value)
-    zero_mu = not (callable(mu) or mu)  # where h vanishes only by underflow
+    per_level = callable(mu)
+    half = None if per_level else mu / 2  # mu / 2 at every level
+    zero_mu = not (per_level or mu)  # where h vanishes only by underflow
 
     def h(n: int) -> float:
-        shift = -half(n)
+        shift = -(mu(n) / 2 if per_level else half)
         try:
             value = finite(_coefficient(half_qb, ratio ** (2 * n), ratio ** (2 * n + 2), shift))
             if value or not zero_mu:
@@ -361,7 +362,7 @@ def _ratio_pair(
                 raise
 
     def g(n: int) -> float:
-        shift = half(n)
+        shift = mu(n) / 2 if per_level else half
         try:
             return finite(_coefficient(half_pb, ratio ** (2 * n), ratio ** (2 * n - 2), shift))
         except (OverflowError, ZeroDivisionError):
@@ -375,7 +376,7 @@ def _ratio_pair(
         # ratio**(2n - 2), so level n reads power[n..n+2]
         power = list(map(pow, repeat(ratio), range(-2, 2 * m + 1, 2)))
         below, at, above = power[:m], power[1:], power[2:]
-        halves = list(map(half, range(m))) if callable(mu) else [half(0)] * m
+        halves = [mu(n) / 2 for n in range(m)] if per_level else [half] * m
         h = [half_qb * a * (1 + b) - half_mu for a, b, half_mu in zip(at, above, halves)]
         g = [half_pb * a * (1 + b) + half_mu for b, a, half_mu in zip(below, at, halves)]
         return h, g
