@@ -530,11 +530,15 @@ def test_pair_coefficients_are_typed():
 
 
 def test_the_recipe_is_exact_on_a_fraction_pair():
-    pair = hg_for_qp_ha(Fraction(3, 2), Fraction(1))
+    # h(j) = q Q**(2j) (1 + Q**(2j+2)) / 2, g(j) = p Q**(2j) (1 + Q**(2j-2)) / 2
+    # at q = 3/2, p = 1, and Phi(j+1) = (1 + g(j) Phi(j)) / h(j), all exact
+    ratio = Fraction(3, 2)
     exact = [Fraction(0)]
     for j in range(12):
-        exact.append((1 + pair.g(j) * exact[j]) / pair.h(j))
-    model = custom_hg(pair)
+        h = ratio / 2 * ratio ** (2 * j) * (1 + ratio ** (2 * j + 2))
+        g = ratio ** (2 * j) * (1 + ratio ** (2 * j - 2)) / 2
+        exact.append((1 + g * exact[j]) / h)
+    model = custom_hg(hg_for_qp_ha(Fraction(3, 2), Fraction(1)))
     table = sf_table(model, 12)
     assert table == exact
     assert [sf_eval(model, n) for n in range(13)] == exact
