@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 from typing import Callable
 
@@ -25,7 +26,15 @@ import numpy as np
 
 from .errors import DomainError, NegativeStructureFunctionError, double_range
 from .qp import require_nonnegative_int, require_positive
-from .structure import StructureFunctionModel, _coefficient, _recursion, sf_table
+from .structure import (
+    StructureFunctionModel,
+    _coefficient,
+    _recipe_levels,
+    _recursion,
+    hg_for_qp_ha,
+    hg_for_two_sided,
+    sf_table,
+)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -114,43 +123,44 @@ def _dressed(rep: FockRep, powers: np.ndarray) -> FockRep:
 
 
 def _ratio_xp(
-    model: StructureFunctionModel,
-    ratio: float,
-    qb: float,
-    pb: float,
-    mu: float | Callable[[int], float],
-    dim: int,
-) -> tuple[FockRep, list | None]:
-    # build_xp(build_ladder(model, dim), ratio) for model the recipe over
-    # the ratio pair (qb, pb, mu) of ratio qb/pb, from one array of powers
-    # ratio**k, k = -2..2 dim: the pair's formula runs on its even entries,
-    # the recursion on their lists.  Where that cannot decide (not floats,
-    # a mu that raises, a power, h or Phi not finite, a zero h) the two
-    # calls run and raise what they meet.  Also gives the per-level mu
-    # values the array route read, else None.
+    label: str, qb: float, pb: float, mu: float | Callable[[int], float] | None, dim: int
+) -> FockRep:
+    # build_xp(build_ladder(model, dim), qb / pb) for model, labelled label,
+    # the recipe over hg_for_two_sided(qb, pb, mu), or over hg_for_qp_ha(qb,
+    # pb) where mu is None, from one array of powers Q**k, k = -2..2 dim:
+    # the pair's formula runs on its even entries, the recursion on their
+    # lists.  Where that cannot decide (not floats, a mu that raises, a
+    # power, h or Phi not finite, a zero h) the two calls run and raise
+    # what they meet.
+    pair = hg_for_qp_ha(qb, pb) if mu is None else hg_for_two_sided(qb, pb, mu)
+    model = StructureFunctionModel(label, partial(_recipe_levels, pair))
     _require_dim(dim)
-    half_qb, half_pb = qb / 2, pb / 2
-    mus = table = None
+    ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
     if all(isinstance(value, float) for value in (ratio, half_qb, half_pb)):
         powers = _powers(ratio, -2, 2 * dim + 1)
-        below, at, above = powers[:-4:2], powers[2:-2:2], powers[4::2]
-        try:
-            if not np.isfinite(powers).all():
-                raise OverflowError  # the two calls name it
-            if callable(mu):
-                mus = list(map(mu, range(dim)))
-                half = np.array([value / 2 for value in mus], float)
-            else:
-                half = float(mu / 2)
+        in_range = np.isfinite(powers).all()
+        half = _half_mu(0.0 if mu is None else mu, dim) if in_range else None
+        if half is not None:
+            below, at, above = powers[:-4:2], powers[2:-2:2], powers[4::2]
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
                 h = _coefficient(half_qb, at, above, -half)
                 g = _coefficient(half_pb, at, below, half)
             table = _recursion(h.tolist(), g.tolist())
-        except Exception:  # a per-level mu may raise anything; the calls meet it in order
-            pass
-    if table is None:
-        return build_xp(build_ladder(model, dim), ratio), None
-    return _dressed(_ladder(model, table), powers[2:-2]), mus
+            if table is not None:
+                return _dressed(_ladder(model, table), powers[2:-2])
+    return build_xp(build_ladder(model, dim), ratio)
+
+
+def _half_mu(mu: float | Callable[[int], float], dim: int) -> float | np.ndarray | None:
+    # mu / 2, or mu(n) / 2 for n < dim, as the pair reads them; None where
+    # that raises (a per-level mu may raise anything; the level loop meets
+    # it in order)
+    try:
+        if callable(mu):
+            return np.array([mu(n) / 2 for n in range(dim)], float)
+        return float(mu / 2)
+    except Exception:
+        return None
 
 
 def hamiltonian(rep: FockRep) -> np.ndarray:

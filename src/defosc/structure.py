@@ -202,8 +202,10 @@ def _recipe_levels(hg: HGPair) -> _Level:
     # range (for the link target g/h = q, and a level is p**n + q [n]).  A
     # level passed over on the way to n is range-checked here, where
     # sf_table would have stopped at it, so level(n) fails exactly when the
-    # table up to n does.  Overflow propagates untyped: the caller knows the
-    # level it asked for.  Int literals keep a Fraction pair exact.
+    # table up to n does.  The loop's own overflow (Phi or h not finite)
+    # propagates untyped, and a pair's typed error passes through, for the
+    # caller's double_range to name: it knows the level it asked for.  Int
+    # literals keep a Fraction pair exact.
     h, g = hg.h, hg.g
     phi, done = 0.0, 0  # Phi at the level the recursion stands at
 

@@ -38,16 +38,9 @@ import numpy as np
 
 from .errors import DomainError, double_range
 from .fock import FockRep, _ratio_xp, hamiltonian
-from .qp import require_finite, require_nonnegative, require_nonnegative_int
+from .qp import require_finite, require_nonnegative, require_nonnegative_int, require_positive
 from .report import ResidualReport
-from .structure import (
-    HGPair,
-    StructureFunctionModel,
-    custom_hg,
-    hg_for_two_sided,
-    nonstd_q,
-    nonstd_qp,
-)
+from .structure import HGPair
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MARGIN = 2
@@ -108,11 +101,10 @@ def _ladder_products(rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
 
 def _xp_report(
     relation: str,
-    model: StructureFunctionModel,
-    ratio: float,
+    label: str,
     qb: float,
     pb: float,
-    mu: float | Callable[[int], float],
+    mu: float | Callable[[int], float] | None,
     rhs_mu: float | Callable[[int], float] | None,
     coeffs: tuple[float, float],
     dim: int,
@@ -121,16 +113,14 @@ def _xp_report(
     per_state: bool,
     scale: float = 1.0,
 ) -> ResidualReport:
-    # coeffs[0] Xs Ps - coeffs[1] Ps Xs - i rhs(N) on the realization of
-    # model, the recipe over the ratio pair (qb, pb, mu), dressed by its
-    # ratio (qb/pb, or q itself for q-ha), with Xs = scale X, Ps = scale P
-    # and rhs = 1 + rhs_mu H (rhs = 1 when rhs_mu is None); rhs joins the
+    # coeffs[0] Xs Ps - coeffs[1] Ps Xs - i rhs(N) on the realization of the
+    # recipe over the ratio pair of (qb, pb, mu), labelled label and dressed
+    # by Q = qb/pb (fock._ratio_xp), with Xs = scale X, Ps = scale P and rhs
+    # = 1 + rhs_mu H (rhs = 1 when rhs_mu is None); rhs joins the
     # normalizing terms (no change when it is 1)
-    rep, mus = _ratio_xp(model, ratio, qb, pb, mu, dim)
+    rep = _ratio_xp(label, qb, pb, mu, dim)
     rhs = np.ones(dim)
-    if rhs_mu is mu and mus is not None:  # the levels the pair read
-        rhs_mu = np.array(mus, float)
-    elif callable(rhs_mu):
+    if callable(rhs_mu):
         rhs_mu = np.fromiter(map(rhs_mu, range(dim)), float, dim)
     if rhs_mu is not None:
         rhs += rhs_mu * hamiltonian(rep)
@@ -200,7 +190,8 @@ def verify_q_ha(
     cq = q if check_q is None else check_q
     label = f"q-ha(q={q},check_q={cq})"
     return _xp_report(
-        label, nonstd_q(q), q, q, 1.0, 0.0, None, (1.0, cq), dim, margin, tol, per_state
+        label, f"nonstd-q(q={q})", q, 1.0, None, None, (1.0, cq), dim, margin, tol,
+        per_state,
     )
 
 
@@ -219,9 +210,9 @@ def verify_qp_ha(
     cq = q if check_q is None else check_q
     cp = p if check_p is None else check_p
     label = f"qp-ha(q={q},p={p},check_q={cq},check_p={cp})"
-    model = nonstd_qp(q, p)
     return _xp_report(
-        label, model, q / p, q, p, 0.0, None, (cp, cq), dim, margin, tol, per_state
+        label, f"nonstd-qp(q={q},p={p})", q, p, None, None, (cp, cq), dim, margin, tol,
+        per_state,
     )
 
 
@@ -252,17 +243,18 @@ def verify_two_sided(
     """
     if not callable(check_mu):
         require_finite(check_mu=check_mu)
+    require_positive(qb=qb, pb=pb)  # before qb / pb; the pair checks mu
     if callable(mu):  # the pair and 1 + mu H read each level once
         mu = functools.cache(mu)
-    model = custom_hg(hg_for_two_sided(qb, pb, mu))
     ratio = qb / pb
     coeffs = (ratio, 1.0) if alt_pairing else (1.0, ratio)
     tag = "alt-pairing" if alt_pairing else "ratio-pairing"
     mu_tag = "mu(n)" if callable(mu) else f"mu={mu}"
     label = f"two-sided(qb={qb},pb={pb},{mu_tag},{tag})"
+    model = f"two-sided(qb={qb},pb={pb},{mu_tag})"  # the pair's label
     rhs_mu = mu if check_mu is None else check_mu
     return _xp_report(
-        label, model, ratio, qb, pb, mu, rhs_mu, coeffs, dim, margin, tol, per_state,
+        label, model, qb, pb, mu, rhs_mu, coeffs, dim, margin, tol, per_state,
         math.sqrt(pb),
     )
 

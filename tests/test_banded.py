@@ -341,8 +341,8 @@ def _raises_at_five(n):
     return 0.1
 
 
-ROUTE_MU = (0.0, 0.3, -0.5, 10.0, 3, lambda n: 0.2 / (1 + n / 64), lambda n: 1e308 * n,
-            _raises_at_five)
+ROUTE_MU = (None, 0.0, 0.3, -0.5, 10.0, 3, lambda n: 0.2 / (1 + n / 64),
+            lambda n: 1e308 * n, _raises_at_five)
 
 
 def _realization(build):
@@ -360,10 +360,11 @@ def _realization(build):
 def test_the_xp_checks_one_array_of_powers_is_the_two_calls(qb, pb, dim):
     # the X/P checks build their realization from one array of powers;
     # it is build_xp(build_ladder(...)) bit for bit, or the same error
-    for mu in ROUTE_MU:
-        model = custom_hg(hg_for_two_sided(qb, pb, mu))
+    for mu in ROUTE_MU:  # None: the qp-ha pair
+        pair = hg_for_qp_ha(qb, pb) if mu is None else hg_for_two_sided(qb, pb, mu)
+        model = custom_hg(pair)
         expected = _realization(lambda: build_xp(build_ladder(model, dim), qb / pb))
-        route = _realization(lambda: fock._ratio_xp(model, qb / pb, qb, pb, mu, dim)[0])
+        route = _realization(lambda: fock._ratio_xp(pair.label, qb, pb, mu, dim))
         assert route == expected, mu
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ def test_qp_relation_reduces_to_q_at_p_one():
     a = verify_qp_ha(1.7, 1.0, dim=24)
     b = verify_q_ha(1.7, dim=24)
     assert a.passed and b.passed
+
+
+@pytest.mark.parametrize("q,dim", [(3, 32), (58, 16), (Fraction(3, 2), 32)])
+def test_q_relation_takes_an_exact_q_as_its_float(q, dim):
+    # the realization and its dressing take the same powers of q / 1.0; an
+    # int or Fraction q once dressed by exact powers rounded once, which
+    # differ in the last bit at these points
+    exact, rounded = (
+        verify_q_ha(value, dim=dim, margin=0, per_state=True) for value in (q, float(q))
+    )
+    assert exact.per_state == rounded.per_state
 
 
 @pytest.mark.parametrize("d", [1e-5, 1e-7, 1e-8, 2e-9, 1e-12])
