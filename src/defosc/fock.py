@@ -30,7 +30,6 @@ from .structure import (
     StructureFunctionModel,
     _coefficient,
     _recipe_levels,
-    _recursion,
     hg_for_qp_ha,
     hg_for_two_sided,
     sf_table,
@@ -127,40 +126,36 @@ def _ratio_xp(
 ) -> FockRep:
     # build_xp(build_ladder(model, dim), qb / pb) for model, labelled label,
     # the recipe over hg_for_two_sided(qb, pb, mu), or over hg_for_qp_ha(qb,
-    # pb) where mu is None, from one array of powers Q**k, k = -2..2 dim:
-    # the pair's formula runs on its even entries, the recursion on their
-    # lists.  Where that cannot decide (not floats, a mu that raises, a
-    # power, h or Phi not finite, a zero h) the two calls run and raise
-    # what they meet.
+    # pb) where mu is None.  On floats it takes the powers Q**k, k = -2..2
+    # dim, once, as one array: the pair's formula runs on its even entries
+    # as the pair's lists (an infinite power gives an h the recipe refuses,
+    # and the pair's own h then names), and the dressing reads the rest,
+    # through build_xp only where a power is not finite.
     pair = hg_for_qp_ha(qb, pb) if mu is None else hg_for_two_sided(qb, pb, mu)
-    model = StructureFunctionModel(label, partial(_recipe_levels, pair))
     _require_dim(dim)
     ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
+    powers = None
     if all(isinstance(value, float) for value in (ratio, half_qb, half_pb)):
         powers = _powers(ratio, -2, 2 * dim + 1)
-        in_range = np.isfinite(powers).all()
-        half = _half_mu(0.0 if mu is None else mu, dim) if in_range else None
-        if half is not None:
-            below, at, above = powers[:-4:2], powers[2:-2:2], powers[4::2]
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        below, at, above = powers[:-4:2], powers[2:-2:2], powers[4::2]
+
+        def lists(m: int) -> tuple[list[float], list[float]]:  # m = dim
+            # mu / 2, or mu(n) / 2 for n < m, as the pair reads them
+            if callable(mu):
+                half = np.array([mu(n) / 2 for n in range(m)], float)
+            else:
+                half = float((0.0 if mu is None else mu) / 2)
+            with np.errstate(over="ignore", invalid="ignore"):  # the recipe refuses them
                 h = _coefficient(half_qb, at, above, -half)
                 g = _coefficient(half_pb, at, below, half)
-            table = _recursion(h.tolist(), g.tolist())
-            if table is not None:
-                return _dressed(_ladder(model, table), powers[2:-2])
-    return build_xp(build_ladder(model, dim), ratio)
+            return h.tolist(), g.tolist()
 
-
-def _half_mu(mu: float | Callable[[int], float], dim: int) -> float | np.ndarray | None:
-    # mu / 2, or mu(n) / 2 for n < dim, as the pair reads them; None where
-    # that raises (a per-level mu may raise anything; the level loop meets
-    # it in order)
-    try:
-        if callable(mu):
-            return np.array([mu(n) / 2 for n in range(dim)], float)
-        return float(mu / 2)
-    except Exception:
-        return None
+        pair = replace(pair, lists=lists)
+    model = StructureFunctionModel(label, partial(_recipe_levels, pair))
+    rep = _ladder(model, sf_table(model, dim))
+    if powers is not None and np.isfinite(powers).all():
+        return _dressed(rep, powers[2:-2])
+    return build_xp(rep, ratio)
 
 
 def hamiltonian(rep: FockRep) -> np.ndarray:

@@ -20,9 +20,11 @@ of its level function.  This module holds
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import repeat, takewhile
+from operator import length_hint
 from typing import Callable
 
 from .errors import DomainError, RecipeDivisionError, double_range, finite
@@ -42,9 +44,9 @@ class HGPair:
     sf_eval, verify_hg) names the failure in its own terms instead.
     lists, where given, returns [h(0..m-1)] and [g(0..m-1)] in one pass.
     Where it returns and holds no zero and no infinite value, h(n) and g(n)
-    return the same values bit for bit for every n < m.  sf_table and
-    verify_hg read the pair through it, and level by level where it raises
-    or holds such a value.
+    return the same values bit for bit for every n < m.  The recipe and
+    verify_hg read the pair through it, or level by level where it raises
+    or is absent, and the recipe reads h(j), g(j) again where it stops.
     """
 
     h: Callable[[int], float]
@@ -59,11 +61,12 @@ class StructureFunctionModel:
 
     levels() does the model's per-model work once (constants, domain
     checks, branch choices) and returns level(n) = Phi(n), n >= 1.  A
-    level function that carries a running value (two-sided-equal's sum,
-    the recipe's Phi) takes any first n, catching up over the levels
-    below it, and then n in non-decreasing order; sf_table calls it for
-    n = 1, 2, ... in turn, one step per level.  A model equals only
-    itself: its levels callable compares by identity.
+    level function that carries a running value (two-sided-equal's sum)
+    takes any first n, catching up over the levels below it, and then n
+    in non-decreasing order; sf_table calls it for n = 1, 2, ... in turn,
+    one step per level.  A recipe model's level(n) is the last entry of
+    the recipe's table up to n, which sf_table builds in one pass instead.
+    A model equals only itself: its levels callable compares by identity.
     """
 
     label: str
@@ -196,34 +199,66 @@ def _two_sided_equal_levels(qb: float, pb: float) -> _Level:
 
 
 def _recipe_levels(hg: HGPair) -> _Level:
-    # Phi(n+1) = (1 + g(n) Phi(n)) / h(n) from Phi(0) = 0, so Phi(1) = 1/h(0)
-    # and g(0) is never consulted.  It is formed as (g/h) Phi + 1/h, because
-    # g(n) Phi(n) alone can pass the largest double while Phi(n+1) is in
-    # range (for the link target g/h = q, and a level is p**n + q [n]).  A
-    # level passed over on the way to n is range-checked here, where
-    # sf_table would have stopped at it, so level(n) fails exactly when the
-    # table up to n does.  The loop's own overflow (Phi or h not finite)
-    # propagates untyped, and a pair's typed error passes through, for the
-    # caller's double_range to name: it knows the level it asked for.  Int
-    # literals keep a Fraction pair exact.
-    h, g = hg.h, hg.g
-    phi, done = 0.0, 0  # Phi at the level the recursion stands at
+    # level(n) = Phi(n), the last entry of the recipe's table up to n
+    return lambda n: _recipe(hg, n, [0.0])[-1]
 
-    def level(n: int) -> float:
-        nonlocal phi, done
-        while done < n:
-            if not math.isfinite(phi):
-                raise OverflowError
-            hj = h(done)
-            if not math.isfinite(hj):  # an infinite h would round Phi to 0.0
-                raise OverflowError
-            if hj == 0:
-                raise RecipeDivisionError(f"recipe division by zero: h({done}) = 0")
-            phi = g(done) / hj * phi + 1 / hj if done else 1 / hj
-            done += 1
-        return phi
 
-    return level
+def _recipe(hg: HGPair, m: int, table: list) -> list:
+    # Phi(0..m) onto table = [0.0], the one place the recipe is formed:
+    # Phi(n+1) = (1 + g(n) Phi(n)) / h(n), so Phi(1) = 1/h(0) and g(0) is
+    # never consulted.  It is formed as (g/h) Phi + 1/h, because g(n) Phi(n)
+    # alone can pass the largest double while Phi(n+1) is in range (for the
+    # link target g/h = q, and a level is p**n + q [n]); int literals keep a
+    # Fraction pair exact.  h and g are the pair's lists, or h(n) and g(n)
+    # read level by level up to the first that raises.  One pass forms every
+    # level below the first it cannot form: its h or g is missing, its h is
+    # zero or not finite (an infinite h would round Phi to 0.0), or its Phi
+    # is not a finite double.  At that level j it reads the pair's own h(j)
+    # and then g(j), and raises what they raise, else RecipeDivisionError
+    # for a zero h, else OverflowError, with table at Phi(0..j) for the
+    # caller's double_range to name: it knows the level it asked for.
+    h = g = None
+    if hg.lists is not None:
+        try:
+            h, g = hg.lists(m)
+        except Exception:  # a per-level mu may raise anything; h and g meet it in order
+            pass
+    if g is None:
+        h, g = [], []
+        with suppress(Exception):  # the level that raised is read again below
+            for n in range(m):
+                h.append(hg.h(n))
+                g.append(hg.g(n) if n else None)  # g(0) is never consulted
+    stop = _finite_prefix(h)
+    try:
+        if stop:
+            table.append(phi := 1 / h[0])
+            table.extend(phi := gj / hj * phi + 1 / hj for hj, gj in zip(h[1:stop], g[1:stop]))
+    except (ZeroDivisionError, OverflowError):  # a zero h, or an exact Phi past a float's range
+        pass  # the generator leaves table at the level it could not form
+    level = _finite_prefix(table) - 1
+    if level == m:
+        return table
+    failed = table[level + 1 : level + 2]  # the Phi out of range, if that is what failed
+    del table[level + 1 :]
+    hj = hg.h(level)
+    if hj == 0:
+        raise RecipeDivisionError(f"recipe division by zero: h({level}) = 0")
+    if level and math.isfinite(hj):
+        hg.g(level)
+    for value in failed:  # an exact Phi past double range raises its own OverflowError
+        math.isfinite(value)
+    raise OverflowError
+
+
+def _finite_prefix(values: list) -> int:
+    # how many values lead that are finite doubles; math.isfinite raises on
+    # an exact number past double range, and the scan stops just past it
+    rest = iter(values)
+    try:
+        return len(list(takewhile(math.isfinite, rest)))
+    except OverflowError:
+        return len(values) - length_hint(rest) - 1
 
 
 def sf_eval(model: StructureFunctionModel, n: int) -> float:
@@ -244,10 +279,10 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
     """Phi(0..n_max) in one pass; entry n equals sf_eval(model, n) bit for bit.
 
     model.levels() does the per-model work once, and a plain loop calls
-    the level function it returns for n = 1..n_max.  A recipe model whose
-    pair gives lists runs that loop over h(0..n_max-1) and g(0..n_max-1)
-    read in one pass, in the same operations, and falls back to the level
-    loop wherever it would raise.  Each entry is range-checked as in
+    the level function it returns for n = 1..n_max.  A recipe model runs
+    the recipe's one loop instead, over h(0..n_max-1) and g(0..n_max-1)
+    read in one pass (the pair's lists, or h and g level by level), up to
+    the first level it cannot form.  Each entry is range-checked as in
     sf_eval, an error names the first failing level, and nothing beyond
     level n_max is evaluated (the recipe consults h, g and a per-level mu
     up to n_max - 1 only).
@@ -256,51 +291,21 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
     table = [0.0]
     if n_max == 0:
         return table
-    one_pass = _recipe_table(model, n_max)
-    if one_pass is not None:
-        return one_pass
-    with double_range(
-        lambda: f"structure function {model.label} overflowed at n={len(table)}"
-    ):
-        level = model.levels()
+    levels = model.levels
+    try:
+        if isinstance(levels, partial) and levels.func is _recipe_levels:
+            return _recipe(levels.args[0], n_max, table)
+        level = levels()
         for n in range(1, n_max + 1):
             value = level(n)
             if not math.isfinite(value):
                 raise OverflowError
             table.append(value)
+    except (OverflowError, ZeroDivisionError):  # named here, off the path that returns
+        message = f"structure function {model.label} overflowed at n={len(table)}"
+        with double_range(lambda: message):
+            raise
     return table
-
-
-def _recipe_table(model: StructureFunctionModel, n_max: int) -> list[float] | None:
-    # Phi(0..n_max) of a recipe model whose pair gives its lists, or None
-    # where they raise or _recursion gives up: sf_table then runs the level
-    # loop, which decides, and raises what it meets typed and at its level
-    levels = model.levels
-    if not (isinstance(levels, partial) and levels.func is _recipe_levels):
-        return None
-    lists = levels.args[0].lists
-    if lists is None:
-        return None
-    try:
-        return _recursion(*lists(n_max))
-    except Exception:  # a per-level mu may raise anything; the loop meets it in order
-        return None
-
-
-def _recursion(h: list[float], g: list[float]) -> list[float] | None:
-    # Phi(0..m) over h(0..m-1) and g(0..m-1) in one pass: the level loop of
-    # _recipe_levels in the same operations, so bit for bit the same values.
-    # None wherever that loop would raise (an h zero or not finite, a Phi
-    # not finite)
-    if not all(map(math.isfinite, h)):
-        return None
-    try:
-        phi = 1 / h[0]
-        table = [0.0, phi]
-        table += [phi := gj / hj * phi + 1 / hj for hj, gj in zip(h[1:], g[1:])]
-    except ZeroDivisionError:
-        return None
-    return table if all(map(math.isfinite, table)) else None
 
 
 def sf_from_hg(hg: HGPair, n: int) -> float:

@@ -387,6 +387,44 @@ def test_the_xp_checks_read_no_ladder_or_dressing_in_range(monkeypatch):
     assert defosc.verify_qp_ha(2.0, 1.5, dim=300).passed
 
 
+def test_a_failing_xp_check_reads_its_pair_once_at_the_failing_level(monkeypatch):
+    # the recipe forms Phi once over the route's lists, and reads the
+    # pair's own h and g only at the level it cannot form, to name it
+    calls = []
+
+    def counted(make):
+        def build(*args):
+            pair = make(*args)
+
+            def h(n):
+                calls.append(("h", n))
+                return pair.h(n)
+
+            def g(n):
+                calls.append(("g", n))
+                return pair.g(n)
+
+            return dataclasses.replace(pair, h=h, g=g)
+
+        return build
+
+    monkeypatch.setattr(fock, "hg_for_qp_ha", counted(fock.hg_for_qp_ha))
+    monkeypatch.setattr(fock, "hg_for_two_sided", counted(fock.hg_for_two_sided))
+    cases = [
+        (lambda: defosc.verify_qp_ha(2.05, 0.5, dim=128),
+         "structure function nonstd-qp(q=2.05,p=0.5) overflowed at n=127", 126),
+        (lambda: verify_two_sided(2.05, 1.0, 0.2, dim=256),
+         "structure function two-sided(qb=2.05,pb=1.0,mu=0.2) overflowed at n=248", 247),
+    ]
+    for check, message, level in cases:
+        calls.clear()
+        with pytest.raises(defosc.EvaluationOverflowError) as caught:
+            check()
+        assert str(caught.value) == message
+        assert str(caught.value.__cause__).endswith(f"overflowed at n={level}")
+        assert calls == [("h", level)]  # h(level) raises, so g(level) is not read
+
+
 @pytest.mark.parametrize(
     "model,ratio",
     [

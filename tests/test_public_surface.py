@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,22 @@ def test_a_model_is_its_label_and_its_levels():
     fields = [field.name for field in dataclasses.fields(StructureFunctionModel)]
     assert fields == ["label", "levels"]
     assert not hasattr(defosc.harmonic(), "variant")
+
+
+def test_one_recipe_loop():
+    # Phi(n+1) = (g/h) Phi + 1/h is spelled once in the package, in the
+    # recipe every consumer reaches, and the second loop beside it is gone
+    package = Path(defosc.__file__).parent
+    steps = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if re.search(r"\*\s*phi\s*\+\s*1(\.0)?\s*/", line)
+    ]
+    assert steps == ["structure.py"]
+    for name in ("_recipe_table", "_recursion"):
+        assert not hasattr(defosc.structure, name)
+    assert not hasattr(defosc.fock, "_half_mu")
 
 
 def test_one_overflow_rule():

@@ -363,6 +363,15 @@ def test_recipe_range_checks_the_levels_it_passes_over():
             call()
     with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=5$"):
         sf_eval(tiny, 5)
+    # an exact Phi(2) ~ 1e400 is no double: sf_eval refuses it where the
+    # table does, with the same cause
+    pair = HGPair(lambda n: Fraction(1, 10**200), lambda n: Fraction(1))
+    for call in (lambda: sf_table(custom_hg(pair), 2), lambda: sf_eval(custom_hg(pair), 2),
+                 lambda: sf_from_hg(pair, 2)):
+        with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=2$") as caught:
+            call()
+        assert str(caught.value.__cause__) == "integer division result too large for a float"
+    assert sf_eval(custom_hg(pair), 1) == 10**200
 
 
 def test_recipe_stays_in_range_far_from_the_undeformed_point():
