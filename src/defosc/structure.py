@@ -301,7 +301,7 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
             if not math.isfinite(value):
                 raise OverflowError
             table.append(value)
-    except (OverflowError, ZeroDivisionError):  # named here, off the path that returns
+    except (OverflowError, ZeroDivisionError):  # a table that returns enters no double_range
         message = f"structure function {model.label} overflowed at n={len(table)}"
         with double_range(lambda: message):
             raise
