@@ -229,14 +229,14 @@ def _recipe(hg: HGPair, m: int, table: list) -> list:
             for n in range(m):
                 h.append(hg.h(n))
                 g.append(hg.g(n) if n else None)  # g(0) is never consulted
-    stop = _finite_prefix(h)
-    try:
-        if stop:
-            table.append(phi := 1 / h[0])
-            table.extend(phi := gj / hj * phi + 1 / hj for hj, gj in zip(h[1:stop], g[1:stop]))
-    except (ZeroDivisionError, OverflowError):  # a zero h, or an exact Phi past a float's range
-        pass  # the generator leaves table at the level it could not form
-    level = _finite_prefix(table) - 1
+    try:  # values formed past an h that is not finite are no Phi, and are cut below
+        table.append(phi := 1 / h[0])
+        table.extend(phi := gj / hj * phi + 1 / hj for hj, gj in zip(h[1:], g[1:]))
+        if len(table) > m and all(map(math.isfinite, h)) and all(map(math.isfinite, table)):
+            return table  # the common case, decided at C speed
+    except (IndexError, ZeroDivisionError, OverflowError):  # no h(0), a zero h, an exact
+        pass  # number past a float's range: the generator leaves table at that level
+    level = min(_finite_prefix(h), _finite_prefix(table) - 1)
     if level == m:
         return table
     failed = table[level + 1 : level + 2]  # the Phi out of range, if that is what failed
