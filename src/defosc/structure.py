@@ -229,14 +229,22 @@ def _recipe(hg: HGPair, m: int, table: list) -> list:
             for n in range(m):
                 h.append(hg.h(n))
                 g.append(hg.g(n) if n else None)  # g(0) is never consulted
-    try:  # values formed past an h that is not finite are no Phi, and are cut below
-        table.append(phi := 1 / h[0])
-        table.extend(phi := gj / hj * phi + 1 / hj for hj, gj in zip(h[1:], g[1:]))
-        if len(table) > m and all(map(math.isfinite, h)) and all(map(math.isfinite, table)):
+    finite_h = takewhile(math.isfinite, h)  # the pass stops at an h that is not finite
+    stopped = OverflowError  # what the pass raised, where that names the failure
+    try:  # a pass that raises leaves table at the level it could not form
+        table.append(phi := 1 / next(finite_h))
+        table.extend(phi := gj / hj * phi + 1 / hj for hj, gj in zip(finite_h, g[1:]))
+        if len(table) > m and all(map(math.isfinite, table)):
             return table  # the common case, decided at C speed
-    except (IndexError, ZeroDivisionError, OverflowError):  # no h(0), a zero h, an exact
-        pass  # number past a float's range: the generator leaves table at that level
-    level = min(_finite_prefix(h), _finite_prefix(table) - 1)
+    except (StopIteration, ZeroDivisionError):  # no finite h(0), a zero h
+        pass
+    except OverflowError as exc:  # an exact number past a float's range
+        stopped = exc
+    rest = iter(table)  # Phi(level + 1) is the first that is not a finite double, if any
+    try:
+        level = len(list(takewhile(math.isfinite, rest))) - 1
+    except OverflowError:  # math.isfinite raises on an exact Phi past double range
+        level = len(table) - length_hint(rest) - 2
     if level == m:
         return table
     failed = table[level + 1 : level + 2]  # the Phi out of range, if that is what failed
@@ -248,17 +256,7 @@ def _recipe(hg: HGPair, m: int, table: list) -> list:
         hg.g(level)
     for value in failed:  # an exact Phi past double range raises its own OverflowError
         math.isfinite(value)
-    raise OverflowError
-
-
-def _finite_prefix(values: list) -> int:
-    # how many values lead that are finite doubles; math.isfinite raises on
-    # an exact number past double range, and the scan stops just past it
-    rest = iter(values)
-    try:
-        return len(list(takewhile(math.isfinite, rest)))
-    except OverflowError:
-        return len(values) - length_hint(rest) - 1
+    raise stopped
 
 
 def sf_eval(model: StructureFunctionModel, n: int) -> float:
