@@ -256,7 +256,7 @@ def _recipe(hg: HGPair, m: int, table: list) -> list:
         hg.g(level)
     for value in failed:  # an exact Phi past double range raises its own OverflowError
         math.isfinite(value)
-    raise stopped
+    raise OverflowError if failed else stopped  # the pass's own error, where it stopped
 
 
 def sf_eval(model: StructureFunctionModel, n: int) -> float:
