@@ -27,8 +27,10 @@ import numpy as np
 from .errors import DomainError, NegativeStructureFunctionError, double_range
 from .qp import require_nonnegative_int, require_positive
 from .structure import (
+    HGPair,
     StructureFunctionModel,
     _coefficient,
+    _ratio_lists,
     _recipe_levels,
     hg_for_qp_ha,
     hg_for_two_sided,
@@ -60,6 +62,8 @@ class FockRep:
 def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
     """Build the dim-dimensional ladder realization from one sf_table pass."""
     _require_dim(dim)
+    if isinstance(model.levels, partial) and model.levels.func is _recipe_levels:
+        model = _recipe_model(model.label, *model.levels.args)  # a ratio pair as arrays
     return _ladder(model, sf_table(model, dim))
 
 
@@ -121,41 +125,47 @@ def _dressed(rep: FockRep, powers: np.ndarray) -> FockRep:
     return replace(rep, x=x, p=np.stack([f[1:] * roots, -(g[:-1] * roots)]))
 
 
+def _float_ratio(pair: HGPair) -> tuple | None:
+    # (ratio, qb / 2, pb / 2, mu) of an hg_for_* pair whose numbers are floats, else None
+    lists = pair.lists
+    ratio_pair = isinstance(lists, partial) and lists.func is _ratio_lists
+    return lists.args if ratio_pair and all(isinstance(v, float) for v in lists.args[:3]) else None
+
+
+def _ratio_arrays(args: tuple, m: int, even: np.ndarray | None = None):
+    # h(0..m-1), g(0..m-1) of _float_ratio's pair: its formula over even[n] = Q**(2n-2),
+    # n <= m + 1 (taken unless given), its lists bit for bit where no power is inf
+    ratio, half_qb, half_pb, mu = args
+    half = np.fromiter(map(mu, range(m)), float, m) / 2 if callable(mu) else float(mu / 2)
+    with np.errstate(all="ignore"):  # an inf power makes an h or g that is not finite
+        if even is None:
+            even = np.float_power(ratio, np.arange(-2, 2 * m + 1, 2))
+        below, at, above = even[:-2], even[1:-1], even[2:]
+        return _coefficient(half_qb, at, above, -half), _coefficient(half_pb, at, below, half)
+
+
+def _recipe_model(label: str, pair: HGPair, even=None) -> StructureFunctionModel:
+    # the recipe over pair, which reads a float ratio pair's lists off _ratio_arrays
+    args = _float_ratio(pair)
+    if args is not None:
+        pair = replace(pair, lists=lambda m: [a.tolist() for a in _ratio_arrays(args, m, even)])
+    return StructureFunctionModel(label, partial(_recipe_levels, pair))
+
+
 def _ratio_xp(
     label: str, qb: float, pb: float, mu: float | Callable[[int], float] | None, dim: int
 ) -> FockRep:
-    # build_xp(build_ladder(model, dim), qb / pb) for model, labelled label,
-    # the recipe over hg_for_two_sided(qb, pb, mu), or over hg_for_qp_ha(qb,
-    # pb) where mu is None.  On floats it takes the powers Q**k, k = -2..2
-    # dim, once, as one array: the pair's formula runs on its even entries
-    # as the pair's lists (an infinite power gives an h the recipe refuses,
-    # and the pair's own h then names), and the dressing reads the rest,
-    # through build_xp only where a power is not finite.
+    # build_xp(build_ladder(model, dim), qb / pb) for the recipe model labelled label over
+    # hg_for_two_sided(qb, pb, mu), or hg_for_qp_ha(qb, pb) where mu is None.  On floats one
+    # array of Q**k, k = -2..2 dim, gives the pair's arrays (even k) and the dressing.
     pair = hg_for_qp_ha(qb, pb) if mu is None else hg_for_two_sided(qb, pb, mu)
     _require_dim(dim)
-    ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
-    powers = None
-    if all(isinstance(value, float) for value in (ratio, half_qb, half_pb)):
-        powers = _powers(ratio, -2, 2 * dim + 1)
-        below, at, above = powers[:-4:2], powers[2:-2:2], powers[4::2]
-
-        def lists(m: int) -> tuple[list[float], list[float]]:  # m = dim
-            # mu / 2, or mu(n) / 2 for n < m, as the pair reads them
-            if callable(mu):
-                half = np.array([mu(n) / 2 for n in range(m)], float)
-            else:
-                half = float((0.0 if mu is None else mu) / 2)
-            with np.errstate(over="ignore", invalid="ignore"):  # the recipe refuses them
-                h = _coefficient(half_qb, at, above, -half)
-                g = _coefficient(half_pb, at, below, half)
-            return h.tolist(), g.tolist()
-
-        pair = replace(pair, lists=lists)
-    model = StructureFunctionModel(label, partial(_recipe_levels, pair))
+    powers = None if _float_ratio(pair) is None else _powers(qb / pb, -2, 2 * dim + 1)
+    model = _recipe_model(label, pair, None if powers is None else powers[::2])
     rep = _ladder(model, sf_table(model, dim))
     if powers is not None and np.isfinite(powers).all():
         return _dressed(rep, powers[2:-2])
-    return build_xp(rep, ratio)
+    return build_xp(rep, qb / pb)  # a dressing power that is not finite, or not floats
 
 
 def hamiltonian(rep: FockRep) -> np.ndarray:

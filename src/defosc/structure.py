@@ -42,11 +42,12 @@ class HGPair:
     raise EvaluationOverflowError naming the pair and n where a power, or
     the value, leaves double range; a layer that reads a pair (sf_table,
     sf_eval, verify_hg) names the failure in its own terms instead.
-    lists, where given, returns [h(0..m-1)] and [g(0..m-1)] in one pass.
-    Where it returns and holds no zero and no infinite value, h(n) and g(n)
+    lists, where given, returns [h(0..m-1)] and [g(0..m-1)] in one pass;
+    where it returns and holds no zero and no infinite value, h(n) and g(n)
     return the same values bit for bit for every n < m.  The recipe and
-    verify_hg read the pair through it, or level by level where it raises
-    or is absent, and the recipe reads h(j), g(j) again where it stops.
+    verify_hg read the pair through it (an hg_for_* pair's, a partial of
+    _ratio_lists, as numpy arrays where its numbers are floats), or level by
+    level where it raises or is absent; the recipe reads h(j), g(j) again.
     """
 
     h: Callable[[int], float]
@@ -374,19 +375,20 @@ def _ratio_pair(
             with double_range(lambda: f"coefficient g of {label} overflowed at n={n}"):
                 raise
 
-    def lists(m: int) -> tuple[list[float], list[float]]:
-        # h and g as _coefficient gives them, inlined in one comprehension
-        # each (a call per level would cost about a third more), each power
-        # ratio**(2n) taken once and each mu(n) read once: power[n] =
-        # ratio**(2n - 2), so level n reads power[n..n+2]
-        power = list(map(pow, repeat(ratio), range(-2, 2 * m + 1, 2)))
-        below, at, above = power[:m], power[1:], power[2:]
-        halves = [mu(n) / 2 for n in range(m)] if per_level else [half] * m
-        h = [half_qb * a * (1 + b) - half_mu for a, b, half_mu in zip(at, above, halves)]
-        g = [half_pb * a * (1 + b) + half_mu for b, a, half_mu in zip(below, at, halves)]
-        return h, g
+    return HGPair(h, g, label=label, lists=partial(_ratio_lists, ratio, half_qb, half_pb, mu))
 
-    return HGPair(h, g, label=label, lists=lists)
+
+def _ratio_lists(ratio, half_qb, half_pb, mu, m: int) -> tuple[list[float], list[float]]:
+    # a ratio pair's lists: h and g as _coefficient gives them, inlined in one
+    # comprehension each (a call per level would cost about a third more),
+    # each power ratio**(2n) taken once and each mu(n) read once: power[n] =
+    # ratio**(2n - 2), so level n reads power[n..n+2]
+    power = list(map(pow, repeat(ratio), range(-2, 2 * m + 1, 2)))
+    below, at, above = power[:m], power[1:], power[2:]
+    halves = [mu(n) / 2 for n in range(m)] if callable(mu) else [mu / 2] * m
+    h = [half_qb * a * (1 + b) - half_mu for a, b, half_mu in zip(at, above, halves)]
+    g = [half_pb * a * (1 + b) + half_mu for b, a, half_mu in zip(below, at, halves)]
+    return h, g
 
 
 def hg_for_qp_ha(q: float, p: float) -> HGPair:
@@ -441,10 +443,12 @@ def equal_hg_special_case(
     ratio = qb / pb
 
     def scaled(n: int, factor: float, sign: float) -> float:
-        with double_range(
-            lambda: f"equal-coefficient special case overflowed at n={n}, qb={qb}, pb={pb}"
-        ):
+        try:
             return finite(_equal_bracket(factor * pb, ratio, n, sign))
+        except (OverflowError, ZeroDivisionError):  # an in-range call enters no double_range
+            message = f"equal-coefficient special case overflowed at n={n}, qb={qb}, pb={pb}"
+            with double_range(lambda: message):
+                raise
 
     return (lambda n: scaled(n, 0.5, -1.0)), (lambda n: scaled(n, 0.25, 1.0))
 

@@ -29,7 +29,6 @@ growing ones it keeps "pure roundoff" meaning what it says.
 
 from __future__ import annotations
 
-import functools
 import math
 from contextlib import suppress
 from typing import Callable
@@ -37,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, double_range
-from .fock import FockRep, _ratio_xp, hamiltonian
+from .fock import FockRep, _float_ratio, _ratio_arrays, _ratio_xp, hamiltonian
 from .qp import require_finite, require_nonnegative, require_nonnegative_int, require_positive
 from .report import ResidualReport
 from .structure import HGPair
@@ -132,17 +131,26 @@ def _xp_report(
     return _interior_report(relation, residual, [xp, px, rhs], margin, tol, per_state)
 
 
-def _coefficients(hg: HGPair, dim: int):
-    # h(0..dim-1) and g(0..dim-1) from the pair's one-pass lists; level by
-    # level where those raise (a per-level mu may raise anything) or hold a
-    # zero h (which h itself may refuse), so that an error is the one h or g
-    # raises first
+def _coefficients(hg: HGPair, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # finite h(0..dim-1), g(0..dim-1): fock._ratio_arrays with no zero h, else the lists, or
+    # h and g one by one where those raise (a per-level mu may raise anything) or hold a zero h
+    # (which h may refuse), so an error is the one h or g raises first, else OverflowError
+    args = _float_ratio(hg)
+    if args is not None:
+        with suppress(Exception):
+            h, g = _ratio_arrays(args, dim)
+            if h.all() and np.isfinite(h).all() and np.isfinite(g).all():
+                return h, g
+    h, g = map(hg.h, range(dim)), map(hg.g, range(dim))
     if hg.lists is not None:
         with suppress(Exception):
-            h, g = hg.lists(dim)
-            if 0 not in h:
-                return h, g
-    return map(hg.h, range(dim)), map(hg.g, range(dim))
+            listed_h, listed_g = hg.lists(dim)
+            if 0 not in listed_h:
+                h, g = listed_h, listed_g
+    h, g = np.fromiter(h, float, dim), np.fromiter(g, float, dim)
+    if not (np.isfinite(h).all() and np.isfinite(g).all()):
+        raise OverflowError
+    return h, g
 
 
 def verify_hg(
@@ -161,9 +169,6 @@ def verify_hg(
     label = f"hg[{hg.label or 'custom'}]"
     with double_range(lambda: f"coefficients of {label} overflowed at dim={dim}"):
         h, g = _coefficients(hg, dim)
-        h, g = np.fromiter(h, float, dim), np.fromiter(g, float, dim)
-        if not (np.isfinite(h).all() and np.isfinite(g).all()):  # an inf product
-            raise OverflowError
     raise_side, lower_side = _ladder_products(rep)
     raise_then_lower = h * raise_side
     lower_then_raise = g * lower_side
@@ -244,8 +249,8 @@ def verify_two_sided(
     if not callable(check_mu):
         require_finite(check_mu=check_mu)
     require_positive(qb=qb, pb=pb)  # before qb / pb; the pair checks mu
-    if callable(mu):  # the pair and 1 + mu H read each level once
-        mu = functools.cache(mu)
+    with suppress(Exception):  # one read of mu for the pair and 1 + mu H, unless it raises
+        mu = list(map(mu, range(dim))).__getitem__ if callable(mu) else mu
     ratio = qb / pb
     coeffs = (ratio, 1.0) if alt_pairing else (1.0, ratio)
     tag = "alt-pairing" if alt_pairing else "ratio-pairing"

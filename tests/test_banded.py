@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import defosc
 import dense_oracle
-from defosc import fock, verify
+from defosc import fock, structure, verify
 from defosc import (
     HGPair,
     arik_coon,
@@ -366,6 +366,67 @@ def test_the_xp_checks_one_array_of_powers_is_the_two_calls(qb, pb, dim):
         expected = _realization(lambda: build_xp(build_ladder(model, dim), qb / pb))
         route = _realization(lambda: fock._ratio_xp(pair.label, qb, pb, mu, dim))
         assert route == expected, mu
+
+
+def _listed(pair):
+    # pair read through its pure-Python lists, as before the array route:
+    # build_ladder and verify_hg form only a ratio pair's own lists as arrays
+    return dataclasses.replace(pair, lists=lambda m: pair.lists(m))
+
+
+def _outcome(call):
+    # repr of a result (so that a nan residual equals itself), or the error
+    # with its cause
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return repr(call())
+    except (defosc.DeformedAlgebraError, ValueError) as exc:
+        cause = exc.__cause__
+        return type(exc), str(exc), type(cause), str(cause)
+
+
+@pytest.mark.parametrize("dim", [2, 9, 300, 1024])
+@pytest.mark.parametrize("pb", [1.0, 0.95, 1e-300])
+@pytest.mark.parametrize("qb", [0.5, 1.05, 2.0, 4.0, 1e-300, 1e300])
+def test_ladder_and_hg_check_read_a_ratio_pair_as_its_lists(qb, pb, dim):
+    # on the X/P route's grid, build_ladder and verify_hg over a ratio
+    # pair's arrays give what they give over its lists, bit for bit, or the
+    # same error and cause
+    rep = build_ladder(nonstd_q(1.05), dim)
+    for mu in ROUTE_MU:  # None: the qp-ha pair
+        pair = hg_for_qp_ha(qb, pb) if mu is None else hg_for_two_sided(qb, pb, mu)
+        ladders, checks = [], []
+        for hg in (pair, _listed(pair)):
+            ladders.append(_outcome(lambda: build_ladder(custom_hg(hg), dim).phi.tobytes()))
+            checks.append(_outcome(lambda: verify.verify_hg(rep, hg, margin=0, per_state=True)))
+        assert ladders[0] == ladders[1], mu
+        assert checks[0] == checks[1], mu
+
+
+def test_an_hg_check_in_range_builds_no_python_lists(monkeypatch):
+    # a float ratio pair reaches build_ladder, verify_hg and the X/P checks
+    # as arrays: its pure-Python lists are never built
+    built = []
+
+    def refuse(*args):
+        built.append(args)
+        raise AssertionError("a ratio pair's lists were built in Python")
+
+    monkeypatch.setattr(structure, "_ratio_lists", refuse)
+    monkeypatch.setattr(fock, "_ratio_lists", refuse)
+    pairs = [
+        hg_for_q_ha(0.9),
+        hg_for_qp_ha(1.05, 1.0),
+        hg_for_two_sided(1.1, 0.95, 0.3),
+        hg_for_two_sided(1.1, 0.95, lambda n: 0.2 / (1 + n)),
+    ]
+    for pair in pairs:
+        assert pair.lists.func is refuse
+        assert verify.verify_hg(build_ladder(custom_hg(pair), 256), pair).passed
+        assert verify.verify_hg(build_ladder(harmonic(), 32), pair).dim == 32
+    assert defosc.verify_qp_ha(1.05, 1.0, dim=256).passed
+    assert verify_two_sided(1.1, 0.95, lambda n: 0.2 / (1 + n), dim=256).passed
+    assert built == []
 
 
 def test_the_xp_checks_read_no_ladder_or_dressing_in_range(monkeypatch):

@@ -16,6 +16,7 @@ from defosc import (
     custom_hg,
     hamiltonian,
     harmonic,
+    hg_for_two_sided,
     jannussis_mu,
     nonstd_q,
     nonstd_qp,
@@ -222,6 +223,18 @@ def test_float_power_is_pythons_pow_bit_for_bit(ratio):
         powers = np.float_power(ratio, np.arange(-2, 20001))
     assert powers.tobytes() == expected.tobytes()
     assert fock._powers(ratio, -2, 20001).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("ratio", POWER_RATIOS)
+def test_a_ratio_pairs_arrays_are_its_lists_bit_for_bit(ratio):
+    # build_ladder and verify_hg read a float ratio pair as the arrays
+    # fock._ratio_arrays forms, so those must be its lists in every bit, up
+    # to levels where a power of the ratio nears the largest double
+    m = min(10_000, int(150 / abs(math.log10(ratio))) - 2)
+    for mu in (0.1, lambda n: 0.2 / (1 + n)):
+        pair = hg_for_two_sided(ratio, 1.0, mu)
+        arrays = np.stack(fock._ratio_arrays(fock._float_ratio(pair), m))
+        assert arrays.tobytes() == np.array(pair.lists(m)).tobytes()
 
 
 def test_build_xp_returns_a_new_rep():

@@ -116,7 +116,7 @@ def test_one_recipe_loop():
         path.name
         for path in sorted(package.glob("*.py"))
         for line in path.read_text().splitlines()
-        if re.search(r"\*\s*phi\s*\+\s*1(\.0)?\s*/", line)
+        if re.search(r"\*\s*phi\s*\+", line)  # any step a * phi + b
     ]
     assert steps == ["structure.py"]
     for name in ("_recipe_table", "_recursion"):
