@@ -11,7 +11,9 @@ holds an operator.  A function of N scales the entries of the row it
 acts on, which reproduces F(N) a(+/-) = a(+/-) F(N +/- 1) automatically.
 The Hamiltonian is diagonal and held as its diagonal.  Truncation
 artifacts live in the top two levels only; the verification module
-restricts checks to the interior accordingly.
+restricts checks to the interior accordingly.  The module reads numbers
+as floats: a dressing ratio, and an hg_for_* pair's Q, qb/2, pb/2 and mu,
+whose h and g it forms as numpy arrays for the recipe.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import repeat
-from typing import Callable
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .structure import (
     _coefficient,
     _ratio_lists,
     _recipe_levels,
-    hg_for_qp_ha,
-    hg_for_two_sided,
     sf_table,
 )
 
@@ -93,8 +91,9 @@ def build_xp(rep: FockRep, ratio: float) -> FockRep:
     serves the whole family: X P - q P X = i takes ratio = q,
     p X P - q P X = i takes q/p and the two-sided relation qb/pb.  Both
     dressings are read off one array of ratio**k / sqrt(2), k < 2 dim - 1,
-    whose powers are Python's pow bit for bit (see _powers).  A power past
-    the largest double raises EvaluationOverflowError.
+    the powers of the ratio read as a float (an int or Fraction dresses as
+    its float does), which are Python's pow bit for bit (see _powers).  A
+    power past the largest double raises EvaluationOverflowError.
     """
     require_positive(ratio=ratio)
     with double_range(
@@ -107,13 +106,11 @@ def build_xp(rep: FockRep, ratio: float) -> FockRep:
 
 
 def _powers(ratio: float, first: int, stop: int) -> np.ndarray:
-    # ratio**k, first <= k < stop: on a float np.float_power gives Python's
-    # pow bit for bit, and inf where pow raises (a test pins both; np.power
-    # differs in the last bit), and other numbers take pow itself
-    if isinstance(ratio, float):
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.float_power(ratio, np.arange(first, stop))
-    return np.fromiter(map(pow, repeat(ratio), range(first, stop)), float)
+    # ratio**k, first <= k < stop, of ratio read as a float (an exact ratio past
+    # double range raises OverflowError): np.float_power gives Python's pow bit for
+    # bit, and inf where pow raises (a test pins both; np.power differs in the last bit)
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.float_power(float(ratio), np.arange(first, stop))
 
 
 def _dressed(rep: FockRep, powers: np.ndarray) -> FockRep:
@@ -125,17 +122,17 @@ def _dressed(rep: FockRep, powers: np.ndarray) -> FockRep:
     return replace(rep, x=x, p=np.stack([f[1:] * roots, -(g[:-1] * roots)]))
 
 
-def _float_ratio(pair: HGPair) -> tuple | None:
-    # (ratio, qb / 2, pb / 2, mu) of an hg_for_* pair whose numbers are floats, else None
+def _ratio_args(pair: HGPair) -> tuple | None:
+    # (ratio, qb / 2, pb / 2, mu) of an hg_for_* pair, else None
     lists = pair.lists
-    ratio_pair = isinstance(lists, partial) and lists.func is _ratio_lists
-    return lists.args if ratio_pair and all(isinstance(v, float) for v in lists.args[:3]) else None
+    return lists.args if isinstance(lists, partial) and lists.func is _ratio_lists else None
 
 
 def _ratio_arrays(args: tuple, m: int, even: np.ndarray | None = None):
-    # h(0..m-1), g(0..m-1) of _float_ratio's pair: its formula over even[n] = Q**(2n-2),
-    # n <= m + 1 (taken unless given), its lists bit for bit where no power is inf
-    ratio, half_qb, half_pb, mu = args
+    # h(0..m-1), g(0..m-1) of _ratio_args' pair read as floats: its formula over even[n] =
+    # Q**(2n-2), n <= m + 1 (taken unless given), on floats its lists bit for bit bar inf powers
+    ratio, half_qb, half_pb = map(float, args[:3])
+    mu = args[3]
     half = np.fromiter(map(mu, range(m)), float, m) / 2 if callable(mu) else float(mu / 2)
     with np.errstate(all="ignore"):  # an inf power makes an h or g that is not finite
         if even is None:
@@ -145,27 +142,26 @@ def _ratio_arrays(args: tuple, m: int, even: np.ndarray | None = None):
 
 
 def _recipe_model(label: str, pair: HGPair, even=None) -> StructureFunctionModel:
-    # the recipe over pair, which reads a float ratio pair's lists off _ratio_arrays
-    args = _float_ratio(pair)
+    # the recipe over pair, which reads a ratio pair's lists off _ratio_arrays
+    args = _ratio_args(pair)
     if args is not None:
         pair = replace(pair, lists=lambda m: [a.tolist() for a in _ratio_arrays(args, m, even)])
     return StructureFunctionModel(label, partial(_recipe_levels, pair))
 
 
-def _ratio_xp(
-    label: str, qb: float, pb: float, mu: float | Callable[[int], float] | None, dim: int
-) -> FockRep:
-    # build_xp(build_ladder(model, dim), qb / pb) for the recipe model labelled label over
-    # hg_for_two_sided(qb, pb, mu), or hg_for_qp_ha(qb, pb) where mu is None.  On floats one
-    # array of Q**k, k = -2..2 dim, gives the pair's arrays (even k) and the dressing.
-    pair = hg_for_qp_ha(qb, pb) if mu is None else hg_for_two_sided(qb, pb, mu)
+def _ratio_xp(model: StructureFunctionModel, dim: int) -> FockRep:
+    # build_xp(build_ladder(model, dim), Q) for a recipe model over a ratio pair, Q its
+    # ratio read as a float: one array of Q**k, k = -2..2 dim, gives the pair's arrays
+    # (even k) and the dressing
     _require_dim(dim)
-    powers = None if _float_ratio(pair) is None else _powers(qb / pb, -2, 2 * dim + 1)
-    model = _recipe_model(label, pair, None if powers is None else powers[::2])
+    ratio = _ratio_args(model.levels.args[0])[0]
+    with double_range(lambda: f"X/P dressing ratio**k overflowed for ratio={ratio}, dim={dim}"):
+        powers = _powers(ratio, -2, 2 * dim + 1)
+    model = _recipe_model(model.label, *model.levels.args, powers[::2])
     rep = _ladder(model, sf_table(model, dim))
-    if powers is not None and np.isfinite(powers).all():
+    if np.isfinite(powers).all():
         return _dressed(rep, powers[2:-2])
-    return build_xp(rep, qb / pb)  # a dressing power that is not finite, or not floats
+    return build_xp(rep, ratio)  # a dressing power that is not finite
 
 
 def hamiltonian(rep: FockRep) -> np.ndarray:

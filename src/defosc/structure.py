@@ -24,6 +24,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat, takewhile
+from numbers import Rational
 from operator import length_hint
 from typing import Callable
 
@@ -44,10 +45,11 @@ class HGPair:
     sf_eval, verify_hg) names the failure in its own terms instead.
     lists, where given, returns [h(0..m-1)] and [g(0..m-1)] in one pass;
     where it returns and holds no zero and no infinite value, h(n) and g(n)
-    return the same values bit for bit for every n < m.  The recipe and
-    verify_hg read the pair through it (an hg_for_* pair's, a partial of
-    _ratio_lists, as numpy arrays where its numbers are floats), or level by
-    level where it raises or is absent; the recipe reads h(j), g(j) again.
+    return the same values bit for bit for every n < m.  The recipe reads
+    the pair through it, or level by level where it raises or is absent,
+    and reads h(j), g(j) again at a level it cannot form.  build_ladder and
+    verify_hg read an hg_for_* pair's numbers as floats and form its lists as
+    numpy arrays; verify_hg reads any other pair level by level.
     """
 
     h: Callable[[int], float]
@@ -412,13 +414,15 @@ def hg_for_two_sided(
     g(n) = pb Q**(2n) (1 + Q**(2n-2)) / 2 + mu/2,  Q = qb/pb.
 
     mu may be a constant, which must be finite, or a per-level function of
-    n (the equal-coefficient special case needs the latter).  A zero of h
-    arising for specific mu is reported by sf_from_hg when the recipe
-    consumes the pair.
+    n (the equal-coefficient special case needs the latter); a constant
+    that is not a float, an int or a Fraction (which stay exact) is taken
+    as its float.  A zero of h arising for specific mu is reported by
+    sf_from_hg when the recipe consumes the pair.
     """
     require_positive(qb=qb, pb=pb)
     if not callable(mu):
         require_finite(mu=mu)
+        mu = mu if isinstance(mu, (float, Rational)) else float(mu)  # a Decimal, a float32
     tag = "mu(n)" if callable(mu) else f"mu={mu}"
     return _ratio_pair(qb, pb, mu, label=f"two-sided(qb={qb},pb={pb},{tag})")
 

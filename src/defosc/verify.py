@@ -6,9 +6,11 @@ interior block, i.e. rows and columns 0..dim-1-margin.  The default
 margin of 2 keeps truncation leakage (one level per ladder application,
 two per operator product) out of the reported residual, so a correct
 construction scores pure roundoff.  The q-ha, qp-ha and two-sided checks
-are one relation, a X P - b P X = i (1 + mu H), on a realization whose X
-and P fock.build_xp dresses by powers of one ratio; they differ only in
-the model, the ratio, (a, b) and mu.  H is fock.hamiltonian's diagonal.
+are one relation, a X P - b P X = i (1 + mu H), on the realization of the
+catalog's nonstd_q, nonstd_qp or two-sided recipe model, whose X and P are
+dressed by powers of its pair's ratio; they differ only in the model,
+(a, b) and mu, all read as floats.  H is fock.hamiltonian's diagonal.
+verify_hg reads an hg_for_* pair's h and g as float arrays, else level by level.
 
 X, P and the ladder operators sit on the offsets -1 and +1, so every
 term of a relation sits on the offsets -2, 0 and +2 and all other
@@ -36,10 +38,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, double_range
-from .fock import FockRep, _float_ratio, _ratio_arrays, _ratio_xp, hamiltonian
+from .fock import FockRep, _ratio_args, _ratio_arrays, _ratio_xp, hamiltonian
 from .qp import require_finite, require_nonnegative, require_nonnegative_int, require_positive
 from .report import ResidualReport
-from .structure import HGPair
+from .structure import (
+    HGPair, StructureFunctionModel, custom_hg, hg_for_two_sided, nonstd_q, nonstd_qp
+)
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MARGIN = 2
@@ -100,11 +104,8 @@ def _ladder_products(rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
 
 def _xp_report(
     relation: str,
-    label: str,
-    qb: float,
-    pb: float,
+    model: StructureFunctionModel,
     mu: float | Callable[[int], float] | None,
-    rhs_mu: float | Callable[[int], float] | None,
     coeffs: tuple[float, float],
     dim: int,
     margin: int,
@@ -112,42 +113,36 @@ def _xp_report(
     per_state: bool,
     scale: float = 1.0,
 ) -> ResidualReport:
-    # coeffs[0] Xs Ps - coeffs[1] Ps Xs - i rhs(N) on the realization of the
-    # recipe over the ratio pair of (qb, pb, mu), labelled label and dressed
-    # by Q = qb/pb (fock._ratio_xp), with Xs = scale X, Ps = scale P and rhs
-    # = 1 + rhs_mu H (rhs = 1 when rhs_mu is None); rhs joins the
-    # normalizing terms (no change when it is 1)
-    rep = _ratio_xp(label, qb, pb, mu, dim)
+    # coeffs[0] Xs Ps - coeffs[1] Ps Xs - i rhs(N) on the realization of model, the
+    # recipe over a ratio pair, dressed by its ratio Q (fock._ratio_xp), with
+    # Xs = scale X, Ps = scale P and rhs = 1 + mu H (rhs = 1 when mu is None);
+    # coeffs and mu are read as floats, and rhs joins the normalizing terms (no
+    # change when it is 1)
+    rep = _ratio_xp(model, dim)
     rhs = np.ones(dim)
-    if callable(rhs_mu):
-        rhs_mu = np.fromiter(map(rhs_mu, range(dim)), float, dim)
-    if rhs_mu is not None:
-        rhs += rhs_mu * hamiltonian(rep)
+    if mu is not None:
+        values = np.fromiter(map(mu, range(dim)), float, dim) if callable(mu) else float(mu)
+        rhs += values * hamiltonian(rep)
     x, p = scale * rep.x, scale * rep.p
-    xp = coeffs[0] * _product(x, p)
-    px = coeffs[1] * _product(p, x)
+    xp = float(coeffs[0]) * _product(x, p)
+    px = float(coeffs[1]) * _product(p, x)
     rhs = _diagonal(rhs)
     residual = xp - px - rhs
     return _interior_report(relation, residual, [xp, px, rhs], margin, tol, per_state)
 
 
 def _coefficients(hg: HGPair, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # finite h(0..dim-1), g(0..dim-1): fock._ratio_arrays with no zero h, else the lists, or
-    # h and g one by one where those raise (a per-level mu may raise anything) or hold a zero h
-    # (which h may refuse), so an error is the one h or g raises first, else OverflowError
-    args = _float_ratio(hg)
+    # finite h(0..dim-1), g(0..dim-1): a ratio pair's fock._ratio_arrays where they raise
+    # nothing (a per-level mu may raise anything) and are finite with no zero h (which h may
+    # refuse), else every h, then every g, so an error is the one they raise, else OverflowError
+    args = _ratio_args(hg)
     if args is not None:
         with suppress(Exception):
             h, g = _ratio_arrays(args, dim)
             if h.all() and np.isfinite(h).all() and np.isfinite(g).all():
                 return h, g
-    h, g = map(hg.h, range(dim)), map(hg.g, range(dim))
-    if hg.lists is not None:
-        with suppress(Exception):
-            listed_h, listed_g = hg.lists(dim)
-            if 0 not in listed_h:
-                h, g = listed_h, listed_g
-    h, g = np.fromiter(h, float, dim), np.fromiter(g, float, dim)
+    h = np.fromiter(map(hg.h, range(dim)), float, dim)
+    g = np.fromiter(map(hg.g, range(dim)), float, dim)
     if not (np.isfinite(h).all() and np.isfinite(g).all()):
         raise OverflowError
     return h, g
@@ -194,10 +189,7 @@ def verify_q_ha(
     require_finite(check_q=check_q)
     cq = q if check_q is None else check_q
     label = f"q-ha(q={q},check_q={cq})"
-    return _xp_report(
-        label, f"nonstd-q(q={q})", q, 1.0, None, None, (1.0, cq), dim, margin, tol,
-        per_state,
-    )
+    return _xp_report(label, nonstd_q(q), None, (1.0, cq), dim, margin, tol, per_state)
 
 
 def verify_qp_ha(
@@ -215,10 +207,7 @@ def verify_qp_ha(
     cq = q if check_q is None else check_q
     cp = p if check_p is None else check_p
     label = f"qp-ha(q={q},p={p},check_q={cq},check_p={cp})"
-    return _xp_report(
-        label, f"nonstd-qp(q={q},p={p})", q, p, None, None, (cp, cq), dim, margin, tol,
-        per_state,
-    )
+    return _xp_report(label, nonstd_qp(q, p), None, (cp, cq), dim, margin, tol, per_state)
 
 
 def verify_two_sided(
@@ -244,24 +233,20 @@ def verify_two_sided(
     assignment qb X P - pb P X = i (1 + mu * H) instead, which fails for
     qb != pb; it is shipped so the failing pairing stays documented by a
     measurement rather than an assumption.  mu may be a constant or a
-    per-level function, entering as a diagonal operator either way.
+    per-level function, entering as a diagonal operator either way; a
+    constant mu or check_mu enters 1 + mu H as its float.
     """
     if not callable(check_mu):
         require_finite(check_mu=check_mu)
-    require_positive(qb=qb, pb=pb)  # before qb / pb; the pair checks mu
+    require_positive(qb=qb, pb=pb)  # before mu is read; the pair checks mu
     with suppress(Exception):  # one read of mu for the pair and 1 + mu H, unless it raises
         mu = list(map(mu, range(dim))).__getitem__ if callable(mu) else mu
+    model = custom_hg(hg_for_two_sided(qb, pb, mu))
     ratio = qb / pb
-    coeffs = (ratio, 1.0) if alt_pairing else (1.0, ratio)
-    tag = "alt-pairing" if alt_pairing else "ratio-pairing"
-    mu_tag = "mu(n)" if callable(mu) else f"mu={mu}"
-    label = f"two-sided(qb={qb},pb={pb},{mu_tag},{tag})"
-    model = f"two-sided(qb={qb},pb={pb},{mu_tag})"  # the pair's label
+    coeffs, tag = ((ratio, 1.0), "alt") if alt_pairing else ((1.0, ratio), "ratio")
+    label = f"{model.label[:-1]},{tag}-pairing)"  # the pair's label, with the pairing
     rhs_mu = mu if check_mu is None else check_mu
-    return _xp_report(
-        label, model, qb, pb, mu, rhs_mu, coeffs, dim, margin, tol, per_state,
-        math.sqrt(pb),
-    )
+    return _xp_report(label, model, rhs_mu, coeffs, dim, margin, tol, per_state, math.sqrt(pb))
 
 
 def verify_commutator_sf(

@@ -364,13 +364,14 @@ def test_the_xp_checks_one_array_of_powers_is_the_two_calls(qb, pb, dim):
         pair = hg_for_qp_ha(qb, pb) if mu is None else hg_for_two_sided(qb, pb, mu)
         model = custom_hg(pair)
         expected = _realization(lambda: build_xp(build_ladder(model, dim), qb / pb))
-        route = _realization(lambda: fock._ratio_xp(pair.label, qb, pb, mu, dim))
+        route = _realization(lambda: fock._ratio_xp(model, dim))
         assert route == expected, mu
 
 
 def _listed(pair):
-    # pair read through its pure-Python lists, as before the array route:
-    # build_ladder and verify_hg form only a ratio pair's own lists as arrays
+    # pair read as before the array route: build_ladder and verify_hg form
+    # only a ratio pair's own lists as arrays, so build_ladder reads these
+    # pure-Python lists and verify_hg reads h and g level by level
     return dataclasses.replace(pair, lists=lambda m: pair.lists(m))
 
 
@@ -390,8 +391,8 @@ def _outcome(call):
 @pytest.mark.parametrize("qb", [0.5, 1.05, 2.0, 4.0, 1e-300, 1e300])
 def test_ladder_and_hg_check_read_a_ratio_pair_as_its_lists(qb, pb, dim):
     # on the X/P route's grid, build_ladder and verify_hg over a ratio
-    # pair's arrays give what they give over its lists, bit for bit, or the
-    # same error and cause
+    # pair's arrays give what they give over its lists, or its h and g,
+    # bit for bit, or the same error and cause
     rep = build_ladder(nonstd_q(1.05), dim)
     for mu in ROUTE_MU:  # None: the qp-ha pair
         pair = hg_for_qp_ha(qb, pb) if mu is None else hg_for_two_sided(qb, pb, mu)
@@ -469,8 +470,8 @@ def test_a_failing_xp_check_reads_its_pair_once_at_the_failing_level(monkeypatch
 
         return build
 
-    monkeypatch.setattr(fock, "hg_for_qp_ha", counted(fock.hg_for_qp_ha))
-    monkeypatch.setattr(fock, "hg_for_two_sided", counted(fock.hg_for_two_sided))
+    monkeypatch.setattr(structure, "hg_for_qp_ha", counted(structure.hg_for_qp_ha))
+    monkeypatch.setattr(verify, "hg_for_two_sided", counted(verify.hg_for_two_sided))
     cases = [
         (lambda: defosc.verify_qp_ha(2.05, 0.5, dim=128),
          "structure function nonstd-qp(q=2.05,p=0.5) overflowed at n=127", 126),

@@ -233,7 +233,7 @@ def test_a_ratio_pairs_arrays_are_its_lists_bit_for_bit(ratio):
     m = min(10_000, int(150 / abs(math.log10(ratio))) - 2)
     for mu in (0.1, lambda n: 0.2 / (1 + n)):
         pair = hg_for_two_sided(ratio, 1.0, mu)
-        arrays = np.stack(fock._ratio_arrays(fock._float_ratio(pair), m))
+        arrays = np.stack(fock._ratio_arrays(fock._ratio_args(pair), m))
         assert arrays.tobytes() == np.array(pair.lists(m)).tobytes()
 
 

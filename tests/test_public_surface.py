@@ -1,5 +1,6 @@
 """The public names of the package: each exported once and importable."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -122,6 +123,24 @@ def test_one_recipe_loop():
     for name in ("_recipe_table", "_recursion"):
         assert not hasattr(defosc.structure, name)
     assert not hasattr(defosc.fock, "_half_mu")
+
+
+def test_model_labels_are_spelled_by_the_catalog():
+    # the X/P checks realize the catalog's own models, so a nonstandard or
+    # two-sided label is spelled in structure alone, and fock builds no pair
+    package = Path(defosc.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "structure.py":
+            text = path.read_text()
+            for label in ("nonstd-q(", "nonstd-qp(", "two-sided("):
+                assert label not in text, (path.name, label)
+    tree = ast.parse((package / "fock.py").read_text())
+    imported = [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    ]
+    assert imported and not [name for name in imported if name.startswith("hg_for_")]
+    assert not [name for name in vars(defosc.fock) if name.startswith("hg_for_")]
 
 
 def test_one_overflow_rule():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from defosc import (
     HGPair,
     arik_coon,
     build_ladder,
+    build_xp,
     custom_hg,
     equal_hg_special_case,
     harmonic,
@@ -21,6 +23,8 @@ from defosc import (
     hg_for_qp_ha,
     hg_for_two_sided,
     nonstd_q,
+    nonstd_qp,
+    sf_table,
     verify_commutator_sf,
     verify_hg,
     verify_q_ha,
@@ -85,15 +89,69 @@ def test_qp_relation_reduces_to_q_at_p_one():
     assert a.passed and b.passed
 
 
-@pytest.mark.parametrize("q,dim", [(3, 32), (58, 16), (Fraction(3, 2), 32)])
+@pytest.mark.parametrize(
+    "q,dim", [(3, 32), (58, 16), (Fraction(3, 2), 32), (Fraction(21, 16), 64), (7, 24)]
+)
 def test_q_relation_takes_an_exact_q_as_its_float(q, dim):
-    # the realization and its dressing take the same powers of q / 1.0; an
-    # int or Fraction q once dressed by exact powers rounded once, which
-    # differ in the last bit at these points
-    exact, rounded = (
-        verify_q_ha(value, dim=dim, margin=0, per_state=True) for value in (q, float(q))
-    )
-    assert exact.per_state == rounded.per_state
+    # the numpy side reads an int or Fraction as its float: every check, and
+    # the realization with its dressing, equals the same call on the floats.
+    # An int or Fraction q once dressed by exact powers rounded once, which
+    # differ in the last bit at these points.  These q and p are floats
+    # exactly, so the float call's Q = q / p is the exact Q rounded once, as
+    # the exact pair's is; mu = 1/5 is not, and reads as 0.2.
+    def outcome(q, p, mu):
+        pair, options = hg_for_qp_ha(q, p), {"dim": dim, "margin": 0, "per_state": True}
+        reports = [
+            verify_q_ha(q, **options),
+            verify_qp_ha(q, p, **options),
+            verify_two_sided(q, p, mu, **options),
+            verify_two_sided(q, p, 0, check_mu=mu, alt_pairing=True, **options),
+            verify_hg(build_ladder(custom_hg(pair), dim), pair, margin=0, per_state=True),
+        ]
+        rep = build_xp(build_ladder(nonstd_qp(q, p), dim), q / p)
+        unlabelled = [dataclasses.replace(report, relation="") for report in reports]
+        return unlabelled, [array.tobytes() for array in (rep.phi, rep.ladder, rep.x, rep.p)]
+
+    for p in (1, Fraction(3, 4)):
+        assert outcome(q, p, Fraction(1, 5)) == outcome(float(q), float(p), 0.2), p
+
+
+def test_an_exact_number_past_double_range_is_typed():
+    # no float holds Q = 10**400, so reading it as one overflows; every
+    # numpy-side reader names that, as it does a float overflow
+    big, one = Fraction(10**400), Fraction(1)
+    pair = hg_for_qp_ha(big, one)
+    calls = [
+        lambda: build_ladder(custom_hg(pair), 8),
+        lambda: verify_hg(build_ladder(harmonic(), 8), pair),
+        lambda: verify_qp_ha(big, one, dim=8),
+        lambda: verify_two_sided(big, one, Fraction(1, 5), dim=8),
+        lambda: build_xp(build_ladder(harmonic(), 8), big),
+    ]
+    for call in calls:
+        with pytest.raises(EvaluationOverflowError):
+            call()
+
+
+@pytest.mark.parametrize(
+    "mu", [Fraction(1, 5), Decimal("0.2"), np.float32(0.2)], ids=["fraction", "decimal", "float32"]
+)
+def test_a_constant_mu_is_one_value_in_every_reader(mu):
+    # mu enters 1 + mu H, the pair's h and g, sf_table's pure-Python lists
+    # and build_ladder's arrays as one value, its float: a Fraction mu no
+    # longer meets a float array as an object, a Decimal no longer meets a
+    # float in h, and a float32 no longer makes the lists single precision
+    value = float(mu)
+    expected = verify_two_sided(1.05, 1.0, value, dim=64, per_state=True)
+    assert verify_two_sided(1.05, 1.0, value, dim=64, check_mu=mu, per_state=True) == expected
+    report = verify_two_sided(1.05, 1.0, mu, dim=64, per_state=True)
+    assert dataclasses.replace(report, relation=expected.relation) == expected
+    pair, floats = hg_for_two_sided(1.05, 1.0, mu), hg_for_two_sided(1.05, 1.0, value)
+    assert [pair.h(n) for n in range(8)] == [floats.h(n) for n in range(8)]
+    assert [pair.g(n) for n in range(8)] == [floats.g(n) for n in range(8)]
+    table = sf_table(custom_hg(pair), 64)
+    assert table == sf_table(custom_hg(floats), 64)
+    assert build_ladder(custom_hg(pair), 64).phi.tolist() == table
 
 
 @pytest.mark.parametrize("d", [1e-5, 1e-7, 1e-8, 2e-9, 1e-12])
@@ -334,17 +392,19 @@ def test_verify_hg_types_an_overflowing_coefficient_pair():
     assert str(cause) == "coefficient h of qp-ha(q=1e-300,p=1e+300) overflowed at n=1"
     # an infinite product raises on no power, and would give a nan residual
     # and a spurious FAIL: Q = 1e200 / 1e-200 is inf, and mu(n) = 1e308 n is
-    # inf from n = 2 on
+    # inf from n = 2 on; the pair's own h names the level
     rep = build_ladder(nonstd_q(1.05), 8)
-    for pair, label in [
-        (hg_for_qp_ha(1e200, 1e-200), r"qp-ha\(q=1e\+200,p=1e-200\)"),
+    for pair, label, level in [
+        (hg_for_qp_ha(1e200, 1e-200), r"qp-ha\(q=1e\+200,p=1e-200\)", 0),
         (hg_for_two_sided(1.1, 0.95, lambda n: 1e308 * n),
-         r"two-sided\(qb=1\.1,pb=0\.95,mu\(n\)\)"),
+         r"two-sided\(qb=1\.1,pb=0\.95,mu\(n\)\)", 2),
     ]:
         message = rf"^coefficients of hg\[{label}\] overflowed at dim=8$"
         with pytest.raises(EvaluationOverflowError, match=message) as exc:
             verify_hg(rep, pair)
-        assert type(exc.value.__cause__) is OverflowError
+        cause = exc.value.__cause__
+        assert type(cause) is EvaluationOverflowError
+        assert str(cause) == f"coefficient h of {pair.label} overflowed at n={level}"
 
 
 def test_two_sided_reads_each_level_of_mu_once():
