@@ -353,9 +353,13 @@ def _ratio_pair(
 ) -> HGPair:
     # shared by hg_for_q_ha, hg_for_qp_ha and hg_for_two_sided, so none calls another
     # int literals only, so Fraction arguments give exact Fraction values
-    ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
     per_level = callable(mu)
-    half = None if per_level else mu / 2  # mu / 2 at every level
+    try:  # an int or Fraction past double range overflows here
+        ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
+        half = None if per_level else mu / 2  # mu / 2 at every level
+    except (OverflowError, ZeroDivisionError):
+        with double_range(lambda: f"coefficients of {label} overflowed forming their constants"):
+            raise
     zero_mu = not (per_level or mu)  # where h vanishes only by underflow
 
     def h(n: int) -> float:

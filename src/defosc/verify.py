@@ -121,14 +121,24 @@ def _xp_report(
     rep = _ratio_xp(model, dim)
     rhs = np.ones(dim)
     if mu is not None:
-        values = np.fromiter(map(mu, range(dim)), float, dim) if callable(mu) else float(mu)
+        values = (np.fromiter(map(mu, range(dim)), float, dim) if callable(mu)
+                  else _float(relation, "constant mu in 1 + mu H", mu))
         rhs += values * hamiltonian(rep)
     x, p = scale * rep.x, scale * rep.p
-    xp = float(coeffs[0]) * _product(x, p)
-    px = float(coeffs[1]) * _product(p, x)
+    xp = _float(relation, "X P coefficient", coeffs[0]) * _product(x, p)
+    px = _float(relation, "P X coefficient", coeffs[1]) * _product(p, x)
     rhs = _diagonal(rhs)
     residual = xp - px - rhs
     return _interior_report(relation, residual, [xp, px, rhs], margin, tol, per_state)
+
+
+def _float(relation: str, name: str, value: float) -> float:
+    # value as a float; an int or Fraction past double range is typed, naming it
+    try:
+        return float(value)
+    except OverflowError:
+        with double_range(lambda: f"{name} of {relation} overflowed as a float"):
+            raise
 
 
 def _coefficients(hg: HGPair, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +256,8 @@ def verify_two_sided(
     coeffs, tag = ((ratio, 1.0), "alt") if alt_pairing else ((1.0, ratio), "ratio")
     label = f"{model.label[:-1]},{tag}-pairing)"  # the pair's label, with the pairing
     rhs_mu = mu if check_mu is None else check_mu
-    return _xp_report(label, model, rhs_mu, coeffs, dim, margin, tol, per_state, math.sqrt(pb))
+    scale = math.sqrt(_float(label, "pb", pb))
+    return _xp_report(label, model, rhs_mu, coeffs, dim, margin, tol, per_state, scale)
 
 
 def verify_commutator_sf(
