@@ -18,11 +18,11 @@ default; q, qb and pb run over 0.5, 0.9, 1.1 and 2.
   at qb = pb (1 + 1e-8).
 
 Each table is built once per run and measured in one pass, through a
-float path that a fault in defosc.structure would move.  A table equal
-bit for bit to one measured against the same reference is not built
-again: harmonic's Phi(n) is n itself; chakrabarti_jagannathan at p = 1
-and p = 1/q forms arik_coon's and biedenharn_macfarlane's deformed
-integers; and the recipe over hg_for_two_sided(q, q, 0) is nonstd_qp(q, q).
+float path that a fault in defosc.structure would move.  A table that is
+by construction, bit for bit, one measured against the same reference is
+not built again: harmonic's Phi(n) is n itself, chakrabarti_jagannathan
+at p = 1 and p = 1/q forms arik_coon's and biedenharn_macfarlane's
+deformed integers, and hg_for_two_sided(q, q, 0) is nonstd_qp(q, q)'s pair.
 """
 
 from __future__ import annotations

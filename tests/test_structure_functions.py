@@ -30,7 +30,7 @@ from defosc import (
     spectrum,
     two_sided_equal_hg,
 )
-from defosc import linkage
+from defosc import limits, linkage
 from defosc.qp import deformed_integers
 from sf_oracle import (
     exact_two_sided_equal,
@@ -83,6 +83,8 @@ def test_phi_zero_is_zero_for_every_variant():
 def test_harmonic_is_the_identity():
     for n in range(12):
         assert sf_eval(harmonic(), n) == float(n)
+    # so the limit suite's catalog, whose reference this is, does not build it
+    assert sf_table(harmonic(), 20) == [float(n) for n in range(21)]
 
 
 def test_arik_coon_values():
@@ -442,6 +444,8 @@ def test_two_sided_pair_at_mu_zero_matches_qp_pair():
             for n in range(21):
                 assert two.h(n) == plain.h(n)
                 assert two.g(n) == plain.g(n)
+            # so the limit suite measures the table at pb = qb once, as nonstd_qp's
+            assert sf_table(custom_hg(two), 20) == sf_table(nonstd_qp(qb, pb), 20)
 
 
 def test_two_sided_pair_direct_value():
@@ -660,6 +664,21 @@ def test_classical_limits_of_the_catalog():
     for model in models:
         for n in range(31):
             assert rel_gap(sf_eval(model, n), float(n)) <= 1e-6, model.label
+
+
+@pytest.mark.parametrize("q", [1.0, 1.0 + 1e-8, 1.0 - 1e-8])
+def test_cj_at_p_one_and_one_over_q_is_ac_and_bm_bit_for_bit(q):
+    # so the limit suite's catalog measures these tables once, as ac's and bm's
+    assert sf_table(chakrabarti_jagannathan(q, 1.0), 20) == sf_table(arik_coon(q), 20)
+    bm = sf_table(biedenharn_macfarlane(q), 20)
+    assert sf_table(chakrabarti_jagannathan(q, 1.0 / q), 20) == bm
+
+
+@pytest.mark.parametrize("offset", [limits.PARAMETER_OFFSET, -limits.PARAMETER_OFFSET])
+def test_the_limit_catalog_builds_no_table_twice(offset):
+    # at offset 0 every table is n itself, which is what the catalog measures
+    tables = [tuple(sf_table(model, 20)) for model in limits._classical_models(offset)]
+    assert len(set(tables)) == len(tables)
 
 
 # ---------------------------------------------------------------------------
