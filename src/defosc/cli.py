@@ -21,8 +21,8 @@ import sys
 from functools import cache
 from pathlib import Path
 
-# fock and verify (numpy), linkage (fractions, decimal) and limits are
-# imported by the commands that use them, so sf and spectrum load none of them
+# fock and verify (numpy), linkage and limits are imported by the commands
+# that use them, so sf and spectrum load none of them
 from .errors import DeformedAlgebraError, DomainError
 from .structure import (
     StructureFunctionModel,

@@ -11,14 +11,15 @@ holds an operator.  A function of N scales the entries of the row it
 acts on, which reproduces F(N) a(+/-) = a(+/-) F(N +/- 1) automatically.
 The Hamiltonian is diagonal and held as its diagonal.  Truncation
 artifacts live in the top two levels only; the verification module
-restricts checks to the interior accordingly.  The module reads numbers
-as floats: a dressing ratio, and an hg_for_* pair's Q, qb/2, pb/2 and mu,
-whose h and g it forms as numpy arrays for the recipe.
+restricts checks to the interior accordingly.  The module computes in
+floats: a dressing ratio, and an hg_for_* pair's Q, qb/2, pb/2 and mu (exact
+where the pair is), whose h and g it forms as numpy arrays for the recipe.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -27,12 +28,7 @@ import numpy as np
 from .errors import DomainError, NegativeStructureFunctionError, double_range
 from .qp import require_nonnegative_int, require_positive
 from .structure import (
-    HGPair,
-    StructureFunctionModel,
-    _coefficient,
-    _ratio_lists,
-    _recipe_levels,
-    sf_table,
+    HGPair, StructureFunctionModel, _coefficient, _ratio_lists, _recipe_levels, sf_table,
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -59,16 +55,17 @@ class FockRep:
 
 def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
     """Build the dim-dimensional ladder realization from one sf_table pass."""
-    _require_dim(dim)
+    dim = _require_dim(dim)
     if isinstance(model.levels, partial) and model.levels.func is _recipe_levels:
         model = _recipe_model(model.label, *model.levels.args)  # a ratio pair as arrays
     return _ladder(model, sf_table(model, dim))
 
 
-def _require_dim(dim: int) -> None:
-    if dim < 2:
-        raise DomainError(f"dim must be >= 2, got {dim}")
-    require_nonnegative_int(dim=dim)
+def _require_dim(dim: int) -> int:
+    with suppress(TypeError, ArithmeticError):  # no number, or a Decimal nan: no integer
+        if dim < 2:
+            raise DomainError(f"dim must be >= 2, got {dim}")
+    return require_nonnegative_int(dim=dim)
 
 
 def _ladder(model: StructureFunctionModel, table: list[float]) -> FockRep:
@@ -91,11 +88,10 @@ def build_xp(rep: FockRep, ratio: float) -> FockRep:
     serves the whole family: X P - q P X = i takes ratio = q,
     p X P - q P X = i takes q/p and the two-sided relation qb/pb.  Both
     dressings are read off one array of ratio**k / sqrt(2), k < 2 dim - 1,
-    the powers of the ratio read as a float (an int or Fraction dresses as
-    its float does), which are Python's pow bit for bit (see _powers).  A
+    of the ratio as a float, Python's pow bit for bit (see _powers).  A
     power past the largest double raises EvaluationOverflowError.
     """
-    require_positive(ratio=ratio)
+    ratio = require_positive(ratio=ratio)
     with double_range(
         lambda: f"X/P dressing ratio**k overflowed for ratio={ratio}, dim={rep.dim}"
     ):
@@ -153,7 +149,7 @@ def _ratio_xp(model: StructureFunctionModel, dim: int) -> FockRep:
     # build_xp(build_ladder(model, dim), Q) for a recipe model over a ratio pair, Q its
     # ratio read as a float: one array of Q**k, k = -2..2 dim, gives the pair's arrays
     # (even k) and the dressing
-    _require_dim(dim)
+    dim = _require_dim(dim)
     ratio = _ratio_args(model.levels.args[0])[0]
     with double_range(lambda: f"X/P dressing ratio**k overflowed for ratio={ratio}, dim={dim}"):
         powers = _powers(ratio, -2, 2 * dim + 1)

@@ -13,7 +13,7 @@ default; q, qb and pb run over 0.5, 0.9, 1.1 and 2.
   two_sided_equal_hg at q = 1, 1 +- 1e-8, and jannussis_mu at 0, +-1e-8,
   against n;
 * qp-equal-parameters-scaled-harmonic: nonstd_qp(q, q) against n/q, and
-  its spectrum's spacing against 1/q;
+  its spectrum's spacing against 1/q, both from one table Phi(0..21);
 * equal-case-mu-vanishes-near-ratio-1: |mu(n)| of equal_hg_special_case
   at qb = pb (1 + 1e-8).
 
@@ -33,8 +33,9 @@ from operator import sub
 
 from .qp import relative_gap, require_nonnegative
 from .structure import (
-    StructureFunctionModel, arik_coon, biedenharn_macfarlane, custom_hg, equal_hg_special_case,
-    hg_for_two_sided, jannussis_mu, nonstd_q, nonstd_qp, sf_table, spectrum, two_sided_equal_hg,
+    StructureFunctionModel, _energies, arik_coon, biedenharn_macfarlane, custom_hg,
+    equal_hg_special_case, hg_for_two_sided, jannussis_mu, nonstd_q, nonstd_qp, sf_table,
+    two_sided_equal_hg,
 )
 
 DEFAULT_LIMIT_TOLERANCE = 1e-6
@@ -90,9 +91,9 @@ def _check_classical_limit_catalog() -> float:
 def _check_qp_equal_parameters_scaled_harmonic() -> float:
     gaps = []
     for q in _QGRID:
-        model = nonstd_qp(q, q)
-        gaps.append(_gap(model, [n / q for n in _LEVELS]))
-        energies = spectrum(model, _NMAX)
+        phi = sf_table(nonstd_qp(q, q), _NMAX + 1)  # Phi(0..20) and the spectrum's E(0..20)
+        gaps.append(max(map(relative_gap, phi, [n / q for n in _LEVELS])))
+        energies = _energies(phi)
         gaps.append(max(map(relative_gap, map(sub, energies[1:], energies), repeat(1.0 / q))))
     return max(gaps)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from fractions import Fraction
 
 from .errors import double_range
 from .qp import (
@@ -46,8 +45,8 @@ def _exact_columns(qb: float, pb: float, p: float, first: int, q_only: bool = Fa
 
     Yields, per level, the (numerator, denominator) pairs of q, mu and
     p**N, or of q alone when q_only; numerator / denominator is the
-    correctly rounded value, the division float(Fraction) performs, and
-    raises OverflowError past double range as it does.  With
+    correctly rounded value, the division of Python ints rounds once, and
+    raises OverflowError past double range.  With
     qb = alpha/eps, pb = beta/delta, p = c/gamma and Q = qb/pb = A/B in
     lowest terms, X = Q**(2N) = a/b and P = p**N, the free forms
 
@@ -61,9 +60,7 @@ def _exact_columns(qb: float, pb: float, p: float, first: int, q_only: bool = Fa
     need no gcd.  a b, a**2, b**2, c**N and gamma**N start as direct powers
     at the first level and are then carried by one small factor per level.
     """
-    (alpha, eps), (beta, delta), (c, gamma) = (
-        Fraction(value).as_integer_ratio() for value in (qb, pb, p)
-    )
+    (alpha, eps), (beta, delta), (c, gamma) = (value.as_integer_ratio() for value in (qb, pb, p))
     # reduced once: a factor common to A and B would grow with every power
     common = math.gcd(alpha * delta, eps * beta)
     A, B = alpha * delta // common, eps * beta // common
@@ -146,8 +143,7 @@ def _columns(qb: float, pb: float, p: float, first: int, q_only: bool = False):
     where one cannot (a near-tie, a zero, a subnormal) is rounded exactly.
     """
     args = qb, pb, p
-    qb, pb, p = (_div((n, n, 0), (d, d, 0))
-                 for n, d in (Fraction(value).as_integer_ratio() for value in args))
+    qb, pb, p = (_div((n, n, 0), (d, d, 0)) for n, d in (v.as_integer_ratio() for v in args))
     ratio, inverse = _div(qb, pb), _div(pb, qb)
     step, half_pb = _mul(ratio, ratio), pb[:2] + (pb[2] - 1,)
     square = _mul(step, step)
@@ -220,12 +216,11 @@ def check_link_consistency(
     exceeds 1e300 or overflows.  qb, pb and p must be finite and positive.
     A q beyond double range raises EvaluationOverflowError naming the level.
     """
-    require_positive(qb=qb, pb=pb, p=p)
-    require_nonnegative(tolerance=tol)
-    require_nonnegative_int(level=level)
+    qb, pb, p = require_positive(qb=qb, pb=pb, p=p)
+    tol = require_nonnegative(tolerance=tol)
+    level = require_nonnegative_int(level=level)  # a Python int, as the kernel's powers need
     with _double_range(level):
-        # a Python int: an int raised to a numpy integer computes in wrapping int64
-        (q,) = next(_columns(qb, pb, p, int(level), q_only=True))
+        (q,) = next(_columns(qb, pb, p, level, q_only=True))
     gaps = _recipe_gaps(q, p)
     worst = max(gaps, default=0.0)
     return ResidualReport(
@@ -252,9 +247,9 @@ def link_table(
     agree exactly, so mu is printed in all three.  A column beyond double
     range raises EvaluationOverflowError naming the level.
     """
-    require_nonnegative_int(n_max=n_max)
-    require_positive(qb=qb, pb=pb, p=p)
-    require_nonnegative(tolerance=tol)
+    n_max = require_nonnegative_int(n_max=n_max)
+    qb, pb, p = require_positive(qb=qb, pb=pb, p=p)
+    tol = require_nonnegative(tolerance=tol)
     rows = []
     columns = _columns(qb, pb, p, 0)
     for level in range(n_max + 1):

@@ -1,4 +1,4 @@
-"""Parameter checks and two-parameter deformed integers.
+"""The package's one number reader, and two-parameter deformed integers.
 
 The deformed integer [m] = (q**m - p**m) / (q - p) reduces to m at
 q = p = 1 and is smooth across the removable singularity at q = p,
@@ -10,45 +10,72 @@ from __future__ import annotations
 
 import math
 import operator
+from numbers import Complex, Integral, Number, Rational, Real
 from typing import Callable
 
 from .errors import DomainError, double_range, finite
 
 
-def require_positive(**params: float) -> None:
-    """Raise DomainError naming the first parameter that is nan or infinite,
-    as require_finite does, else the first that is not > 0."""
-    require_finite(**params)
-    for name, value in params.items():
+def _read(name: str, x, finite_only: bool = True):
+    # the one reader of the package's public numbers (see require_finite); every
+    # public entrance rebinds its parameters to what the require_* checks return
+    if type(x) is not float:
+        if not isinstance(x, Number) or isinstance(x, Complex) and not isinstance(x, Real):
+            raise DomainError(f"parameter {name} must be a real number, got {x!r}")
+        with double_range(lambda: f"parameter {name} leaves the double range"):
+            try:
+                double = float(x)  # an int or Fraction past double range overflows
+            except ValueError:  # a signalling Decimal nan
+                double = math.nan
+            if math.isinf(double) and x != double or not double and x:
+                raise OverflowError  # a Decimal past double range, or a value that underflows
+        if isinstance(x, Integral) and not isinstance(x, int) or not isinstance(x, Rational):
+            x = double  # a numpy scalar or a Decimal
+    if finite_only and not math.isfinite(x):
+        raise DomainError(f"parameter {name} must be finite, got {x!r}")
+    return x
+
+
+def _returned(values: list):
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+def require_finite(**params: float):
+    """Read each parameter: a float, an int or a Fraction as itself, any other
+    real number (numpy scalars, Decimal) as its float.  EvaluationOverflowError
+    names a nonzero one no finite, nonzero double holds, DomainError one that
+    is no real number, nan or inf.  Returns the value, or the values in order."""
+    return _returned([_read(name, value) for name, value in params.items()])
+
+
+def require_positive(**params: float):
+    """Read each parameter as require_finite does; each must be > 0."""
+    values = [_read(name, value) for name, value in params.items()]
+    for name, value in zip(params, values):
         if not value > 0:
             raise DomainError(f"parameter {name} must be > 0, got {value!r}")
+    return _returned(values)
 
 
-def require_nonnegative(**params: float) -> None:
-    """Raise DomainError naming the first parameter that is < 0 or nan."""
-    for name, value in params.items():
+def require_nonnegative(**params: float):
+    """Read each parameter as require_finite does, an infinite one too; each must be >= 0."""
+    values = [_read(name, value, False) for name, value in params.items()]
+    for name, value in zip(params, values):
         if not value >= 0:
             raise DomainError(f"{name} must be >= 0, got {value}")
+    return _returned(values)
 
 
-def require_nonnegative_int(**params: int) -> None:
-    """Raise DomainError naming the first parameter that is not an integer
-    >= 0; numpy integers pass, a float does not."""
+def require_nonnegative_int(**params: int):
+    """Read each parameter as a Python int >= 0; numpy integers pass, a float does not."""
     for name, value in params.items():
         try:
-            operator.index(value)
+            params[name] = value = operator.index(value)
         except TypeError:
             raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    require_nonnegative(**params)
-
-
-def require_finite(**params: float | None) -> None:
-    """Raise DomainError naming the first parameter that is nan or infinite;
-    None (not given) passes.  Compared, not math.isfinite(), which overflows
-    on a Fraction beyond double range."""
-    for name, value in params.items():
-        if value is not None and not -math.inf < value < math.inf:
-            raise DomainError(f"parameter {name} must be finite, got {value!r}")
+        if value < 0:
+            raise DomainError(f"{name} must be >= 0, got {value}")
+    return _returned(list(params.values()))
 
 
 def relative_gap(a: float, b: float) -> float:
@@ -59,16 +86,17 @@ def relative_gap(a: float, b: float) -> float:
 def deformed_integers(q: float, p: float) -> Callable[[int], float]:
     """m -> [m] for fixed (q, p), with its per-(q, p) work done once.
 
-    With big = max(q, p), e = (big - min(q, p)) / big and L = log1p(-e),
+    With big = max(q, p), e = (big - min(q, p)) / big as a double (an exact
+    e rounds to 0 or 1 where a float one would) and L = log1p(-e),
     [m] = big**(m-1) * expm1(m L) / expm1(L).  big - min(q, p) is exact
     near q = p and m L is never positive, so nothing cancels, and the
     quotient keeps [1] = 1 exactly.  At e = 0, the point q = p itself,
     [m] = m big**(m-1); at e = 1 (min(q, p) / big below 2**-53) log1p
     has a pole, L = -inf and [m] = big**(m-1).
     """
-    require_positive(q=q, p=p)
+    q, p = require_positive(q=q, p=p)
     big = max(q, p)
-    e = (big - min(q, p)) / big
+    e = float((big - min(q, p)) / big)
     if e == 0:
         return lambda m: m * big ** (m - 1) if m else 0.0
     log_ratio = math.log1p(-e) if e < 1 else -math.inf
@@ -82,6 +110,6 @@ def qp_number(m: int, q: float, p: float) -> float:
     deformed_integers(q, p)(m), whose one form holds on both sides of
     q = p.  A value beyond double range raises EvaluationOverflowError.
     """
-    require_nonnegative(m=m)
+    m, (q, p) = require_nonnegative(m=m), require_positive(q=q, p=p)
     with double_range(lambda: f"deformed integer [{m}] overflowed at q={q}, p={p}"):
         return finite(deformed_integers(q, p)(m))

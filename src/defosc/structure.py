@@ -24,7 +24,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat, takewhile
-from numbers import Rational
 from operator import length_hint
 from typing import Callable
 
@@ -38,18 +37,17 @@ _Level = Callable[[int], float]
 class HGPair:
     """Coefficient functions of the relation h(N) a- a+ - g(N) a+ a- = 1.
 
-    h(n) must be nonzero for n >= 0 on the range the recipe evaluates; g
-    may vanish, and g(0) is never consulted.  The hg_for_* pairs' h and g
-    raise EvaluationOverflowError naming the pair and n where a power, or
-    the value, leaves double range; a layer that reads a pair (sf_table,
-    sf_eval, verify_hg) names the failure in its own terms instead.
+    h(n) must be nonzero for n >= 0 on the range the recipe evaluates; g may
+    vanish, and g(0) is never consulted.  An hg_for_* pair computes in the
+    numbers qp's reader returned, so a pair of Fractions stays exact; its h
+    and g raise EvaluationOverflowError naming the pair and n where a power,
+    or the value, leaves double range, and a layer that reads a pair
+    (sf_table, sf_eval, verify_hg) names the failure in its own terms.
     lists, where given, returns [h(0..m-1)] and [g(0..m-1)] in one pass;
     where it returns and holds no zero and no infinite value, h(n) and g(n)
     return the same values bit for bit for every n < m.  The recipe reads
     the pair through it, or level by level where it raises or is absent,
-    and reads h(j), g(j) again at a level it cannot form.  build_ladder and
-    verify_hg read an hg_for_* pair's numbers as floats and form its lists as
-    numpy arrays; verify_hg reads any other pair level by level.
+    and reads h(j), g(j) again at a level it cannot form.
     """
 
     h: Callable[[int], float]
@@ -83,13 +81,13 @@ def harmonic() -> StructureFunctionModel:
 
 def arik_coon(q: float) -> StructureFunctionModel:
     """Arik-Coon oscillator, Phi(n) = (q**n - 1) / (q - 1)."""
-    require_positive(q=q)
+    q = require_positive(q=q)
     return StructureFunctionModel(f"arik-coon(q={q})", partial(deformed_integers, q, 1.0))
 
 
 def biedenharn_macfarlane(q: float) -> StructureFunctionModel:
     """Biedenharn-Macfarlane oscillator, Phi(n) = (q**n - q**-n) / (q - 1/q)."""
-    require_positive(q=q)
+    q = require_positive(q=q)
     return StructureFunctionModel(
         f"biedenharn-macfarlane(q={q})", lambda: deformed_integers(q, 1.0 / q)
     )
@@ -97,7 +95,7 @@ def biedenharn_macfarlane(q: float) -> StructureFunctionModel:
 
 def chakrabarti_jagannathan(q: float, p: float = 1.0) -> StructureFunctionModel:
     """Two-parameter oscillator with the symmetric Phi(n) = [n] = (q**n - p**n)/(q - p)."""
-    require_positive(q=q, p=p)
+    q, p = require_positive(q=q, p=p)
     return StructureFunctionModel(
         f"chakrabarti-jagannathan(q={q},p={p})", partial(deformed_integers, q, p)
     )
@@ -105,7 +103,7 @@ def chakrabarti_jagannathan(q: float, p: float = 1.0) -> StructureFunctionModel:
 
 def jannussis_mu(mu_tilde: float) -> StructureFunctionModel:
     """Jannussis mu-oscillator, Phi(n) = n / (1 + mu_tilde * n)."""
-    require_finite(mu_tilde=mu_tilde)
+    mu_tilde = require_finite(mu_tilde=mu_tilde)
     return StructureFunctionModel(
         f"jannussis-mu(mu_tilde={mu_tilde})", partial(_jannussis_mu_levels, mu_tilde)
     )
@@ -131,7 +129,7 @@ def two_sided_equal_hg(qb: float, pb: float) -> StructureFunctionModel:
     Phi(n) = sum_{k<n} 1/h(k) with h the common coefficient of
     equal_hg_special_case; at qb == pb every term is exactly 1/qb.
     """
-    require_positive(qb=qb, pb=pb)
+    qb, pb = require_positive(qb=qb, pb=pb)
     return StructureFunctionModel(
         f"two-sided-equal(qb={qb},pb={pb})", partial(_two_sided_equal_levels, qb, pb)
     )
@@ -269,7 +267,7 @@ def sf_eval(model: StructureFunctionModel, n: int) -> float:
     or a recipe coefficient h underflowing to 0.0, raises
     EvaluationOverflowError naming n.
     """
-    require_nonnegative_int(n=n)
+    n = require_nonnegative_int(n=n)
     if n == 0:
         return 0.0
     with double_range(lambda: f"structure function {model.label} overflowed at n={n}"):
@@ -288,7 +286,7 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
     level n_max is evaluated (the recipe consults h, g and a per-level mu
     up to n_max - 1 only).
     """
-    require_nonnegative_int(n_max=n_max)
+    n_max = require_nonnegative_int(n_max=n_max)
     table = [0.0]
     if n_max == 0:
         return table
@@ -336,7 +334,7 @@ def hg_for_q_ha(q: float) -> HGPair:
 
     h(n) = q**(2n+1) (1 + q**(2n+2)) / 2,  g(n) = q**(2n) (1 + q**(2n-2)) / 2.
     """
-    require_positive(q=q)
+    q = require_positive(q=q)
     return _ratio_pair(q, 1, 0 * q, label=f"q-ha(q={q})")  # mu = 0 of q's type
 
 
@@ -354,12 +352,8 @@ def _ratio_pair(
     # shared by hg_for_q_ha, hg_for_qp_ha and hg_for_two_sided, so none calls another
     # int literals only, so Fraction arguments give exact Fraction values
     per_level = callable(mu)
-    try:  # an int or Fraction past double range overflows here
-        ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
-        half = None if per_level else mu / 2  # mu / 2 at every level
-    except (OverflowError, ZeroDivisionError):
-        with double_range(lambda: f"coefficients of {label} overflowed forming their constants"):
-            raise
+    ratio, half_qb, half_pb = qb / pb, qb / 2, pb / 2
+    half = None if per_level else mu / 2  # mu / 2 at every level
     zero_mu = not (per_level or mu)  # where h vanishes only by underflow
 
     def h(n: int) -> float:
@@ -403,10 +397,8 @@ def hg_for_qp_ha(q: float, p: float) -> HGPair:
     h(n) = q Q**(2n) (1 + Q**(2n+2)) / 2,  g(n) = p Q**(2n) (1 + Q**(2n-2)) / 2:
     the two-sided pair at mu = 0.
     """
-    require_positive(q=q, p=p)
-    # mu = 0 of q's type: 0.0 for a float q, so h and g stay float
-    # arithmetic, and an exact 0 for a Fraction pair, which stays exact
-    return _ratio_pair(q, p, 0 * q, label=f"qp-ha(q={q},p={p})")
+    q, p = require_positive(q=q, p=p)
+    return _ratio_pair(q, p, 0 * q, label=f"qp-ha(q={q},p={p})")  # mu = 0 of q's type
 
 
 def hg_for_two_sided(
@@ -417,16 +409,13 @@ def hg_for_two_sided(
     h(n) = qb Q**(2n) (1 + Q**(2n+2)) / 2 - mu/2,
     g(n) = pb Q**(2n) (1 + Q**(2n-2)) / 2 + mu/2,  Q = qb/pb.
 
-    mu may be a constant, which must be finite, or a per-level function of
-    n (the equal-coefficient special case needs the latter); a constant
-    that is not a float, an int or a Fraction (which stay exact) is taken
-    as its float.  A zero of h arising for specific mu is reported by
-    sf_from_hg when the recipe consumes the pair.
+    mu may be a constant, read as qb and pb are, or a per-level function of n
+    (the equal-coefficient special case needs it), taken as it comes; a zero
+    of h for a specific mu is reported by sf_from_hg as the recipe reads it.
     """
-    require_positive(qb=qb, pb=pb)
+    qb, pb = require_positive(qb=qb, pb=pb)
     if not callable(mu):
-        require_finite(mu=mu)
-        mu = mu if isinstance(mu, (float, Rational)) else float(mu)  # a Decimal, a float32
+        mu = require_finite(mu=mu)
     tag = "mu(n)" if callable(mu) else f"mu={mu}"
     return _ratio_pair(qb, pb, mu, label=f"two-sided(qb={qb},pb={pb},{tag})")
 
@@ -442,7 +431,7 @@ def equal_hg_special_case(
     Degenerate at qb = pb (mu vanishes identically), where
     two_sided_equal_hg gives Phi(n) = n / qb.
     """
-    require_positive(qb=qb, pb=pb)
+    qb, pb = require_positive(qb=qb, pb=pb)
     if qb == pb:
         raise DomainError(
             "equal-coefficient special case degenerates at qb == pb "
@@ -470,6 +459,9 @@ def _equal_bracket(scale: float, ratio: float, n: int, sign: float) -> float:
 
 def spectrum(model: StructureFunctionModel, n_max: int) -> list[float]:
     """Energy levels E(n) = (Phi(n+1) + Phi(n)) / 2 for n = 0..n_max."""
-    require_nonnegative_int(n_max=n_max)
-    phi = sf_table(model, n_max + 1)
-    return [0.5 * (phi[n + 1] + phi[n]) for n in range(n_max + 1)]
+    return _energies(sf_table(model, require_nonnegative_int(n_max=n_max) + 1))
+
+
+def _energies(phi: list[float]) -> list[float]:
+    # E(n) = (Phi(n+1) + Phi(n)) / 2 of a table Phi(0..m), n < m
+    return [0.5 * (above + at) for above, at in zip(phi[1:], phi)]

@@ -72,8 +72,8 @@ def _interior_report(
     tolerance: float,
     per_state: bool,
 ) -> ResidualReport:
-    require_nonnegative_int(margin=margin)
-    require_nonnegative(tolerance=tolerance)
+    margin = require_nonnegative_int(margin=margin)
+    tolerance = require_nonnegative(tolerance=tolerance)
     dim = residual.shape[1]
     keep = dim - margin
     if keep < 1:
@@ -121,24 +121,14 @@ def _xp_report(
     rep = _ratio_xp(model, dim)
     rhs = np.ones(dim)
     if mu is not None:
-        values = (np.fromiter(map(mu, range(dim)), float, dim) if callable(mu)
-                  else _float(relation, "constant mu in 1 + mu H", mu))
+        values = np.fromiter(map(mu, range(dim)), float, dim) if callable(mu) else float(mu)
         rhs += values * hamiltonian(rep)
     x, p = scale * rep.x, scale * rep.p
-    xp = _float(relation, "X P coefficient", coeffs[0]) * _product(x, p)
-    px = _float(relation, "P X coefficient", coeffs[1]) * _product(p, x)
+    xp = float(coeffs[0]) * _product(x, p)
+    px = float(coeffs[1]) * _product(p, x)
     rhs = _diagonal(rhs)
     residual = xp - px - rhs
     return _interior_report(relation, residual, [xp, px, rhs], margin, tol, per_state)
-
-
-def _float(relation: str, name: str, value: float) -> float:
-    # value as a float; an int or Fraction past double range is typed, naming it
-    try:
-        return float(value)
-    except OverflowError:
-        with double_range(lambda: f"{name} of {relation} overflowed as a float"):
-            raise
 
 
 def _coefficients(hg: HGPair, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,8 +186,7 @@ def verify_q_ha(
     check_q overrides the coefficient used in the checked relation only
     (negative controls); the realization itself is always built from q.
     """
-    require_finite(check_q=check_q)
-    cq = q if check_q is None else check_q
+    cq = q if check_q is None else require_finite(check_q=check_q)
     label = f"q-ha(q={q},check_q={cq})"
     return _xp_report(label, nonstd_q(q), None, (1.0, cq), dim, margin, tol, per_state)
 
@@ -213,9 +202,8 @@ def verify_qp_ha(
     per_state: bool = False,
 ) -> ResidualReport:
     """Check p X P - q P X = i on the nonstandard two-parameter realization."""
-    require_finite(check_q=check_q, check_p=check_p)
-    cq = q if check_q is None else check_q
-    cp = p if check_p is None else check_p
+    cq = q if check_q is None else require_finite(check_q=check_q)
+    cp = p if check_p is None else require_finite(check_p=check_p)
     label = f"qp-ha(q={q},p={p},check_q={cq},check_p={cp})"
     return _xp_report(label, nonstd_qp(q, p), None, (cp, cq), dim, margin, tol, per_state)
 
@@ -246,9 +234,9 @@ def verify_two_sided(
     per-level function, entering as a diagonal operator either way; a
     constant mu or check_mu enters 1 + mu H as its float.
     """
-    if not callable(check_mu):
-        require_finite(check_mu=check_mu)
-    require_positive(qb=qb, pb=pb)  # before mu is read; the pair checks mu
+    if not (check_mu is None or callable(check_mu)):
+        check_mu = require_finite(check_mu=check_mu)
+    qb, pb = require_positive(qb=qb, pb=pb)  # before mu is read; the pair reads mu
     with suppress(Exception):  # one read of mu for the pair and 1 + mu H, unless it raises
         mu = list(map(mu, range(dim))).__getitem__ if callable(mu) else mu
     model = custom_hg(hg_for_two_sided(qb, pb, mu))
@@ -256,8 +244,7 @@ def verify_two_sided(
     coeffs, tag = ((ratio, 1.0), "alt") if alt_pairing else ((1.0, ratio), "ratio")
     label = f"{model.label[:-1]},{tag}-pairing)"  # the pair's label, with the pairing
     rhs_mu = mu if check_mu is None else check_mu
-    scale = math.sqrt(_float(label, "pb", pb))
-    return _xp_report(label, model, rhs_mu, coeffs, dim, margin, tol, per_state, scale)
+    return _xp_report(label, model, rhs_mu, coeffs, dim, margin, tol, per_state, math.sqrt(pb))
 
 
 def verify_commutator_sf(

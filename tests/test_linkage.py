@@ -400,8 +400,10 @@ def assert_routes_close(qb, pb, p, level):
     # a per-level mu keeps the label from printing mu
     pair = defosc.hg_for_two_sided(qb, pb, lambda n: mu)
     assert (pair.h(level), pair.g(level)) == (1 / P, q / P)
-    # the one-parameter target's mu flattens the package's h to one
-    assert defosc.hg_for_two_sided(qb, pb, free["mu_for_arik_coon_target"]).h(level) == 1
+    # the one-parameter target's mu flattens the package's h to one; it is
+    # passed per level, as an exact constant mu past double range is refused
+    target_mu = free["mu_for_arik_coon_target"]
+    assert defosc.hg_for_two_sided(qb, pb, lambda n: target_mu).h(level) == 1
 
 
 @given(qb=RATIONAL, pb=RATIONAL, p=RATIONAL, level=st.integers(0, 64))
@@ -888,7 +890,9 @@ def test_each_route_stays_exact_past_double_range(route):
     else:  # the package's two-sided pair, on Fractions
         for level in (250, 600):
             free = routes_at(2, 1, 1, level)
-            pair = hg_for_two_sided(Fraction(2), Fraction(1), free["mu_for_arik_coon_target"])
+            # per level, as no double holds the level-600 mu
+            target_mu = free["mu_for_arik_coon_target"]
+            pair = hg_for_two_sided(Fraction(2), Fraction(1), lambda n: target_mu)
             assert pair.h(level) == 1
             pair = hg_for_two_sided(Fraction(2), Fraction(1), lambda n: free["mu_from_h_match"])
             assert (pair.h(level), pair.g(level)) == free["hg_for_two_sided"]

@@ -155,3 +155,19 @@ def test_one_overflow_rule():
     for name in ("_OVERFLOWS", "_overflow"):
         assert not hasattr(defosc.structure, name)
     assert not hasattr(defosc.linkage, "contextmanager")  # no hand-written copy
+
+
+def test_one_number_reader():
+    # qp.require_* read every public number at the entrance that takes it, so
+    # no layer keeps a number handler of its own
+    package = Path(defosc.__file__).parent
+    assert not hasattr(defosc.verify, "_float")
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        imported = [
+            node.module if isinstance(node, ast.ImportFrom) else alias.name
+            for node in ast.walk(ast.parse(text)) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        assert "fractions" not in imported and "decimal" not in imported, path.name
+        assert ("Rational" in text) == (path.name == "qp.py"), path.name

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -145,3 +147,17 @@ def test_equal_subnormal_parameters_take_the_equal_form():
     assert qp_number(1, 5e-324, 5e-324) == 1.0
     assert qp_number(0, 5e-324, 5e-324) == 0.0
     assert qp_number(2, 5e-324, 5e-324) == 2 * 5e-324
+
+
+def test_an_exact_e_is_rounded_as_log1p_reads_it():
+    # e = (big - min(q, p)) / big is exact on ints and Fractions; rounded once,
+    # 1 - 10**-300 / 2 is 1.0, the pole of log1p, and 10**-400 is 0.0, q = p,
+    # where an unrounded e met log1p as -1.0 (a bare ValueError) or as -0.0 (a
+    # zero divisor)
+    assert sf_table(chakrabarti_jagannathan(2, Fraction(1, 10**300)), 5) == [
+        0.0, 1.0, 2.0, 4.0, 8.0, 16.0,
+    ]
+    near_one = 1 + Fraction(1, 10**400)
+    table = sf_table(chakrabarti_jagannathan(near_one, 1), 4)
+    assert [float(value) for value in table] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert qp_number(3, 18014398503481992, Fraction(1, 999998)) == float(18014398503481992**2)

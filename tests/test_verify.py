@@ -117,16 +117,22 @@ def test_q_relation_takes_an_exact_q_as_its_float(q, dim):
 
 
 def test_an_exact_number_past_double_range_is_typed():
-    # no float holds Q = 10**400, so reading it as one overflows; every
-    # numpy-side reader names that, as it does a float overflow
+    # no float holds 10**400, so the pair's entrance refuses it, naming it;
+    # Q = 10**600 of two numbers a double holds stays exact in the pair, and
+    # every numpy-side reader names its overflow, as it does a float overflow
     big, one = Fraction(10**400), Fraction(1)
-    pair = hg_for_qp_ha(big, one)
+    for call in (lambda: hg_for_qp_ha(big, one), lambda: verify_qp_ha(big, one, dim=8),
+                 lambda: build_xp(build_ladder(harmonic(), 8), big)):
+        with pytest.raises(EvaluationOverflowError, match=r"^parameter (q|ratio) leaves"):
+            call()
+    large, small = Fraction(10**300), Fraction(1, 10**300)
+    pair = hg_for_qp_ha(large, small)
     calls = [
         lambda: build_ladder(custom_hg(pair), 8),
         lambda: verify_hg(build_ladder(harmonic(), 8), pair),
-        lambda: verify_qp_ha(big, one, dim=8),
-        lambda: verify_two_sided(big, one, Fraction(1, 5), dim=8),
-        lambda: build_xp(build_ladder(harmonic(), 8), big),
+        lambda: verify_qp_ha(large, small, dim=8),
+        lambda: verify_two_sided(large, small, Fraction(1, 5), dim=8),
+        lambda: build_xp(build_ladder(harmonic(), 8), large / small),
     ]
     for call in calls:
         with pytest.raises(EvaluationOverflowError):
