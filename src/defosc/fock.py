@@ -26,10 +26,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, NegativeStructureFunctionError, double_range
-from .qp import require_nonnegative_int, require_positive
-from .structure import (
-    HGPair, StructureFunctionModel, _coefficient, _ratio_lists, _recipe_levels, sf_table,
-)
+from .qp import require_positive, require_size
+from .structure import HGPair, StructureFunctionModel, _coefficient, _ratio_lists, _recipe, sf_table
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -43,7 +41,8 @@ class FockRep:
     ladder holds <n+1|a+|n> = <n|a-|n+1> = sqrt(Phi(n+1)), n < dim - 1,
     apart from phi so that a tampered phi table stays detectable.
     build_xp fills x with the rows <n+1|X|n> and <n|X|n+1>, and p likewise
-    for P / i; both are None before build_xp.
+    for P / i; both are None before build_xp.  build_xp, hamiltonian and
+    the verify checks refuse a rep whose phi or ladder does not fit dim.
     """
 
     dim: int
@@ -56,8 +55,8 @@ class FockRep:
 def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
     """Build the dim-dimensional ladder realization from one sf_table pass."""
     dim = _require_dim(dim)
-    if isinstance(model.levels, partial) and model.levels.func is _recipe_levels:
-        model = _recipe_model(model.label, *model.levels.args)  # a ratio pair as arrays
+    if isinstance(model.table, partial) and model.table.func is _recipe:
+        model = _recipe_model(model.label, *model.table.args)  # a ratio pair as arrays
     return _ladder(model, sf_table(model, dim))
 
 
@@ -65,7 +64,14 @@ def _require_dim(dim: int) -> int:
     with suppress(TypeError, ArithmeticError):  # no number, or a Decimal nan: no integer
         if dim < 2:
             raise DomainError(f"dim must be >= 2, got {dim}")
-    return require_nonnegative_int(dim=dim)
+    return require_size(dim=dim)
+
+
+def _require_shape(rep: FockRep) -> FockRep:
+    # phi is Phi(0..dim) and ladder sqrt(Phi(1..dim-1)), as _ladder builds them
+    if rep.phi.shape != (rep.dim + 1,) or rep.ladder.shape != (rep.dim - 1,):
+        raise DomainError("ladder matrices do not match the declared dimension")
+    return rep
 
 
 def _ladder(model: StructureFunctionModel, table: list[float]) -> FockRep:
@@ -95,7 +101,7 @@ def build_xp(rep: FockRep, ratio: float) -> FockRep:
     with double_range(
         lambda: f"X/P dressing ratio**k overflowed for ratio={ratio}, dim={rep.dim}"
     ):
-        powers = _powers(ratio, 0, 2 * rep.dim - 1)
+        powers = _powers(ratio, 0, 2 * _require_shape(rep).dim - 1)
         if not np.isfinite(powers).all():
             raise OverflowError
     return _dressed(rep, powers)
@@ -142,7 +148,7 @@ def _recipe_model(label: str, pair: HGPair, even=None) -> StructureFunctionModel
     args = _ratio_args(pair)
     if args is not None:
         pair = replace(pair, lists=lambda m: [a.tolist() for a in _ratio_arrays(args, m, even)])
-    return StructureFunctionModel(label, partial(_recipe_levels, pair))
+    return StructureFunctionModel(label, partial(_recipe, pair))
 
 
 def _ratio_xp(model: StructureFunctionModel, dim: int) -> FockRep:
@@ -150,10 +156,10 @@ def _ratio_xp(model: StructureFunctionModel, dim: int) -> FockRep:
     # ratio read as a float: one array of Q**k, k = -2..2 dim, gives the pair's arrays
     # (even k) and the dressing
     dim = _require_dim(dim)
-    ratio = _ratio_args(model.levels.args[0])[0]
+    ratio = _ratio_args(model.table.args[0])[0]
     with double_range(lambda: f"X/P dressing ratio**k overflowed for ratio={ratio}, dim={dim}"):
         powers = _powers(ratio, -2, 2 * dim + 1)
-    model = _recipe_model(model.label, *model.levels.args, powers[::2])
+    model = _recipe_model(model.label, *model.table.args, powers[::2])
     rep = _ladder(model, sf_table(model, dim))
     if np.isfinite(powers).all():
         return _dressed(rep, powers[2:-2])
@@ -166,4 +172,5 @@ def hamiltonian(rep: FockRep) -> np.ndarray:
     Built from the Phi table rather than the truncated product
     (a- a+ + a+ a-)/2, whose last diagonal entry is a truncation artifact.
     """
-    return 0.5 * (rep.phi[1:] + rep.phi[:-1])
+    phi = _require_shape(rep).phi
+    return 0.5 * (phi[1:] + phi[:-1])

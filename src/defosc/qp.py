@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from numbers import Complex, Integral, Number, Rational, Real
 from typing import Callable
 
@@ -76,6 +77,16 @@ def require_nonnegative_int(**params: int):
         if value < 0:
             raise DomainError(f"{name} must be >= 0, got {value}")
     return _returned(list(params.values()))
+
+
+def require_size(**params: int):
+    """Read each parameter as require_nonnegative_int does; each must be at
+    most sys.maxsize, past which no list can hold the table it sizes."""
+    values = [require_nonnegative_int(**{name: value}) for name, value in params.items()]
+    for name, value in zip(params, values):
+        if value > sys.maxsize:
+            raise DomainError(f"{name} must be <= sys.maxsize, got a {value.bit_length()}-bit int")
+    return _returned(values)
 
 
 def relative_gap(a: float, b: float) -> float:

@@ -3,7 +3,7 @@
 A deformed oscillator is fixed by its structure function Phi, through
 a+ a- = Phi(N) and a- a+ = Phi(N+1), so a model is a label and a way to
 build Phi: each constructor checks its parameters and stores the builder
-of its level function.  This module holds
+of its Phi table.  This module holds
 
 * the catalog: harmonic, Arik-Coon, Biedenharn-Macfarlane,
   Chakrabarti-Jagannathan and the Jannussis mu-oscillator, each one
@@ -28,7 +28,9 @@ from operator import length_hint
 from typing import Callable
 
 from .errors import DomainError, RecipeDivisionError, double_range, finite
-from .qp import deformed_integers, require_finite, require_nonnegative_int, require_positive
+from .qp import (
+    deformed_integers, require_finite, require_nonnegative_int, require_positive, require_size,
+)
 
 _Level = Callable[[int], float]
 
@@ -58,69 +60,58 @@ class HGPair:
 
 @dataclass(frozen=True)
 class StructureFunctionModel:
-    """A deformed oscillator: its label and the builder of its Phi.
+    """A deformed oscillator: its label and the builder of its Phi table.
 
-    levels() does the model's per-model work once (constants, domain
-    checks, branch choices) and returns level(n) = Phi(n), n >= 1.  A
-    level function that carries a running value (two-sided-equal's sum)
-    takes any first n, catching up over the levels below it, and then n
-    in non-decreasing order; sf_table calls it for n = 1, 2, ... in turn,
-    one step per level.  A recipe model's level(n) is the last entry of
-    the recipe's table up to n, which sf_table builds in one pass instead.
-    A model equals only itself: its levels callable compares by identity.
+    table(m, phi) does the model's per-model work once (constants, domain
+    checks, branch choices), appends Phi(1..m) to phi = [0.0] in one pass
+    and returns phi.  At the first level it cannot form it raises, with
+    phi holding the levels below, so that the caller can name that level.
+    A model equals only itself: its table callable compares by identity.
     """
 
     label: str
-    levels: Callable[[], _Level]
+    table: Callable[[int, list], list]
 
 
 def harmonic() -> StructureFunctionModel:
     """Undeformed oscillator, Phi(n) = n."""
-    return StructureFunctionModel("harmonic", lambda: float)
+    return _closed_form("harmonic", lambda: float)
 
 
 def arik_coon(q: float) -> StructureFunctionModel:
     """Arik-Coon oscillator, Phi(n) = (q**n - 1) / (q - 1)."""
     q = require_positive(q=q)
-    return StructureFunctionModel(f"arik-coon(q={q})", partial(deformed_integers, q, 1.0))
+    return _closed_form(f"arik-coon(q={q})", partial(deformed_integers, q, 1.0))
 
 
 def biedenharn_macfarlane(q: float) -> StructureFunctionModel:
     """Biedenharn-Macfarlane oscillator, Phi(n) = (q**n - q**-n) / (q - 1/q)."""
     q = require_positive(q=q)
-    return StructureFunctionModel(
-        f"biedenharn-macfarlane(q={q})", lambda: deformed_integers(q, 1.0 / q)
-    )
+    return _closed_form(f"biedenharn-macfarlane(q={q})", lambda: deformed_integers(q, 1.0 / q))
 
 
 def chakrabarti_jagannathan(q: float, p: float = 1.0) -> StructureFunctionModel:
     """Two-parameter oscillator with the symmetric Phi(n) = [n] = (q**n - p**n)/(q - p)."""
     q, p = require_positive(q=q, p=p)
-    return StructureFunctionModel(
-        f"chakrabarti-jagannathan(q={q},p={p})", partial(deformed_integers, q, p)
-    )
+    return _closed_form(f"chakrabarti-jagannathan(q={q},p={p})", partial(deformed_integers, q, p))
 
 
 def jannussis_mu(mu_tilde: float) -> StructureFunctionModel:
     """Jannussis mu-oscillator, Phi(n) = n / (1 + mu_tilde * n)."""
     mu_tilde = require_finite(mu_tilde=mu_tilde)
-    return StructureFunctionModel(
+    return _closed_form(
         f"jannussis-mu(mu_tilde={mu_tilde})", partial(_jannussis_mu_levels, mu_tilde)
     )
 
 
 def nonstd_q(q: float) -> StructureFunctionModel:
     """Nonstandard oscillator realizing X P - q P X = i: the recipe over its pair."""
-    return StructureFunctionModel(
-        f"nonstd-q(q={q})", partial(_recipe_levels, hg_for_qp_ha(q, 1.0))
-    )
+    return StructureFunctionModel(f"nonstd-q(q={q})", partial(_recipe, hg_for_qp_ha(q, 1.0)))
 
 
 def nonstd_qp(q: float, p: float) -> StructureFunctionModel:
     """Nonstandard oscillator realizing p X P - q P X = i: the recipe over its pair."""
-    return StructureFunctionModel(
-        f"nonstd-qp(q={q},p={p})", partial(_recipe_levels, hg_for_qp_ha(q, p))
-    )
+    return StructureFunctionModel(f"nonstd-qp(q={q},p={p})", partial(_recipe, hg_for_qp_ha(q, p)))
 
 
 def two_sided_equal_hg(qb: float, pb: float) -> StructureFunctionModel:
@@ -131,18 +122,28 @@ def two_sided_equal_hg(qb: float, pb: float) -> StructureFunctionModel:
     """
     qb, pb = require_positive(qb=qb, pb=pb)
     return StructureFunctionModel(
-        f"two-sided-equal(qb={qb},pb={pb})", partial(_two_sided_equal_levels, qb, pb)
+        f"two-sided-equal(qb={qb},pb={pb})", partial(_two_sided_equal_table, qb, pb)
     )
 
 
 def custom_hg(hg: HGPair) -> StructureFunctionModel:
     """Oscillator defined by an explicit coefficient pair, Phi via the recipe."""
-    return StructureFunctionModel(hg.label or "custom-hg", partial(_recipe_levels, hg))
+    return StructureFunctionModel(hg.label or "custom-hg", partial(_recipe, hg))
 
 
 # --------------------------------------------------------------------------
-# level builders: per-model work once, then level(n) = Phi(n), n >= 1
+# table builders: per-model work once, then Phi(1..m) onto phi = [0.0]
 # --------------------------------------------------------------------------
+
+
+def _closed_form(label: str, levels: Callable[[], _Level]) -> StructureFunctionModel:
+    # levels() does the per-model work once, inside the table call, and returns
+    # level(n) = Phi(n); the first level that raises or is not finite stops the table
+    def table(m: int, phi: list) -> list:
+        phi.extend(map(finite, map(levels(), range(1, m + 1))))
+        return phi
+
+    return StructureFunctionModel(label, table)
 
 
 def _jannussis_mu_levels(mu: float) -> _Level:
@@ -158,50 +159,36 @@ def _jannussis_mu_levels(mu: float) -> _Level:
     return level
 
 
-def _two_sided_equal_levels(qb: float, pb: float) -> _Level:
+def _two_sided_equal_table(qb: float, pb: float, m: int, phi: list) -> list:
     # Phi(n) = S(n) / pb with S(n) = sum_{k<n} pb / h(k): each term is
-    # positive, so nothing cancels, and each is exactly 1 at Q = 1.  Each
-    # level extends the sum of the one before.
+    # positive, so nothing cancels, and each is exactly 1 at Q = 1
     ratio = qb / pb
-    total, terms, carried = 0.0, 0, False
-
-    def level(n: int) -> float:
-        nonlocal total, terms, carried
-        while terms < n:
-            if carried:
-                # 1/h(k) = (Q**-k / pb) Q**-k 4 / B(k), B(k) = Q + 1 + Q**(2k-2) (Q**5 + 1):
-                # Q < 1 here, and Q**-k / pb is normal while Phi is in range
-                power = ratio**-terms
-                bracket = (ratio + 1) + ratio ** (2 * terms - 2) * (ratio**5 + 1)
-                total += power / pb * power * (4.0 / bracket)
-                terms += 1
-                continue
+    total, carried = 0.0, False
+    for k in range(m):
+        if not carried:
             try:
-                term = 1.0 / _equal_bracket(0.25, ratio, terms, 1.0)
+                term = 1.0 / _equal_bracket(0.25, ratio, k, 1.0)
             except OverflowError:
                 # for k > 0 a power overflows only at Q > 1, h(k) > 1.8e308/4,
                 # so the term is below 4/1.8e308 and is dropped, as is every
                 # later one, whose powers are larger and overflow too: the
                 # sum is complete.  h(0) ~ Q**3/4 need not be large.
-                if not terms:
+                if not k:
                     raise
-                terms = math.inf
-            else:
-                if pb > 1 and total + term == math.inf:
-                    # S = pb Phi passes the largest double before Phi does
-                    # (only at Q < 1): carry Phi itself from this term on
-                    total, carried = total / pb, True
-                    continue
-                total += term
-                terms += 1
-        return total if carried else total / pb
-
-    return level
-
-
-def _recipe_levels(hg: HGPair) -> _Level:
-    # level(n) = Phi(n), the last entry of the recipe's table up to n
-    return lambda n: _recipe(hg, n, [0.0])[-1]
+                phi.extend(repeat(phi[-1], m - k))
+                return phi
+            # S = pb Phi passes the largest double before Phi does (only at
+            # Q < 1): carry Phi itself from this term on
+            carried = pb > 1 and total + term == math.inf
+            total = total / pb if carried else total + term
+        if carried:
+            # 1/h(k) = (Q**-k / pb) Q**-k 4 / B(k), B(k) = Q + 1 + Q**(2k-2) (Q**5 + 1):
+            # Q < 1 here, and Q**-k / pb is normal while Phi is in range
+            power = ratio**-k
+            bracket = (ratio + 1) + ratio ** (2 * k - 2) * (ratio**5 + 1)
+            total += power / pb * power * (4.0 / bracket)
+        phi.append(finite(total if carried else total / pb))
+    return phi
 
 
 def _recipe(hg: HGPair, m: int, table: list) -> list:
@@ -261,50 +248,35 @@ def _recipe(hg: HGPair, m: int, table: list) -> list:
 
 
 def sf_eval(model: StructureFunctionModel, n: int) -> float:
-    """Phi(n) of a model, from a fresh model.levels(); Phi(0) = 0 for every model.
+    """Phi(n) of a model, the last entry of its table up to n, so O(n): qp_number
+    is the O(1) deformed integer.  Phi(0) = 0 for every model.
 
-    A value beyond double range, or one the recipe passes on its way to n,
+    A value beyond double range, or one the table passes on its way to n,
     or a recipe coefficient h underflowing to 0.0, raises
     EvaluationOverflowError naming n.
     """
-    n = require_nonnegative_int(n=n)
-    if n == 0:
-        return 0.0
+    n = require_size(n=n)
     with double_range(lambda: f"structure function {model.label} overflowed at n={n}"):
-        return finite(model.levels()(n))
+        return model.table(n, [0.0])[-1]
 
 
 def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
-    """Phi(0..n_max) in one pass; entry n equals sf_eval(model, n) bit for bit.
+    """Phi(0..n_max) in model.table's one pass; entry n equals sf_eval(model, n)
+    bit for bit.
 
-    model.levels() does the per-model work once, and a plain loop calls
-    the level function it returns for n = 1..n_max.  A recipe model runs
-    the recipe's one loop instead, over h(0..n_max-1) and g(0..n_max-1)
-    read in one pass (the pair's lists, or h and g level by level), up to
-    the first level it cannot form.  Each entry is range-checked as in
-    sf_eval, an error names the first failing level, and nothing beyond
-    level n_max is evaluated (the recipe consults h, g and a per-level mu
-    up to n_max - 1 only).
+    A recipe model reads h(0..n_max-1) and g(0..n_max-1) in one pass (the
+    pair's lists, or h and g level by level) up to the first level it
+    cannot form.  Each entry is range-checked as in sf_eval, an error names
+    the first failing level, and nothing beyond level n_max is evaluated
+    (the recipe consults h, g and a per-level mu up to n_max - 1 only).
     """
-    n_max = require_nonnegative_int(n_max=n_max)
     table = [0.0]
-    if n_max == 0:
-        return table
-    levels = model.levels
     try:
-        if isinstance(levels, partial) and levels.func is _recipe_levels:
-            return _recipe(levels.args[0], n_max, table)
-        level = levels()
-        for n in range(1, n_max + 1):
-            value = level(n)
-            if not math.isfinite(value):
-                raise OverflowError
-            table.append(value)
+        return model.table(require_size(n_max=n_max), table)
     except (OverflowError, ZeroDivisionError):  # a table that returns enters no double_range
         message = f"structure function {model.label} overflowed at n={len(table)}"
         with double_range(lambda: message):
             raise
-    return table
 
 
 def sf_from_hg(hg: HGPair, n: int) -> float:
@@ -320,8 +292,7 @@ def sf_from_hg(hg: HGPair, n: int) -> float:
     is the last entry of sf_table(custom_hg(hg), n), so every level up to
     n is range-checked.
     """
-    require_nonnegative_int(n=n)
-    return sf_table(custom_hg(hg), n)[-1]
+    return sf_table(custom_hg(hg), require_size(n=n))[-1]
 
 
 # --------------------------------------------------------------------------
@@ -425,6 +396,8 @@ def equal_hg_special_case(
 ) -> tuple[Callable[[int], float], Callable[[int], float]]:
     """Per-level mu(n) and common coefficient value forcing h(n) = g(n).
 
+    Each reads n as sf_eval does a level: an integer >= 0, else DomainError.
+
     mu(n) = pb Q**(2n) [Q - 1 + Q**(2n-2) (Q**5 - 1)] / 2,
     h(n) = g(n) = pb Q**(2n) [Q + 1 + Q**(2n-2) (Q**5 + 1)] / 4,  Q = qb/pb.
 
@@ -440,6 +413,8 @@ def equal_hg_special_case(
     ratio = qb / pb
 
     def scaled(n: int, factor: float, sign: float) -> float:
+        if type(n) is not int or n < 0:  # read as a level; an int passes as cheaply as index()
+            n = require_nonnegative_int(n=n)
         try:
             return finite(_equal_bracket(factor * pb, ratio, n, sign))
         except (OverflowError, ZeroDivisionError):  # an in-range call enters no double_range
@@ -459,7 +434,7 @@ def _equal_bracket(scale: float, ratio: float, n: int, sign: float) -> float:
 
 def spectrum(model: StructureFunctionModel, n_max: int) -> list[float]:
     """Energy levels E(n) = (Phi(n+1) + Phi(n)) / 2 for n = 0..n_max."""
-    return _energies(sf_table(model, require_nonnegative_int(n_max=n_max) + 1))
+    return _energies(sf_table(model, require_size(n_max=n_max) + 1))
 
 
 def _energies(phi: list[float]) -> list[float]:

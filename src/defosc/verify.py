@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, double_range
-from .fock import FockRep, _ratio_args, _ratio_arrays, _ratio_xp, hamiltonian
+from .fock import FockRep, _ratio_args, _ratio_arrays, _ratio_xp, _require_shape, hamiltonian
 from .qp import require_finite, require_nonnegative, require_nonnegative_int, require_positive
 from .report import ResidualReport
 from .structure import (
@@ -158,9 +158,7 @@ def verify_hg(
     """Residual of h(N) a- a+ - g(N) a+ a- - 1 on the interior block; an h(n)
     or g(n) past double range, a power or an infinite product, raises
     EvaluationOverflowError naming the pair."""
-    dim = rep.dim
-    if rep.ladder.shape != (dim - 1,):
-        raise DomainError("ladder matrices do not match the declared dimension")
+    dim = _require_shape(rep).dim
     label = f"hg[{hg.label or 'custom'}]"
     with double_range(lambda: f"coefficients of {label} overflowed at dim={dim}"):
         h, g = _coefficients(hg, dim)
@@ -254,7 +252,7 @@ def verify_commutator_sf(
     per_state: bool = False,
 ) -> ResidualReport:
     """Residual of [a-, a+] - diag(Phi(n+1) - Phi(n)) on the interior."""
-    raise_side, lower_side = _ladder_products(rep)
+    raise_side, lower_side = _ladder_products(_require_shape(rep))
     residual = raise_side - lower_side - _diagonal(rep.phi[1:] - rep.phi[:-1])
     return _interior_report(
         "commutator-sf", residual, [raise_side, lower_side], margin, tol, per_state

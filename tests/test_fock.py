@@ -9,6 +9,7 @@ import dense_oracle
 from defosc import (
     DomainError,
     EvaluationOverflowError,
+    FockRep,
     NegativeStructureFunctionError,
     arik_coon,
     build_ladder,
@@ -22,6 +23,8 @@ from defosc import (
     nonstd_qp,
     sf_eval,
     spectrum,
+    verify_commutator_sf,
+    verify_hg,
     HGPair,
 )
 from defosc import fock
@@ -82,6 +85,26 @@ def test_ladder_rejects_tiny_dimensions_and_negative_phi():
     negative = custom_hg(HGPair(h=lambda n: -1.0, g=lambda n: 1.0))
     with pytest.raises(NegativeStructureFunctionError, match=r"Phi\(1\)"):
         build_ladder(negative, 4)
+
+
+MALFORMED = {  # dim 4 wants phi of 5 entries and a ladder of 3
+    "phi short": FockRep(4, np.zeros(2), np.zeros(3)),  # once a spurious PASS, residual 0
+    "phi long": FockRep(4, np.zeros(6), np.zeros(3)),  # once a 5-entry Hamiltonian diagonal
+    "ladder short": FockRep(4, np.zeros(5), np.zeros(2)),  # once a bare numpy ValueError
+    "ladder long": FockRep(4, np.zeros(5), np.zeros(4)),
+}
+
+
+@pytest.mark.parametrize("rep", MALFORMED.values(), ids=MALFORMED)
+def test_a_malformed_rep_is_refused_by_every_reader(rep):
+    for call in (
+        lambda: verify_commutator_sf(rep),
+        lambda: verify_hg(rep, hg_for_two_sided(1.1, 1.0, 0.1)),
+        lambda: build_xp(rep, 1.1),
+        lambda: hamiltonian(rep),
+    ):
+        with pytest.raises(DomainError, match="^ladder matrices do not match the declared dim"):
+            call()
 
 
 # ---------------------------------------------------------------------------

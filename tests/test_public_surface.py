@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -100,13 +101,17 @@ def test_one_formula_per_structure_function():
         assert "2 - 2 * n" not in text, path.name  # the closed form's Q**(2 - 2n)
 
 
-def test_a_model_is_its_label_and_its_levels():
+def test_a_model_is_its_label_and_its_table():
     assert not hasattr(defosc.qp, "DeformationParams")  # constructors check parameters
     assert not hasattr(defosc.structure, "_LEVELS")  # a model carries its builder
     assert not hasattr(defosc.structure, "nonstd_qp_sf_explicit")  # a test oracle now
     fields = [field.name for field in dataclasses.fields(StructureFunctionModel)]
-    assert fields == ["label", "levels"]
+    assert fields == ["label", "table"]
     assert not hasattr(defosc.harmonic(), "variant")
+    # a recipe model is the recipe over its pair, so sf_table need not tell it apart
+    assert not hasattr(defosc.structure, "_recipe_levels")
+    source = inspect.getsource(defosc.structure.sf_table)
+    assert "isinstance" not in source and "partial" not in source
 
 
 def test_one_recipe_loop():

@@ -13,6 +13,7 @@ from defosc import (
     RecipeDivisionError,
     arik_coon,
     biedenharn_macfarlane,
+    build_ladder,
     chakrabarti_jagannathan,
     custom_hg,
     equal_hg_special_case,
@@ -21,6 +22,7 @@ from defosc import (
     hg_for_qp_ha,
     hg_for_two_sided,
     jannussis_mu,
+    link_table,
     nonstd_q,
     nonstd_qp,
     qp_number,
@@ -29,6 +31,7 @@ from defosc import (
     sf_table,
     spectrum,
     two_sided_equal_hg,
+    verify_q_ha,
 )
 from defosc import limits, linkage
 from defosc.qp import deformed_integers
@@ -251,6 +254,32 @@ def test_equal_case_types_an_underflowed_divisor_and_an_infinite_limit():
         mu_fn(0)
 
 
+def test_the_equal_case_functions_read_n_as_a_level():
+    # "3" and None once raised a bare TypeError; 2.5 once returned a value
+    for fn in equal_hg_special_case(1.1, 1.0):
+        for n in ("3", None, 2.5, 3.0, -1):
+            with pytest.raises(DomainError, match=r"^n must be "):
+                fn(n)
+        assert fn(np.int64(3)) == fn(3)
+
+
+def test_a_size_no_list_can_hold_is_refused():
+    # 10**400 once made a table append until memory ran out; each entrance
+    # that sizes a list names the size past sys.maxsize
+    big = 10**400
+    for call, name in [
+        (lambda: sf_table(harmonic(), big), "n_max"),
+        (lambda: sf_eval(arik_coon(1.05), big), "n"),
+        (lambda: spectrum(harmonic(), big), "n_max"),
+        (lambda: sf_from_hg(hg_for_q_ha(1.05), big), "n"),
+        (lambda: build_ladder(harmonic(), big), "dim"),
+        (lambda: verify_q_ha(1.05, dim=big), "dim"),
+        (lambda: link_table(1.05, 0.95, 1.05, big), "n_max"),
+    ]:
+        with pytest.raises(DomainError, match=rf"^{name} must be <= sys\.maxsize, got a 1329-"):
+            call()
+
+
 def test_the_outermost_block_names_the_failure():
     # the per-level mu raises its own typed error at n = 13, which Phi(14)
     # consults; the table names the structure function and its level instead
@@ -331,7 +360,7 @@ def test_recipe_overflow_at_the_first_level_is_typed():
         sf_from_hg(hg_for_two_sided(1e200, 1.0, 0.0), 1)
 
 
-CATCHING_UP = [
+TABLE_PREFIX = [
     two_sided_equal_hg(1.3, 1.0),
     two_sided_equal_hg(0.7, 1.0),
     custom_hg(hg_for_two_sided(1.1, 0.95, 0.3)),
@@ -339,13 +368,13 @@ CATCHING_UP = [
 ]
 
 
-@pytest.mark.parametrize("model", CATCHING_UP, ids=lambda model: model.label)
-def test_each_level_builder_catches_up(model):
-    # a level function carrying running values takes any n, not only n + 1
+@pytest.mark.parametrize("model", TABLE_PREFIX, ids=lambda model: model.label)
+def test_each_table_is_a_prefix_of_a_longer_one(model):
+    # a table carrying running values (a sum, a recurrence) stops at any n
+    # with the entries a longer table holds there, bit for bit
     table = [value.hex() for value in sf_table(model, 19)]
-    level = model.levels()
-    assert [level(7).hex(), level(19).hex()] == [table[7], table[19]]
-    assert model.levels()(19).hex() == table[19]
+    assert [sf_eval(model, 7).hex(), sf_eval(model, 19).hex()] == [table[7], table[19]]
+    assert [value.hex() for value in model.table(7, [0.0])] == table[:8]
 
 
 def test_recipe_range_checks_the_levels_it_passes_over():
@@ -357,7 +386,7 @@ def test_recipe_range_checks_the_levels_it_passes_over():
     with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=400$"):
         sf_eval(model, 400)
     with pytest.raises(OverflowError):
-        model.levels()(400)
+        model.table(400, [0.0])
     # Phi(1) = 1/h(0) is already inf here
     tiny = custom_hg(HGPair(lambda n: 1e-320, lambda n: 0.0 if n == 1 else 1.0))
     for call in (lambda: sf_table(tiny, 5), lambda: sf_eval(tiny, 1)):
