@@ -69,6 +69,16 @@ def require_nonnegative(**params: float):
 
 def require_nonnegative_int(**params: int):
     """Read each parameter as a Python int >= 0; numpy integers pass, a float does not."""
+    return _ints(params, math.inf)
+
+
+def require_size(**params: int):
+    """Read each parameter as require_nonnegative_int does; each must be at
+    most sys.maxsize, past which no list can hold the table it sizes."""
+    return _ints(params, sys.maxsize)
+
+
+def _ints(params: dict, most: float):
     for name, value in params.items():
         try:
             params[name] = value = operator.index(value)
@@ -76,17 +86,9 @@ def require_nonnegative_int(**params: int):
             raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if value < 0:
             raise DomainError(f"{name} must be >= 0, got {value}")
-    return _returned(list(params.values()))
-
-
-def require_size(**params: int):
-    """Read each parameter as require_nonnegative_int does; each must be at
-    most sys.maxsize, past which no list can hold the table it sizes."""
-    values = [require_nonnegative_int(**{name: value}) for name, value in params.items()]
-    for name, value in zip(params, values):
-        if value > sys.maxsize:
+        if value > most:  # its bit count prints where its 4,300 digits might not
             raise DomainError(f"{name} must be <= sys.maxsize, got a {value.bit_length()}-bit int")
-    return _returned(values)
+    return _returned(list(params.values()))
 
 
 def relative_gap(a: float, b: float) -> float:

@@ -138,9 +138,12 @@ def custom_hg(hg: HGPair) -> StructureFunctionModel:
 
 def _closed_form(label: str, levels: Callable[[], _Level]) -> StructureFunctionModel:
     # levels() does the per-model work once, inside the table call, and returns
-    # level(n) = Phi(n); the first level that raises or is not finite stops the table
+    # level(n) = Phi(n); the first level that raises or is not finite stops the
+    # table (math.isfinite, unlike errors.finite, refuses an exact Phi past range)
     def table(m: int, phi: list) -> list:
-        phi.extend(map(finite, map(levels(), range(1, m + 1))))
+        phi.extend(takewhile(math.isfinite, map(levels(), range(1, m + 1))))
+        if len(phi) <= m:
+            raise OverflowError
         return phi
 
     return StructureFunctionModel(label, table)

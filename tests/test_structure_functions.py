@@ -403,6 +403,14 @@ def test_recipe_range_checks_the_levels_it_passes_over():
             call()
         assert str(caught.value.__cause__) == "integer division result too large for a float"
     assert sf_eval(custom_hg(pair), 1) == 10**200
+    # so does a closed form over exact numbers, whose sf_eval once returned the
+    # Fraction: [n] = n 3**(n-1) at q = p = 3 leaves double range at n = 642
+    exact = chakrabarti_jagannathan(Fraction(3), Fraction(3))
+    for call in (lambda: sf_table(exact, 700), lambda: sf_eval(exact, 642)):
+        with pytest.raises(EvaluationOverflowError, match=r"overflowed at n=642$") as caught:
+            call()
+        assert str(caught.value.__cause__) == "integer division result too large for a float"
+    assert sf_eval(exact, 641) == 641 * Fraction(3) ** 640
 
 
 def test_recipe_stays_in_range_far_from_the_undeformed_point():
