@@ -232,8 +232,8 @@ CALL_FORMS = {
     "verify tolerance": lambda a, b, c, n: verify_q_ha(1.05, dim=8, tol=c),
     "link_table": lambda a, b, c, n: link_table(a, b, c, 6),
     "link tolerance": lambda a, b, c, n: link_table(1.05, 0.95, 1.05, 2, tol=c),
-    # at level BIG the exact kernel would raise Python ints to powers of ~10**400
-    # and run until memory runs out (a known defect), so this form keeps to 24
+    # at level BIG its exact kernel raises Python ints to powers of ~10**400 and
+    # does not return (a known defect, not a size), so this form keeps to 24
     "check_link_consistency": lambda a, b, c, n: check_link_consistency(
         a, b, c, 24 if n is BIG else n),
     "build_ladder": lambda a, b, c, n: build_ladder(nonstd_qp(a, b), n),
