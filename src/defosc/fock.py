@@ -19,6 +19,7 @@ where the pair is), whose h and g it forms as numpy arrays for the recipe.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
@@ -26,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, NegativeStructureFunctionError, double_range
-from .qp import require_positive, require_size
+from .qp import require_nonnegative_int, require_positive
 from .structure import HGPair, StructureFunctionModel, _coefficient, _ratio_lists, _recipe, sf_table
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -62,9 +63,9 @@ def build_ladder(model: StructureFunctionModel, dim: int) -> FockRep:
 
 def _require_dim(dim: int) -> int:
     with suppress(TypeError, ArithmeticError):  # no number, or a Decimal nan: no integer
-        if dim < 2:
+        if -sys.maxsize <= dim < 2:  # past -sys.maxsize the int reader names its bit count
             raise DomainError(f"dim must be >= 2, got {dim}")
-    return require_size(dim=dim)
+    return require_nonnegative_int(dim=dim)
 
 
 def _require_shape(rep: FockRep) -> FockRep:

@@ -25,7 +25,7 @@ import sys
 from .errors import double_range
 from .qp import (
     deformed_integers, relative_gap, require_nonnegative, require_nonnegative_int,
-    require_positive, require_size,
+    require_positive,
 )
 from .report import ResidualReport
 from .structure import HGPair, custom_hg, sf_table
@@ -247,7 +247,7 @@ def link_table(
     agree exactly, so mu is printed in all three.  A column beyond double
     range raises EvaluationOverflowError naming the level.
     """
-    n_max = require_size(n_max=n_max)
+    n_max = require_nonnegative_int(n_max=n_max)
     qb, pb, p = require_positive(qb=qb, pb=pb, p=p)
     tol = require_nonnegative(tolerance=tol)
     rows = []

@@ -68,25 +68,18 @@ def require_nonnegative(**params: float):
 
 
 def require_nonnegative_int(**params: int):
-    """Read each parameter as a Python int >= 0; numpy integers pass, a float does not."""
-    return _ints(params, math.inf)
-
-
-def require_size(**params: int):
-    """Read each parameter as require_nonnegative_int does; each must be at
-    most sys.maxsize, past which no list can hold the table it sizes."""
-    return _ints(params, sys.maxsize)
-
-
-def _ints(params: dict, most: float):
+    """Read each parameter as a Python int in 0..sys.maxsize; numpy integers
+    pass, a float does not.  Past sys.maxsize no list can hold the table a
+    size asks for, and no level is reached."""
     for name, value in params.items():
         try:
             params[name] = value = operator.index(value)
         except TypeError:
             raise DomainError(f"{name} must be an integer, got {value!r}") from None
-        if value < 0:
-            raise DomainError(f"{name} must be >= 0, got {value}")
-        if value > most:  # its bit count prints where its 4,300 digits might not
+        if value < 0:  # a bit count prints where an int's 4,300 digits might not
+            got = value if value >= -sys.maxsize else f"a negative {value.bit_length()}-bit int"
+            raise DomainError(f"{name} must be >= 0, got {got}")
+        if value > sys.maxsize:
             raise DomainError(f"{name} must be <= sys.maxsize, got a {value.bit_length()}-bit int")
     return _returned(list(params.values()))
 

@@ -20,6 +20,7 @@ of its Phi table.  This module holds
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
@@ -28,9 +29,7 @@ from operator import length_hint
 from typing import Callable
 
 from .errors import DomainError, RecipeDivisionError, double_range, finite
-from .qp import (
-    deformed_integers, require_finite, require_nonnegative_int, require_positive, require_size,
-)
+from .qp import deformed_integers, require_finite, require_nonnegative_int, require_positive
 
 _Level = Callable[[int], float]
 
@@ -141,7 +140,8 @@ def _closed_form(label: str, levels: Callable[[], _Level]) -> StructureFunctionM
     # level(n) = Phi(n); the first level that raises or is not finite stops the
     # table (math.isfinite, unlike errors.finite, refuses an exact Phi past range)
     def table(m: int, phi: list) -> list:
-        phi.extend(takewhile(math.isfinite, map(levels(), range(1, m + 1))))
+        if m:  # Phi(0) = 0 needs no per-model work, which may raise
+            phi.extend(takewhile(math.isfinite, map(levels(), range(1, m + 1))))
         if len(phi) <= m:
             raise OverflowError
         return phi
@@ -258,7 +258,7 @@ def sf_eval(model: StructureFunctionModel, n: int) -> float:
     or a recipe coefficient h underflowing to 0.0, raises
     EvaluationOverflowError naming n.
     """
-    n = require_size(n=n)
+    n = require_nonnegative_int(n=n)
     with double_range(lambda: f"structure function {model.label} overflowed at n={n}"):
         return model.table(n, [0.0])[-1]
 
@@ -275,7 +275,7 @@ def sf_table(model: StructureFunctionModel, n_max: int) -> list[float]:
     """
     table = [0.0]
     try:
-        return model.table(require_size(n_max=n_max), table)
+        return model.table(require_nonnegative_int(n_max=n_max), table)
     except (OverflowError, ZeroDivisionError):  # a table that returns enters no double_range
         message = f"structure function {model.label} overflowed at n={len(table)}"
         with double_range(lambda: message):
@@ -295,7 +295,7 @@ def sf_from_hg(hg: HGPair, n: int) -> float:
     is the last entry of sf_table(custom_hg(hg), n), so every level up to
     n is range-checked.
     """
-    return sf_table(custom_hg(hg), require_size(n=n))[-1]
+    return sf_table(custom_hg(hg), require_nonnegative_int(n=n))[-1]
 
 
 # --------------------------------------------------------------------------
@@ -416,7 +416,8 @@ def equal_hg_special_case(
     ratio = qb / pb
 
     def scaled(n: int, factor: float, sign: float) -> float:
-        if type(n) is not int or n < 0:  # read as a level; an int passes as cheaply as index()
+        # read as a level; an int in range passes as cheaply as index()
+        if type(n) is not int or not 0 <= n <= sys.maxsize:
             n = require_nonnegative_int(n=n)
         try:
             return finite(_equal_bracket(factor * pb, ratio, n, sign))
@@ -437,7 +438,7 @@ def _equal_bracket(scale: float, ratio: float, n: int, sign: float) -> float:
 
 def spectrum(model: StructureFunctionModel, n_max: int) -> list[float]:
     """Energy levels E(n) = (Phi(n+1) + Phi(n)) / 2 for n = 0..n_max."""
-    return _energies(sf_table(model, require_size(n_max=n_max) + 1))
+    return _energies(sf_table(model, require_nonnegative_int(n_max=n_max) + 1))
 
 
 def _energies(phi: list[float]) -> list[float]:

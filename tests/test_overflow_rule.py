@@ -210,7 +210,7 @@ NUMBER = st.one_of(
 )
 LEVELS = st.one_of(
     st.integers(-2, 24), st.integers(0, 24).map(np.int64),
-    st.sampled_from([2.0, 2.5, math.nan, Fraction(3), Decimal("nan"), "3", None, BIG]),
+    st.sampled_from([2.0, 2.5, math.nan, Fraction(3), Decimal("nan"), "3", None, BIG, -(10**5000)]),
 )
 # each public entrance the sweep calls, with numbers a, b, c and a level
 CALL_FORMS = {
@@ -232,10 +232,7 @@ CALL_FORMS = {
     "verify tolerance": lambda a, b, c, n: verify_q_ha(1.05, dim=8, tol=c),
     "link_table": lambda a, b, c, n: link_table(a, b, c, 6),
     "link tolerance": lambda a, b, c, n: link_table(1.05, 0.95, 1.05, 2, tol=c),
-    # at level BIG its exact kernel raises Python ints to powers of ~10**400 and
-    # does not return (a known defect, not a size), so this form keeps to 24
-    "check_link_consistency": lambda a, b, c, n: check_link_consistency(
-        a, b, c, 24 if n is BIG else n),
+    "check_link_consistency": lambda a, b, c, n: check_link_consistency(a, b, c, n),
     "build_ladder": lambda a, b, c, n: build_ladder(nonstd_qp(a, b), n),
     "build_xp": lambda a, b, c, n: build_xp(build_ladder(harmonic(), 8), a),
 }
@@ -250,6 +247,7 @@ CALL_FORMS = {
 @example(a=1.1, b=1.0, c=1.0, n="3")  # the equal-case functions once met "3" as a bare TypeError
 @example(a=1.1, b=1.0, c=1.0, n=None)
 @example(a=1.05, b=0.95, c=1.05, n=BIG)  # a size that once appended until memory ran out
+@example(a=1.05, b=0.95, c=1.05, n=-(10**5000))  # once a bare ValueError printing n
 @settings(max_examples=150, deadline=None)
 def test_every_entrance_returns_or_raises_a_typed_error(a, b, c, n):
     for form in CALL_FORMS.values():

@@ -264,20 +264,36 @@ def test_the_equal_case_functions_read_n_as_a_level():
 
 
 def test_a_size_no_list_can_hold_is_refused():
-    # 10**400 once made a table append until memory ran out; each entrance
-    # that sizes a list names the size past sys.maxsize
-    big = 10**400
+    # 10**400 once made a table append until memory ran out, and a link check
+    # at that level raised ints to its powers without end; -10**5000 once
+    # escaped as a bare ValueError, as str() of an int past 4,300 digits does.
+    # Each integer read names the value by its bit count.
+    level_fns = equal_hg_special_case(1.1, 1.0)
     for call, name in [
-        (lambda: sf_table(harmonic(), big), "n_max"),
-        (lambda: sf_eval(arik_coon(1.05), big), "n"),
-        (lambda: spectrum(harmonic(), big), "n_max"),
-        (lambda: sf_from_hg(hg_for_q_ha(1.05), big), "n"),
-        (lambda: build_ladder(harmonic(), big), "dim"),
-        (lambda: verify_q_ha(1.05, dim=big), "dim"),
-        (lambda: link_table(1.05, 0.95, 1.05, big), "n_max"),
+        (lambda n: sf_table(harmonic(), n), "n_max"),
+        (lambda n: sf_eval(arik_coon(1.05), n), "n"),
+        (lambda n: spectrum(harmonic(), n), "n_max"),
+        (lambda n: sf_from_hg(hg_for_q_ha(1.05), n), "n"),
+        (lambda n: build_ladder(harmonic(), n), "dim"),
+        (lambda n: verify_q_ha(1.05, dim=n), "dim"),
+        (lambda n: link_table(1.05, 0.95, 1.05, n), "n_max"),
+        (lambda n: linkage.check_link_consistency(1.05, 0.95, 1.05, n), "level"),
+        (level_fns[0], "n"),
+        (level_fns[1], "n"),
     ]:
         with pytest.raises(DomainError, match=rf"^{name} must be <= sys\.maxsize, got a 1329-"):
-            call()
+            call(10**400)
+        with pytest.raises(DomainError, match=rf"^{name} must be >= 0, got a negative 16610-"):
+            call(-(10**5000))
+
+
+def test_a_closed_form_does_no_model_work_for_an_empty_table():
+    # 1/q is inf at q = 1e-310, which the model refuses at its first level;
+    # Phi(0) = 0 asks nothing of the model
+    model = biedenharn_macfarlane(1e-310)
+    assert sf_table(model, 0) == [0.0] and sf_eval(model, 0) == 0.0
+    with pytest.raises(DomainError, match="^parameter p must be finite"):
+        sf_table(model, 1)
 
 
 def test_the_outermost_block_names_the_failure():
