@@ -2,11 +2,12 @@
 
 Subcommands: sf (structure-function table), spectrum (energy levels),
 verify (relation residual report), link (per-level parameter linkage),
-limits (reduction suite).  Each command returns its config echo, table
-header, rows and verdict; main alone renders them, writes the text to
---out or stdout and picks the exit code.  Output is CSV (configuration echoed as
-leading # comment lines) or JSON ({"config": ..., "rows": ...}); every
-numeric cell is rendered with 17 significant digits so values
+limits (reduction suite).  Each command returns its config echo, rows
+and verdict; main alone renders them, writes the text to --out or stdout
+and picks the exit code.  A table's header is its first row's keys, and
+every row has those keys in that order.  Output is CSV (configuration
+echoed as leading # comment lines) or JSON ({"config": ..., "rows": ...});
+every numeric cell is rendered with 17 significant digits so values
 round-trip exactly and repeated runs are byte-identical.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
@@ -57,39 +58,34 @@ MODELS = {
 }
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def _json_value(value, indent: int) -> str:
-    pad = " " * indent
-    if isinstance(value, dict):
-        items = [
-            f'{pad}  {json.dumps(k)}: {_json_value(v, indent + 2)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        items = [f"{pad}  {_json_value(v, indent + 2)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, (bool, int, float)):
-        return _fmt(value)
-    return json.dumps(value)
+def _json_objects(objects: list[dict], pad: str) -> str:
+    # flat objects with the first one's keys, each key JSON-encoded once, their
+    # braces at the indent pad
+    names = [f"{pad}  {json.dumps(key)}: " for key in objects[0]]
+    return f",\n{pad}".join(
+        "{\n"
+        + ",\n".join(
+            name + (json.dumps(value) if isinstance(value, str) else _cell(value))
+            for name, value in zip(names, row.values())
+        )
+        + f"\n{pad}}}"
+        for row in objects
+    )
 
 
-def _render(config: dict, header: list[str], rows: list[dict], fmt: str) -> str:
+def _render(config: dict, rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return _json_value({"config": config, "rows": rows}, 0) + "\n"
-    lines = [f"# {key}={_fmt(val)}" for key, val in config.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in header))
+        echo, table = _json_objects([config], "  "), _json_objects(rows, "    ")
+        return f'{{\n  "config": {echo},\n  "rows": [\n    {table}\n  ]\n}}\n'
+    lines = [f"# {key}={_cell(val)}" for key, val in config.items()]
+    lines.append(",".join(rows[0]))
+    lines += (",".join(map(_cell, row.values())) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -117,7 +113,7 @@ def _cmd_table(args: argparse.Namespace):
     model, config = _build_model(args)
     config["n_max"] = args.n_max
     rows = [{"n": n, column: value} for n, value in enumerate(table(model, args.n_max))]
-    return config, ["n", column], rows, True
+    return config, rows, True
 
 
 def _hg_flags(args: argparse.Namespace) -> tuple[str, ...]:
@@ -188,8 +184,7 @@ def _cmd_verify(args: argparse.Namespace):
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
     config.update(dim=args.dim, margin=args.margin, tolerance=args.tolerance)
-    row = report.as_dict()
-    return config, list(row), [row], report.passed
+    return config, [report.as_dict()], report.passed
 
 
 def _cmd_link(args: argparse.Namespace):
@@ -197,24 +192,17 @@ def _cmd_link(args: argparse.Namespace):
 
     rows = link_table(args.qb, args.pb, args.p, args.n_max, tol=args.tolerance)
     config = {key: getattr(args, key) for key in ("qb", "pb", "p", "n_max", "tolerance")}
-    return config, list(rows[0]), rows, all(row["consistent"] for row in rows)
+    return config, rows, all(row["consistent"] for row in rows)
 
 
 def _cmd_limits(args: argparse.Namespace):
     from .limits import run_limit_suite
 
     checks = run_limit_suite(tolerance=args.tolerance)
-    rows = [
-        {
-            "check": c.name,
-            "max_deviation": c.max_deviation,
-            "tolerance": c.tolerance,
-            "pass": c.passed,
-        }
-        for c in checks
-    ]
-    header = ["check", "max_deviation", "tolerance", "pass"]
-    return {"tolerance": args.tolerance}, header, rows, all(c.passed for c in checks)
+    # a LimitCheck's fields, in order, under their column names
+    names = ("check", "max_deviation", "tolerance", "pass")
+    rows = [dict(zip(names, vars(c).values())) for c in checks]
+    return {"tolerance": args.tolerance}, rows, all(c.passed for c in checks)
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -287,12 +275,12 @@ _parser = cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config, header, rows, passed = args.run(args)
+        config, rows, passed = args.run(args)
     except DeformedAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = {"command": args.command, **config, "format": args.format}
-    text = _render(config, header, rows, args.format)
+    text = _render(config, rows, args.format)
     if args.out:
         try:
             Path(args.out).write_text(text)

@@ -14,7 +14,7 @@ import sys
 from numbers import Complex, Integral, Number, Rational, Real
 from typing import Callable
 
-from .errors import DomainError, double_range, finite
+from .errors import DomainError, double_range
 
 
 def _read(name: str, x, finite_only: bool = True):
@@ -23,13 +23,15 @@ def _read(name: str, x, finite_only: bool = True):
     if type(x) is not float:
         if not isinstance(x, Number) or isinstance(x, Complex) and not isinstance(x, Real):
             raise DomainError(f"parameter {name} must be a real number, got {x!r}")
-        with double_range(lambda: f"parameter {name} leaves the double range"):
-            try:
-                double = float(x)  # an int or Fraction past double range overflows
-            except ValueError:  # a signalling Decimal nan
-                double = math.nan
+        try:
+            double = float(x)  # an int or Fraction past double range overflows
             if math.isinf(double) and x != double or not double and x:
                 raise OverflowError  # a Decimal past double range, or a value that underflows
+        except ValueError:  # a signalling Decimal nan
+            double = math.nan
+        except (OverflowError, ZeroDivisionError):  # an in-range read enters no double_range
+            with double_range(lambda: f"parameter {name} leaves the double range"):
+                raise
         if isinstance(x, Integral) and not isinstance(x, int) or not isinstance(x, Rational):
             x = double  # a numpy scalar or a Decimal
     if finite_only and not math.isfinite(x):
@@ -75,7 +77,11 @@ def require_nonnegative_int(**params: int):
         try:
             params[name] = value = operator.index(value)
         except TypeError:
-            raise DomainError(f"{name} must be an integer, got {value!r}") from None
+            try:
+                got = repr(value)
+            except ValueError:  # a repr past the 4,300-digit limit, as of a huge Fraction
+                got = f"a {type(value).__name__}"
+            raise DomainError(f"{name} must be an integer, got {got}") from None
         if value < 0:  # a bit count prints where an int's 4,300 digits might not
             got = value if value >= -sys.maxsize else f"a negative {value.bit_length()}-bit int"
             raise DomainError(f"{name} must be >= 0, got {got}")
@@ -118,4 +124,7 @@ def qp_number(m: int, q: float, p: float) -> float:
     """
     m, (q, p) = require_nonnegative(m=m), require_positive(q=q, p=p)
     with double_range(lambda: f"deformed integer [{m}] overflowed at q={q}, p={p}"):
-        return finite(deformed_integers(q, p)(m))
+        value = deformed_integers(q, p)(m)
+        if math.isfinite(value):  # an exact value past double range overflows here
+            return value
+        raise OverflowError

@@ -40,10 +40,11 @@ class HGPair:
 
     h(n) must be nonzero for n >= 0 on the range the recipe evaluates; g may
     vanish, and g(0) is never consulted.  An hg_for_* pair computes in the
-    numbers qp's reader returned, so a pair of Fractions stays exact; its h
-    and g raise EvaluationOverflowError naming the pair and n where a power,
-    or the value, leaves double range, and a layer that reads a pair
-    (sf_table, sf_eval, verify_hg) names the failure in its own terms.
+    numbers qp's reader returned, so a pair of Fractions stays exact, past
+    double range too; its h and g raise EvaluationOverflowError naming the
+    pair and n only where a float power, or a float value, overflows, and a
+    layer that reads a pair (sf_table, sf_eval, verify_hg) names the failure
+    in its own terms.
     lists, where given, returns [h(0..m-1)] and [g(0..m-1)] in one pass;
     where it returns and holds no zero and no infinite value, h(n) and g(n)
     return the same values bit for bit for every n < m.  The recipe reads

@@ -7,8 +7,9 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from defosc import cli
+from defosc import DeformedAlgebraError, cli
 from defosc.cli import MODELS, RELATIONS, main
 from defosc.structure import (
     StructureFunctionModel,
@@ -19,6 +20,8 @@ from defosc.structure import (
     jannussis_mu,
     nonstd_q,
     nonstd_qp,
+    sf_table,
+    spectrum,
     two_sided_equal_hg,
 )
 from link_oracle import assert_rows_are_rounded_exact_values
@@ -202,6 +205,41 @@ def test_spectrum_two_sided_equal_ground_level():
     assert code == 0
     doc = json.loads(out)
     assert doc["rows"][0]["energy"] == pytest.approx(8.0 / 45.0, rel=1e-15)
+
+
+def _table_rows(out: str, fmt: str) -> list[dict]:
+    if fmt == "json":
+        return json.loads(out)["rows"]
+    header, *lines = [line for line in out.splitlines() if not line.startswith("#")]
+    return [dict(zip(header.split(","), map(json.loads, line.split(",")))) for line in lines]
+
+
+# every model, each flag log-uniform over 1e-6..1e6 (in domain, if not always in
+# double range at n_max = 64), in both formats
+@given(
+    command=st.sampled_from(["sf", "spectrum"]),
+    model=st.sampled_from(list(MODELS)),
+    values=st.lists(st.floats(-6, 6).map(lambda e: 10.0**e), min_size=2, max_size=2),
+    n_max=st.integers(0, 64),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_each_table_reads_back_as_its_model_bit_for_bit(command, model, values, n_max, fmt):
+    constructor, flags = MODELS[model]
+    values = values[: len(flags)]
+    argv = [arg for (flag, _), value in zip(flags, values) for arg in (f"--{flag}", repr(value))]
+    code, out, err = run_cli(command, "--model", model, *argv, "--n-max", str(n_max),
+                             "--format", fmt)
+    table = sf_table if command == "sf" else spectrum
+    if code != 0:
+        assert (code, out) == (2, "") and re.fullmatch("error: [^\n]*\n", err), (code, err)
+        with pytest.raises(DeformedAlgebraError):
+            table(constructor(*values), n_max)
+        return
+    column = "phi" if command == "sf" else "energy"
+    read = [(row["n"], float(row[column]).hex()) for row in _table_rows(out, fmt)]
+    expected = table(constructor(*values), n_max)
+    assert read == [(n, float(value).hex()) for n, value in enumerate(expected)]
 
 
 # ---------------------------------------------------------------------------

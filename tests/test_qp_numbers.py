@@ -128,6 +128,16 @@ def test_qp_number_types_an_overflow():
         qp_number(1100, 1.9, 1.9 * (1 + 2e-9))
 
 
+def test_qp_number_refuses_an_exact_value_past_double_range():
+    # an int or Fraction q = p keeps m q**(m-1) exact, where a float would overflow;
+    # qp_number returns a double, so a value no double holds is refused as for floats
+    for m, q in [(2000, 2), (1100, Fraction(2))]:
+        with pytest.raises(EvaluationOverflowError, match=rf"^deformed integer \[{m}\]") as info:
+            qp_number(m, q, q)
+        assert type(info.value.__cause__) is OverflowError
+    assert qp_number(3, 2, 2) == 12 and type(qp_number(3, 2, 2)) is int
+
+
 def test_require_nonnegative_names_the_first_negative_parameter():
     require_nonnegative(n=0, level=3)
     with pytest.raises(DomainError, match=r"^level must be >= 0, got -2$"):

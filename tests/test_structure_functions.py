@@ -266,8 +266,9 @@ def test_the_equal_case_functions_read_n_as_a_level():
 def test_a_size_no_list_can_hold_is_refused():
     # 10**400 once made a table append until memory ran out, and a link check
     # at that level raised ints to its powers without end; -10**5000 once
-    # escaped as a bare ValueError, as str() of an int past 4,300 digits does.
-    # Each integer read names the value by its bit count.
+    # escaped as a bare ValueError, as str() of an int past 4,300 digits does,
+    # and so did a Fraction of that size, whose repr() raises it.  Each integer
+    # read names the int by its bit count, and the Fraction by its type.
     level_fns = equal_hg_special_case(1.1, 1.0)
     for call, name in [
         (lambda n: sf_table(harmonic(), n), "n_max"),
@@ -285,6 +286,9 @@ def test_a_size_no_list_can_hold_is_refused():
             call(10**400)
         with pytest.raises(DomainError, match=rf"^{name} must be >= 0, got a negative 16610-"):
             call(-(10**5000))
+        for huge in (Fraction(10**5000), Fraction(-(10**5000))):  # a repr() that raises
+            with pytest.raises(DomainError, match=rf"^{name} must be an integer, got a Fraction$"):
+                call(huge)
 
 
 def test_a_closed_form_does_no_model_work_for_an_empty_table():

@@ -411,6 +411,13 @@ def test_verify_hg_types_an_overflowing_coefficient_pair():
         cause = exc.value.__cause__
         assert type(cause) is EvaluationOverflowError
         assert str(cause) == f"coefficient h of {pair.label} overflowed at n={level}"
+    # a custom pair's h or g that is not finite raises nothing itself; the
+    # check refuses it rather than read a nan residual
+    message = r"^coefficients of hg\[custom\] overflowed at dim=8$"
+    for h, g in [(lambda n: math.inf, lambda n: 1.0), (lambda n: 1.0, lambda n: math.nan)]:
+        with pytest.raises(EvaluationOverflowError, match=message) as exc:
+            verify_hg(rep, HGPair(h, g))
+        assert type(exc.value.__cause__) is OverflowError
 
 
 def test_two_sided_reads_each_level_of_mu_once():
