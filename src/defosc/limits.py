@@ -114,6 +114,6 @@ _CHECKS = (
 
 def run_limit_suite(tolerance: float = DEFAULT_LIMIT_TOLERANCE) -> list[LimitCheck]:
     """Run every reduction check and report per-check worst deviations."""
-    require_nonnegative(tolerance=tolerance)
+    tolerance = require_nonnegative(tolerance=tolerance)
     deviations = [(name, check()) for name, check in _CHECKS]
     return [LimitCheck(name, value, tolerance, value <= tolerance) for name, value in deviations]

@@ -40,46 +40,50 @@ def _double_range(level: int):
 SF_LEVELS = 12
 
 
+def _table(qb: float, pb: float, p: float, q_only: bool = False) -> list:
+    """Exact columns q + 1, mu and p**N (q + 1 alone when q_only): top
+    terms over one bottom, a term a pair of Python ints (k, f) for k f**N.
+    With qb = alpha/eps, pb = beta/delta, p = c/gamma and Q = qb/pb = A/B
+    in lowest terms, the matching conditions q + 1 = pb P (X + X Q +
+    X**2/Q**2 + X**2 Q**3) / 2 and mu = qb (X + Q**2 X**2) - 2/P at
+    X = Q**(2N), P = p**N clear to (mu's one negative term last)
+
+        q + 1 = [beta A**2 B**2 (A + B) (c A**2 B**2)**N
+                 + beta (A**5 + B**5) (c A**4)**N] / [2 delta A**2 B**3 (gamma B**4)**N],
+        mu    = [alpha B**2 (c A**2 B**2)**N + alpha A**2 (c A**4)**N
+                 - 2 eps B**2 (gamma B**4)**N] / [eps B**2 (c B**4)**N],
+        p**N  = c**N / gamma**N.
+    """
+    (alpha, eps), (beta, delta), (c, gamma) = (value.as_integer_ratio() for value in (qb, pb, p))
+    # reduced once: a factor common to A and B would grow with every power
+    common = math.gcd(alpha * delta, eps * beta)
+    A, B = alpha * delta // common, eps * beta // common
+    mixed, upper, lower = c * (A * B) ** 2, c * A**4, gamma * B**4
+    q_column = ((beta * (A * B) ** 2 * (A + B), mixed), (beta * (A**5 + B**5), upper),
+                (2 * delta * A**2 * B**3, lower))
+    if q_only:
+        return [q_column]
+    mu_column = ((alpha * B**2, mixed), (alpha * A**2, upper), (-2 * eps * B**2, lower),
+                 (eps * B**2, c * B**4))
+    return [q_column, mu_column, ((1, c), (1, gamma))]
+
+
 def _exact_columns(qb: float, pb: float, p: float, first: int, q_only: bool = False):
     """Exact q, mu and p**N at levels first, first + 1, ... on Python ints.
 
     Yields, per level, the (numerator, denominator) pairs of q, mu and
     p**N, or of q alone when q_only; numerator / denominator is the
     correctly rounded value, the division of Python ints rounds once, and
-    raises OverflowError past double range.  With
-    qb = alpha/eps, pb = beta/delta, p = c/gamma and Q = qb/pb = A/B in
-    lowest terms, X = Q**(2N) = a/b and P = p**N, the free forms
-
-        q + 1 = pb P (X + X Q + X**2/Q**2 + X**2 Q**3) / 2
-              = beta c**N [a b A**2 B**2 (A + B) + a**2 (A**5 + B**5)]
-                / (2 delta gamma**N b**2 A**2 B**3),
-        mu    = qb (X + Q**2 X**2) - 2/P
-              = [alpha c**N (a b B**2 + a**2 A**2) - 2 eps gamma**N b**2 B**2]
-                / (eps c**N b**2 B**2)
-
-    need no gcd.  a b, a**2, b**2, c**N and gamma**N start as direct powers
-    at the first level and are then carried by one small factor per level.
+    raises OverflowError past double range.  Each f of _table is raised
+    once at the first level, and each term k f**N is then carried by its f.
     """
-    (alpha, eps), (beta, delta), (c, gamma) = (value.as_integer_ratio() for value in (qb, pb, p))
-    # reduced once: a factor common to A and B would grow with every power
-    common = math.gcd(alpha * delta, eps * beta)
-    A, B = alpha * delta // common, eps * beta // common
-    a, b = A ** (2 * first), B ** (2 * first)
-    ab, a2, b2, c_n, gamma_n = a * b, a * a, b * b, c**first, gamma**first
-    ab_step, a2_step, b2_step = (A * B) ** 2, A**4, B**4
-    A2, B2 = A * A, B * B
-    q_ab, q_a2, q_bottom = A2 * B2 * (A + B), A2 * A2 * A + B2 * B2 * B, 2 * delta * A2 * B2 * B
+    table = _table(qb, pb, p, q_only)
+    powers = {f: f**first for f in {f for column in table for _, f in column}}
+    values = [[k * powers[f] for k, f in column] for column in table]
     while True:
-        q_den = q_bottom * b2 * gamma_n
-        q = (beta * c_n * (ab * q_ab + a2 * q_a2) - q_den, q_den)
-        if q_only:
-            yield (q,)
-        else:
-            b2_B2 = b2 * B2
-            mu_num = alpha * c_n * (ab * B2 + a2 * A2) - 2 * eps * gamma_n * b2_B2
-            yield q, (mu_num, eps * c_n * b2_B2), (c_n, gamma_n)
-        ab, a2, b2 = ab * ab_step, a2 * a2_step, b2 * b2_step
-        c_n, gamma_n = c_n * c, gamma_n * gamma
+        (*q_tops, q_bottom), *others = values  # q is q + 1 less its bottom
+        yield ((sum(q_tops) - q_bottom, q_bottom), *((sum(top), bottom) for *top, bottom in others))
+        values = [[v * f for v, (_, f) in zip(row, column)] for row, column in zip(values, table)]
 
 
 # The fast path's intervals (lo, hi, e) = [lo, hi] * 2**e keep hi to _WIDTH bits,
@@ -101,9 +105,10 @@ def _pow(x, n: int):  # by squaring, so a deep level costs log2(n) products
     return power
 
 
-def _div(x, y):  # y > 0
-    shift = _WIDTH + y[1].bit_length()
-    return (x[0] << shift) // y[1], -(-(x[1] << shift) // y[0]), x[2] - y[2] - shift
+def _quotient(top: int, bottom: int):  # top / bottom > 0, rounded once to _WIDTH bits
+    shift = _WIDTH + bottom.bit_length() - top.bit_length()
+    top, bottom = (top << shift, bottom) if shift > 0 else (top, bottom << -shift)
+    return top // bottom, -(-top // bottom), -shift
 
 
 def _at(x, e: int) -> tuple[int, int]:  # the ends in units of 2**e, rounded outward
@@ -111,7 +116,7 @@ def _at(x, e: int) -> tuple[int, int]:  # the ends in units of 2**e, rounded out
     return (x[0] >> shift, -(-x[1] >> shift)) if shift > 0 else (x[0] << -shift, x[1] << -shift)
 
 
-def _sum(x, y, z=(0, 0, 0)):  # x + y - z; the default z = 0 suits x = 1
+def _sum(x, y, z):  # x + y - z
     e = max(x[2], y[2], z[2]) - _WIDTH
     (xl, xh), (yl, yh), (zl, zh) = _at(x, e), _at(y, e), _at(z, e)
     return xl + yl - zh, xh + yh - zl, e
@@ -135,25 +140,15 @@ def _decided(lo: int, hi: int, e: int) -> float:
 def _columns(qb: float, pb: float, p: float, first: int, q_only: bool = False):
     """The doubles _exact_columns rounds to, from intervals where they decide.
 
-    Its q + 1 and mu are sums of terms c f**N, powers at the first level
-    then carried by f: pb/2 (1 + Q) (p Q**2)**N + pb/2 (1 + Q**5)/Q**2
-    (p Q**4)**N and qb (Q**2)**N + qb Q**2 (Q**4)**N - 2 (1/p)**N.  Ends
-    that round to one normal double decide the value between them, since
-    rounding is monotone, and ends past double range its overflow; a level
-    where one cannot (a near-tie, a zero, a subnormal) is rounded exactly.
+    Each term k f**N of _table over its column's bottom k' f'**N is
+    c F**N, c = |k|/k' and F = f/f' rounded once from the ints, F**N
+    carried from the first level (_sum subtracts mu's negative term).
+    Ends that round to one normal double decide the value between them,
+    since rounding is monotone, and ends past double range its overflow;
+    a level where one cannot (a near-tie, a zero, a subnormal) rounds exactly.
     """
-    args = qb, pb, p
-    qb, pb, p = (_div((n, n, 0), (d, d, 0)) for n, d in (v.as_integer_ratio() for v in args))
-    ratio, inverse = _div(qb, pb), _div(pb, qb)
-    step, half_pb = _mul(ratio, ratio), pb[:2] + (pb[2] - 1,)
-    square = _mul(step, step)
-    terms = [  # (c, f), in the order q + 1, mu and p**N take them
-        (_mul(half_pb, _sum(_ONE, ratio)), _mul(p, step)),
-        (_mul(_mul(half_pb, _mul(inverse, inverse)), _sum(_ONE, _mul(square, ratio))),
-         _mul(p, square)),
-    ]
-    if not q_only:
-        terms += [(qb, step), (_mul(qb, step), square), ((2, 2, 0), _div(_ONE, p)), (_ONE, p)]
+    terms = [(_quotient(abs(k), k_bottom), _quotient(f, f_bottom))
+             for *tops, (k_bottom, f_bottom) in _table(qb, pb, p, q_only) for k, f in tops]
     values = [_mul(c, _pow(f, first)) for c, f in terms]
     for level in itertools.count(first):
         q = _sum(values[0], values[1], _ONE)
@@ -162,7 +157,7 @@ def _columns(qb: float, pb: float, p: float, first: int, q_only: bool = False):
         if math.inf in map(abs, rounded):
             raise OverflowError
         if any(map(math.isnan, rounded)):
-            rounded = [top / bottom for top, bottom in next(_exact_columns(*args, level, q_only))]
+            rounded = [n / d for n, d in next(_exact_columns(qb, pb, p, level, q_only))]
         yield rounded
         # each factor has at least _WIDTH bits, so no shift is negative
         values = [(v_lo * f_lo >> (shift := (hi := v_hi * f_hi).bit_length() - _WIDTH),

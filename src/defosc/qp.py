@@ -122,7 +122,7 @@ def qp_number(m: int, q: float, p: float) -> float:
     deformed_integers(q, p)(m), whose one form holds on both sides of
     q = p.  A value beyond double range raises EvaluationOverflowError.
     """
-    m, (q, p) = require_nonnegative(m=m), require_positive(q=q, p=p)
+    m, (q, p) = require_nonnegative_int(m=m), require_positive(q=q, p=p)
     with double_range(lambda: f"deformed integer [{m}] overflowed at q={q}, p={p}"):
         value = deformed_integers(q, p)(m)
         if math.isfinite(value):  # an exact value past double range overflows here

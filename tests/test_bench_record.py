@@ -64,7 +64,20 @@ def test_record_keeps_the_timed_calls(logs, tmp_path):
     (logs / "calls.json").write_text(json.dumps(calls))
     out = tmp_path / "BENCH.json"
     bench_record.main(["record", str(logs), str(out), "--what", "w"])
-    assert json.loads(out.read_text())["calls_ms"]["f()"] == {"parent": 2.0, "change": 1.0}
+    assert json.loads(out.read_text())["calls_ms"]["f() seed 1"] == {"parent": 2.0, "change": 1.0}
+
+
+def test_record_keeps_the_timed_calls_of_every_seed(tmp_path):
+    first, second = _keep_run(tmp_path / "seed1"), _keep_run(tmp_path / "seed3", seed=3)
+    for logs, ms in ((first, 2.0), (second, 3.0)):
+        calls = {"parent": {"f()": ms, "g()": 1.0}, "change": {"f()": ms / 2, "g()": 1.0}}
+        (logs / "calls.json").write_text(json.dumps(calls))
+    out = tmp_path / "BENCH.json"
+    bench_record.main(["record", str(first), str(second), str(out), "--what", "w"])
+    calls = json.loads(out.read_text())["calls_ms"]
+    assert list(calls) == ["how", "f() seed 1", "g() seed 1", "f() seed 3", "g() seed 3"]
+    assert calls["f() seed 1"] == {"parent": 2.0, "change": 1.0}
+    assert calls["f() seed 3"] == {"parent": 3.0, "change": 1.5}
 
 
 def test_record_refuses_a_single_pair(logs, tmp_path):

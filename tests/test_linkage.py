@@ -295,6 +295,15 @@ def test_impossible_link_tolerance_is_a_domain_error(tol):
         run_limit_suite(tolerance=tol)
 
 
+def test_limit_suite_checks_carry_the_read_tolerance():
+    # a numpy tolerance is read as its float, so each verdict is a bool
+    checks = run_limit_suite(tolerance=np.float32(1e-6))
+    assert len(checks) == 5
+    for check in checks:
+        assert type(check.tolerance) is float and type(check.passed) is bool
+        assert check.tolerance == float(np.float32(1e-6))
+
+
 def test_link_levels_are_integers():
     with pytest.raises(DomainError, match=r"^level must be an integer, got 2.5$"):
         check_link_consistency(1.1, 1.0, 1.0, 2.5)
@@ -507,6 +516,17 @@ def _planted_columns(kernel):
     return wrapper
 
 
+def _planted_term(table):
+    # scale the first term of q + 1 in the kernel's table by 1 + 1e-6, as a
+    # typo would: the column's other terms and its bottom keep their value
+    def wrapper(*args):
+        ((k, f), *others), *columns = table(*args)
+        return [((k * PLANTED.numerator, f), *((top * PLANTED.denominator, g) for top, g in others)),
+                *columns]
+
+    return wrapper
+
+
 def _planted_route(route):
     # scale one route of the oracle by 1 + 1e-6, as a transcription typo would
     def plant(routes):
@@ -539,10 +559,14 @@ ROUTES = tuple(routes_at(*MILD, 0))
 
 # what a typo is planted in (module, name), how, and the certificates that
 # must each catch it: the package's pair and kernel, the matching both are
-# proved against, and each route of the oracle's one transcription
+# proved against, and each route of the oracle's one transcription.  The
+# exact kernel and the intervals read one table, so a typo in it moves both
+# and only the oracle catches it; interval against exact checks the
+# interval arithmetic alone
 PLANTS = {
     "hg_for_two_sided": ((defosc, "hg_for_two_sided"), _planted_pair, [assert_routes_close]),
     "_exact_columns": ((linkage, "_exact_columns"), _planted_columns, [assert_kernel_is_the_formula]),
+    "_table": ((linkage, "_table"), _planted_term, [assert_kernel_is_the_formula]),
     "matching": (
         (HERE, "matching"), _planted_matching, [assert_routes_close, assert_kernel_is_the_formula]
     ),

@@ -130,6 +130,15 @@ def test_one_recipe_loop():
     assert not hasattr(defosc.fock, "_half_mu")
 
 
+def test_one_table_of_exact_terms():
+    # q + 1, mu and p**N are written once, in linkage's table of exact terms,
+    # which the exact kernel and the 128-bit intervals both read
+    linkage = defosc.linkage
+    assert Path(linkage.__file__).read_text().count("as_integer_ratio") == 1
+    assert "as_integer_ratio" in inspect.getsource(linkage._table)
+    assert not hasattr(linkage, "_div")
+
+
 def test_model_labels_are_spelled_by_the_catalog():
     # the X/P checks realize the catalog's own models, so a nonstandard or
     # two-sided label is spelled in structure alone, and fock builds no pair

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -104,6 +106,14 @@ def test_domain_errors():
         qp_number(2, 0.0, 1.0)
     with pytest.raises(DomainError):
         qp_number(2, 1.0, -0.5)
+
+
+def test_qp_number_reads_m_as_an_integer():
+    # m is read as every integer parameter is: no real number passes
+    for m in (2.5, 3.0, math.inf):
+        with pytest.raises(DomainError, match=rf"^m must be an integer, got {m!r}$"):
+            qp_number(m, 1.1, 1.0)
+    assert qp_number(np.int64(3), 2, 1) == 7.0
 
 
 def test_deformation_params():

@@ -23,7 +23,8 @@ example one per seed), and writes, per workload and seed, the median,
 quartiles and runs of every end-to-end metric of BENCHMARK.json for
 both sides, the pairs the change wins, the relative change of the
 median and the parent's interquartile range, then the per-layer metrics
-of the traced runs, the host and the timed calls.  A side whose
+of the traced runs, the host and the timed calls, each keyed
+"<expr> seed <n>" by the seed of its LOG_DIR.  A side whose
 provenance names no commit (an export has no git_sha) needs
 --parent-commit or --change-commit.
 """
@@ -139,7 +140,7 @@ def _compare(spec: dict, parent: list[float], change: list[float]) -> dict:
 def record(args) -> None:
     specs = BENCHMARK["end_to_end"]
     commits = {"parent": args.parent_commit, "change": args.change_commit}
-    end_to_end, traced, host, calls = {}, {}, {}, None
+    end_to_end, traced, host, calls = {}, {}, {}, {side: {} for side in SIDES}
     for logs in map(Path, args.logs):
         for workload in WORKLOADS:
             runs = {side: sorted(logs.glob(f"{side}-{workload}-pair*.out")) for side in SIDES}
@@ -171,8 +172,11 @@ def record(args) -> None:
                     "metrics": {name: metric["value"]
                                 for name, metric in result["metrics"].items()},
                 }
-        if (logs / "calls.json").is_file():
-            calls = json.loads((logs / "calls.json").read_text())
+        if (logs / "calls.json").is_file():  # each run's calls, keyed as its workloads are
+            timed = json.loads((logs / "calls.json").read_text())
+            for side in SIDES:
+                calls[side].update((f"{expr} seed {provenance['seed']}", ms)
+                                   for expr, ms in timed[side].items())
     for side in SIDES:
         if not commits[side]:
             sys.exit(f"error: no git_sha in the {side} provenance; pass --{side}-commit")
@@ -187,7 +191,7 @@ def record(args) -> None:
         "traced": traced,
         "host": host,
     }
-    if calls:
+    if calls["parent"]:
         out["calls_ms"] = {
             "how": f"minimum of {CALL_REPEATS} repeats in one interpreter per commit, the "
                    "commits alternating, after the perfbench runs; milliseconds per call",
