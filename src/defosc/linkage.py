@@ -38,6 +38,23 @@ def _double_range(level: int):
 # Depth of the recipe check in check_link_consistency: Phi(0..SF_LEVELS)
 # against the deformed integers, trimmed while its values leave double range.
 SF_LEVELS = 12
+# A bound on every gap _recipe_gaps returns, so a tolerance at or above it
+# decides each link_table row without the recipe.  With u = 2**-53, and pow,
+# log1p and expm1 within 1 ulp (2u), as glibc documents: for q, p > 0 every
+# term of Phi(n+1) = (g/h) Phi(n) + 1/h is positive, so a level's relative
+# error is its worse term's plus one rounding.  g/h = fl(fl(q h) / h) is
+# q (1 + 2u) whatever pow's error in h, 1/h is p**n (1 + 3u) and Phi(1) = 1
+# exactly, so Phi(n) is off by 4 (n - 1) u.  [n] = big**(n-1) expm1(n L) /
+# expm1(L) is off by 9u from pow, n L, the two expm1, the quotient and the
+# product, and by 4u from e and L = log1p(-e): sum t**k (t = small/big)
+# moves by sum k t**k / sum t**k <= t/(1 - t) <= 1/|ln t| times L's error,
+# which is 2u |ln t| plus (1 - t)/t times e's 2u.  The gap itself rounds
+# once.  At n <= 12 that is 58u, about 6.4e-15, against a worst gap of 10u
+# on random targets.  An exact p rounds where it meets a float, no worse
+# than pow.  The depth trim keeps p**n >= 1e-300 and Phi(n) <= 1e300, so a
+# q h or (g/h) Phi that underflows moves Phi(n+1) >= p**n by 2**-1075 1e300,
+# below 1e-23 relative.
+RECIPE_GAP_BOUND = 1e-12
 
 
 def _table(qb: float, pb: float, p: float, q_only: bool = False) -> list:
@@ -239,18 +256,22 @@ def link_table(
     Every printed value is the correctly rounded exact value: a 128-bit
     interval carried from level to level decides it, and the exact integer
     kernel runs only at a level where one cannot.  The three mu routes
-    agree exactly, so mu is printed in all three.  A column beyond double
-    range raises EvaluationOverflowError naming the level.
+    agree exactly, so mu is printed in all three.  The recipe's gap is
+    roundoff, proven below RECIPE_GAP_BOUND (1e-12), so at a tol at or
+    above it every row is consistent and the recipe does not run; below
+    it each row runs the recipe as check_link_consistency does.  A column
+    beyond double range raises EvaluationOverflowError naming the level.
     """
     n_max = require_nonnegative_int(n_max=n_max)
     qb, pb, p = require_positive(qb=qb, pb=pb, p=p)
     tol = require_nonnegative(tolerance=tol)
     rows = []
     columns = _columns(qb, pb, p, 0)
+    bounded = tol >= RECIPE_GAP_BOUND  # every gap is below it, so no row can fail
     for level in range(n_max + 1):
         with _double_range(level):
             q, mu, p_pow_n = next(columns)
         row = dict(n=level, q=q, mu_h_match=mu, mu_g_match=mu, mu_from_q=mu, p_pow_n=p_pow_n)
-        row["consistent"] = max(_recipe_gaps(q, p), default=0.0) <= tol
+        row["consistent"] = bounded or max(_recipe_gaps(q, p), default=0.0) <= tol
         rows.append(row)
     return rows

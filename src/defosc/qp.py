@@ -120,10 +120,14 @@ def qp_number(m: int, q: float, p: float) -> float:
     """Deformed integer [m] = (q**m - p**m) / (q - p), m q**(m-1) at q = p.
 
     deformed_integers(q, p)(m), whose one form holds on both sides of
-    q = p.  A value beyond double range raises EvaluationOverflowError.
+    q = p.  A value beyond double range raises EvaluationOverflowError, an
+    exact one before its power is formed.
     """
     m, (q, p) = require_nonnegative_int(m=m), require_positive(q=q, p=p)
     with double_range(lambda: f"deformed integer [{m}] overflowed at q={q}, p={p}"):
+        big = max(q, p)
+        if type(big) is not float and big > 1 and (m - 1) * math.log2(big) > 1100:
+            raise OverflowError  # [m] >= big**(m-1) > 2**1100, refused before the exact power
         value = deformed_integers(q, p)(m)
         if math.isfinite(value):  # an exact value past double range overflows here
             return value

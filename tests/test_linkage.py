@@ -377,14 +377,72 @@ def test_link_check_depth_is_trimmed_for_small_p():
     assert (report.dim, report.passed) == (12, True)
 
 
-@given(
-    q=st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
-    p=st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
+DECADES = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+RECIPE_TARGETS = st.one_of(
+    st.tuples(DECADES, DECADES),
+    # at and near q = p: e = 0, then e a few ulps and up to 1e-6
+    st.tuples(st.integers(-64, 64), DECADES).map(
+        lambda kp: (kp[1] * (1 + kp[0] * 2.0**-52), kp[1])),
+    st.tuples(st.floats(-16.0, -6.0), st.sampled_from((-1, 1)), DECADES).map(
+        lambda esp: (esp[2] * (1 + esp[1] * 10.0 ** esp[0]), esp[2])),
+    # small/big below 2**-53 (log1p's pole, e = 1) and above 2**53, either way round
+    st.tuples(st.floats(53.0, 300.0), st.sampled_from((-1, 1)),
+              st.floats(-200.0, 200.0).map(lambda exponent: 10.0**exponent)).map(
+        lambda ksp: (ksp[2] * 2.0 ** (ksp[1] * ksp[0]), ksp[2])),
+    # link-limits' range
+    st.tuples(st.floats(0.0, 3.0, exclude_min=True), st.floats(0.45, 1.0)),
 )
+
+
+@given(target=RECIPE_TARGETS)
+@example(target=(5e-324, 1.0))  # q h underflows at every level
+@example(target=(5e-324, 0.5))
+@example(target=(1.0, 1.0))
+@example(target=(1.05, Fraction(21, 20)))  # an exact p
+@example(target=(3.0, Fraction(1, 3)))
+@settings(max_examples=600, deadline=None)
+def test_recipe_check_stays_in_double_range(target):
+    # the depth trim keeps every value the recipe forms in range, and every
+    # gap is roundoff below the proven bound link_table skips the recipe at
+    assert max(linkage._recipe_gaps(*target), default=0.0) <= linkage.RECIPE_GAP_BOUND
+
+
+LINK_TOLERANCES = (0.0, 2.0**-52, 1e-13, linkage.RECIPE_GAP_BOUND, 1e-10, float("inf"))
+
+
+@given(
+    qbpbp=st.one_of(
+        st.tuples(*[st.floats(-1074, 1023.9).map(lambda k: 2.0**k)] * 3),
+        st.tuples(*[st.floats(1e-3, 1e3)] * 3),
+        st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.floats(0.45, 1.0)),
+    ),
+    n_max=st.integers(0, 40),
+    tol=st.sampled_from(LINK_TOLERANCES),
+)
+@example(qbpbp=(0.1, 0.1, 0.1), n_max=4, tol=0.0)  # q <= 0: no recipe, a pass at 0
+@example(qbpbp=(1.05, 0.95, 1.05), n_max=12, tol=0.0)
 @settings(max_examples=300, deadline=None)
-def test_recipe_check_stays_in_double_range(q, p):
-    # the depth trim keeps every value the recipe forms in range
-    assert max(linkage._recipe_gaps(q, p), default=0.0) <= 1e-12
+def test_consistent_is_the_recipe_verdict_at_every_tolerance(qbpbp, n_max, tol):
+    # skipping the recipe at or above RECIPE_GAP_BOUND prints what running it would
+    try:
+        rows = link_table(*qbpbp, n_max, tol=tol)
+    except EvaluationOverflowError:
+        return
+    p = qbpbp[2]
+    assert [row["consistent"] for row in rows] == [
+        max(linkage._recipe_gaps(row["q"], p), default=0.0) <= tol for row in rows
+    ]
+
+
+def test_link_table_runs_the_recipe_only_below_its_bound(monkeypatch):
+    calls = []
+    recipe_gaps = linkage._recipe_gaps
+    monkeypatch.setattr(linkage, "_recipe_gaps", lambda q, p: calls.append(q) or recipe_gaps(q, p))
+    for tol in (1e-10, linkage.RECIPE_GAP_BOUND, float("inf")):
+        assert all(row["consistent"] for row in link_table(1.05, 0.95, 1.05, 8, tol=tol))
+    assert calls == []
+    rows = link_table(1.05, 0.95, 1.05, 8, tol=1e-13)
+    assert calls == [row["q"] for row in rows] and len(rows) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,18 @@ def test_qp_number_refuses_an_exact_value_past_double_range():
     assert qp_number(3, 2, 2) == 12 and type(qp_number(3, 2, 2)) is int
 
 
+@pytest.mark.parametrize("q, p", [(3, 2), (2, 2), (Fraction(3, 2), Fraction(5, 4)),
+                                  (Fraction(5, 4), Fraction(5, 4)), (3, 2.0)])
+def test_qp_number_refuses_an_exact_power_before_forming_it(q, p):
+    # [m] >= big**(m-1), here a power of 2**39 bits and more: refused from
+    # m log2(big), in microseconds, with the message of any other overflow
+    m = 2**40
+    with pytest.raises(EvaluationOverflowError,
+                       match=rf"^deformed integer \[{m}\] overflowed at q={q}, p={p}$"):
+        qp_number(m, q, p)
+    assert qp_number(1001, 2, 1) == 2.0**1001 - 1  # 1000 log2(2) stays below the guard
+
+
 def test_require_nonnegative_names_the_first_negative_parameter():
     require_nonnegative(n=0, level=3)
     with pytest.raises(DomainError, match=r"^level must be >= 0, got -2$"):
