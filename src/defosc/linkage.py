@@ -31,10 +31,6 @@ from .report import ResidualReport
 from .structure import HGPair, custom_hg, sf_table
 
 
-def _double_range(level: int):
-    return double_range(lambda: f"linkage value leaves the double range at level={level}")
-
-
 # Depth of the recipe check in check_link_consistency: Phi(0..SF_LEVELS)
 # against the deformed integers, trimmed while its values leave double range.
 SF_LEVELS = 12
@@ -117,9 +113,13 @@ def _mul(x, y):  # x, y >= 0
 
 def _pow(x, n: int):  # by squaring, so a deep level costs log2(n) products
     power = _ONE
-    while n:
-        power, x, n = _mul(power, x) if n & 1 else power, _mul(x, x), n >> 1
-    return power
+    while True:
+        if n & 1:
+            power = _mul(power, x)
+        n >>= 1
+        if not n:  # the last square would go unused
+            return power
+        x = _mul(x, x)
 
 
 def _quotient(top: int, bottom: int):  # top / bottom > 0, rounded once to _WIDTH bits
@@ -128,14 +128,12 @@ def _quotient(top: int, bottom: int):  # top / bottom > 0, rounded once to _WIDT
     return top // bottom, -(-top // bottom), -shift
 
 
-def _at(x, e: int) -> tuple[int, int]:  # the ends in units of 2**e, rounded outward
-    shift = e - x[2]
-    return (x[0] >> shift, -(-x[1] >> shift)) if shift > 0 else (x[0] << -shift, x[1] << -shift)
-
-
-def _sum(x, y, z):  # x + y - z
-    e = max(x[2], y[2], z[2]) - _WIDTH
-    (xl, xh), (yl, yh), (zl, zh) = _at(x, e), _at(y, e), _at(z, e)
+def _sum(x, y, z):  # x + y - z, each term's ends in units of 2**e, rounded outward
+    (xl, xh, xe), (yl, yh, ye), (zl, zh, ze) = x, y, z
+    e = max(xe, ye, ze) - _WIDTH
+    xl, xh = (xl >> s, -(-xh >> s)) if (s := e - xe) > 0 else (xl << -s, xh << -s)
+    yl, yh = (yl >> s, -(-yh >> s)) if (s := e - ye) > 0 else (yl << -s, yh << -s)
+    zl, zh = (zl >> s, -(-zh >> s)) if (s := e - ze) > 0 else (zl << -s, zh << -s)
     return xl + yl - zh, xh + yh - zl, e
 
 
@@ -231,7 +229,7 @@ def check_link_consistency(
     qb, pb, p = require_positive(qb=qb, pb=pb, p=p)
     tol = require_nonnegative(tolerance=tol)
     level = require_nonnegative_int(level=level)  # a Python int, as the kernel's powers need
-    with _double_range(level):
+    with double_range(lambda: f"linkage value leaves the double range at level={level}"):
         (q,) = next(_columns(qb, pb, p, level, q_only=True))
     gaps = _recipe_gaps(q, p)
     worst = max(gaps, default=0.0)
@@ -259,19 +257,20 @@ def link_table(
     agree exactly, so mu is printed in all three.  The recipe's gap is
     roundoff, proven below RECIPE_GAP_BOUND (1e-12), so at a tol at or
     above it every row is consistent and the recipe does not run; below
-    it each row runs the recipe as check_link_consistency does.  A column
-    beyond double range raises EvaluationOverflowError naming the level.
+    it each row runs the recipe as check_link_consistency does, after
+    every level is formed.  A column beyond double range raises
+    EvaluationOverflowError naming the level; no level past n_max is formed.
     """
     n_max = require_nonnegative_int(n_max=n_max)
     qb, pb, p = require_positive(qb=qb, pb=pb, p=p)
     tol = require_nonnegative(tolerance=tol)
     rows = []
-    columns = _columns(qb, pb, p, 0)
-    bounded = tol >= RECIPE_GAP_BOUND  # every gap is below it, so no row can fail
-    for level in range(n_max + 1):
-        with _double_range(level):
-            q, mu, p_pow_n = next(columns)
-        row = dict(n=level, q=q, mu_h_match=mu, mu_g_match=mu, mu_from_q=mu, p_pow_n=p_pow_n)
-        row["consistent"] = bounded or max(_recipe_gaps(q, p), default=0.0) <= tol
-        rows.append(row)
+    # one block for every level; the range goes first, so no level past n_max is formed
+    with double_range(lambda: f"linkage value leaves the double range at level={len(rows)}"):
+        for level, (q, mu, p_pow_n) in zip(range(n_max + 1), _columns(qb, pb, p, 0)):
+            rows.append({"n": level, "q": q, "mu_h_match": mu, "mu_g_match": mu,
+                         "mu_from_q": mu, "p_pow_n": p_pow_n, "consistent": True})
+    if tol < RECIPE_GAP_BOUND:  # at or above it every gap is below tol, so no row can fail
+        for row in rows:  # outside the block, so the recipe's own errors keep their names
+            row["consistent"] = max(_recipe_gaps(row["q"], p), default=0.0) <= tol
     return rows

@@ -91,8 +91,15 @@ def require_nonnegative_int(**params: int):
 
 
 def relative_gap(a: float, b: float) -> float:
-    """|a - b| relative to max(1, |a|, |b|)."""
-    return abs(a - b) / max(1, abs(a), abs(b))
+    """|a - b| relative to max(1, |a|, |b|), the scale chosen as builtin max
+    chooses it (1 unless |a|, then |b|, compares greater), so a tie or a nan
+    picks the same operand, without max's call."""
+    gap, scale = abs(a - b), 1
+    if (size := abs(a)) > scale:
+        scale = size
+    if (size := abs(b)) > scale:
+        scale = size
+    return gap / scale
 
 
 def deformed_integers(q: float, p: float) -> Callable[[int], float]:
@@ -120,14 +127,18 @@ def qp_number(m: int, q: float, p: float) -> float:
     """Deformed integer [m] = (q**m - p**m) / (q - p), m q**(m-1) at q = p.
 
     deformed_integers(q, p)(m), whose one form holds on both sides of
-    q = p.  A value beyond double range raises EvaluationOverflowError, an
-    exact one before its power is formed.
+    q = p.  A value beyond double range raises EvaluationOverflowError; at
+    an exact big = max(q, p) it is refused, and one below 2**-1100 returned
+    as 0.0, before the exact power is formed.
     """
     m, (q, p) = require_nonnegative_int(m=m), require_positive(q=q, p=p)
     with double_range(lambda: f"deformed integer [{m}] overflowed at q={q}, p={p}"):
         big = max(q, p)
-        if type(big) is not float and big > 1 and (m - 1) * math.log2(big) > 1100:
-            raise OverflowError  # [m] >= big**(m-1) > 2**1100, refused before the exact power
+        if type(big) is not float and m:  # an exact power, refused or skipped unformed
+            if big > 1 and (m - 1) * math.log2(big) > 1100:
+                raise OverflowError  # [m] >= big**(m-1) > 2**1100
+            if big < 1 and math.log2(m) + (m - 1) * math.log2(big) < -1100:
+                return 0.0  # [m] <= m big**(m-1) < 2**-1100 rounds to 0.0
         value = deformed_integers(q, p)(m)
         if math.isfinite(value):  # an exact value past double range overflows here
             return value

@@ -1001,3 +1001,85 @@ def test_fraction_formulas_stay_exact_past_double_range():
     assert Fraction(*mu) == 2 * 4**600 * (1 + 4**601) - 2 * 16**600
     assert Fraction(*q) == -1 + Fraction(3 + 33 * 4**599, 2) * 4**600 / 16**600
     assert Fraction(*p_pow_n) == Fraction(1, 16**600)
+
+
+# ---------------------------------------------------------------------------
+# one overflow guard per table, and the interval products
+# ---------------------------------------------------------------------------
+
+# points whose columns first leave double range at levels 0, 5, 32 and 256
+LEAVING = [
+    (1.9914421945390676e-11, 1.3658273962263223e-230, 2.0031343320821813e-120),
+    (1.6757861216304183e64, 9.838889158457611e100, 1.2145921232977473e-71),
+    (31.106376961891545, 0.23509692477797836, 9.857754453864686),
+    (2.0, 1.0, 0.0625),
+]
+
+
+@pytest.mark.parametrize("qbpbp", LEAVING)
+def test_link_table_guard_names_the_level_it_leaves_at(qbpbp):
+    # the level where an exact column first leaves double range ends a table
+    # that asks for it, named by that level, and one level short of it is
+    # printed whole: the table never forms a level past n_max
+    _, leaves = exact_levels(*qbpbp, 300)
+    for n_max in (leaves, leaves + 3):
+        with pytest.raises(EvaluationOverflowError,
+                           match=f"^linkage value leaves the double range at level={leaves}$") as exc:
+            link_table(*qbpbp, n_max)
+        assert type(exc.value.__cause__) is OverflowError
+    if leaves:
+        assert [row["n"] for row in link_table(*qbpbp, leaves - 1)] == list(range(leaves))
+
+
+def test_link_table_forms_the_levels_it_prints(monkeypatch):
+    formed = []
+    columns = linkage._columns
+
+    def counted(*args):
+        for values in columns(*args):
+            formed.append(values)
+            yield values
+
+    monkeypatch.setattr(linkage, "_columns", counted)
+    for n_max in (0, 1, 8):
+        formed.clear()
+        assert len(link_table(1.05, 0.97, 0.95, n_max)) == len(formed) == n_max + 1
+
+
+def _pow_by_every_square(x, n):
+    # the squaring loop with its unused last square, as _pow was first written
+    power = linkage._ONE
+    while n:
+        power, x, n = linkage._mul(power, x) if n & 1 else power, linkage._mul(x, x), n >> 1
+    return power
+
+
+def _products(x, n):
+    power = linkage._ONE
+    for _ in range(n):
+        power = linkage._mul(power, x)
+    return power
+
+
+def _encloses(interval, exact: Fraction) -> bool:
+    lo, hi, e = interval
+    return Fraction(lo) * Fraction(2) ** e <= exact <= Fraction(hi) * Fraction(2) ** e
+
+
+@given(top=st.integers(1, 2**200), bottom=st.integers(1, 2**200), n=st.integers(0, 64))
+@settings(max_examples=200, deadline=None)
+def test_pow_is_n_products(top, bottom, n):
+    # squaring rounds at other places than n successive _muls, so both
+    # enclose (top / bottom)**n; _pow keeps the bits of the loop it replaces
+    x = linkage._quotient(top, bottom)
+    power = linkage._pow(x, n)
+    assert power == _pow_by_every_square(x, n)
+    assert _encloses(power, Fraction(top, bottom) ** n)
+    assert _encloses(_products(x, n), Fraction(top, bottom) ** n)
+
+
+@given(lo=st.integers(1, 3), width=st.integers(0, 2), e=st.integers(-60, 60), n=st.integers(0, 64))
+def test_pow_is_n_products_where_none_rounds(lo, width, e, n):
+    # ends of two bits stay below 2**128 to the 64th power: no product rounds
+    x = (lo, min(lo + width, 3), e)
+    assert linkage._pow(x, n) == _products(x, n) == (lo**n, x[1] ** n, n * e)

@@ -171,6 +171,15 @@ def test_one_overflow_rule():
     assert not hasattr(defosc.linkage, "contextmanager")  # no hand-written copy
 
 
+def test_one_overflow_guard_per_link_table():
+    # link_table forms all its levels inside one double_range block, and the
+    # interval sum aligns its terms itself
+    linkage = defosc.linkage
+    assert inspect.getsource(linkage.link_table).count("with double_range(") == 1
+    for name in ("_at", "_double_range"):
+        assert not hasattr(linkage, name)
+
+
 def test_one_number_reader():
     # qp.require_* read every public number at the entrance that takes it, so
     # no layer keeps a number handler of its own

@@ -15,7 +15,7 @@ from defosc import (
     sf_table,
     two_sided_equal_hg,
 )
-from defosc.qp import relative_gap, require_nonnegative
+from defosc.qp import deformed_integers, relative_gap, require_nonnegative
 
 GRID = (0.5, 0.9, 1.1, 2.0)
 
@@ -160,6 +160,28 @@ def test_qp_number_refuses_an_exact_power_before_forming_it(q, p):
     assert qp_number(1001, 2, 1) == 2.0**1001 - 1  # 1000 log2(2) stays below the guard
 
 
+@pytest.mark.parametrize("q, p", [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 2)),
+                                  (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), 0.25)])
+def test_qp_number_skips_an_exact_power_that_rounds_to_zero(q, p):
+    # [m] <= m big**(m-1) < 2**-1100 at m = 2**40, where the exact power
+    # would take 2**40 bits: 0.0 from m log2(big), in microseconds, at q = p too
+    value = qp_number(2**40, q, p)
+    assert value == 0.0 and type(value) is float and math.copysign(1, value) == 1
+
+
+@pytest.mark.parametrize("q, p", [(Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4), Fraction(2, 3)),
+                                  (Fraction(7, 8), Fraction(7, 8)), (Fraction(1, 2), 0.375)])
+def test_qp_number_keeps_the_exact_value_beside_the_underflow_guard(q, p):
+    # either side of log2(m) + (m - 1) log2(big) = -1100, the value reads as
+    # the exact form's (at q = p, below the edge, it is that Fraction), and
+    # 0.0 where the guard skips the power
+    big = max(q, p)
+    edge = next(m for m in range(1, 10**5) if math.log2(m) + (m - 1) * math.log2(big) < -1100)
+    for m in range(max(edge - 40, 1), edge + 40):
+        assert float(qp_number(m, q, p)) == float(deformed_integers(q, p)(m)), m
+    assert type(qp_number(edge, q, p)) is float
+
+
 def test_require_nonnegative_names_the_first_negative_parameter():
     require_nonnegative(n=0, level=3)
     with pytest.raises(DomainError, match=r"^level must be >= 0, got -2$"):
@@ -172,6 +194,44 @@ def test_relative_gap_is_floored_at_one():
     assert relative_gap(0.25, 0.5) == 0.25
     assert relative_gap(-4.0, 4.0) == 2.0
     assert relative_gap(3, 3) == 0
+
+
+def reference_gap(a, b):
+    # relative_gap's former body, builtin max included
+    return abs(a - b) / max(1, abs(a), abs(b))
+
+
+def _outcome(gap, a, b):
+    try:
+        return repr(gap(a, b))
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def _same_magnitude(x: float):
+    # x's magnitude as a float, an int where exact, and a Fraction, either sign
+    forms = [x, -x, Fraction(x), -Fraction(x)]
+    return forms + [int(x), -int(x)] if x.is_integer() else forms
+
+
+GAP_OPERANDS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1,
+                     Fraction(1), math.inf, -math.inf, math.nan]),
+    st.integers(-(2**1100), 2**1100),
+    st.fractions(),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.tuples(GAP_OPERANDS, GAP_OPERANDS),
+                 st.floats(allow_nan=False, allow_infinity=False).flatmap(
+                     lambda x: st.tuples(st.sampled_from(_same_magnitude(x)),
+                                         st.sampled_from(_same_magnitude(x))))))
+def test_relative_gap_is_the_builtin_max_formula(operands):
+    # floats with signed zeros, subnormals, infinities and nan, ints, Fractions
+    # and equal magnitudes of mixed types: the same value, type and sign
+    assert _outcome(relative_gap, *operands) == _outcome(reference_gap, *operands)
 
 
 def test_equal_subnormal_parameters_take_the_equal_form():
