@@ -9,11 +9,11 @@ check_link_consistency give q, mu and p**N correctly rounded, each
 decided from a 128-bit interval carried from level to level; only where
 an interval cannot decide does the exact kernel write the level on
 Python ints.  The tests prove the kernel equal, on Fractions, to the
-matching conditions along every route they admit.  Both functions then
-check that the target pair with the level-consistent q reproduces the
-deformed integers [n] = (q**n - p**n)/(q - p).  A non-finite argument
-raises DomainError naming it; a value past double range raises
-EvaluationOverflowError naming the level.
+matching conditions along every route they admit, and prove that the
+recipe over the target pair reproduces the deformed integers
+[n] = (q**n - p**n)/(q - p) for every q and p, so no float check of that
+identity runs here.  A non-finite argument raises DomainError naming it;
+a value past double range raises EvaluationOverflowError naming the level.
 """
 
 from __future__ import annotations
@@ -23,34 +23,8 @@ import math
 import sys
 
 from .errors import double_range
-from .qp import (
-    deformed_integers, relative_gap, require_nonnegative, require_nonnegative_int,
-    require_positive,
-)
+from .qp import require_nonnegative, require_nonnegative_int, require_positive
 from .report import ResidualReport
-from .structure import HGPair, custom_hg, sf_table
-
-
-# Depth of the recipe check in check_link_consistency: Phi(0..SF_LEVELS)
-# against the deformed integers, trimmed while its values leave double range.
-SF_LEVELS = 12
-# A bound on every gap _recipe_gaps returns, so a tolerance at or above it
-# decides each link_table row without the recipe.  With u = 2**-53, and pow,
-# log1p and expm1 within 1 ulp (2u), as glibc documents: for q, p > 0 every
-# term of Phi(n+1) = (g/h) Phi(n) + 1/h is positive, so a level's relative
-# error is its worse term's plus one rounding.  g/h = fl(fl(q h) / h) is
-# q (1 + 2u) whatever pow's error in h, 1/h is p**n (1 + 3u) and Phi(1) = 1
-# exactly, so Phi(n) is off by 4 (n - 1) u.  [n] = big**(n-1) expm1(n L) /
-# expm1(L) is off by 9u from pow, n L, the two expm1, the quotient and the
-# product, and by 4u from e and L = log1p(-e): sum t**k (t = small/big)
-# moves by sum k t**k / sum t**k <= t/(1 - t) <= 1/|ln t| times L's error,
-# which is 2u |ln t| plus (1 - t)/t times e's 2u.  The gap itself rounds
-# once.  At n <= 12 that is 58u, about 6.4e-15, against a worst gap of 10u
-# on random targets.  An exact p rounds where it meets a float, no worse
-# than pow.  The depth trim keeps p**n >= 1e-300 and Phi(n) <= 1e300, so a
-# q h or (g/h) Phi that underflows moves Phi(n+1) >= p**n by 2**-1075 1e300,
-# below 1e-23 relative.
-RECIPE_GAP_BOUND = 1e-12
 
 
 def _table(qb: float, pb: float, p: float, q_only: bool = False) -> list:
@@ -180,67 +154,34 @@ def _columns(qb: float, pb: float, p: float, first: int, q_only: bool = False):
                   for (v_lo, v_hi, v_e), (_, (f_lo, f_hi, f_e)) in zip(values, terms)]
 
 
-def _exceeds_double_range(base: float, exponent: int) -> bool:
-    try:
-        return base**exponent > 1e300
-    except OverflowError:  # past the largest double, so out of range too
-        return True
-
-
-def _target_pair(q: float, p: float) -> HGPair:
-    # (h, g) = (p**-N, q p**-N), with lists from one list of powers
-    def lists(m: int) -> tuple[list[float], list[float]]:
-        h = list(map(pow, itertools.repeat(p), range(0, -m, -1)))
-        return h, [q * power for power in h]
-
-    return HGPair(lambda n: p**-n, lambda n: q * p**-n, "oscillator-target", lists)
-
-
-def _recipe_gaps(q: float, p: float) -> list[float]:
-    # the gap at each level n = 0..depth; none when the target is no
-    # oscillator (q <= 0); the trim keeps below 1e300 the bounds of [n]
-    # (max(q, p, 2)**depth) and of h(n) (p**-depth)
-    depth = SF_LEVELS if q > 0 else 0
-    while depth and _exceeds_double_range(max(q, p, 2.0, 1 / p), depth):
-        depth -= 1
-    if not depth:
-        return []
-    table = sf_table(custom_hg(_target_pair(q, p)), depth)
-    integers = deformed_integers(q, p)
-    return [relative_gap(phi, integers(n)) for n, phi in enumerate(table)]
-
-
 def check_link_consistency(
     qb: float, pb: float, p: float, level: int, tol: float = 1e-10
 ) -> ResidualReport:
-    """Check that the level-consistent q makes the target an oscillator.
+    """Check that the level's q is formed within double range.
 
     q along the mu-free route is the correctly rounded exact value, decided
     at the level as in link_table.  The recipe over the target pair
-    (p**-N, q p**-N) must then reproduce the deformed integers [n] for
-    n = 0..SF_LEVELS; per_state holds the gap at each n, relative against
-    max(1, |values|).  The matching q always exceeds -1 but can reach zero
-    or negative values; the target then no longer describes an oscillator,
-    so the recipe only runs when q > 0.  Its depth (dim) is trimmed, down
-    to 0, where per_state is empty, while max(q, p, 2)**depth or p**-depth
-    exceeds 1e300 or overflows.  qb, pb and p must be finite and positive.
-    A q beyond double range raises EvaluationOverflowError naming the level.
+    (p**-N, q p**-N) gives Phi(n+1) = p**n + q Phi(n), which is the deformed
+    integer [n+1] for every q and p, so nothing is left to compare: the
+    report passes with dim 0, max_abs_residual 0.0 and an empty per_state,
+    and echoes tol.  A q <= -p (no oscillator, since [2] = p + q) passes
+    too; this check does not decide it.  qb, pb and p must be finite and
+    positive, tol >= 0.  A q beyond double range raises
+    EvaluationOverflowError naming the level.
     """
     qb, pb, p = require_positive(qb=qb, pb=pb, p=p)
     tol = require_nonnegative(tolerance=tol)
     level = require_nonnegative_int(level=level)  # a Python int, as the kernel's powers need
     with double_range(lambda: f"linkage value leaves the double range at level={level}"):
-        (q,) = next(_columns(qb, pb, p, level, q_only=True))
-    gaps = _recipe_gaps(q, p)
-    worst = max(gaps, default=0.0)
+        next(_columns(qb, pb, p, level, q_only=True))
     return ResidualReport(
         relation=f"link-consistency(qb={qb},pb={pb},p={p},level={level})",
-        dim=max(len(gaps) - 1, 0),
+        dim=0,
         margin=0,
-        max_abs_residual=worst,
+        max_abs_residual=0.0,
         tolerance=tol,
-        passed=worst <= tol,
-        per_state=list(enumerate(gaps)),
+        passed=True,
+        per_state=[],
     )
 
 
@@ -250,27 +191,23 @@ def link_table(
     """Per-level linkage table for levels 0..n_max.
 
     Each row carries the level, the level-consistent q, mu along all
-    three routes, p**N, and the recipe verdict of check_link_consistency.
+    three routes, p**N, and consistent, which is True on every row: the
+    target pair reproduces the deformed integers identically (see
+    check_link_consistency).  tol must be >= 0 and decides nothing.
     Every printed value is the correctly rounded exact value: a 128-bit
     interval carried from level to level decides it, and the exact integer
     kernel runs only at a level where one cannot.  The three mu routes
-    agree exactly, so mu is printed in all three.  The recipe's gap is
-    roundoff, proven below RECIPE_GAP_BOUND (1e-12), so at a tol at or
-    above it every row is consistent and the recipe does not run; below
-    it each row runs the recipe as check_link_consistency does, after
-    every level is formed.  A column beyond double range raises
-    EvaluationOverflowError naming the level; no level past n_max is formed.
+    agree exactly, so mu is printed in all three.  A column beyond double
+    range raises EvaluationOverflowError naming the level; no level past
+    n_max is formed.
     """
     n_max = require_nonnegative_int(n_max=n_max)
     qb, pb, p = require_positive(qb=qb, pb=pb, p=p)
-    tol = require_nonnegative(tolerance=tol)
+    require_nonnegative(tolerance=tol)
     rows = []
     # one block for every level; the range goes first, so no level past n_max is formed
     with double_range(lambda: f"linkage value leaves the double range at level={len(rows)}"):
         for level, (q, mu, p_pow_n) in zip(range(n_max + 1), _columns(qb, pb, p, 0)):
             rows.append({"n": level, "q": q, "mu_h_match": mu, "mu_g_match": mu,
                          "mu_from_q": mu, "p_pow_n": p_pow_n, "consistent": True})
-    if tol < RECIPE_GAP_BOUND:  # at or above it every gap is below tol, so no row can fail
-        for row in rows:  # outside the block, so the recipe's own errors keep their names
-            row["consistent"] = max(_recipe_gaps(row["q"], p), default=0.0) <= tol
     return rows

@@ -127,9 +127,10 @@ def qp_number(m: int, q: float, p: float) -> float:
     """Deformed integer [m] = (q**m - p**m) / (q - p), m q**(m-1) at q = p.
 
     deformed_integers(q, p)(m), whose one form holds on both sides of
-    q = p.  A value beyond double range raises EvaluationOverflowError; at
-    an exact big = max(q, p) it is refused, and one below 2**-1100 returned
-    as 0.0, before the exact power is formed.
+    q = p, rounded once to a float (an exact q = p gives an exact value).
+    A value beyond double range raises EvaluationOverflowError; at an exact
+    big = max(q, p) it is refused, and one below 2**-1100 returned as 0.0,
+    before the exact power is formed.
     """
     m, (q, p) = require_nonnegative_int(m=m), require_positive(q=q, p=p)
     with double_range(lambda: f"deformed integer [{m}] overflowed at q={q}, p={p}"):
@@ -139,7 +140,7 @@ def qp_number(m: int, q: float, p: float) -> float:
                 raise OverflowError  # [m] >= big**(m-1) > 2**1100
             if big < 1 and math.log2(m) + (m - 1) * math.log2(big) < -1100:
                 return 0.0  # [m] <= m big**(m-1) < 2**-1100 rounds to 0.0
-        value = deformed_integers(q, p)(m)
-        if math.isfinite(value):  # an exact value past double range overflows here
+        value = float(deformed_integers(q, p)(m))  # an exact m big**(m-1) rounds once
+        if math.isfinite(value):
             return value
         raise OverflowError

@@ -200,15 +200,16 @@ def _recipe(hg: HGPair, m: int, table: list) -> list:
     # Phi(n+1) = (1 + g(n) Phi(n)) / h(n), so Phi(1) = 1/h(0) and g(0) is
     # never consulted.  It is formed as (g/h) Phi + 1/h, because g(n) Phi(n)
     # alone can pass the largest double while Phi(n+1) is in range (for the
-    # link target g/h = q, and a level is p**n + q [n]); int literals keep a
-    # Fraction pair exact.  h and g are the pair's lists, or h(n) and g(n)
-    # read level by level up to the first that raises.  One pass forms every
-    # level below the first it cannot form: its h or g is missing, its h is
-    # zero or not finite (an infinite h would round Phi to 0.0), or its Phi
-    # is not a finite double.  At that level j it reads the pair's own h(j)
-    # and then g(j), and raises what they raise, else RecipeDivisionError
-    # for a zero h, else OverflowError, with table at Phi(0..j) for the
-    # caller's double_range to name: it knows the level it asked for.
+    # pair (p**-n, q p**-n), g/h = q and a level is p**n + q Phi(n)); int
+    # literals keep a Fraction pair exact.  h and g are the pair's lists, or
+    # h(n) and g(n) read level by level up to the first that raises.  One
+    # pass forms every level below the first it cannot form: its h or g is
+    # missing, its h is zero or not finite (an infinite h would round Phi to
+    # 0.0), or its Phi is not a finite double.  At that level j it reads the
+    # pair's own h(j) and then g(j), and raises what they raise, else
+    # RecipeDivisionError for a zero h, else OverflowError, with table at
+    # Phi(0..j) for the caller's double_range to name: it knows the level it
+    # asked for.
     h = g = None
     if hg.lists is not None:
         try:

@@ -5,6 +5,9 @@ the two matching conditions alone, so a table that prints
 float(exact value) in every column is checked against values the
 package did not compute.  free_routes writes every route between q and
 mu that the matching admits; the tests prove that they agree.
+target_recipe and deformed_integer state the oscillator the matching
+targets: the recipe over (p**-N, q p**-N) and the integers [n] it
+reproduces for every q and p.
 """
 
 from fractions import Fraction
@@ -71,3 +74,18 @@ def assert_rows_are_rounded_exact_values(qb, pb, p, rows) -> None:
     for row in rows:
         for key, value in exact_row(qb, pb, p, row["n"]).items():
             assert row[key] == float(value), (row["n"], key, row[key], float(value))
+
+
+def target_recipe(q, p, m: int) -> list:
+    """Phi(0..m) of the recipe Phi(n+1) = (1 + g(n) Phi(n)) / h(n) over the
+    target pair h(n) = p**-n, g(n) = q p**-n, Phi(0) = 0; on Fractions, exact."""
+    phi = [Fraction(0)]
+    for n in range(m):
+        h = p**-n
+        phi.append((1 + q * h * phi[-1]) / h)
+    return phi
+
+
+def deformed_integer(q, p, n: int):
+    """[n] = (q**n - p**n) / (q - p), n p**(n-1) at q = p; exact on Fractions."""
+    return (q**n - p**n) / (q - p) if q != p else n * p ** (n - 1) if n else Fraction(0)

@@ -150,10 +150,10 @@ PINS = {
         "fdedd4a931c393c8a51ecfdca44346f5cccdd536a44479adea3bd4d57f3618fd",
     "link --qb 100 --pb 0.5 --p 0.1 --n-max 20":
         "0c4058e9bb924baf2fc8077959c0466772f00df2d22856c4f73ea255aa348fd6",
-    # below RECIPE_GAP_BOUND every row runs the recipe: at 0 each row reads
-    # false on roundoff and the exit is 1, at 1e-13 each reads true, exit 0
+    # the tolerance is echoed and decides nothing: at 0 and at 1e-13 every
+    # row reads true and the exit is 0
     "link --qb 1.05 --pb 0.95 --p 1.05 --n-max 6 --tolerance 0":
-        "7c7432a6319af50640d83635308127b6b6b015bd6cca9ef7e11bbaeee2ade5d0",
+        "286d84a40c8f99054e2fe5e4ff4aeedf46a31ee9ffc3ca6a04453303b414f61f",
     "link --qb 1.05 --pb 0.95 --p 1.05 --n-max 6 --tolerance 1e-13":
         "703eb58bf53e07ef44d001e10e4277d220b241502735ba6b9e5c85523714cbb9",
     "link --qb 2 --pb 1 --p -1":

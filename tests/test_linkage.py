@@ -16,13 +16,16 @@ from defosc import (
     HGPair,
     ResidualReport,
     check_link_consistency,
+    custom_hg,
     hg_for_two_sided,
     link_table,
     run_limit_suite,
+    sf_table,
 )
 from defosc import linkage
 from link_oracle import (
-    assert_rows_are_rounded_exact_values, free_routes, matching, routes_at, routes_at_q,
+    assert_rows_are_rounded_exact_values, deformed_integer, free_routes, matching, routes_at,
+    routes_at_q, target_recipe,
 )
 
 GRID = (0.5, 0.9, 1.1, 2.0)
@@ -80,17 +83,16 @@ def test_loop_closes_on_the_parameter_grid():
             for p in GRID:
                 for level in range(0, 9, 2):
                     report = check_link_consistency(qb, pb, p, level)
-                    assert report.passed, (qb, pb, p, level, report.per_state)
+                    assert report.passed, (qb, pb, p, level)
 
 
 def test_consistency_report_shape():
-    # per_state is (level, recipe gap) for levels 0..dim; q = 37/8 runs it
-    # to the full depth
-    report = check_link_consistency(2.0, 1.0, 1.0, 0)
-    assert report.passed
-    assert report.dim == linkage.SF_LEVELS
-    assert [n for n, _ in report.per_state] == list(range(report.dim + 1))
-    assert report.max_abs_residual <= 1e-10
+    # nothing is compared, so the report is a pass with no states, and it
+    # echoes the tolerance it read, 0 and inf included
+    for tol in (1e-10, 0.0, float("inf")):
+        report = check_link_consistency(2.0, 1.0, 1.0, 0, tol=tol)
+        relation = "link-consistency(qb=2.0,pb=1.0,p=1.0,level=0)"
+        assert report == ResidualReport(relation, 0, 0, 0.0, tol, True, [])
 
 
 def assert_every_route_rounds_to_the_row(qb, pb, p, row):
@@ -358,56 +360,21 @@ def test_link_table_types_a_float_overflow_with_its_level():
     assert all(row["consistent"] for row in rows)
 
 
-def test_link_check_depth_is_trimmed_for_small_p():
-    # h(n) = p**-n = 1e30**n leaves 1e300 past level 10, before any
-    # max(q, p, 2)**n does: the check stops at depth 10 instead of
-    # overflowing at 12, and every printed column is in range
+def test_link_check_passes_for_small_p():
+    # h(n) = p**-n = 1e30**n would leave 1e300 past level 10, and p**-2 =
+    # 1e400 leaves double range: no float power of the target is formed,
+    # so each point passes with its printed columns in range
     rows = link_table(1.0, 1.0, 1e-30, 2)
     assert [row["consistent"] for row in rows] == [True, True, True]
-    report = check_link_consistency(1.0, 1.0, 1e-30, 0)
-    assert (report.dim, report.passed) == (10, True)
-    # here p**-2 = 1e400 already leaves double range: depth 1 at level 0,
-    # where q = 4.625
+    assert check_link_consistency(1.0, 1.0, 1e-30, 0).passed
     assert link_table(2.0, 1.0, 1e-200, 1)[-1]["consistent"]
-    assert check_link_consistency(2.0, 1.0, 1e-200, 0).dim == 1
-    # q = 2e20 at level 0: q**12 and p**-12 stay below 1e300; g(n) Phi(n)
-    # ~ (q / p)**n would pass the largest double at n = 9, but the recipe
-    # forms (g/h) Phi + 1/h = q [n] + p**n, so the check keeps depth 12
-    report = check_link_consistency(1e20, 1e20, 1e-20, 0)
-    assert (report.dim, report.passed) == (12, True)
+    assert check_link_consistency(2.0, 1.0, 1e-200, 0).passed
+    # q = 2e20 at level 0, where g(n) Phi(n) ~ (q / p)**n would pass the
+    # largest double at n = 9
+    assert check_link_consistency(1e20, 1e20, 1e-20, 0).passed
 
 
-DECADES = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
-RECIPE_TARGETS = st.one_of(
-    st.tuples(DECADES, DECADES),
-    # at and near q = p: e = 0, then e a few ulps and up to 1e-6
-    st.tuples(st.integers(-64, 64), DECADES).map(
-        lambda kp: (kp[1] * (1 + kp[0] * 2.0**-52), kp[1])),
-    st.tuples(st.floats(-16.0, -6.0), st.sampled_from((-1, 1)), DECADES).map(
-        lambda esp: (esp[2] * (1 + esp[1] * 10.0 ** esp[0]), esp[2])),
-    # small/big below 2**-53 (log1p's pole, e = 1) and above 2**53, either way round
-    st.tuples(st.floats(53.0, 300.0), st.sampled_from((-1, 1)),
-              st.floats(-200.0, 200.0).map(lambda exponent: 10.0**exponent)).map(
-        lambda ksp: (ksp[2] * 2.0 ** (ksp[1] * ksp[0]), ksp[2])),
-    # link-limits' range
-    st.tuples(st.floats(0.0, 3.0, exclude_min=True), st.floats(0.45, 1.0)),
-)
-
-
-@given(target=RECIPE_TARGETS)
-@example(target=(5e-324, 1.0))  # q h underflows at every level
-@example(target=(5e-324, 0.5))
-@example(target=(1.0, 1.0))
-@example(target=(1.05, Fraction(21, 20)))  # an exact p
-@example(target=(3.0, Fraction(1, 3)))
-@settings(max_examples=600, deadline=None)
-def test_recipe_check_stays_in_double_range(target):
-    # the depth trim keeps every value the recipe forms in range, and every
-    # gap is roundoff below the proven bound link_table skips the recipe at
-    assert max(linkage._recipe_gaps(*target), default=0.0) <= linkage.RECIPE_GAP_BOUND
-
-
-LINK_TOLERANCES = (0.0, 2.0**-52, 1e-13, linkage.RECIPE_GAP_BOUND, 1e-10, float("inf"))
+LINK_TOLERANCES = (0.0, 2.0**-52, 1e-13, 1e-12, 1e-10, float("inf"))
 
 
 @given(
@@ -419,30 +386,66 @@ LINK_TOLERANCES = (0.0, 2.0**-52, 1e-13, linkage.RECIPE_GAP_BOUND, 1e-10, float(
     n_max=st.integers(0, 40),
     tol=st.sampled_from(LINK_TOLERANCES),
 )
-@example(qbpbp=(0.1, 0.1, 0.1), n_max=4, tol=0.0)  # q <= 0: no recipe, a pass at 0
+@example(qbpbp=(0.1, 0.1, 0.1), n_max=4, tol=0.0)  # q <= 0
 @example(qbpbp=(1.05, 0.95, 1.05), n_max=12, tol=0.0)
 @settings(max_examples=300, deadline=None)
-def test_consistent_is_the_recipe_verdict_at_every_tolerance(qbpbp, n_max, tol):
-    # skipping the recipe at or above RECIPE_GAP_BOUND prints what running it would
+def test_the_tolerance_decides_nothing(qbpbp, n_max, tol):
+    # every tolerance prints the default's table, or raises its error, and
+    # every row reads consistent
     try:
-        rows = link_table(*qbpbp, n_max, tol=tol)
-    except EvaluationOverflowError:
+        rows = link_table(*qbpbp, n_max)
+    except EvaluationOverflowError as exc:
+        with pytest.raises(EvaluationOverflowError, match=f"^{exc}$"):
+            link_table(*qbpbp, n_max, tol=tol)
         return
-    p = qbpbp[2]
-    assert [row["consistent"] for row in rows] == [
-        max(linkage._recipe_gaps(row["q"], p), default=0.0) <= tol for row in rows
-    ]
+    assert link_table(*qbpbp, n_max, tol=tol) == rows
+    assert all(row["consistent"] is True for row in rows)
 
 
-def test_link_table_runs_the_recipe_only_below_its_bound(monkeypatch):
-    calls = []
-    recipe_gaps = linkage._recipe_gaps
-    monkeypatch.setattr(linkage, "_recipe_gaps", lambda q, p: calls.append(q) or recipe_gaps(q, p))
-    for tol in (1e-10, linkage.RECIPE_GAP_BOUND, float("inf")):
+def test_link_table_costs_the_same_at_every_tolerance(monkeypatch):
+    # a tolerance below the default forms no more than the table's levels
+    formed = []
+    columns = linkage._columns
+    monkeypatch.setattr(linkage, "_columns", lambda *args: formed.append(args) or columns(*args))
+    for tol in (0.0, 1e-13, 1e-10, float("inf")):
         assert all(row["consistent"] for row in link_table(1.05, 0.95, 1.05, 8, tol=tol))
-    assert calls == []
-    rows = link_table(1.05, 0.95, 1.05, 8, tol=1e-13)
-    assert calls == [row["q"] for row in rows] and len(rows) == 9
+    assert formed == [(1.05, 0.95, 1.05, 0)] * 4
+
+
+# ---------------------------------------------------------------------------
+# the target is the oscillator of the deformed integers: a proof on Fractions
+# ---------------------------------------------------------------------------
+
+# the matching's range: rational q > -1 (q <= 0 included) and p > 0
+TARGET_Q = st.fractions(min_value=-1, max_value=8, max_denominator=64).filter(lambda q: q > -1)
+TARGET_P = st.fractions(min_value=0, max_value=8, max_denominator=64).filter(lambda p: p > 0)
+
+
+def target_pair(q, p) -> HGPair:
+    def lists(m):
+        h = [p**-n for n in range(m)]
+        return h, [q * value for value in h]
+
+    return HGPair(lambda n: p**-n, lambda n: q * p**-n, "oscillator-target", lists)
+
+
+@given(q=TARGET_Q, p=TARGET_P)
+@example(q=Fraction(0), p=Fraction(1))
+@example(q=Fraction(-63, 64), p=Fraction(1, 64))  # q + p < 0: no oscillator, same identity
+@example(q=Fraction(3, 2), p=Fraction(3, 2))  # q = p
+@example(q=Fraction(-1, 2), p=Fraction(1, 2))  # q = -p
+@settings(max_examples=200, deadline=None)
+def test_the_target_recipe_is_the_deformed_integers(q, p):
+    # Phi(n+1) = p**n + q Phi(n) = [n+1] for every q and p, so the recipe
+    # over the target pair can only tell roundoff: link_table prints no such
+    # check.  The package's recipe, from the pair's lists or level by level,
+    # is the same exact table.
+    want = [deformed_integer(q, p, n) for n in range(25)]
+    assert target_recipe(q, p, 24) == want
+    pair = target_pair(q, p)
+    assert sf_table(custom_hg(pair), 24) == want
+    unlisted = HGPair(pair.h, pair.g, pair.label)
+    assert sf_table(custom_hg(unlisted), 24) == want
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +702,7 @@ def test_formulas_stay_exact_on_fractions():
 def test_every_printed_column_is_the_rounded_exact_value(qb, pb, p, n_max):
     try:
         rows = link_table(qb, pb, p, n_max)
-    except EvaluationOverflowError:  # a column or the recipe leaves double range
+    except EvaluationOverflowError:  # a column leaves double range
         return
     assert [row["n"] for row in rows] == list(range(n_max + 1))
     assert_rows_are_rounded_exact_values(qb, pb, p, rows)
@@ -742,12 +745,20 @@ def exact_q(qb, pb, p, level):
 
 
 def check_q(qb, pb, p, level):
-    """The q check_link_consistency hands to its recipe check."""
+    """The q check_link_consistency decides at the level, before it passes."""
     seen = []
+    columns = linkage._columns
+
+    def spied(*args, **kwargs):
+        for value in columns(*args, **kwargs):
+            seen.append(value)
+            yield value
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linkage, "_recipe_gaps", lambda q, p: seen.append(q) or [])
-        check_link_consistency(qb, pb, p, level)
-    return repr(seen[0])
+        patch.setattr(linkage, "_columns", spied)
+        assert check_link_consistency(qb, pb, p, level).passed
+    ((q,),) = seen
+    return repr(q)
 
 
 def assert_fast_path_is_exact(qb, pb, p, n_max):
@@ -833,24 +844,19 @@ def test_the_benchmarks_linkage_never_falls_back(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("qb, level, depth", [(2.05, 28, 8), (2.0, 40, 6)])
-def test_recipe_depth_trim_survives_overflowing_powers(qb, level, depth):
+@pytest.mark.parametrize("qb, level", [(2.05, 28), (2.0, 40)])
+def test_link_check_passes_where_powers_of_q_overflow(qb, level):
+    # q**9 and q**7 pass the largest double here; no power of q is formed
     report = check_link_consistency(qb, 1.0, 1.0, level)
-    assert report.passed
-    assert report.dim == depth
+    assert (report.passed, report.dim, report.per_state) == (True, 0, [])
 
 
-@pytest.mark.parametrize(
-    "qb, pb, p, level, depth", [(0.1, 0.01, 10.0, 40, 1), (0.5, 0.1, 10.0, 80, 0)]
-)
-def test_recipe_depth_trim_goes_below_two(qb, pb, p, level, depth):
-    # q = 5.0e200 at the first point: q**2 leaves double range while q does
-    # not; at the second q itself exceeds 1e300, and depth 0 leaves the
-    # recipe out
+@pytest.mark.parametrize("qb, pb, p, level", [(0.1, 0.01, 10.0, 40), (0.5, 0.1, 10.0, 80)])
+def test_link_check_passes_where_q_nears_the_largest_double(qb, pb, p, level):
+    # q = 5.0e200 at the first point, where q**2 leaves double range while
+    # q does not; at the second q itself exceeds 1e300
     report = check_link_consistency(qb, pb, p, level)
-    assert report.passed
-    assert report.dim == depth
-    assert report.per_state == ([(n, 0.0) for n in range(depth + 1)] if depth else [])
+    assert (report.passed, report.dim, report.per_state) == (True, 0, [])
     assert all(row["consistent"] for row in link_table(qb, pb, p, level))
 
 
@@ -877,9 +883,8 @@ def test_link_check_reports_or_raises_a_typed_error(qb, pb, p, level):
         report = check_link_consistency(qb, pb, p, level)
     except DeformedAlgebraError:
         return
-    levels = [n for n, _ in report.per_state]
-    assert levels == (list(range(report.dim + 1)) if report.dim else [])
-    assert report.max_abs_residual == max((gap for _, gap in report.per_state), default=0.0)
+    relation = f"link-consistency(qb={qb},pb={pb},p={p},level={level})"
+    assert report == ResidualReport(relation, 0, 0, 0.0, 1e-10, True, [])
 
 
 CORNER = (5e-324, 1.7e308, 5e-324)
@@ -891,8 +896,8 @@ def digest(rows):
 
 def test_link_rows_at_the_double_range_corner():
     # a column leaves double range at level 0, whatever n_max; above it
-    # q rounds to -1.0, no oscillator, so the recipe does not run, and the
-    # check at level 200 computes its exact q in milliseconds
+    # q rounds to -1.0, and the check at level 200 computes its exact q in
+    # milliseconds
     for n_max in (0, 3, 40):
         with pytest.raises(EvaluationOverflowError, match="^linkage value .* at level=0$"):
             link_table(*CORNER, n_max)
@@ -913,12 +918,9 @@ def test_link_rows_at_the_last_level_before_overflow():
         mu_from_q=6.741349255733685e307, p_pow_n=8.900295434028806e-308, consistent=True,
     )
     assert digest(rows) == "5675d383fd90ed59e743391080be4259751693e4bf919ea16dadc80f001c8bbe"
-    gaps = [0.0] * 5 + [1.4603138016700745e-16, 0.0, 1.1962890625015312e-16, 0.0,
-                        1.960000000000001e-16, 0.0, 0.0, 0.0]
     for level in (255, 256, 260):
         report = check_link_consistency(2.0, 1.0, 0.0625, level)
-        assert (report.dim, report.passed) == (12, True)
-        assert report.per_state == list(enumerate(gaps))
+        assert (report.dim, report.passed, report.per_state) == (0, True, [])
 
 
 def test_link_rows_far_from_the_undeformed_point():
@@ -929,9 +931,9 @@ def test_link_rows_far_from_the_undeformed_point():
         9.872814144256842e265, 8.475215102317814e300, 2.3298085122480986e-35
     )
     assert digest(rows) == "e5d518fec45c229fdba99e55e37e267e0c08b7d007be8ae7881aeafb2a4ad489"
-    assert check_link_consistency(999.9, 0.0011, 0.0013, 12).per_state == [(0, 0.0), (1, 0.0)]
-    report = check_link_consistency(999.9, 0.0011, 0.0013, 0)
-    assert (report.dim, report.max_abs_residual) == (12, 2.0886235920602915e-16)
+    for level in (0, 12):
+        report = check_link_consistency(999.9, 0.0011, 0.0013, level)
+        assert (report.dim, report.max_abs_residual, report.per_state) == (0, 0.0, [])
 
 
 def test_exact_certificate_never_prints_its_fractions():

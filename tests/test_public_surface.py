@@ -180,6 +180,30 @@ def test_one_overflow_guard_per_link_table():
         assert not hasattr(linkage, name)
 
 
+def test_the_link_table_runs_no_recipe():
+    # the target pair reproduces the deformed integers identically (proven
+    # in test_linkage), so linkage forms no structure function: it imports
+    # nothing from structure, keeps no name of the float recipe check, and
+    # link_table compares its tolerance with nothing
+    linkage = defosc.linkage
+    tree = ast.parse(Path(linkage.__file__).read_text())
+    modules = [
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert not any(module and module.split(".")[-1] == "structure" for module in modules)
+    for name in ("RECIPE_GAP_BOUND", "SF_LEVELS", "_recipe_gaps", "_target_pair",
+                 "_exceeds_double_range"):
+        assert not hasattr(linkage, name), name
+    table = ast.parse(inspect.getsource(linkage.link_table))
+    compared = {
+        node.id for compare in ast.walk(table) if isinstance(compare, ast.Compare)
+        for node in ast.walk(compare) if isinstance(node, ast.Name)
+    }
+    assert "tol" not in compared
+
+
 def test_one_number_reader():
     # qp.require_* read every public number at the entrance that takes it, so
     # no layer keeps a number handler of its own

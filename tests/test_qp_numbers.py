@@ -145,7 +145,8 @@ def test_qp_number_refuses_an_exact_value_past_double_range():
         with pytest.raises(EvaluationOverflowError, match=rf"^deformed integer \[{m}\]") as info:
             qp_number(m, q, q)
         assert type(info.value.__cause__) is OverflowError
-    assert qp_number(3, 2, 2) == 12 and type(qp_number(3, 2, 2)) is int
+    # the exact value is rounded once, so every return is a float
+    assert qp_number(3, 2, 2) == 12.0 and type(qp_number(3, 2, 2)) is float
 
 
 @pytest.mark.parametrize("q, p", [(3, 2), (2, 2), (Fraction(3, 2), Fraction(5, 4)),
@@ -172,14 +173,34 @@ def test_qp_number_skips_an_exact_power_that_rounds_to_zero(q, p):
 @pytest.mark.parametrize("q, p", [(Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4), Fraction(2, 3)),
                                   (Fraction(7, 8), Fraction(7, 8)), (Fraction(1, 2), 0.375)])
 def test_qp_number_keeps_the_exact_value_beside_the_underflow_guard(q, p):
-    # either side of log2(m) + (m - 1) log2(big) = -1100, the value reads as
-    # the exact form's (at q = p, below the edge, it is that Fraction), and
-    # 0.0 where the guard skips the power
+    # either side of log2(m) + (m - 1) log2(big) = -1100, the value is the
+    # exact form's rounded once (at q = p, below the edge, that form is a
+    # Fraction), and 0.0 where the guard skips the power
     big = max(q, p)
     edge = next(m for m in range(1, 10**5) if math.log2(m) + (m - 1) * math.log2(big) < -1100)
     for m in range(max(edge - 40, 1), edge + 40):
-        assert float(qp_number(m, q, p)) == float(deformed_integers(q, p)(m)), m
-    assert type(qp_number(edge, q, p)) is float
+        value = qp_number(m, q, p)
+        assert value == float(deformed_integers(q, p)(m)) and type(value) is float, m
+
+
+EXACT = st.one_of(st.integers(1, 8),
+                  st.fractions(min_value=Fraction(1, 64), max_value=8, max_denominator=64))
+
+
+@given(m=st.integers(0, 300), q=EXACT, p=EXACT)
+@settings(max_examples=300, deadline=None)
+def test_qp_number_on_exact_inputs_is_a_float(m, q, p):
+    # at q = p the exact m q**(m-1) rounded once, elsewhere the one form's
+    # float; a value past double range is refused either way
+    for pair in ((q, p), (q, q)):
+        try:
+            value = qp_number(m, *pair)
+        except EvaluationOverflowError:
+            assert max(pair) > 1, (m, pair)
+            continue
+        assert type(value) is float, (m, pair)
+        if pair == (q, q):
+            assert value == float(m * q ** (m - 1) if m else 0), (m, q)
 
 
 def test_require_nonnegative_names_the_first_negative_parameter():

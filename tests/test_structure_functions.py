@@ -576,13 +576,6 @@ def test_pair_lists_are_h_and_g_on_fractions():
     assert sf_table(model, 5) == [sf_eval(model, n) for n in range(6)]
 
 
-def test_link_target_lists_are_h_and_g_bit_for_bit():
-    for q in (*EDGES, Fraction(3, 2)):
-        for p in (*EDGES, Fraction(2, 3)):
-            for m in (1, 2, 13, 300):
-                assert_lists_are_h_and_g(linkage._target_pair(q, p), m)
-
-
 def test_pair_coefficients_are_typed():
     # Q = 1e-300/1e300 underflows to 0.0, which g(0) raises to the power -2;
     # 2**1202 passes the largest double; Q = 1e300/1e-300 is inf
