@@ -127,7 +127,7 @@ def qp_number(m: int, q: float, p: float) -> float:
     """Deformed integer [m] = (q**m - p**m) / (q - p), m q**(m-1) at q = p.
 
     deformed_integers(q, p)(m), whose one form holds on both sides of
-    q = p, rounded once to a float (an exact q = p gives an exact value).
+    q = p, as a float (at an exact q = p, m q**(m-1) rounded once).
     A value beyond double range raises EvaluationOverflowError; at an exact
     big = max(q, p) it is refused, and one below 2**-1100 returned as 0.0,
     before the exact power is formed.

@@ -402,7 +402,7 @@ def test_the_tolerance_decides_nothing(qbpbp, n_max, tol):
     assert all(row["consistent"] is True for row in rows)
 
 
-def test_link_table_costs_the_same_at_every_tolerance(monkeypatch):
+def test_link_table_forms_one_table_at_every_tolerance(monkeypatch):
     # a tolerance below the default forms no more than the table's levels
     formed = []
     columns = linkage._columns

@@ -187,12 +187,11 @@ def test_the_link_table_runs_no_recipe():
     # link_table compares its tolerance with nothing
     linkage = defosc.linkage
     tree = ast.parse(Path(linkage.__file__).read_text())
-    modules = [
-        node.module if isinstance(node, ast.ImportFrom) else alias.name
-        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    ]
-    assert not any(module and module.split(".")[-1] == "structure" for module in modules)
+    imported = {  # modules, and names imported from them, as "from . import structure" has
+        name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (getattr(node, "module", None) or "", *(alias.name for alias in node.names))
+    }
+    assert not any(name.split(".")[-1] == "structure" for name in imported)
     for name in ("RECIPE_GAP_BOUND", "SF_LEVELS", "_recipe_gaps", "_target_pair",
                  "_exceeds_double_range"):
         assert not hasattr(linkage, name), name
