@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -117,12 +117,15 @@ def _powers(ratio: float, first: int, stop: int) -> np.ndarray:
 
 
 def _dressed(rep: FockRep, powers: np.ndarray) -> FockRep:
-    # rep with X and P dressed by powers[k] = ratio**k, k < 2 dim - 1
+    # rep with X and P dressed by powers[k] = ratio**k, k < 2 dim - 1: the rows of
+    # x and then p / i, written into one array
     dressing = powers * _INV_SQRT2
     f, g = dressing[: rep.dim], dressing[::2]
-    roots = rep.ladder
-    x = np.stack([g[1:] * roots, f[:-1] * roots])
-    return replace(rep, x=x, p=np.stack([f[1:] * roots, -(g[:-1] * roots)]))
+    rows = np.empty((4, rep.dim - 1))
+    for row, factor in zip(rows, (g[1:], f[:-1], f[1:], g[:-1])):
+        np.multiply(factor, rep.ladder, out=row)
+    np.negative(rows[3], out=rows[3])
+    return FockRep(rep.dim, rep.phi, rep.ladder, rows[:2], rows[2:])
 
 
 def _ratio_args(pair: HGPair) -> tuple | None:
@@ -145,18 +148,25 @@ def _ratio_arrays(args: tuple, m: int, even: np.ndarray | None = None):
 
 
 def _recipe_model(label: str, pair: HGPair, even=None) -> StructureFunctionModel:
-    # the recipe over pair, which reads a ratio pair's lists off _ratio_arrays
+    # the recipe over pair, which reads a ratio pair's step columns off _steps
     args = _ratio_args(pair)
-    if args is not None:
-        pair = replace(pair, lists=lambda m: [a.tolist() for a in _ratio_arrays(args, m, even)])
-    return StructureFunctionModel(label, partial(_recipe, pair))
+    return StructureFunctionModel(label, partial(_recipe, pair, steps=args and partial(_steps, args, even)))
+
+
+def _steps(args: tuple, even: np.ndarray | None, m: int) -> tuple:
+    # the recipe's step columns of _ratio_arrays' h and g: 1/h(n) and g(n)/h(n), the
+    # quotients Python's floats give, below the first level whose h is zero or not finite
+    h, g = _ratio_arrays(args, m, even)
+    stop = np.flatnonzero((h == 0) | ~np.isfinite(h))
+    cut = stop[0] if stop.size else m
+    with np.errstate(all="ignore"):
+        return iter((1 / h[:cut]).tolist()), (g[1:cut] / h[1:cut]).tolist()
 
 
 def _ratio_xp(model: StructureFunctionModel, dim: int) -> FockRep:
-    # build_xp(build_ladder(model, dim), Q) for a recipe model over a ratio pair, Q its
-    # ratio read as a float: one array of Q**k, k = -2..2 dim, gives the pair's arrays
-    # (even k) and the dressing
-    dim = _require_dim(dim)
+    # build_xp(build_ladder(model, dim), Q) for a recipe model over a ratio pair and a
+    # dim already read, Q its ratio read as a float: one array of Q**k, k = -2..2 dim,
+    # gives the pair's arrays (even k) and the dressing
     ratio = _ratio_args(model.table.args[0])[0]
     with double_range(lambda: f"X/P dressing ratio**k overflowed for ratio={ratio}, dim={dim}"):
         powers = _powers(ratio, -2, 2 * dim + 1)

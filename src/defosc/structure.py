@@ -24,8 +24,8 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat, takewhile
-from operator import length_hint
+from itertools import islice, repeat, takewhile
+from operator import length_hint, truediv
 from typing import Callable
 
 from .errors import DomainError, RecipeDivisionError, double_range, finite
@@ -195,39 +195,45 @@ def _two_sided_equal_table(qb: float, pb: float, m: int, phi: list) -> list:
     return phi
 
 
-def _recipe(hg: HGPair, m: int, table: list) -> list:
+def _recipe(hg: HGPair, m: int, table: list, steps=None) -> list:
     # Phi(0..m) onto table = [0.0], the one place the recipe is formed:
     # Phi(n+1) = (1 + g(n) Phi(n)) / h(n), so Phi(1) = 1/h(0) and g(0) is
     # never consulted.  It is formed as (g/h) Phi + 1/h, because g(n) Phi(n)
     # alone can pass the largest double while Phi(n+1) is in range (for the
     # pair (p**-n, q p**-n), g/h = q and a level is p**n + q Phi(n)); int
-    # literals keep a Fraction pair exact.  h and g are the pair's lists, or
-    # h(n) and g(n) read level by level up to the first that raises.  One
-    # pass forms every level below the first it cannot form: its h or g is
-    # missing, its h is zero or not finite (an infinite h would round Phi to
-    # 0.0), or its Phi is not a finite double.  At that level j it reads the
-    # pair's own h(j) and then g(j), and raises what they raise, else
+    # literals keep a Fraction pair exact.  The loop reads the step columns
+    # 1/h(n) and g(n)/h(n): steps(m)'s, where given and it raises nothing
+    # (fock forms them as arrays of a ratio pair, up to its first h that is
+    # zero or not finite), else _columns over the pair's lists, or h(n) and
+    # g(n) read level by level up to the first that raises.  One pass forms
+    # every level below the first it cannot form: its h or g is missing, its
+    # h is zero or not finite (an infinite h would round Phi to 0.0), or its
+    # Phi is not a finite double.  At that level j it reads the pair's own
+    # h(j) and then g(j), and raises what they raise, else
     # RecipeDivisionError for a zero h, else OverflowError, with table at
     # Phi(0..j) for the caller's double_range to name: it knows the level it
     # asked for.
-    h = g = None
-    if hg.lists is not None:
-        try:
-            h, g = hg.lists(m)
-        except Exception:  # a per-level mu may raise anything; h and g meet it in order
-            pass
-    if g is None:
+    try:
+        columns = steps(m) if steps else _columns(*hg.lists(m))
+    except Exception:  # a per-level mu may raise anything; h and g meet it in order
+        columns = None
+    if columns is None:
         h, g = [], []
         with suppress(Exception):  # the level that raised is read again below
             for n in range(m):
                 h.append(hg.h(n))
                 g.append(hg.g(n) if n else None)  # g(0) is never consulted
-    finite_h = takewhile(math.isfinite, h)  # the pass stops at an h that is not finite
+        columns = _columns(h, g)
+    inverses, ratios = columns
     stopped = OverflowError  # what the pass raised, where that names the failure
     try:  # a pass that raises leaves table at the level it could not form
-        table.append(phi := 1 / next(finite_h))
-        table.extend(phi := gj / hj * phi + 1 / hj for hj, gj in zip(finite_h, g[1:]))
-        if len(table) > m and all(map(math.isfinite, table)):
+        table.append(phi := next(inverses))
+        table.extend(phi := a * phi + b for b, a in zip(inverses, ratios))
+        # past a float Phi(1) every level is a float, and one that is not finite
+        # leaves every later one not finite: the last decides
+        if len(table) > m and (
+            math.isfinite(phi) if type(table[1]) is float else all(map(math.isfinite, table))
+        ):
             return table  # the common case, decided at C speed
     except (StopIteration, ZeroDivisionError):  # no finite h(0), a zero h
         pass
@@ -250,6 +256,13 @@ def _recipe(hg: HGPair, m: int, table: list) -> list:
     for value in failed:  # an exact Phi past double range raises its own OverflowError
         math.isfinite(value)
     raise OverflowError if failed else stopped  # the pass's own error, where it stopped
+
+
+def _columns(h: list, g: list) -> tuple:
+    # the step columns over lists h and g, each step formed as the loop reads
+    # it: 1/h(n) while h(n) is finite, and g(n)/h(n) from n = 1
+    inverses = map(truediv, repeat(1), takewhile(math.isfinite, h))
+    return inverses, map(truediv, islice(g, 1, None), islice(h, 1, None))
 
 
 def sf_eval(model: StructureFunctionModel, n: int) -> float:

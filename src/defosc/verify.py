@@ -38,7 +38,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, double_range
-from .fock import FockRep, _ratio_args, _ratio_arrays, _ratio_xp, _require_shape, hamiltonian
+from .fock import (
+    FockRep, _ratio_args, _ratio_arrays, _ratio_xp, _require_dim, _require_shape, hamiltonian
+)
 from .qp import require_finite, require_nonnegative, require_nonnegative_int, require_positive
 from .report import ResidualReport
 from .structure import (
@@ -49,44 +51,48 @@ DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MARGIN = 2
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bands of A B, for A and B given by the rows (A[n+1, n], A[n, n+1])."""
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Bands of A B into the zeroed out, for A and B given by the rows
+    (A[n+1, n], A[n, n+1])."""
     (a_below, a_above), (b_below, b_above) = a, b
-    bands = np.zeros((3, a_below.size + 1))
-    bands[0, 2:] = a_below[1:] * b_below[:-1]
-    bands[1, 1:] = a_below * b_above
-    bands[1, :-1] += a_above * b_below
-    bands[2, :-2] = a_above[:-1] * b_above[1:]
-    return bands
+    np.multiply(a_below[1:], b_below[:-1], out=out[0, 2:])
+    np.multiply(a_below, b_above, out=out[1, 1:])
+    out[1, :-1] += a_above * b_below
+    np.multiply(a_above[:-1], b_above[1:], out=out[2, :-2])
+    return out
 
 
-def _diagonal(values: np.ndarray) -> np.ndarray:
-    return np.stack([np.zeros_like(values), values, np.zeros_like(values)])
+def _arguments(dim: int, margin: int, tol: float) -> tuple[int, float]:
+    # margin, with the interior block it leaves of dim, then tol: each check reads
+    # them, after dim, before it reads anything else or builds anything
+    margin = require_nonnegative_int(margin=margin)
+    if dim - margin < 1:
+        raise DomainError(f"margin {margin} leaves no interior block for dim {dim}")
+    return margin, require_nonnegative(tolerance=tol)
 
 
 def _interior_report(
     relation: str,
     residual: np.ndarray,
-    terms: list[np.ndarray],
+    terms: np.ndarray,
     margin: int,
     tolerance: float,
     per_state: bool,
 ) -> ResidualReport:
-    margin = require_nonnegative_int(margin=margin)
-    tolerance = require_nonnegative(tolerance=tolerance)
-    dim = residual.shape[1]
-    keep = dim - margin
-    if keep < 1:
-        raise DomainError(f"margin {margin} leaves no interior block for dim {dim}")
-    blocks = np.abs(np.stack([residual, *terms])[:, :, :keep])
+    # residual over the interior block against the largest interior entry of the
+    # terms, margin and tolerance already read: one abs and one max pass
+    keep = residual.shape[1] - margin
+    blocks = np.empty((1 + len(terms), 3, keep))
+    np.abs(residual[:, :keep], out=blocks[0])
+    np.abs(np.asarray(terms)[:, :, :keep], out=blocks[1:])
     blocks[:, 2, keep - 2 :] = 0.0  # entries (n, n+2) with n + 2 >= keep
-    scale = max(1.0, *(float(term.max()) for term in blocks[1:]))
-    block = blocks[0] / scale
-    states = list(enumerate(block.max(axis=0).tolist())) if per_state else None
-    worst = float(block.max())
+    worst, *largest = blocks.max(axis=(1, 2)).tolist()
+    scale = max(1.0, *largest)
+    states = list(enumerate((blocks[0].max(axis=0) / scale).tolist())) if per_state else None
+    worst /= scale
     return ResidualReport(
         relation=relation,
-        dim=dim,
+        dim=residual.shape[1],
         margin=margin,
         max_abs_residual=worst,
         tolerance=tolerance,
@@ -95,11 +101,21 @@ def _interior_report(
     )
 
 
-def _ladder_products(rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
-    # a- a+ and a+ a-; each loses the level the truncation cuts
+def _band_report(relation, bands, diagonal, margin, tol, per_state) -> ResidualReport:
+    # the report of a check's band buffer: bands[1] - bands[2] - diag(diagonal) into
+    # bands[0], the residual of the terms bands[1:]
+    np.subtract(bands[1], bands[2], out=bands[0])
+    bands[0, 1] -= diagonal
+    return _interior_report(relation, bands[0], bands[1:], margin, tol, per_state)
+
+
+def _ladder_products(rep: FockRep, bands: np.ndarray) -> np.ndarray:
+    # a- a+ into bands[1] and a+ a- into bands[2]; each loses the level the truncation cuts
     zero = np.zeros_like(rep.ladder)
     a_minus, a_plus = (zero, rep.ladder), (rep.ladder, zero)
-    return _product(a_minus, a_plus), _product(a_plus, a_minus)
+    _product(a_minus, a_plus, bands[1])
+    _product(a_plus, a_minus, bands[2])
+    return bands
 
 
 def _xp_report(
@@ -117,18 +133,20 @@ def _xp_report(
     # recipe over a ratio pair, dressed by its ratio Q (fock._ratio_xp), with
     # Xs = scale X, Ps = scale P and rhs = 1 + mu H (rhs = 1 when mu is None);
     # coeffs and mu are read as floats, and rhs joins the normalizing terms (no
-    # change when it is 1)
+    # change when it is 1); dim, margin and tol are read
     rep = _ratio_xp(model, dim)
-    rhs = np.ones(dim)
+    bands = np.zeros((4, 3, dim))  # the residual, then the terms Xs Ps, Ps Xs and rhs
+    rhs = bands[3, 1]
+    rhs += 1.0
     if mu is not None:
         values = np.fromiter(map(mu, range(dim)), float, dim) if callable(mu) else float(mu)
         rhs += values * hamiltonian(rep)
     x, p = scale * rep.x, scale * rep.p
-    xp = float(coeffs[0]) * _product(x, p)
-    px = float(coeffs[1]) * _product(p, x)
-    rhs = _diagonal(rhs)
-    residual = xp - px - rhs
-    return _interior_report(relation, residual, [xp, px, rhs], margin, tol, per_state)
+    _product(x, p, bands[1])
+    bands[1] *= float(coeffs[0])
+    _product(p, x, bands[2])
+    bands[2] *= float(coeffs[1])
+    return _band_report(relation, bands, rhs, margin, tol, per_state)
 
 
 def _coefficients(hg: HGPair, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,16 +177,14 @@ def verify_hg(
     or g(n) past double range, a power or an infinite product, raises
     EvaluationOverflowError naming the pair."""
     dim = _require_shape(rep).dim
+    margin, tol = _arguments(dim, margin, tol)
     label = f"hg[{hg.label or 'custom'}]"
     with double_range(lambda: f"coefficients of {label} overflowed at dim={dim}"):
         h, g = _coefficients(hg, dim)
-    raise_side, lower_side = _ladder_products(rep)
-    raise_then_lower = h * raise_side
-    lower_then_raise = g * lower_side
-    residual = raise_then_lower - lower_then_raise - _diagonal(np.ones(dim))
-    return _interior_report(
-        label, residual, [raise_then_lower, lower_then_raise], margin, tol, per_state
-    )
+    bands = _ladder_products(rep, np.zeros((3, 3, dim)))
+    bands[1] *= h
+    bands[2] *= g
+    return _band_report(label, bands, 1.0, margin, tol, per_state)
 
 
 def verify_q_ha(
@@ -184,6 +200,8 @@ def verify_q_ha(
     check_q overrides the coefficient used in the checked relation only
     (negative controls); the realization itself is always built from q.
     """
+    dim = _require_dim(dim)
+    margin, tol = _arguments(dim, margin, tol)
     cq = q if check_q is None else require_finite(check_q=check_q)
     label = f"q-ha(q={q},check_q={cq})"
     return _xp_report(label, nonstd_q(q), None, (1.0, cq), dim, margin, tol, per_state)
@@ -200,6 +218,8 @@ def verify_qp_ha(
     per_state: bool = False,
 ) -> ResidualReport:
     """Check p X P - q P X = i on the nonstandard two-parameter realization."""
+    dim = _require_dim(dim)
+    margin, tol = _arguments(dim, margin, tol)
     cq = q if check_q is None else require_finite(check_q=check_q)
     cp = p if check_p is None else require_finite(check_p=check_p)
     label = f"qp-ha(q={q},p={p},check_q={cq},check_p={cp})"
@@ -232,6 +252,8 @@ def verify_two_sided(
     per-level function, entering as a diagonal operator either way; a
     constant mu or check_mu enters 1 + mu H as its float.
     """
+    dim = _require_dim(dim)
+    margin, tol = _arguments(dim, margin, tol)
     if not (check_mu is None or callable(check_mu)):
         check_mu = require_finite(check_mu=check_mu)
     qb, pb = require_positive(qb=qb, pb=pb)  # before mu is read; the pair reads mu
@@ -252,8 +274,6 @@ def verify_commutator_sf(
     per_state: bool = False,
 ) -> ResidualReport:
     """Residual of [a-, a+] - diag(Phi(n+1) - Phi(n)) on the interior."""
-    raise_side, lower_side = _ladder_products(_require_shape(rep))
-    residual = raise_side - lower_side - _diagonal(rep.phi[1:] - rep.phi[:-1])
-    return _interior_report(
-        "commutator-sf", residual, [raise_side, lower_side], margin, tol, per_state
-    )
+    margin, tol = _arguments(_require_shape(rep).dim, margin, tol)
+    bands = _ladder_products(rep, np.zeros((3, 3, rep.dim)))
+    return _band_report("commutator-sf", bands, rep.phi[1:] - rep.phi[:-1], margin, tol, per_state)

@@ -11,6 +11,7 @@ operation moves the last bits and fails here.
 """
 
 import hashlib
+import random
 import struct
 
 import pytest
@@ -21,8 +22,10 @@ from defosc import (
     build_ladder,
     build_xp,
     chakrabarti_jagannathan,
+    fock,
     custom_hg,
     harmonic,
+    hg_for_qp_ha,
     hg_for_two_sided,
     jannussis_mu,
     nonstd_q,
@@ -30,6 +33,10 @@ from defosc import (
     sf_eval,
     sf_table,
     two_sided_equal_hg,
+    verify_commutator_sf,
+    verify_hg,
+    verify_q_ha,
+    verify_qp_ha,
     verify_two_sided,
 )
 
@@ -162,3 +169,70 @@ def test_xp_band_bits_are_pinned():
 def test_two_sided_residual_bits_are_pinned():
     report = verify_two_sided(1.05, 0.95, 0.3, dim=64)
     assert report.max_abs_residual.hex() == "0x1.5ab0c35f4573ep-51"
+
+
+# sha256 over a seeded grid of every check: each report's max_abs_residual
+# and per_state values as float.hex, its verdict, or its error, and the
+# phi/ladder/x/p bytes of the realizations the checks build
+CHECKS_SHA256 = "76ed5080bdec08fb3a822d090121e14d559b0899e13edf13cf8402eb41dd9fc8"
+
+
+def _check_grid(digest):
+    rng = random.Random(20121)
+
+    def draw(low, high):
+        return round(rng.uniform(low, high), 6)
+
+    def feed(*values):
+        digest.update(repr(values).encode())
+
+    def report(call):
+        try:
+            result = call()
+        except Exception as exc:  # the checks raise typed errors only
+            return feed(type(exc).__name__, str(exc))
+        states = [(n, value.hex()) for n, value in result.per_state or []]
+        feed(result.relation, result.max_abs_residual.hex(), result.passed, states)
+
+    def arrays(build):
+        try:
+            rep = build()
+        except Exception as exc:
+            return feed(type(exc).__name__, str(exc))
+        for array in (rep.phi, rep.ladder, rep.x, rep.p):
+            digest.update(b"-" if array is None else array.tobytes())
+        return rep
+
+    for dim in (2, 3, 5, 64, 257, 1024):
+        q, p, pb = draw(0.9, 1.1), draw(0.9, 1.1), draw(0.9, 1.1)
+        qb = round(draw(1.01, 1.05) * pb, 6)
+        mu, negative = draw(0.1, 0.4), -draw(0.05, 0.2)
+        level = draw(0.1, 0.4)
+
+        def per_level(n, level=level):
+            return level / (1.0 + n / 64.0)
+
+        arrays(lambda: fock._ratio_xp(nonstd_qp(q, p), dim))
+        arrays(lambda: fock._ratio_xp(custom_hg(hg_for_two_sided(qb, pb, per_level)), dim))
+        arrays(lambda: build_ladder(arik_coon(q), dim))
+        rep = arrays(lambda: build_ladder(custom_hg(hg_for_qp_ha(q, p)), dim))
+        for margin in (0, 1, 2, 3):
+            for per_state in (False, True):
+                kw = dict(dim=dim, margin=margin, per_state=per_state)
+                report(lambda: verify_q_ha(q, **kw))
+                report(lambda: verify_q_ha(q, check_q=q * 1.001, **kw))
+                report(lambda: verify_qp_ha(q, p, **kw))
+                report(lambda: verify_two_sided(qb, pb, mu, **kw))
+                report(lambda: verify_two_sided(qb, pb, per_level, **kw))
+                report(lambda: verify_two_sided(qb, pb, negative, **kw))
+                report(lambda: verify_two_sided(qb, pb, mu, alt_pairing=True, **kw))
+                kw.pop("dim")
+                report(lambda: verify_hg(rep, hg_for_qp_ha(q, p), **kw))
+                report(lambda: verify_hg(rep, hg_for_qp_ha(q * 1.001, p), **kw))
+                report(lambda: verify_commutator_sf(rep, **kw))
+
+
+def test_check_bits_are_pinned():
+    digest = hashlib.sha256()
+    _check_grid(digest)
+    assert digest.hexdigest() == CHECKS_SHA256

@@ -432,3 +432,40 @@ def test_two_sided_reads_each_level_of_mu_once():
     assert sorted(calls) == list(range(64))
     constant = verify_two_sided(1.05, 1.0, 0.1, dim=64)
     assert report == dataclasses.replace(constant, relation=report.relation)
+
+
+def test_every_check_reads_its_arguments_before_any_work(monkeypatch):
+    # a bad dim, margin or tol raises before a realization is built or mu is read
+    from defosc import fock, verify
+
+    def refuse(*args):
+        raise AssertionError("built before the arguments were read")
+
+    for module in (fock, verify):
+        for name in ("_ratio_xp", "build_ladder"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    calls = []
+
+    def mu(n):
+        calls.append(n)
+        return 0.1
+
+    rep = build_ladder(nonstd_q(1.05), 8)
+    bad = [dict(dim=1), dict(dim=10**30), dict(dim=8, margin=-1), dict(dim=8, margin=8),
+           dict(dim=2**20, margin=2**20), dict(dim=8, tol=-1.0)]
+    for kw in bad:
+        for check in (
+            lambda: verify_q_ha(1.05, **kw),
+            lambda: verify_qp_ha(1.05, 0.95, **kw),
+            lambda: verify_two_sided(1.1, 1.0, mu, **kw),
+        ):
+            with pytest.raises(DomainError):
+                check()
+        rest = {key: value for key, value in kw.items() if key != "dim"}
+        if kw.get("dim") == 8:
+            with pytest.raises(DomainError):
+                verify_hg(rep, hg_for_two_sided(1.1, 1.0, mu), **rest)
+            with pytest.raises(DomainError):
+                verify_commutator_sf(rep, **rest)
+    assert calls == []
