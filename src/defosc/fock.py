@@ -13,7 +13,7 @@ The Hamiltonian is diagonal and held as its diagonal.  Truncation
 artifacts live in the top two levels only; the verification module
 restricts checks to the interior accordingly.  The module computes in
 floats: a dressing ratio, and an hg_for_* pair's Q, qb/2, pb/2 and mu (exact
-where the pair is), whose h and g it forms as numpy arrays for the recipe.
+where the pair is), whose recipe step columns 1/h and g/h it forms as arrays.
 """
 
 from __future__ import annotations

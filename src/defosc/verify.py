@@ -17,7 +17,8 @@ term of a relation sits on the offsets -2, 0 and +2 and all other
 entries are exact zeros.  A term is therefore held as a (3, dim) array
 of bands indexed by row n, holding the entries (n, n-2), (n, n) and
 (n, n+2); the X/P relations are purely imaginary and carried as their
-imaginary parts.  A check costs O(dim) real arithmetic.
+imaginary parts, all in one (terms + 1, 3, dim) buffer per check, its
+residual first.  A check costs O(dim) real arithmetic.
 
 Roundoff is proportional to the size of the terms being cancelled, and
 several structure functions grow exponentially with the level (already
