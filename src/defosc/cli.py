@@ -6,9 +6,10 @@ limits (reduction suite).  Each command returns its config echo, rows
 and verdict; main alone renders them, writes the text to --out or stdout
 and picks the exit code.  A table's header is its first row's keys, and
 every row has those keys in that order.  Output is CSV (configuration
-echoed as leading # comment lines) or JSON ({"config": ..., "rows": ...});
-every numeric cell is rendered with 17 significant digits so values
-round-trip exactly and repeated runs are byte-identical.
+echoed as leading # comment lines) or JSON ({"config": ..., "rows": ...}).
+A table's rows are one printf-style row format in one % operation: a column
+of floats gets %.17g (17 significant digits, so values round-trip exactly),
+one of ints %d, any other %s over each cell's text; runs are byte-identical.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage, parameter-domain or --out write error.
@@ -20,6 +21,8 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import chain, repeat
+from operator import add
 from pathlib import Path
 
 # fock and verify (numpy), linkage and limits are imported by the commands
@@ -64,19 +67,27 @@ def _cell(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
+_SPECS = {float: "%.17g", int: "%d"}  # a column's spec by the exact type of all its values
+
+
+def _cells(rows: list[dict], cell) -> tuple[list[str], tuple]:
+    # each column's spec, once from its values' exact types, and all cells in one tuple
+    flat = list(chain.from_iterable(map(dict.values, rows)))
+    width, specs = len(rows[0]), []
+    for j in range(width):
+        kinds = set(map(type, column := flat[j::width]))
+        specs.append(spec := _SPECS.get(kinds.pop(), "%s") if len(kinds) == 1 else "%s")
+        if spec == "%s":
+            flat[j::width] = map(cell, column)
+    return specs, tuple(flat)
+
+
 def _json_objects(objects: list[dict], pad: str) -> str:
-    # flat objects with the first one's keys, each key JSON-encoded once, their
-    # braces at the indent pad
-    names = [f"{pad}  {json.dumps(key)}: " for key in objects[0]]
-    return f",\n{pad}".join(
-        "{\n"
-        + ",\n".join(
-            name + (json.dumps(value) if isinstance(value, str) else _cell(value))
-            for name, value in zip(names, row.values())
-        )
-        + f"\n{pad}}}"
-        for row in objects
-    )
+    # flat objects with the first one's keys, braces at the indent pad, in one % operation
+    specs, cells = _cells(objects, lambda v: json.dumps(v) if isinstance(v, str) else _cell(v))
+    names = (f"{pad}  {json.dumps(key)}: ".replace("%", "%%") for key in objects[0])
+    row = "{\n" + ",\n".join(map(add, names, specs)) + f"\n{pad}}}"
+    return f",\n{pad}".join(repeat(row, len(objects))) % cells
 
 
 def _render(config: dict, rows: list[dict], fmt: str) -> str:
@@ -85,7 +96,8 @@ def _render(config: dict, rows: list[dict], fmt: str) -> str:
         return f'{{\n  "config": {echo},\n  "rows": [\n    {table}\n  ]\n}}\n'
     lines = [f"# {key}={_cell(val)}" for key, val in config.items()]
     lines.append(",".join(rows[0]))
-    lines += (",".join(map(_cell, row.values())) for row in rows)
+    specs, cells = _cells(rows, _cell)
+    lines.append("\n".join(repeat(",".join(specs), len(rows))) % cells)
     return "\n".join(lines) + "\n"
 
 
@@ -219,7 +231,7 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu-tilde", type=float, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="defosc",
         description="Deformed Heisenberg algebras: structure functions, "
@@ -266,14 +278,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(lim)
     lim.set_defaults(run=_cmd_limits)
 
-    return parser
+    for name, command in sub.choices.items():  # the namespace a command's parser gives names it
+        command.set_defaults(command=name)
+    return parser, sub.choices  # and each command's own parser, by name
 
 
-_parser = cache(build_parser)
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+_parser = cache(_build)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's argv goes to that command's parser; the full parser answers
+    # the rest (help, a missing or unknown command, a token the command leaves)
+    own = commands.get(argv[0]) if argv else None
+    args, left = own.parse_known_args(argv[1:]) if own else (None, True)
+    if left:
+        args = parser.parse_args(argv)
     try:
         config, rows, passed = args.run(args)
     except DeformedAlgebraError as exc:

@@ -404,6 +404,56 @@ def test_ladder_and_hg_check_read_a_ratio_pair_as_its_lists(qb, pb, dim):
         assert checks[0] == checks[1], mu
 
 
+# ratio pairs whose step columns meet a hazard above level 0, with the error
+# each table ends in at dim 9.  For a ratio pair g/h leaves double range only
+# through an infinite g: a finite g over a nonzero finite h stays below
+# 2**54 / Q, and Q**2 underflows first.
+STEP_HAZARDS = {
+    "h(3) = 0 at Q = 1": ((1.0, 1.0, lambda n: 2.0 if n == 3 else 0.0),
+                          "recipe division by zero: h(3) = 0"),
+    "h(2) = 0 at Q = 2": ((2.0, 1.0, lambda n: 2080.0 if n == 2 else 0.0),
+                          "recipe division by zero: h(2) = 0"),
+    "subnormal h(3), 1/h = inf": ((1e-310, 1e-310, lambda n: -2.0 if n < 3 else 0.0),
+                                  "overflowed at n=4"),
+    "subnormal h(3), 1/h finite": ((1e-308, 1e-308, lambda n: -2.0 if n < 3 else 0.0),
+                                   "overflowed at n=5"),
+    "subnormal h(0)": ((1e-308, 1e-308, 0.0), "overflowed at n=2"),
+    "h(2) = inf, g(2) finite": ((1e30, 1.0, 0.0), "coefficient h of two-sided(qb=1e+30,"
+                                                  "pb=1.0,mu=0.0) overflowed at n=2"),
+    "h(2) = -inf": ((1.0, 1.0, lambda n: 4e308 if n == 2 else 0.0),
+                    "coefficient h of two-sided(qb=1.0,pb=1.0,mu(n)) overflowed at n=2"),
+    "g(2) = inf, g/h = inf": ((1.5e308, 1.5e308, lambda n: 1e308 if n == 2 else 0.0),
+                              "coefficient g of two-sided(qb=1.5e+308,pb=1.5e+308,mu(n)) "
+                              "overflowed at n=2"),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 9, 64])
+@pytest.mark.parametrize("hazard", list(STEP_HAZARDS))
+def test_step_columns_meet_each_hazard_as_the_lists_do(hazard, dim, monkeypatch):
+    # the array route (fock._steps) and the list route (structure._columns)
+    # give the same table, or the same error type, message and cause
+    (qb, pb, mu), message = STEP_HAZARDS[hazard]
+    pair, routes = hg_for_two_sided(qb, pb, mu), []
+
+    def spy(module, name):
+        route = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: routes.append(name) or route(*args))
+
+    spy(fock, "_steps")
+    spy(structure, "_columns")
+    outcomes = []
+    for hg in (pair, _listed(pair)):
+        try:
+            outcomes.append(build_ladder(custom_hg(hg), dim).phi.tobytes())
+        except defosc.DeformedAlgebraError as exc:
+            outcomes.append((type(exc), str(exc), type(exc.__cause__), str(exc.__cause__)))
+    assert routes == ["_steps", "_columns"]
+    assert outcomes[0] == outcomes[1]
+    if dim == 9:
+        assert message in " ".join(map(str, outcomes[0])), outcomes[0]
+
+
 def test_an_hg_check_in_range_builds_no_python_lists(monkeypatch):
     # a float ratio pair reaches build_ladder, verify_hg and the X/P checks
     # as arrays: its pure-Python lists are never built

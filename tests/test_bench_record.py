@@ -2,6 +2,7 @@
 
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -135,3 +136,17 @@ def test_calls_are_timed_in_one_interpreter_per_checkout(monkeypatch):
     root = str(bench_record.ROOT)
     times = bench_record._time_calls({"parent": root, "change": root}, ["sf_table(harmonic(), 4)"])
     assert all(0 < times[side]["sf_table(harmonic(), 4)"] < 1e3 for side in bench_record.SIDES)
+
+
+def test_a_printing_expression_is_timed_without_filling_the_pipe(monkeypatch):
+    # the answers share no stream with the expression: a call that prints more
+    # than a pipe holds, at every repeat of autorange's count, still answers
+    monkeypatch.setattr(bench_record, "CALL_REPEATS", 1)
+    root, expr = str(bench_record.ROOT), "print('x' * 70000)"
+    times = {}
+    worker = threading.Thread(target=lambda: times.update(
+        bench_record._time_calls({"parent": root, "change": root}, [expr])), daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "the call worker blocked on its own output"
+    assert all(0 < times[side][expr] < 1e3 for side in bench_record.SIDES)

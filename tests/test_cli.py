@@ -1,11 +1,13 @@
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -621,3 +623,111 @@ def _echo(argv: str) -> list[str]:
 def test_verify_echoes_only_the_flags_its_relation_reads(argv, echo):
     tail = ["dim=8", "margin=2", "tolerance=1e-10", "format=csv"]
     assert _echo(argv) == [f"# {item}" for item in ["command=verify", *echo, *tail]]
+
+
+# ---------------------------------------------------------------------------
+# the command's own parser, and a table formatted in one pass
+# ---------------------------------------------------------------------------
+
+ROUTE_ARGV = [
+    [], ["nope"], ["-h"], ["--he"], ["--", "sf"], ["-x", "sf"],
+    ["sf", "--model=harmonic", "--n-max=3"],
+    ["sf", "--mod", "nonstd-q", "--q", "1.1", "--n", "4", "--form", "json"],
+    ["sf", "--model", "harmonic", "--he"],
+    ["sf", "--model", "harmonic", "-h", "--bogus"],
+    ["verify", "-h"],
+    ["sf", "--", "--model", "harmonic"],
+    ["limits", "--", "0"],
+    ["sf", "--model", "harmonic", "--n-max", "2", "--n-max", "3"],
+    ["sf", "--model", "harmonic", "--bogus", "1"],
+    ["sf", "--model", "harmonic", "--n-max", "2", "extra", "more"],
+    ["limits", "extra"],
+    ["link", "--qb", "2", "--pb", "1", "--p", "1", "--n-max=2", "--tol", "0"],
+    ["sf", "--model"], ["sf", "--n-max", "x"], ["verify", "--relation", "q-ha"],
+    ["SF", "--model", "harmonic"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTE_ARGV, ids=" ".join)
+def test_a_commands_own_parser_prints_what_the_full_parser_prints(argv, monkeypatch):
+    # main parses a command's argv with that command's parser; the full
+    # parser (here the only route, with no command's parser to hand) gives
+    # the same exit code, stdout and stderr on every argv
+    monkeypatch.setenv("COLUMNS", "80")
+    own = run_argv(argv)
+    parser, _ = cli._parser()
+    monkeypatch.setattr(cli, "_parser", lambda: (parser, {}))
+    assert run_argv(argv) == own
+
+
+def test_the_command_parsers_are_held_with_the_one_parser():
+    cli._parser.cache_clear()
+    parser, commands = cli._parser()
+    assert list(commands) == ["sf", "spectrum", "verify", "link", "limits"]
+    assert all(command.prog == f"defosc {name}" for name, command in commands.items())
+    for argv in ROUTE_ARGV[6:9]:
+        run_argv(argv)
+    assert cli._parser() == (parser, commands) and cli._parser.cache_info().misses == 1
+
+
+def _cell_reference(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _json_reference(objects: list[dict], pad: str) -> str:
+    names = [f"{pad}  {json.dumps(key)}: " for key in objects[0]]
+    return f",\n{pad}".join(
+        "{\n"
+        + ",\n".join(
+            name + (json.dumps(value) if isinstance(value, str) else _cell_reference(value))
+            for name, value in zip(names, row.values())
+        )
+        + f"\n{pad}}}"
+        for row in objects
+    )
+
+
+def _render_reference(config: dict, rows: list[dict], fmt: str) -> str:
+    # the per-cell rendering the one-pass render replaced
+    if fmt == "json":
+        echo, table = _json_reference([config], "  "), _json_reference(rows, "    ")
+        return f'{{\n  "config": {echo},\n  "rows": [\n    {table}\n  ]\n}}\n'
+    lines = [f"# {key}={_cell_reference(val)}" for key, val in config.items()]
+    lines.append(",".join(rows[0]))
+    lines += (",".join(map(_cell_reference, row.values())) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.8e308, -math.inf,
+                     math.nan, 1.7976931348623157e308, 0.1]),
+)
+_INTS = st.one_of(st.integers(-2**1100, 2**1100), st.integers(-5, 5))
+_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", "%", "%s", "%d %%", "a,b", "Phi Φ(n) é", "漢\n"]),
+)
+# a column's cells: one kind each, or int, float and bool mixed
+_COLUMN_CELLS = st.sampled_from([
+    _FLOATS, _INTS, st.booleans(), _TEXT, _FLOATS.map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.none(),
+    st.lists(st.integers(), max_size=2), st.one_of(_INTS, _FLOATS, st.booleans()),
+])
+
+
+@st.composite
+def _tables(draw):
+    keys = draw(st.lists(st.one_of(_TEXT, st.just("n")), max_size=4, unique=True))
+    kinds = [draw(_COLUMN_CELLS) for _ in keys]
+    size = draw(st.integers(1, 6))
+    columns = [[draw(kind) for _ in range(size)] for kind in kinds]
+    return [dict(zip(keys, cells)) for cells in zip(*columns)] or [{}] * size
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), _tables(), st.sampled_from(["csv", "json"]))
+def test_a_table_formatted_in_one_pass_is_its_cells_formatted_one_by_one(config, rows, fmt):
+    assert cli._render(config[0], rows, fmt) == _render_reference(config[0], rows, fmt)

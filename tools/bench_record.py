@@ -45,9 +45,13 @@ SIDES = ("parent", "change")
 CALL_REPEATS = 7
 
 # one interpreter per checkout: reads a JSON expression per line and
-# answers the milliseconds one call of it takes, over autorange's count
+# answers the milliseconds one call of it takes, over autorange's count.
+# The answers leave on a copy of the stdout pipe; fd 1, and sys.stdout on
+# it, go to a null sink, so an expression that prints cannot fill the pipe.
 _CALL_WORKER = """
-import json, sys, timeit
+import json, os, sys, timeit
+answers = os.fdopen(os.dup(1), "w")
+os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
 sys.path.insert(0, "src")
 from defosc import *
 numbers = {}
@@ -55,7 +59,7 @@ for line in sys.stdin:
     timer = timeit.Timer(json.loads(line), globals=globals())
     if line not in numbers:
         numbers[line] = timer.autorange()[0]
-    print(timer.timeit(numbers[line]) / numbers[line] * 1e3, flush=True)
+    print(timer.timeit(numbers[line]) / numbers[line] * 1e3, file=answers, flush=True)
 """
 
 
